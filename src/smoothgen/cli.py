@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import glob
 import io
 import json
@@ -90,24 +91,40 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None, meta=Non
             )
         if acc_out is not None:
             acc_rows.append(
-                AccuracyRow(log.model_id, log.test_domain, compute_accuracy(log))
+                (AccuracyRow(log.model_id, log.test_domain, compute_accuracy(log)), path)
             )
     write_scores_csv(score_rows, out, meta)
     if acc_out is not None:
         # one accuracy per (model, domain) regardless of neighborhood count
-        uniq = {(r.model_id, r.test_domain): r for r in acc_rows}
-        write_accuracies_csv(uniq.values(), acc_out, meta)
+        write_accuracies_csv(_unique_accuracies(acc_rows), acc_out, meta)
     return len(score_rows)
+
+
+def _unique_accuracies(rows):
+    """One row per (model, domain) from (AccuracyRow, source path) pairs;
+    rows for the same pair must agree."""
+    uniq = {}
+    for row, source in rows:
+        key = (row.model_id, row.test_domain)
+        if key in uniq and uniq[key][0].accuracy != row.accuracy:
+            first, first_source = uniq[key]
+            raise SmoothgenError(
+                f"accuracy of model {row.model_id!r} on {row.test_domain!r} differs: "
+                f"{first.accuracy!r} in {first_source}, {row.accuracy!r} in {source}"
+            )
+        uniq[key] = (row, source)
+    return [row for row, _ in uniq.values()]
 
 
 def cmd_baseline(score_inputs, weight_inputs, manifest_path, out, acc_out=None,
                  meta=None):
     """ATC accuracy predictions and weight-norm measures as a scores CSV."""
     by_id, _ = _train_domain_map(manifest_path)
-    logs = [parse_score_log(p) for p in _expand_inputs(score_inputs)]
+    paths = _expand_inputs(score_inputs)
+    logs = [parse_score_log(p) for p in paths]
     validation = {}
     tests = []
-    for log in logs:
+    for log, path in zip(logs, paths):
         rec = by_id.get(log.model_id)
         if rec is None:
             raise SmoothgenError(f"model {log.model_id!r} not in manifest")
@@ -116,9 +133,9 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out, acc_out=None,
         if log.split == "validation":
             validation[log.model_id] = log
         else:
-            tests.append(log)
+            tests.append((log, path))
     rows, acc_rows = [], []
-    for log in tests:
+    for log, path in tests:
         rec = by_id[log.model_id]
         val = validation.get(log.model_id)
         if val is None:
@@ -136,10 +153,12 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out, acc_out=None,
                 )
             )
         if acc_out is not None:
-            acc_rows.append(AccuracyRow(log.model_id, log.domain, compute_accuracy(log)))
+            acc_rows.append(
+                (AccuracyRow(log.model_id, log.domain, compute_accuracy(log)), path)
+            )
     if weight_inputs:
         domains_by_model = {}
-        for log in tests:
+        for log, _ in tests:
             domains_by_model.setdefault(log.model_id, []).append(log.domain)
         for path in _expand_inputs(weight_inputs, pattern="*.bin"):
             dump = read_weight_dump(path)
@@ -163,8 +182,7 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out, acc_out=None,
                     )
     write_scores_csv(rows, out, meta)
     if acc_out is not None:
-        uniq = {(r.model_id, r.test_domain): r for r in acc_rows}
-        write_accuracies_csv(uniq.values(), acc_out, meta)
+        write_accuracies_csv(_unique_accuracies(acc_rows), acc_out, meta)
     return len(rows)
 
 
@@ -253,15 +271,15 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
             raise SmoothgenError(f"missing ablation logs {name!r} under {ab_dir}")
         return logs
 
+    def with_accuracies(logs):
+        return logs, {mid: compute_accuracy(log) for mid, log in logs.items()}
+
     rows = []
 
     def sweep(sweep_values, logs_for, transform_for):
         for v in sweep_values:
             try:
-                logs = logs_for(v)
-                accuracies = {
-                    mid: compute_accuracy(log) for mid, log in logs.items()
-                }
+                logs, accuracies = logs_for(v)
                 tau, n_models = _sweep_tau(
                     logs, accuracies, transform_for(v), variant, tau_variant
                 )
@@ -273,18 +291,21 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
         if not values:
             raise SmoothgenError("dataset_size sweep needs --values")
         logs = load("dataset_size")
+        # the same logs at every value, so their accuracies are computed once
+        logs_once = functools.cache(lambda: with_accuracies(logs))
         sweep(
             values,
-            lambda v: logs,
+            lambda v: logs_once(),
             lambda v: (lambda log: subsample_examples(log, v, seed)),
         )
     elif kind == "n_samples":
         if not values:
             raise SmoothgenError("n_samples sweep needs --values")
         logs = load("n_samples")
+        logs_once = functools.cache(lambda: with_accuracies(logs))
         sweep(
             values,
-            lambda v: logs,
+            lambda v: logs_once(),
             lambda v: (lambda log: truncate_neighborhood(log, v)),
         )
     elif kind == "neighborhood_size":
@@ -293,7 +314,7 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
             raise SmoothgenError("neighborhood_size sweep needs --values")
         sweep(
             size_rs,
-            lambda v: load(f"size_r__{v:g}"),
+            lambda v: with_accuracies(load(f"size_r__{v:g}")),
             lambda v: (lambda log: log),
         )
     else:

@@ -13,8 +13,10 @@ import math
 import os
 import struct
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -23,6 +25,10 @@ from .errors import SchemaError
 _EPS = 1e-9
 
 WEIGHT_DUMP_MAGIC = b"SGWD0001"
+
+# Decodes one JSON value at the start of a string and returns it with its end;
+# skips the per-call wrapping of json.loads on the hot path of log parsing.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _dumps(obj) -> str:
@@ -78,51 +84,222 @@ class ModelRecord:
 
 @dataclass(frozen=True)
 class ExampleEntry:
+    """One example of a prediction log, as a row (labels None where absent)."""
+
     example_id: str
     neighborhood_predictions: tuple[int, ...]
     true_label: Optional[int] = None
     base_prediction: Optional[int] = None
 
-    def to_json_obj(self) -> dict:
-        obj = {
-            "example_id": self.example_id,
-            "neighborhood_predictions": list(self.neighborhood_predictions),
-        }
-        if self.true_label is not None:
-            obj["true_label"] = self.true_label
-        if self.base_prediction is not None:
-            obj["base_prediction"] = self.base_prediction
-        return obj
+
+class _ExampleError(SchemaError):
+    """An example breaks the prediction-log schema; ``index`` is its position."""
+
+    def __init__(self, index, message):
+        super().__init__(message)
+        self.index = index
 
 
-@dataclass(frozen=True)
+_LOG_ARRAYS = ("predictions", "lengths", "true_labels", "base_predictions")
+
+
+def _example_fault(k, predictions, true_label, base_prediction):
+    """What makes one example (Python values, None for an absent label)
+    invalid, or None."""
+    if len(predictions) == 0:
+        return "empty neighborhood_predictions"
+    for p in predictions:
+        if type(p) is not int:
+            return f"prediction {p!r} is not an integer"
+        if not 0 <= p < k:
+            return f"prediction {p} out of range [0, {k})"
+    for name, v in (("true_label", true_label), ("base_prediction", base_prediction)):
+        if v is None:
+            continue
+        if type(v) is not int:
+            return f"{name} {v!r} is not an integer"
+        if not 0 <= v < k:
+            return f"{name} {v} out of range [0, {k})"
+    return None
+
+
+@dataclass(frozen=True, eq=False)
 class NeighborhoodPredictionLog:
+    """A neighborhood prediction log held as arrays.
+
+    Example ``i`` is ``example_ids[i]`` with the ``lengths[i]`` predictions
+    ``predictions[offsets[i]:offsets[i + 1]]``; neighborhoods may differ in
+    length. ``true_labels`` and ``base_predictions`` hold -1 where an example
+    has no such field. The arrays are read-only: ``predictions`` of the
+    narrowest unsigned type that holds ``num_classes - 1``, the others int64.
+    Inputs of another type, or writeable ones, are copied.
+    """
+
     model_id: str
     test_domain: str
     num_classes: int
-    examples: tuple[ExampleEntry, ...]
+    example_ids: tuple[str, ...]
+    predictions: np.ndarray
+    lengths: np.ndarray
+    true_labels: np.ndarray
+    base_predictions: np.ndarray
     meta: dict = field(default_factory=dict)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise SchemaError(f"num_classes must be >= 2, got {self.num_classes}")
         k = self.num_classes
-        for ex in self.examples:
-            if len(ex.neighborhood_predictions) == 0:
-                raise SchemaError(
-                    f"example {ex.example_id!r}: empty neighborhood_predictions"
-                )
-            for p in ex.neighborhood_predictions:
-                if not 0 <= p < k:
-                    raise SchemaError(
-                        f"example {ex.example_id!r}: prediction {p} out of range [0, {k})"
-                    )
-            for name in ("true_label", "base_prediction"):
-                v = getattr(ex, name)
-                if v is not None and not 0 <= v < k:
-                    raise SchemaError(
-                        f"example {ex.example_id!r}: {name} {v} out of range [0, {k})"
-                    )
+        if k < 2:
+            raise SchemaError(f"num_classes must be >= 2, got {k}")
+        if not set(map(type, self.example_ids)) <= {str}:
+            raise SchemaError("example ids must be strings")
+        for name in _LOG_ARRAYS:
+            arr = np.asarray(getattr(self, name))
+            if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+                raise SchemaError(f"{name} must be a 1-D integer array")
+            object.__setattr__(self, name, arr)
+        m = len(self.example_ids)
+        if not len(self.lengths) == len(self.true_labels) == len(self.base_predictions) == m:
+            raise SchemaError("every per-example array needs one entry per example id")
+        if (self.lengths < 0).any() or self.lengths.sum() != len(self.predictions):
+            raise SchemaError("lengths must be non-negative and sum to the number of predictions")
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(self.lengths, out=offsets[1:])
+        offsets.flags.writeable = False
+        object.__setattr__(self, "offsets", offsets)
+
+        bad = self.lengths == 0
+        if len(self.predictions) and not 0 <= self.predictions.min() <= self.predictions.max() < k:
+            out_of_range = (self.predictions < 0) | (self.predictions >= k)
+            bad[self.example_index()[out_of_range]] = True
+        for labels in (self.true_labels, self.base_predictions):
+            bad |= (labels < -1) | (labels >= k)
+        if bad.any():
+            i = int(bad.argmax())
+            ex = self.examples[i]
+            fault = _example_fault(
+                k, ex.neighborhood_predictions, ex.true_label, ex.base_prediction
+            )
+            raise _ExampleError(i, f"example {ex.example_id!r}: {fault}")
+
+        # Predictions are stored in the narrowest type that holds every class
+        # (uint8 for up to 256 classes): a sweep keeps all of its logs in
+        # memory at once.
+        for name in _LOG_ARRAYS:
+            arr = getattr(self, name)
+            dtype = np.min_scalar_type(k - 1) if name == "predictions" else np.int64
+            if arr.dtype != dtype or arr.flags.writeable:
+                arr = arr.astype(dtype)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_examples(cls, model_id, test_domain, num_classes, examples, meta=None):
+        """A log from ``ExampleEntry`` rows of Python ints."""
+        examples = tuple(examples)
+        return _log_from_values(
+            model_id,
+            test_domain,
+            num_classes,
+            [ex.example_id for ex in examples],
+            [ex.neighborhood_predictions for ex in examples],
+            [ex.true_label for ex in examples],
+            [ex.base_prediction for ex in examples],
+            meta or {},
+        )
+
+    @property
+    def examples(self) -> "_ExampleRows":
+        """The examples as a lazy, sized sequence of ``ExampleEntry`` rows."""
+        return _ExampleRows(self)
+
+    def example_index(self) -> np.ndarray:
+        """The example each prediction belongs to, aligned with ``predictions``."""
+        return np.repeat(np.arange(len(self.lengths)), self.lengths)
+
+    def __eq__(self, other):
+        if not isinstance(other, NeighborhoodPredictionLog):
+            return NotImplemented
+        return (
+            (self.model_id, self.test_domain, self.num_classes, self.example_ids, self.meta)
+            == (other.model_id, other.test_domain, other.num_classes, other.example_ids,
+                other.meta)
+            and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in _LOG_ARRAYS)
+        )
+
+
+class _ExampleRows(Sequence):
+    """Row view of a prediction log; builds each ``ExampleEntry`` on access."""
+
+    def __init__(self, log: NeighborhoodPredictionLog):
+        self._log = log
+
+    def __len__(self):
+        return len(self._log.example_ids)
+
+    def __getitem__(self, i):
+        log = self._log
+        i = range(len(self))[i]
+        start, end = log.offsets[i], log.offsets[i + 1]
+        true, base = int(log.true_labels[i]), int(log.base_predictions[i])
+        return ExampleEntry(
+            example_id=log.example_ids[i],
+            neighborhood_predictions=tuple(log.predictions[start:end].tolist()),
+            true_label=None if true == -1 else true,
+            base_prediction=None if base == -1 else base,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, (_ExampleRows, tuple, list)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
+def _int64_column(values, absent_ok=False):
+    """``values`` as decoded from JSON as an int64 array, None (an absent
+    label, allowed when ``absent_ok``) as -1. Returns None if a value is not
+    a JSON integer, is negative or does not fit in int64."""
+    if not set(map(type, values)) <= ({int, type(None)} if absent_ok else {int}):
+        return None
+    try:
+        arr = np.array(
+            [-1 if v is None else v for v in values] if absent_ok else values,
+            dtype=np.int64,
+        )
+    except OverflowError:
+        return None
+    if np.count_nonzero(arr < 0) != (values.count(None) if absent_ok else 0):
+        return None
+    arr.flags.writeable = False
+    return arr
+
+
+def _log_from_values(model_id, test_domain, k, ids, rows, true_labels, base_predictions,
+                     meta):
+    """A log from per-example Python values as JSON decodes them (None for
+    an absent label). Raises ``_ExampleError`` for the first example whose
+    values are not integers in range."""
+    columns = (
+        _int64_column(list(chain.from_iterable(rows))),
+        _int64_column(true_labels, absent_ok=True),
+        _int64_column(base_predictions, absent_ok=True),
+    )
+    if any(c is None for c in columns):
+        for i, row in enumerate(rows):
+            fault = _example_fault(k, row, true_labels[i], base_predictions[i])
+            if fault is not None:
+                raise _ExampleError(i, f"example {ids[i]!r}: {fault}")
+    predictions, true_arr, base_arr = columns
+    return NeighborhoodPredictionLog(
+        model_id=model_id,
+        test_domain=test_domain,
+        num_classes=k,
+        example_ids=tuple(ids),
+        predictions=predictions,
+        lengths=np.array(list(map(len, rows)), dtype=np.int64),
+        true_labels=true_arr,
+        base_predictions=base_arr,
+        meta=meta,
+    )
 
 
 @dataclass(frozen=True)
@@ -246,41 +423,59 @@ def write_manifest(records: Iterable[ModelRecord], path) -> None:
 
 
 def parse_prediction_log(path) -> NeighborhoodPredictionLog:
-    """Parse a neighborhood prediction log (header line + one example per line)."""
-    header = None
-    examples = []
-    for lineno, obj in _iter_jsonl(path):
-        if header is None:
-            header = obj
-            if header.get("type") != "prediction_log":
-                raise SchemaError(
-                    "header must declare type 'prediction_log'", path=path, line=lineno
-                )
-            continue
-        ex = ExampleEntry(
-            example_id=_require(obj, "example_id", path, lineno, str),
-            neighborhood_predictions=tuple(
-                _require(obj, "neighborhood_predictions", path, lineno, list)
-            ),
-            true_label=obj.get("true_label"),
-            base_prediction=obj.get("base_prediction"),
-        )
-        examples.append(ex)
-    if header is None:
+    """Parse a neighborhood prediction log (header line + one example per line)
+    straight into the log's arrays; errors name path:line."""
+    with open(path, "r", encoding="utf-8") as f:
+        numbered = [(n, text) for n, line in enumerate(f, start=1) if (text := line.strip())]
+    if not numbered:
         raise SchemaError("empty file: missing header line", path=path)
+    linenos, texts = zip(*numbered)
     try:
-        return NeighborhoodPredictionLog(
-            model_id=_require(header, "model_id", path, 1, str),
-            test_domain=_require(header, "test_domain", path, 1, str),
-            num_classes=_require(header, "num_classes", path, 1, int),
-            examples=tuple(examples),
-            meta=header.get("meta", {}),
+        objs, ends = zip(*map(_raw_decode, texts))
+    except json.JSONDecodeError:
+        objs = ends = None
+    if ends != tuple(map(len, texts)) or not set(map(type, objs)) <= {dict}:
+        for _ in _iter_jsonl(path):  # raises at the first line that is not an object
+            pass
+    header, body, lines = objs[0], objs[1:], linenos[1:]
+    if header.get("type") != "prediction_log":
+        raise SchemaError(
+            "header must declare type 'prediction_log'", path=path, line=linenos[0]
         )
+    model_id = _require(header, "model_id", path, linenos[0], str)
+    test_domain = _require(header, "test_domain", path, linenos[0], str)
+    k = _require(header, "num_classes", path, linenos[0], int)
+    if type(k) is bool:
+        raise SchemaError("field 'num_classes' has wrong type", path=path, line=linenos[0])
+
+    columns = {
+        key: list(map(dict.get, body, repeat(key)))
+        for key in ("example_id", "neighborhood_predictions", "true_label", "base_prediction")
+    }
+    for key, kind in (("example_id", str), ("neighborhood_predictions", list)):
+        if not set(map(type, columns[key])) <= {kind}:
+            i = next(i for i, v in enumerate(columns[key]) if type(v) is not kind)
+            _require(body[i], key, path, lines[i], kind)  # raises: missing or wrong type
+    try:
+        return _log_from_values(
+            model_id,
+            test_domain,
+            k,
+            columns["example_id"],
+            columns["neighborhood_predictions"],
+            columns["true_label"],
+            columns["base_prediction"],
+            header.get("meta", {}),
+        )
+    except _ExampleError as e:
+        raise SchemaError(str(e), path=path, line=lines[e.index]) from None
     except SchemaError as e:
-        raise SchemaError(str(e), path=path)
+        raise SchemaError(str(e), path=path) from None
 
 
 def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
+    """The log as JSON Lines; example lines are rendered from a fixed template
+    that gives the same bytes as sorted-key ``json.dumps``."""
     header = {
         "type": "prediction_log",
         "model_id": log.model_id,
@@ -289,8 +484,24 @@ def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
     }
     if log.meta:
         header["meta"] = log.meta
+    # Indexed by label + 1, so an absent label (-1) renders as nothing.
+    base_field = [""] + [f'"base_prediction":{c},' for c in range(log.num_classes)]
+    true_field = [""] + [f',"true_label":{c}' for c in range(log.num_classes)]
+    flat = log.predictions.tolist()
+    offsets = log.offsets.tolist()
     lines = [_dumps(header)]
-    lines.extend(_dumps(ex.to_json_obj()) for ex in log.examples)
+    lines.extend(
+        f'{{{base_field[base]}"example_id":{json.dumps(ex_id)},'
+        f'"neighborhood_predictions":{str(flat[start:end]).replace(" ", "")}'
+        f"{true_field[true]}}}"
+        for ex_id, start, end, base, true in zip(
+            log.example_ids,
+            offsets,
+            offsets[1:],
+            (log.base_predictions + 1).tolist(),
+            (log.true_labels + 1).tolist(),
+        )
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -409,16 +620,21 @@ def compute_accuracy(log) -> float:
     ScoreLog (predicted_label vs true_label).
     """
     if isinstance(log, NeighborhoodPredictionLog):
-        items = [(ex.base_prediction, ex.true_label, ex.example_id) for ex in log.examples]
-    elif isinstance(log, ScoreLog):
-        items = [(e.predicted_label, e.true_label, e.example_id) for e in log.entries]
-    else:
+        m = len(log.example_ids)
+        if m == 0:
+            raise SchemaError("cannot compute accuracy of an empty log")
+        missing = (log.base_predictions < 0) | (log.true_labels < 0)
+        if missing.any():
+            ex_id = log.example_ids[int(missing.argmax())]
+            raise SchemaError(f"example {ex_id!r}: missing label, accuracy unavailable")
+        return int(np.count_nonzero(log.base_predictions == log.true_labels)) / m
+    if not isinstance(log, ScoreLog):
         raise TypeError(f"unsupported log type {type(log).__name__}")
-    if not items:
+    if not log.entries:
         raise SchemaError("cannot compute accuracy of an empty log")
     correct = 0
-    for pred, true, ex_id in items:
-        if true is None or pred is None:
-            raise SchemaError(f"example {ex_id!r}: missing label, accuracy unavailable")
-        correct += int(pred == true)
-    return correct / len(items)
+    for e in log.entries:
+        if e.true_label is None or e.predicted_label is None:
+            raise SchemaError(f"example {e.example_id!r}: missing label, accuracy unavailable")
+        correct += int(e.predicted_label == e.true_label)
+    return correct / len(log.entries)

@@ -10,14 +10,15 @@ mean over examples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SchemaError
-from .ingest import ExampleEntry, NeighborhoodPredictionLog
+from .ingest import NeighborhoodPredictionLog
 
 VARIANTS = ("majority", "neg_entropy")
 
@@ -80,18 +81,46 @@ def smoothness(predictions: Sequence[int], k: int) -> SmoothnessScore:
     )
 
 
+def _distinct_rows(a: np.ndarray):
+    """The distinct rows of a 2-D array and, for each row, its distinct row's index."""
+    order = np.lexsort(a.T)
+    ordered = a[order]
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
 def dataset_smoothness(log: NeighborhoodPredictionLog, variant: str = "majority") -> float:
-    """Mean per-example smoothness over all examples in the log."""
+    """Mean per-example smoothness over all examples in the log.
+
+    One (m, k) histogram counts every example's predictions. Each example's
+    score is the one ``smoothness`` gives it (negative entropy is computed by
+    ``neg_entropy`` once per distinct histogram row), and the scores are
+    summed left to right, so the mean is bit-identical to a loop over
+    ``smoothness``.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if not log.examples:
+    m = len(log.example_ids)
+    if m == 0:
         raise SchemaError("cannot score a log with no examples")
     k = log.num_classes
-    total = 0.0
-    for ex in log.examples:
-        score = smoothness(ex.neighborhood_predictions, k)
-        total += score.mu if variant == "majority" else score.neg_entropy
-    return total / len(log.examples)
+    cells = log.example_index()
+    cells *= k
+    cells += log.predictions
+    hist = np.bincount(cells, minlength=m * k).reshape(m, k)
+    if variant == "majority":
+        per_example = hist.max(axis=1) / log.lengths
+    else:
+        rows, inverse = _distinct_rows(hist)
+        row_scores = [
+            neg_entropy(DecisionDistribution(counts=tuple(r), n=sum(r)))
+            for r in rows.tolist()
+        ]
+        per_example = np.array(row_scores)[inverse]
+    return float(np.cumsum(per_example)[-1] / m)
 
 
 def subsample_examples(
@@ -102,17 +131,19 @@ def subsample_examples(
     Nested across sizes: for the same seed the size-s subsample is a subset of
     the size-s' subsample whenever s < s'.
     """
-    m = len(log.examples)
+    m = len(log.example_ids)
     if not 1 <= size <= m:
         raise ValueError(f"size must be in [1, {m}], got {size}")
     order = np.random.default_rng(seed).permutation(m)
-    keep = sorted(order[:size].tolist())
-    return NeighborhoodPredictionLog(
-        model_id=log.model_id,
-        test_domain=log.test_domain,
-        num_classes=log.num_classes,
-        examples=tuple(log.examples[i] for i in keep),
-        meta=log.meta,
+    keep = np.zeros(m, dtype=bool)
+    keep[order[:size]] = True
+    return replace(
+        log,
+        example_ids=tuple(compress(log.example_ids, keep)),
+        predictions=log.predictions[np.repeat(keep, log.lengths)],
+        lengths=log.lengths[keep],
+        true_labels=log.true_labels[keep],
+        base_predictions=log.base_predictions[keep],
     )
 
 
@@ -122,24 +153,14 @@ def truncate_neighborhood(
     """Keep the first n_keep neighborhood predictions of every example."""
     if n_keep < 1:
         raise ValueError(f"n_keep must be >= 1, got {n_keep}")
-    short = [ex for ex in log.examples if len(ex.neighborhood_predictions) < n_keep]
-    if short:
+    short = log.lengths < n_keep
+    if short.any():
         raise ValueError(
             f"n_keep={n_keep} exceeds neighborhood length of example "
-            f"{short[0].example_id!r}"
+            f"{log.example_ids[int(short.argmax())]!r}"
         )
-    return NeighborhoodPredictionLog(
-        model_id=log.model_id,
-        test_domain=log.test_domain,
-        num_classes=log.num_classes,
-        examples=tuple(
-            ExampleEntry(
-                example_id=ex.example_id,
-                neighborhood_predictions=ex.neighborhood_predictions[:n_keep],
-                true_label=ex.true_label,
-                base_prediction=ex.base_prediction,
-            )
-            for ex in log.examples
-        ),
-        meta=log.meta,
+    return replace(
+        log,
+        predictions=log.predictions[(log.offsets[:-1, None] + np.arange(n_keep)).ravel()],
+        lengths=np.full(len(log.lengths), n_keep),
     )

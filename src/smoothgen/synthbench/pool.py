@@ -23,12 +23,12 @@ import numpy as np
 from .. import __version__
 from ..errors import DivergenceError, SchemaError
 from ..ingest import (
-    ExampleEntry,
     ModelRecord,
     NeighborhoodPredictionLog,
     ScoreEntry,
     ScoreLog,
     WeightDump,
+    atomic_write_text,
     write_manifest,
     write_prediction_log,
     write_score_log,
@@ -437,24 +437,17 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
 
     def emit_prediction_log(path, model_id, domain_id, model, dataset, spec, samples,
                             base_classes):
-        k = dataset.num_classes
         m, n, _ = samples.shape
         classes, _, _ = model_predict(model, samples.reshape(m * n, 2))
-        classes = classes.reshape(m, n)
-        examples = tuple(
-            ExampleEntry(
-                example_id=f"ex{idx:05d}",
-                neighborhood_predictions=tuple(int(c) for c in classes[idx]),
-                true_label=int(dataset.labels[idx]),
-                base_prediction=int(base_classes[idx]),
-            )
-            for idx in range(m)
-        )
         log = NeighborhoodPredictionLog(
             model_id=model_id,
             test_domain=domain_id,
-            num_classes=k,
-            examples=examples,
+            num_classes=dataset.num_classes,
+            example_ids=tuple(f"ex{idx:05d}" for idx in range(m)),
+            predictions=classes,
+            lengths=np.full(m, n),
+            true_labels=dataset.labels,
+            base_predictions=base_classes,
             meta={**meta_common, "neighborhood": spec.tag},
         )
         write_prediction_log(log, path)
@@ -530,11 +523,12 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
             os.path.join(out_dir, "weights", f"{model_id}.bin"),
         )
 
-    with open(os.path.join(out_dir, "experiment.json"), "w", encoding="utf-8") as f:
-        json.dump(
+    atomic_write_text(
+        os.path.join(out_dir, "experiment.json"),
+        json.dumps(
             {"meta": meta_common, "experiment": experiment_to_dict(config)},
-            f,
             sort_keys=True,
             indent=2,
-        )
+        ),
+    )
     return result

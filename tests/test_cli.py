@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import shutil
 
 import pytest
 
@@ -85,6 +86,25 @@ class TestScoreCommand:
                   scores, variant="majority")
         assert {r.measure for r in read_scores_csv(scores)} == {
             "ms_manifold-r0.5-n5"}
+
+
+    def test_disagreeing_accuracies_rejected(self, pool, tmp_path):
+        from smoothgen.errors import SmoothgenError
+
+        out_dir, _ = pool
+        logs = tmp_path / "predictions"
+        shutil.copytree(out_dir / "predictions", logs)
+        source = sorted(logs.glob("*.jsonl"))[0]
+        # a second log for the same (model, domain) with one label changed
+        header, first, *rest = source.read_text().splitlines()
+        example = json.loads(first)
+        example["true_label"] = (example["true_label"] + 1) % 3
+        tampered = logs / ("tampered__" + source.name)
+        tampered.write_text("\n".join([header, json.dumps(example), *rest]) + "\n")
+        with pytest.raises(SmoothgenError, match="differs") as exc:
+            cmd_score([str(logs)], out_dir / "manifest.jsonl", tmp_path / "s.csv",
+                      acc_out=tmp_path / "a.csv")
+        assert str(source) in str(exc.value) and str(tampered) in str(exc.value)
 
 
 class TestBaselineCommand:
@@ -181,6 +201,26 @@ class TestMainEntry:
         ])
         assert rc == 0
         assert "score rows" in capsys.readouterr().out
+
+    def test_non_integer_prediction_exits_nonzero(self, pool, tmp_path, capsys):
+        out_dir, _ = pool
+        logs = tmp_path / "predictions"
+        shutil.copytree(out_dir / "predictions", logs)
+        log = sorted(logs.glob("*.jsonl"))[0]
+        lines = log.read_text().splitlines()
+        example = json.loads(lines[2])
+        example["neighborhood_predictions"][0] = 1.5
+        lines[2] = json.dumps(example)
+        log.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "score",
+            "--input", str(logs),
+            "--manifest", str(out_dir / "manifest.jsonl"),
+            "--out", str(tmp_path / "scores.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{log}:3: " in err and "1.5 is not an integer" in err
 
     def test_errors_exit_nonzero(self, pool, tmp_path, capsys):
         out_dir, _ = pool

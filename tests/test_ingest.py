@@ -34,7 +34,7 @@ RECORD = ModelRecord(
     converged=True,
 )
 
-PRED_LOG = NeighborhoodPredictionLog(
+PRED_LOG = NeighborhoodPredictionLog.from_examples(
     model_id="d0-c000",
     test_domain="d1",
     num_classes=3,
@@ -120,20 +120,176 @@ class TestPredictionLog:
 
     def test_out_of_range_prediction_rejected(self):
         with pytest.raises(SchemaError, match="out of range"):
-            NeighborhoodPredictionLog(
+            NeighborhoodPredictionLog.from_examples(
                 model_id="m", test_domain="d", num_classes=2,
                 examples=(ExampleEntry("e", (0, 2)),))
 
     def test_empty_neighborhood_rejected(self):
         with pytest.raises(SchemaError, match="empty"):
-            NeighborhoodPredictionLog(
+            NeighborhoodPredictionLog.from_examples(
                 model_id="m", test_domain="d", num_classes=2,
                 examples=(ExampleEntry("e", ()),))
 
     def test_num_classes_lower_bound(self):
         with pytest.raises(SchemaError):
-            NeighborhoodPredictionLog(
+            NeighborhoodPredictionLog.from_examples(
                 model_id="m", test_domain="d", num_classes=1, examples=())
+
+
+def dumps_sorted(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def write_log_lines(path, examples, num_classes=3):
+    header = {"type": "prediction_log", "model_id": "m", "test_domain": "d",
+              "num_classes": num_classes}
+    path.write_text("".join(dumps_sorted(o) + "\n" for o in [header, *examples]))
+
+
+GOOD_EXAMPLE = {"example_id": "ex0", "neighborhood_predictions": [0, 1],
+                "true_label": 0, "base_prediction": 1}
+
+
+class TestPredictionLogTypes:
+    @pytest.mark.parametrize("field, value, message", [
+        ("neighborhood_predictions", [1.5, 0], "not an integer"),
+        ("neighborhood_predictions", [1, 2.0], "not an integer"),
+        ("neighborhood_predictions", [True, 0], "not an integer"),
+        ("neighborhood_predictions", [0, None], "not an integer"),
+        ("neighborhood_predictions", [[1], 0], "not an integer"),
+        ("neighborhood_predictions", ["1"], "not an integer"),
+        ("neighborhood_predictions", [0, 3], "out of range"),
+        ("neighborhood_predictions", [-1], "out of range"),
+        ("neighborhood_predictions", [10**30], "out of range"),
+        ("neighborhood_predictions", [], "empty"),
+        ("neighborhood_predictions", "01", "wrong type"),
+        ("neighborhood_predictions", {"0": 1}, "wrong type"),
+        ("neighborhood_predictions", 1, "wrong type"),
+        ("true_label", True, "not an integer"),
+        ("true_label", 1.0, "not an integer"),
+        ("true_label", "1", "not an integer"),
+        ("true_label", -1, "out of range"),
+        ("true_label", 3, "out of range"),
+        ("base_prediction", False, "not an integer"),
+        ("base_prediction", 0.5, "not an integer"),
+        ("base_prediction", -2, "out of range"),
+        ("example_id", 5, "wrong type"),
+        ("example_id", None, "wrong type"),
+    ])
+    def test_bad_value_names_path_and_line(self, tmp_path, field, value, message):
+        path = tmp_path / "log.jsonl"
+        write_log_lines(path, [GOOD_EXAMPLE, GOOD_EXAMPLE, {**GOOD_EXAMPLE, field: value}])
+        with pytest.raises(SchemaError, match=message) as exc:
+            parse_prediction_log(path)
+        assert (exc.value.path, exc.value.line) == (path, 4)
+        assert str(exc.value).startswith(f"{path}:4: ")
+
+    @pytest.mark.parametrize("field", ["example_id", "neighborhood_predictions"])
+    def test_missing_field_names_path_and_line(self, tmp_path, field):
+        path = tmp_path / "log.jsonl"
+        example = {k: v for k, v in GOOD_EXAMPLE.items() if k != field}
+        write_log_lines(path, [GOOD_EXAMPLE, example])
+        with pytest.raises(SchemaError, match="missing required field") as exc:
+            parse_prediction_log(path)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"a": 1} {"b": 2}'])
+    def test_malformed_line_names_path_and_line(self, tmp_path, text):
+        path = tmp_path / "log.jsonl"
+        write_log_lines(path, [GOOD_EXAMPLE])
+        path.write_text(path.read_text() + "\n" + text + "\n")
+        with pytest.raises(SchemaError) as exc:
+            parse_prediction_log(path)
+        assert exc.value.line == 4
+
+    def test_boolean_num_classes_rejected(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_log_lines(path, [GOOD_EXAMPLE], num_classes=True)
+        with pytest.raises(SchemaError, match="num_classes") as exc:
+            parse_prediction_log(path)
+        assert exc.value.line == 1
+
+    def test_absent_and_null_labels_are_missing(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_log_lines(path, [
+            {"example_id": "a", "neighborhood_predictions": [0]},
+            {"example_id": "b", "neighborhood_predictions": [1], "true_label": None},
+        ])
+        log = parse_prediction_log(path)
+        assert log.true_labels.tolist() == [-1, -1]
+        assert [ex.true_label for ex in log.examples] == [None, None]
+
+
+RAGGED_LOG = NeighborhoodPredictionLog.from_examples(
+    model_id="m\u00e9",
+    test_domain="d1",
+    num_classes=4,
+    examples=(
+        ExampleEntry("ex0", (3,), true_label=0, base_prediction=3),
+        ExampleEntry('odd "id"\\\n\u00e9', (0, 1, 2, 3, 3, 3, 1), true_label=3),
+        ExampleEntry("ex2", (2, 2), base_prediction=0),
+        ExampleEntry("ex3", (1, 0, 1)),
+    ),
+    meta={"neighborhood": "custom"},
+)
+
+
+class TestPredictionLogArrays:
+    def test_ragged_log_with_missing_labels_round_trips_byte_identical(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_prediction_log(RAGGED_LOG, path)
+        parsed = parse_prediction_log(path)
+        assert parsed == RAGGED_LOG
+        assert path.read_bytes() == serialize_prediction_log(parsed).encode()
+
+    @pytest.mark.parametrize("log", [PRED_LOG, RAGGED_LOG], ids=["uniform", "ragged"])
+    def test_template_matches_sorted_json(self, log):
+        header = {"type": "prediction_log", "model_id": log.model_id,
+                  "test_domain": log.test_domain, "num_classes": log.num_classes,
+                  "meta": log.meta}
+        examples = [
+            {k: v for k, v in (("example_id", ex.example_id),
+                               ("neighborhood_predictions", list(ex.neighborhood_predictions)),
+                               ("true_label", ex.true_label),
+                               ("base_prediction", ex.base_prediction)) if v is not None}
+            for ex in log.examples
+        ]
+        expected = "".join(dumps_sorted(o) + "\n" for o in [header, *examples])
+        assert serialize_prediction_log(log) == expected
+
+    def test_arrays_of_a_ragged_log(self):
+        assert RAGGED_LOG.predictions.dtype == np.uint8  # holds classes 0..3
+        assert RAGGED_LOG.lengths.tolist() == [1, 7, 2, 3]
+        assert RAGGED_LOG.offsets.tolist() == [0, 1, 8, 10, 13]
+        assert RAGGED_LOG.true_labels.tolist() == [0, 3, -1, -1]
+        assert RAGGED_LOG.base_predictions.tolist() == [3, -1, 0, -1]
+        assert RAGGED_LOG.examples[1].neighborhood_predictions == (0, 1, 2, 3, 3, 3, 1)
+        assert RAGGED_LOG.examples[-1].example_id == "ex3"
+        assert len(RAGGED_LOG.examples) == 4
+
+    def test_arrays_are_read_only_copies(self):
+        preds = np.array([0, 1, 1])
+        log = NeighborhoodPredictionLog(
+            model_id="m", test_domain="d", num_classes=2, example_ids=("a",),
+            predictions=preds, lengths=[3], true_labels=[1], base_predictions=[-1])
+        preds[0] = 1
+        assert log.predictions.tolist() == [0, 1, 1]
+        with pytest.raises(ValueError):
+            log.predictions[0] = 1
+
+    @pytest.mark.parametrize("change, message", [
+        ({"predictions": [0.0, 1.0, 1.0]}, "integer array"),
+        ({"lengths": [2]}, "sum to the number of predictions"),
+        ({"true_labels": [1, 1]}, "one entry per example"),
+        ({"base_predictions": [-2]}, "base_prediction -2 out of range"),
+        ({"predictions": [0, 2, 1]}, "prediction 2 out of range"),
+    ])
+    def test_array_validation(self, change, message):
+        fields = dict(model_id="m", test_domain="d", num_classes=2, example_ids=("a",),
+                      predictions=[0, 1, 1], lengths=[3], true_labels=[1],
+                      base_predictions=[-1])
+        with pytest.raises(SchemaError, match=message):
+            NeighborhoodPredictionLog(**{**fields, **change})
 
 
 class TestScoreLog:
@@ -232,7 +388,7 @@ class TestComputeAccuracy:
         assert compute_accuracy(SCORE_LOG) == 0.5
 
     def test_missing_label_rejected(self):
-        log = NeighborhoodPredictionLog(
+        log = NeighborhoodPredictionLog.from_examples(
             model_id="m", test_domain="d", num_classes=2,
             examples=(ExampleEntry("e", (0,)),))
         with pytest.raises(SchemaError, match="missing label"):

@@ -40,7 +40,7 @@ def make_log(example_preds, k=3, **kwargs):
     )
     defaults = dict(model_id="m0", test_domain="d0", num_classes=k)
     defaults.update(kwargs)
-    return NeighborhoodPredictionLog(examples=examples, **defaults)
+    return NeighborhoodPredictionLog.from_examples(examples=examples, **defaults)
 
 
 class TestDecisionDistribution:
@@ -142,8 +142,32 @@ class TestDatasetSmoothness:
         with pytest.raises(ValueError):
             dataset_smoothness(make_log([[0]]), "median")
 
+    @given(
+        st.integers(2, 5).flatmap(lambda k: st.tuples(
+            st.just(k),
+            st.one_of(
+                # uniform: every example has the same number of samples
+                st.integers(1, 12).flatmap(lambda n: st.lists(
+                    st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+                    min_size=1, max_size=30)),
+                # ragged
+                st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=12),
+                         min_size=1, max_size=30),
+            ),
+        ))
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_loop_over_per_example_scores(self, k_and_preds):
+        k, example_preds = k_and_preds
+        log = make_log(example_preds, k=k)
+        for variant, attr in (("majority", "mu"), ("neg_entropy", "neg_entropy")):
+            total = 0.0
+            for preds in example_preds:
+                total += getattr(smoothness(preds, k), attr)
+            assert dataset_smoothness(log, variant) == total / len(example_preds)
+
     def test_empty_log(self):
-        log = NeighborhoodPredictionLog(
+        log = NeighborhoodPredictionLog.from_examples(
             model_id="m", test_domain="d", num_classes=2, examples=())
         with pytest.raises(SchemaError):
             dataset_smoothness(log)

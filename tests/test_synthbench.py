@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -341,6 +342,15 @@ class TestExperimentConfig:
                 != default_experiment(seed=1).config_hash())
 
 
+def tree_digest(root):
+    """SHA-256 over the relative paths and contents of every file in a tree."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(root)).encode() + b"\0")
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
 class TestRunPool:
     def test_two_runs_are_byte_identical(self, tmp_path):
         config = tiny_config()
@@ -352,6 +362,12 @@ class TestRunPool:
         assert files_a == files_b
         for rel in files_a:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_parallel_training_matches_serial(self, tmp_path):
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        run_pool(tiny_config(), serial, threads=1)
+        run_pool(tiny_config(), parallel, threads=2)
+        assert tree_digest(parallel) == tree_digest(serial)
 
     def test_artifact_layout(self, tmp_path):
         config = tiny_config()
