@@ -27,7 +27,7 @@ _EPS = 1e-9
 WEIGHT_DUMP_MAGIC = b"SGWD0001"
 
 # Decodes one JSON value at the start of a string and returns it with its end;
-# skips the per-call wrapping of json.loads on the hot path of log parsing.
+# skips the per-call wrapping of json.loads on the hot path of JSONL parsing.
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -237,6 +237,8 @@ class _ExampleRows(Sequence):
         return len(self._log.example_ids)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
         log = self._log
         i = range(len(self))[i]
         start, end = log.offsets[i], log.offsets[i + 1]
@@ -376,7 +378,9 @@ def _iter_jsonl(path):
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = _raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as e:
                 raise SchemaError(f"malformed JSON: {e.msg}", path=path, line=lineno)
             if not isinstance(obj, dict):
@@ -425,18 +429,10 @@ def write_manifest(records: Iterable[ModelRecord], path) -> None:
 def parse_prediction_log(path) -> NeighborhoodPredictionLog:
     """Parse a neighborhood prediction log (header line + one example per line)
     straight into the log's arrays; errors name path:line."""
-    with open(path, "r", encoding="utf-8") as f:
-        numbered = [(n, text) for n, line in enumerate(f, start=1) if (text := line.strip())]
+    numbered = list(_iter_jsonl(path))
     if not numbered:
         raise SchemaError("empty file: missing header line", path=path)
-    linenos, texts = zip(*numbered)
-    try:
-        objs, ends = zip(*map(_raw_decode, texts))
-    except json.JSONDecodeError:
-        objs = ends = None
-    if ends != tuple(map(len, texts)) or not set(map(type, objs)) <= {dict}:
-        for _ in _iter_jsonl(path):  # raises at the first line that is not an object
-            pass
+    linenos, objs = zip(*numbered)
     header, body, lines = objs[0], objs[1:], linenos[1:]
     if header.get("type") != "prediction_log":
         raise SchemaError(

@@ -266,6 +266,7 @@ class TestPredictionLogArrays:
         assert RAGGED_LOG.examples[1].neighborhood_predictions == (0, 1, 2, 3, 3, 3, 1)
         assert RAGGED_LOG.examples[-1].example_id == "ex3"
         assert len(RAGGED_LOG.examples) == 4
+        assert RAGGED_LOG.examples[1:3] == tuple(RAGGED_LOG.examples)[1:3]
 
     def test_arrays_are_read_only_copies(self):
         preds = np.array([0, 1, 1])
