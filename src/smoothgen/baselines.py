@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceError, SchemaError
 from .ingest import ScoreLog, WeightDump
 
-SCORE_KINDS = ("max_confidence", "neg_entropy")
+SCORE_KINDS = ("max_confidence", "neg_entropy")  # the ScoreLog arrays thresholded
 
 POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_MAX_ITERS = 10_000
@@ -41,30 +41,23 @@ class NormMeasure:
     log_frobenius: float
 
 
-def _entry_score(entry, kind: str) -> float:
-    return entry.max_confidence if kind == "max_confidence" else entry.neg_entropy
-
-
 def atc_fit(validation: ScoreLog, kind: str) -> AtcThreshold:
     """Pick the threshold whose below-count equals the validation error count."""
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
-    if not validation.entries:
+    if not validation.example_ids:
         raise SchemaError("cannot fit a threshold on an empty score log")
-    scores = []
-    errors = 0
-    for e in validation.entries:
-        if e.true_label is None:
-            raise SchemaError(f"entry {e.example_id!r}: missing true_label")
-        s = _entry_score(e, kind)
-        if not math.isfinite(s):
-            raise SchemaError(f"entry {e.example_id!r}: non-finite score")
-        scores.append(s)
-        errors += int(e.predicted_label != e.true_label)
-    scores.sort()
+    missing = validation.true_labels < 0
+    if missing.any():
+        ex_id = validation.example_ids[int(missing.argmax())]
+        raise SchemaError(f"entry {ex_id!r}: missing true_label")
+    errors = int(np.count_nonzero(validation.predicted_labels != validation.true_labels))
+    # Stable, as a sort of the entries would be: of scores that compare equal
+    # (0.0 and -0.0) the earlier entry comes first.
+    scores = np.sort(getattr(validation, kind), kind="stable")
     # With err errors, t = the err-th smallest score puts exactly err scores
     # strictly below it (up to score ties); all-wrong degenerates to +inf.
-    t = math.inf if errors == len(scores) else scores[errors]
+    t = math.inf if errors == len(scores) else float(scores[errors])
     return AtcThreshold(
         score_kind=kind,
         threshold=t,
@@ -82,13 +75,10 @@ def atc_predict(test: ScoreLog, threshold: AtcThreshold) -> float:
             f"threshold was fit for model {threshold.model_id!r}, "
             f"log belongs to {test.model_id!r}"
         )
-    if not test.entries:
+    if not test.example_ids:
         raise SchemaError("cannot predict accuracy on an empty score log")
-    hits = sum(
-        _entry_score(e, threshold.score_kind) >= threshold.threshold
-        for e in test.entries
-    )
-    return hits / len(test.entries)
+    scores = getattr(test, threshold.score_kind)
+    return int(np.count_nonzero(scores >= threshold.threshold)) / len(scores)
 
 
 def spectral_norm(

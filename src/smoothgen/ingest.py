@@ -8,6 +8,7 @@ values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -25,6 +26,10 @@ from .errors import SchemaError
 _EPS = 1e-9
 
 WEIGHT_DUMP_MAGIC = b"SGWD0001"
+
+# What json.dumps gives for a str (with the default ensure_ascii), without the
+# per-call set-up of json.dumps; the log writers call it once per line.
+_json_string = json.encoder.encode_basestring_ascii
 
 # Decodes one JSON value at the start of a string and returns it with its end;
 # skips the per-call wrapping of json.loads on the hot path of JSONL parsing.
@@ -92,12 +97,19 @@ class ExampleEntry:
     base_prediction: Optional[int] = None
 
 
-class _ExampleError(SchemaError):
-    """An example breaks the prediction-log schema; ``index`` is its position."""
+class _RowError(SchemaError):
+    """A row of a log (an example or an entry) breaks its schema; ``index`` is
+    its position."""
 
     def __init__(self, index, message):
         super().__init__(message)
         self.index = index
+
+
+def _check_num_classes(k):
+    """A class count, if given, is at least 2 and fits in an int64 label."""
+    if k is not None and not 2 <= k < 2**63:
+        raise SchemaError(f"num_classes must be in [2, 2**63), got {k}")
 
 
 _LOG_ARRAYS = ("predictions", "lengths", "true_labels", "base_predictions")
@@ -148,8 +160,7 @@ class NeighborhoodPredictionLog:
 
     def __post_init__(self):
         k = self.num_classes
-        if k < 2:
-            raise SchemaError(f"num_classes must be >= 2, got {k}")
+        _check_num_classes(k)
         if not set(map(type, self.example_ids)) <= {str}:
             raise SchemaError("example ids must be strings")
         for name in _LOG_ARRAYS:
@@ -179,7 +190,7 @@ class NeighborhoodPredictionLog:
             fault = _example_fault(
                 k, ex.neighborhood_predictions, ex.true_label, ex.base_prediction
             )
-            raise _ExampleError(i, f"example {ex.example_id!r}: {fault}")
+            raise _RowError(i, f"example {ex.example_id!r}: {fault}")
 
         # Predictions are stored in the narrowest type that holds every class
         # (uint8 for up to 256 classes): a sweep keeps all of its logs in
@@ -208,9 +219,19 @@ class NeighborhoodPredictionLog:
         )
 
     @property
-    def examples(self) -> "_ExampleRows":
+    def examples(self) -> _Rows:
         """The examples as a lazy, sized sequence of ``ExampleEntry`` rows."""
-        return _ExampleRows(self)
+        return _Rows(len(self.example_ids), self._example)
+
+    def _example(self, i) -> ExampleEntry:
+        start, end = self.offsets[i], self.offsets[i + 1]
+        true, base = int(self.true_labels[i]), int(self.base_predictions[i])
+        return ExampleEntry(
+            example_id=self.example_ids[i],
+            neighborhood_predictions=tuple(self.predictions[start:end].tolist()),
+            true_label=None if true == -1 else true,
+            base_prediction=None if base == -1 else base,
+        )
 
     def example_index(self) -> np.ndarray:
         """The example each prediction belongs to, aligned with ``predictions``."""
@@ -227,31 +248,23 @@ class NeighborhoodPredictionLog:
         )
 
 
-class _ExampleRows(Sequence):
-    """Row view of a prediction log; builds each ``ExampleEntry`` on access."""
+class _Rows(Sequence):
+    """Lazy, sized row view of a log held as arrays; ``row(i)`` builds row i."""
 
-    def __init__(self, log: NeighborhoodPredictionLog):
-        self._log = log
+    def __init__(self, length, row):
+        self._length = length
+        self._row = row
 
     def __len__(self):
-        return len(self._log.example_ids)
+        return self._length
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(len(self))[i])
-        log = self._log
-        i = range(len(self))[i]
-        start, end = log.offsets[i], log.offsets[i + 1]
-        true, base = int(log.true_labels[i]), int(log.base_predictions[i])
-        return ExampleEntry(
-            example_id=log.example_ids[i],
-            neighborhood_predictions=tuple(log.predictions[start:end].tolist()),
-            true_label=None if true == -1 else true,
-            base_prediction=None if base == -1 else base,
-        )
+        return self._row(range(len(self))[i])
 
     def __eq__(self, other):
-        if not isinstance(other, (_ExampleRows, tuple, list)):
+        if not isinstance(other, (_Rows, tuple, list)):
             return NotImplemented
         return tuple(self) == tuple(other)
 
@@ -278,7 +291,7 @@ def _int64_column(values, absent_ok=False):
 def _log_from_values(model_id, test_domain, k, ids, rows, true_labels, base_predictions,
                      meta):
     """A log from per-example Python values as JSON decodes them (None for
-    an absent label). Raises ``_ExampleError`` for the first example whose
+    an absent label). Raises ``_RowError`` for the first example whose
     values are not integers in range."""
     columns = (
         _int64_column(list(chain.from_iterable(rows))),
@@ -289,7 +302,7 @@ def _log_from_values(model_id, test_domain, k, ids, rows, true_labels, base_pred
         for i, row in enumerate(rows):
             fault = _example_fault(k, row, true_labels[i], base_predictions[i])
             if fault is not None:
-                raise _ExampleError(i, f"example {ids[i]!r}: {fault}")
+                raise _RowError(i, f"example {ids[i]!r}: {fault}")
     predictions, true_arr, base_arr = columns
     return NeighborhoodPredictionLog(
         model_id=model_id,
@@ -306,30 +319,72 @@ def _log_from_values(model_id, test_domain, k, ids, rows, true_labels, base_pred
 
 @dataclass(frozen=True)
 class ScoreEntry:
+    """One entry of a score log, as a row (true_label None where absent)."""
+
     example_id: str
     predicted_label: int
     max_confidence: float
     neg_entropy: float
     true_label: Optional[int] = None
 
-    def to_json_obj(self) -> dict:
-        obj = {
-            "example_id": self.example_id,
-            "predicted_label": self.predicted_label,
-            "max_confidence": self.max_confidence,
-            "neg_entropy": self.neg_entropy,
-        }
-        if self.true_label is not None:
-            obj["true_label"] = self.true_label
-        return obj
+
+_SCORE_ARRAYS = {
+    "predicted_labels": np.int64,
+    "max_confidence": np.float64,
+    "neg_entropy": np.float64,
+    "true_labels": np.int64,
+}
 
 
-@dataclass(frozen=True)
+def _score_bounds(k):
+    """The closed range of each score: with k classes the softmax maximum is
+    at least 1/k and the entropy at most log k."""
+    lo_conf, hi_entropy = (1.0 / k - _EPS, math.log(k) + _EPS) if k else (0.0, math.inf)
+    return {"max_confidence": (lo_conf, 1.0 + _EPS), "neg_entropy": (-hi_entropy, _EPS)}
+
+
+def _entry_fault(k, predicted_label, max_confidence, neg_entropy, true_label):
+    """What makes one score-log entry (Python values, None for an absent true
+    label) invalid, or None."""
+    for (name, (lo, hi)), v in zip(_score_bounds(k).items(), (max_confidence, neg_entropy)):
+        if type(v) not in (int, float):
+            return f"{name} {v!r} is not a number"
+        try:
+            in_range = math.isfinite(v) and lo <= v <= hi
+        except OverflowError:  # an integer too large for a float
+            in_range = False
+        if not in_range:
+            return f"{name} {v} out of range"
+    for name, v in (("predicted_label", predicted_label), ("true_label", true_label)):
+        if v is None and name == "true_label":
+            continue
+        if type(v) is not int:
+            return f"{name} {v!r} is not an integer"
+        if not 0 <= v < (k or 2**63):
+            return f"{name} {v} out of range" + (f" [0, {k})" if k else "")
+    return None
+
+
+@dataclass(frozen=True, eq=False)
 class ScoreLog:
+    """A score log held as arrays.
+
+    Entry ``i`` is ``example_ids[i]`` with ``predicted_labels[i]``,
+    ``max_confidence[i]``, ``neg_entropy[i]`` and ``true_labels[i]`` (-1 where
+    the entry has no true label). Scores are finite and in range for
+    ``num_classes`` classes, when it is known. The arrays are read-only:
+    labels int64, scores float64. Inputs of another type, or writeable ones,
+    are copied.
+    """
+
     model_id: str
     domain: str
     split: str  # "validation" | "test"
-    entries: tuple[ScoreEntry, ...]
+    example_ids: tuple[str, ...]
+    predicted_labels: np.ndarray
+    max_confidence: np.ndarray
+    neg_entropy: np.ndarray
+    true_labels: np.ndarray
     num_classes: Optional[int] = None
     meta: dict = field(default_factory=dict)
 
@@ -337,23 +392,108 @@ class ScoreLog:
         if self.split not in ("validation", "test"):
             raise SchemaError(f"split must be 'validation' or 'test', got {self.split!r}")
         k = self.num_classes
-        if k is not None and k < 2:
-            raise SchemaError(f"num_classes must be >= 2, got {k}")
-        for e in self.entries:
-            lo = (1.0 / k - _EPS) if k else 0.0
-            if not lo <= e.max_confidence <= 1.0 + _EPS:
-                raise SchemaError(
-                    f"entry {e.example_id!r}: max_confidence {e.max_confidence} out of range"
-                )
-            hi_mag = math.log(k) + _EPS if k else math.inf
-            if not -hi_mag <= e.neg_entropy <= _EPS:
-                raise SchemaError(
-                    f"entry {e.example_id!r}: neg_entropy {e.neg_entropy} out of range"
-                )
-            if k is not None and not 0 <= e.predicted_label < k:
-                raise SchemaError(
-                    f"entry {e.example_id!r}: predicted_label {e.predicted_label} out of range"
-                )
+        _check_num_classes(k)
+        if not set(map(type, self.example_ids)) <= {str}:
+            raise SchemaError("example ids must be strings")
+        m = len(self.example_ids)
+        for name, dtype in _SCORE_ARRAYS.items():
+            arr = np.asarray(getattr(self, name))
+            kinds = "iu" if dtype is np.int64 else "iuf"
+            if arr.shape != (m,) or (arr.size and arr.dtype.kind not in kinds):
+                raise SchemaError(f"{name} must be a 1-D array with one entry per example id")
+            if arr.dtype != dtype or arr.flags.writeable:
+                arr = arr.astype(dtype)
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+        bad = (self.predicted_labels < 0) | (self.true_labels < -1)
+        if k is not None:
+            bad |= (self.predicted_labels >= k) | (self.true_labels >= k)
+        for name, (lo, hi) in _score_bounds(k).items():
+            scores = getattr(self, name)
+            bad |= ~(np.isfinite(scores) & (lo <= scores) & (scores <= hi))
+        if bad.any():
+            i = int(bad.argmax())
+            e = self.entries[i]
+            fault = _entry_fault(
+                k, e.predicted_label, e.max_confidence, e.neg_entropy, e.true_label
+            )
+            raise _RowError(i, f"entry {e.example_id!r}: {fault}")
+
+    @classmethod
+    def from_entries(cls, model_id, domain, split, entries, num_classes=None, meta=None):
+        """A log from ``ScoreEntry`` rows of Python numbers."""
+        entries = tuple(entries)
+        return _score_log_from_values(
+            model_id,
+            domain,
+            split,
+            num_classes,
+            [e.example_id for e in entries],
+            [e.predicted_label for e in entries],
+            [e.max_confidence for e in entries],
+            [e.neg_entropy for e in entries],
+            [e.true_label for e in entries],
+            meta or {},
+        )
+
+    @property
+    def entries(self) -> _Rows:
+        """The entries as a lazy, sized sequence of ``ScoreEntry`` rows."""
+        return _Rows(len(self.example_ids), self._entry)
+
+    def _entry(self, i) -> ScoreEntry:
+        true = int(self.true_labels[i])
+        return ScoreEntry(
+            example_id=self.example_ids[i],
+            predicted_label=int(self.predicted_labels[i]),
+            max_confidence=float(self.max_confidence[i]),
+            neg_entropy=float(self.neg_entropy[i]),
+            true_label=None if true == -1 else true,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, ScoreLog):
+            return NotImplemented
+        return (
+            (self.model_id, self.domain, self.split, self.num_classes, self.example_ids,
+             self.meta)
+            == (other.model_id, other.domain, other.split, other.num_classes,
+                other.example_ids, other.meta)
+            and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in _SCORE_ARRAYS)
+        )
+
+
+def _float64_column(values):
+    """``values`` as decoded from JSON as a float64 array. Returns None if a
+    value is not a JSON number (booleans are not) or does not fit in a float."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+
+
+def _score_log_from_values(model_id, domain, split, k, ids, predicted_labels,
+                           max_confidence, neg_entropy, true_labels, meta):
+    """A score log from per-entry Python values as JSON decodes them (None for
+    an absent true label). Raises ``_RowError`` for the first entry whose
+    values are not numbers of the right kind and range."""
+    _check_num_classes(k)
+    values = (predicted_labels, max_confidence, neg_entropy, true_labels)
+    columns = (
+        _int64_column(predicted_labels),
+        _float64_column(max_confidence),
+        _float64_column(neg_entropy),
+        _int64_column(true_labels, absent_ok=True),
+    )
+    if any(c is None for c in columns):
+        for i, entry in enumerate(zip(*values)):
+            fault = _entry_fault(k, *entry)
+            if fault is not None:
+                raise _RowError(i, f"entry {ids[i]!r}: {fault}")
+    return ScoreLog(model_id, domain, split, tuple(ids), *columns, num_classes=k, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -372,9 +512,12 @@ class WeightDump:
 
 
 def _iter_jsonl(path):
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise SchemaError(f"invalid UTF-8: {e.reason}", path=path, line=lineno)
             if not line:
                 continue
             try:
@@ -383,18 +526,69 @@ def _iter_jsonl(path):
                     raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as e:
                 raise SchemaError(f"malformed JSON: {e.msg}", path=path, line=lineno)
+            except ValueError as e:  # e.g. an integer literal over the digit limit
+                raise SchemaError(f"malformed JSON: {e}", path=path, line=lineno)
             if not isinstance(obj, dict):
                 raise SchemaError("expected a JSON object", path=path, line=lineno)
             yield lineno, obj
 
 
 def _require(obj, key, path, lineno, types=None):
+    """``obj[key]``, which must be present and, if ``types`` is given, an
+    instance of it; a boolean counts as an integer only where ``types`` is
+    ``bool``."""
     if key not in obj:
         raise SchemaError(f"missing required field {key!r}", path=path, line=lineno)
     v = obj[key]
-    if types is not None and not isinstance(v, types):
+    if types is not None and (
+        not isinstance(v, types) or (type(v) is bool and types is not bool)
+    ):
         raise SchemaError(f"field {key!r} has wrong type", path=path, line=lineno)
     return v
+
+
+def _read_log(path, log_type):
+    """The header of a JSONL log with its line number, then the entry objects
+    with theirs. The header must declare ``log_type``; its ``meta``, if any,
+    must be an object."""
+    numbered = list(_iter_jsonl(path))
+    if not numbered:
+        raise SchemaError("empty file: missing header line", path=path)
+    linenos, objs = zip(*numbered)
+    header, head_line = objs[0], linenos[0]
+    if header.get("type") != log_type:
+        raise SchemaError(f"header must declare type {log_type!r}", path=path, line=head_line)
+    if type(header.get("meta", {})) is not dict:
+        raise SchemaError("field 'meta' has wrong type", path=path, line=head_line)
+    return header, head_line, objs[1:], linenos[1:]
+
+
+def _columns(body, path, lines, fields):
+    """The values of each field over the entries (None where absent), one list
+    per field in the order of ``fields``. It maps each field to the types its
+    values must have exactly, or to None if it is optional; an entry that
+    lacks a required field or holds a value of another type raises at its
+    line."""
+    columns = []
+    for key, types in fields.items():
+        values = list(map(dict.get, body, repeat(key)))
+        if types is not None and not set(map(type, values)) <= set(types):
+            i = next(i for i, v in enumerate(values) if type(v) not in types)
+            _require(body[i], key, path, lines[i], types)  # raises: missing or wrong type
+        columns.append(values)
+    return columns
+
+
+@contextlib.contextmanager
+def _located(path, head_line, lines):
+    """Re-raise a schema error of a log built from a parsed file at the line
+    it comes from: an entry's line for a ``_RowError``, else the header's."""
+    try:
+        yield
+    except _RowError as e:
+        raise SchemaError(str(e), path=path, line=lines[e.index]) from None
+    except SchemaError as e:
+        raise SchemaError(str(e), path=path, line=head_line) from None
 
 
 def parse_manifest(path) -> list[ModelRecord]:
@@ -429,44 +623,18 @@ def write_manifest(records: Iterable[ModelRecord], path) -> None:
 def parse_prediction_log(path) -> NeighborhoodPredictionLog:
     """Parse a neighborhood prediction log (header line + one example per line)
     straight into the log's arrays; errors name path:line."""
-    numbered = list(_iter_jsonl(path))
-    if not numbered:
-        raise SchemaError("empty file: missing header line", path=path)
-    linenos, objs = zip(*numbered)
-    header, body, lines = objs[0], objs[1:], linenos[1:]
-    if header.get("type") != "prediction_log":
-        raise SchemaError(
-            "header must declare type 'prediction_log'", path=path, line=linenos[0]
-        )
-    model_id = _require(header, "model_id", path, linenos[0], str)
-    test_domain = _require(header, "test_domain", path, linenos[0], str)
-    k = _require(header, "num_classes", path, linenos[0], int)
-    if type(k) is bool:
-        raise SchemaError("field 'num_classes' has wrong type", path=path, line=linenos[0])
-
-    columns = {
-        key: list(map(dict.get, body, repeat(key)))
-        for key in ("example_id", "neighborhood_predictions", "true_label", "base_prediction")
-    }
-    for key, kind in (("example_id", str), ("neighborhood_predictions", list)):
-        if not set(map(type, columns[key])) <= {kind}:
-            i = next(i for i, v in enumerate(columns[key]) if type(v) is not kind)
-            _require(body[i], key, path, lines[i], kind)  # raises: missing or wrong type
-    try:
-        return _log_from_values(
-            model_id,
-            test_domain,
-            k,
-            columns["example_id"],
-            columns["neighborhood_predictions"],
-            columns["true_label"],
-            columns["base_prediction"],
-            header.get("meta", {}),
-        )
-    except _ExampleError as e:
-        raise SchemaError(str(e), path=path, line=lines[e.index]) from None
-    except SchemaError as e:
-        raise SchemaError(str(e), path=path) from None
+    header, head_line, body, lines = _read_log(path, "prediction_log")
+    model_id = _require(header, "model_id", path, head_line, str)
+    test_domain = _require(header, "test_domain", path, head_line, str)
+    k = _require(header, "num_classes", path, head_line, int)
+    columns = _columns(body, path, lines, {
+        "example_id": (str,),
+        "neighborhood_predictions": (list,),
+        "true_label": None,
+        "base_prediction": None,
+    })
+    with _located(path, head_line, lines):
+        return _log_from_values(model_id, test_domain, k, *columns, header.get("meta", {}))
 
 
 def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
@@ -487,7 +655,7 @@ def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
     offsets = log.offsets.tolist()
     lines = [_dumps(header)]
     lines.extend(
-        f'{{{base_field[base]}"example_id":{json.dumps(ex_id)},'
+        f'{{{base_field[base]}"example_id":{_json_string(ex_id)},'
         f'"neighborhood_predictions":{str(flat[start:end]).replace(" ", "")}'
         f"{true_field[true]}}}"
         for ex_id, start, end, base, true in zip(
@@ -506,41 +674,32 @@ def write_prediction_log(log: NeighborhoodPredictionLog, path) -> None:
 
 
 def parse_score_log(path) -> ScoreLog:
-    header = None
-    entries = []
-    for lineno, obj in _iter_jsonl(path):
-        if header is None:
-            header = obj
-            if header.get("type") != "score_log":
-                raise SchemaError(
-                    "header must declare type 'score_log'", path=path, line=lineno
-                )
-            continue
-        entries.append(
-            ScoreEntry(
-                example_id=_require(obj, "example_id", path, lineno, str),
-                predicted_label=_require(obj, "predicted_label", path, lineno, int),
-                max_confidence=float(_require(obj, "max_confidence", path, lineno, (int, float))),
-                neg_entropy=float(_require(obj, "neg_entropy", path, lineno, (int, float))),
-                true_label=obj.get("true_label"),
-            )
+    """Parse a score log (header line + one entry per line) straight into the
+    log's arrays; errors name path:line."""
+    header, head_line, body, lines = _read_log(path, "score_log")
+    model_id = _require(header, "model_id", path, head_line, str)
+    domain = _require(header, "domain", path, head_line, str)
+    split = _require(header, "split", path, head_line, str)
+    k = header.get("num_classes")
+    if k is not None:
+        _require(header, "num_classes", path, head_line, int)
+    columns = _columns(body, path, lines, {
+        "example_id": (str,),
+        "predicted_label": (int,),
+        "max_confidence": (int, float),
+        "neg_entropy": (int, float),
+        "true_label": None,
+    })
+    with _located(path, head_line, lines):
+        return _score_log_from_values(
+            model_id, domain, split, k, *columns, header.get("meta", {})
         )
-    if header is None:
-        raise SchemaError("empty file: missing header line", path=path)
-    try:
-        return ScoreLog(
-            model_id=_require(header, "model_id", path, 1, str),
-            domain=_require(header, "domain", path, 1, str),
-            split=_require(header, "split", path, 1, str),
-            entries=tuple(entries),
-            num_classes=header.get("num_classes"),
-            meta=header.get("meta", {}),
-        )
-    except SchemaError as e:
-        raise SchemaError(str(e), path=path)
 
 
 def serialize_score_log(log: ScoreLog) -> str:
+    """The log as JSON Lines; entry lines are rendered from a fixed template
+    that gives the same bytes as sorted-key ``json.dumps`` (``repr`` of a
+    finite float is its JSON form)."""
     header = {
         "type": "score_log",
         "model_id": log.model_id,
@@ -551,8 +710,19 @@ def serialize_score_log(log: ScoreLog) -> str:
         header["num_classes"] = log.num_classes
     if log.meta:
         header["meta"] = log.meta
+    true_fields = ["" if t < 0 else f',"true_label":{t}' for t in log.true_labels.tolist()]
     lines = [_dumps(header)]
-    lines.extend(_dumps(e.to_json_obj()) for e in log.entries)
+    lines.extend(
+        f'{{"example_id":{_json_string(ex_id)},"max_confidence":{conf!r},'
+        f'"neg_entropy":{negent!r},"predicted_label":{pred}{true}}}'
+        for ex_id, conf, negent, pred, true in zip(
+            log.example_ids,
+            log.max_confidence.tolist(),
+            log.neg_entropy.tolist(),
+            log.predicted_labels.tolist(),
+            true_fields,
+        )
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -610,27 +780,22 @@ def read_weight_dump(path) -> WeightDump:
 
 
 def compute_accuracy(log) -> float:
-    """Top-1 accuracy of the base predictions against true labels.
+    """Top-1 accuracy of the predicted labels against the true labels.
 
     Accepts a NeighborhoodPredictionLog (base_prediction vs true_label) or a
     ScoreLog (predicted_label vs true_label).
     """
     if isinstance(log, NeighborhoodPredictionLog):
-        m = len(log.example_ids)
-        if m == 0:
-            raise SchemaError("cannot compute accuracy of an empty log")
-        missing = (log.base_predictions < 0) | (log.true_labels < 0)
-        if missing.any():
-            ex_id = log.example_ids[int(missing.argmax())]
-            raise SchemaError(f"example {ex_id!r}: missing label, accuracy unavailable")
-        return int(np.count_nonzero(log.base_predictions == log.true_labels)) / m
-    if not isinstance(log, ScoreLog):
+        predicted = log.base_predictions
+    elif isinstance(log, ScoreLog):
+        predicted = log.predicted_labels
+    else:
         raise TypeError(f"unsupported log type {type(log).__name__}")
-    if not log.entries:
+    m = len(log.example_ids)
+    if m == 0:
         raise SchemaError("cannot compute accuracy of an empty log")
-    correct = 0
-    for e in log.entries:
-        if e.true_label is None or e.predicted_label is None:
-            raise SchemaError(f"example {e.example_id!r}: missing label, accuracy unavailable")
-        correct += int(e.predicted_label == e.true_label)
-    return correct / len(log.entries)
+    missing = (predicted < 0) | (log.true_labels < 0)
+    if missing.any():
+        ex_id = log.example_ids[int(missing.argmax())]
+        raise SchemaError(f"example {ex_id!r}: missing label, accuracy unavailable")
+    return int(np.count_nonzero(predicted == log.true_labels)) / m

@@ -160,27 +160,51 @@ def apply_label_noise(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     return Dataset(points=dataset.points, labels=labels, num_classes=dataset.num_classes)
 
 
-def nearest_arc(spec: DomainSpec, base_point: np.ndarray) -> int:
-    """Index of the arc closest to a base-coordinate point (ties: lower class)."""
+def _polar(arc: ArcSpec, base_points: np.ndarray):
+    """Distance from the arc's center and angle around it of each point of an
+    (m, 2) batch; a point at the center takes the arc's mid angle.
+
+    Per point this is the arithmetic of a loop over points, bit for bit:
+    ``sqrt(vecdot)`` is the dot product ``np.linalg.norm`` takes of a
+    2-vector, and ``math.atan2`` differs from ``np.arctan2`` in the last bit
+    for some points.
+    """
+    rel = base_points - np.asarray(arc.center)
+    norm = np.sqrt(np.vecdot(rel, rel))
+    theta = np.fromiter(
+        map(math.atan2, rel[:, 1].tolist(), rel[:, 0].tolist()), float, len(rel)
+    )
+    return norm, np.where(norm > 0, theta, arc.theta_start + arc.theta_extent / 2.0)
+
+
+def nearest_arc(spec: DomainSpec, base_points: np.ndarray):
+    """Index of the arc closest to a base-coordinate point (ties: lower class).
+
+    One point of shape (2,) gives an int; a batch of shape (m, 2) gives an
+    (m,) integer array.
+    """
+    points = np.asarray(base_points, dtype=float)
+    batch = np.atleast_2d(points)
     dists = []
     for arc in spec.class_arcs:
-        rel = base_point - np.asarray(arc.center)
-        norm = float(np.linalg.norm(rel))
-        theta = math.atan2(rel[1], rel[0]) if norm > 0 else (
-            arc.theta_start + arc.theta_extent / 2.0
-        )
-        nearest = arc.point_at(float(arc.clamp_angle(theta)))
-        dists.append(float(np.linalg.norm(base_point - nearest)))
-    return int(np.argmin(dists))
+        _, theta = _polar(arc, batch)
+        diff = batch - arc.point_at(arc.clamp_angle(theta))
+        dists.append(np.sqrt(np.vecdot(diff, diff)))
+    nearest = np.argmin(np.stack(dists), axis=0)
+    return int(nearest[0]) if points.ndim == 1 else nearest
 
 
 def sample_neighborhood(
-    point: np.ndarray,
+    points: np.ndarray,
     domain: DomainSpec,
     spec: NeighborhoodSpec,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """n_samples points near `point` (world coordinates).
+    """n_samples points near each of `points` (world coordinates).
+
+    One point of shape (2,) gives an (n, 2) array; a batch of shape (m, 2)
+    gives (m, n, 2), the same values as m calls on single points with the
+    same generator, in order.
 
     Manifold kind: project onto the nearest class arc, jitter the arc angle by
     Uniform(-size_r, +size_r), and keep the point's radial offset, so samples
@@ -190,19 +214,22 @@ def sample_neighborhood(
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    point = np.asarray(point, dtype=float)
-    n = spec.n_samples
+    points = np.asarray(points, dtype=float)
+    batch = np.atleast_2d(points)
+    m, n = len(batch), spec.n_samples
     if spec.kind == "isotropic":
-        return point + rng.normal(0.0, spec.size_r, size=(n, 2))
-    base = domain.to_base(point)
-    arc = domain.class_arcs[nearest_arc(domain, base)]
-    rel = base - np.asarray(arc.center)
-    norm = float(np.linalg.norm(rel))
-    theta = math.atan2(rel[1], rel[0]) if norm > 0 else (
-        arc.theta_start + arc.theta_extent / 2.0
-    )
-    theta = float(arc.clamp_angle(theta))
-    radial_offset = norm - arc.radius
-    jitter = rng.uniform(-spec.size_r, spec.size_r, size=n)
-    samples = arc.point_at(theta + jitter, radial_offset=radial_offset)
-    return domain.to_world(samples)
+        samples = batch[:, None, :] + rng.normal(0.0, spec.size_r, size=(m, n, 2))
+    else:
+        base = domain.to_base(batch)
+        nearest = nearest_arc(domain, base)
+        jitter = rng.uniform(-spec.size_r, spec.size_r, size=(m, n))
+        samples = np.empty((m, n, 2))
+        for j, arc in enumerate(domain.class_arcs):
+            on_arc = nearest == j
+            norm, theta = _polar(arc, base[on_arc])
+            samples[on_arc] = arc.point_at(
+                arc.clamp_angle(theta)[:, None] + jitter[on_arc],
+                radial_offset=(norm - arc.radius)[:, None],
+            )
+        samples = domain.to_world(samples)
+    return samples[0] if points.ndim == 1 else samples

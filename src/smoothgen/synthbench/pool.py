@@ -25,7 +25,6 @@ from ..errors import DivergenceError, SchemaError
 from ..ingest import (
     ModelRecord,
     NeighborhoodPredictionLog,
-    ScoreEntry,
     ScoreLog,
     WeightDump,
     atomic_write_text,
@@ -43,7 +42,7 @@ from .domains import (
     generate_domain,
     sample_neighborhood,
 )
-from .mlp import MlpModel, TrainConfig, model_predict, train_model
+from .mlp import TrainConfig, model_predict, train_model
 
 
 def derive_seed(*parts) -> int:
@@ -304,25 +303,11 @@ def _neighborhood_points(test_set: Dataset, domain: DomainSpec, spec: Neighborho
     rng = np.random.default_rng(
         derive_seed(base_seed, "nbr", domain.domain_id, spec.tag, spec.seed)
     )
-    return np.stack(
-        [sample_neighborhood(p, domain, spec, rng=rng) for p in test_set.points]
-    )
+    return sample_neighborhood(test_set.points, domain, spec, rng=rng)
 
 
-def _score_entries(model: MlpModel, points: np.ndarray, labels=None):
-    classes, conf, negent = model_predict(model, points)
-    entries = []
-    for idx in range(len(classes)):
-        entries.append(
-            ScoreEntry(
-                example_id=f"ex{idx:05d}",
-                predicted_label=int(classes[idx]),
-                max_confidence=float(conf[idx]),
-                neg_entropy=min(float(negent[idx]), 0.0),
-                true_label=int(labels[idx]) if labels is not None else None,
-            )
-        )
-    return entries, classes
+def _example_ids(m: int) -> tuple:
+    return tuple(f"ex{idx:05d}" for idx in range(m))
 
 
 def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
@@ -435,6 +420,26 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
 
     result = PoolResult(out_dir=out_dir, manifest=manifest, num_converged=len(by_id))
 
+    def emit_score_log(path, model_id, domain_id, split, model, dataset):
+        classes, conf, negent = model_predict(model, dataset.points)
+        log = ScoreLog(
+            model_id=model_id,
+            domain=domain_id,
+            split=split,
+            example_ids=_example_ids(len(classes)),
+            predicted_labels=classes,
+            max_confidence=conf,
+            # Rounding can leave an entropy a hair above zero. Like min(x, 0.0),
+            # this keeps a -0.0, where np.minimum need not.
+            neg_entropy=np.where(negent > 0.0, 0.0, negent),
+            true_labels=dataset.labels,
+            num_classes=dataset.num_classes,
+            meta=meta_common,
+        )
+        write_score_log(log, path)
+        result.score_log_paths.append(path)
+        return classes
+
     def emit_prediction_log(path, model_id, domain_id, model, dataset, spec, samples,
                             base_classes):
         m, n, _ = samples.shape
@@ -443,7 +448,7 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
             model_id=model_id,
             test_domain=domain_id,
             num_classes=dataset.num_classes,
-            example_ids=tuple(f"ex{idx:05d}" for idx in range(m)),
+            example_ids=_example_ids(m),
             predictions=classes,
             lengths=np.full(m, n),
             true_labels=dataset.labels,
@@ -455,40 +460,25 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
 
     for model_id, (train_domain, model) in sorted(by_id.items()):
         # Validation scores on the model's own domain (threshold fitting).
-        val = val_sets[train_domain]
-        entries, _ = _score_entries(model, val.points, val.labels)
-        path = os.path.join(out_dir, "scores", f"{model_id}__{train_domain}__validation.jsonl")
-        write_score_log(
-            ScoreLog(
-                model_id=model_id,
-                domain=train_domain,
-                split="validation",
-                entries=tuple(entries),
-                num_classes=val.num_classes,
-                meta=meta_common,
-            ),
-            path,
+        emit_score_log(
+            os.path.join(out_dir, "scores", f"{model_id}__{train_domain}__validation.jsonl"),
+            model_id,
+            train_domain,
+            "validation",
+            model,
+            val_sets[train_domain],
         )
-        result.score_log_paths.append(path)
 
         for d in config.domains:
             test = test_sets[d.domain_id]
-            entries, base_classes = _score_entries(model, test.points, test.labels)
-            path = os.path.join(
-                out_dir, "scores", f"{model_id}__{d.domain_id}__test.jsonl"
+            base_classes = emit_score_log(
+                os.path.join(out_dir, "scores", f"{model_id}__{d.domain_id}__test.jsonl"),
+                model_id,
+                d.domain_id,
+                "test",
+                model,
+                test,
             )
-            write_score_log(
-                ScoreLog(
-                    model_id=model_id,
-                    domain=d.domain_id,
-                    split="test",
-                    entries=tuple(entries),
-                    num_classes=test.num_classes,
-                    meta=meta_common,
-                ),
-                path,
-            )
-            result.score_log_paths.append(path)
             for spec in config.neighborhoods:
                 emit_prediction_log(
                     os.path.join(

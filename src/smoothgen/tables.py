@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -58,18 +59,42 @@ def _write_csv(path, columns, rows, meta) -> None:
 
 
 def _read_csv(path, columns):
+    """The data rows of a table with their line numbers in the file; each row
+    has one field per column."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
+        numbered = [(n, ln) for n, ln in enumerate(f, start=1) if not ln.startswith("#")]
+    if not numbered:
         raise SchemaError("empty CSV", path=path)
+    linenos, lines = zip(*numbered)
+    reader = csv.reader(lines)
+    header = next(reader)
     if tuple(header) != tuple(columns):
         raise SchemaError(
-            f"unexpected columns {header!r}, want {list(columns)!r}", path=path
+            f"unexpected columns {header!r}, want {list(columns)!r}", path=path,
+            line=linenos[0],
         )
-    return list(reader)
+    rows = []
+    for row in reader:
+        lineno = linenos[reader.line_num - 1]
+        if not row:
+            continue  # a blank line
+        if len(row) != len(columns):
+            raise SchemaError(
+                f"expected {len(columns)} fields, got {len(row)}", path=path, line=lineno
+            )
+        rows.append((lineno, row))
+    return rows
+
+
+def _finite(text, name, path, lineno) -> float:
+    """The finite float a CSV field holds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SchemaError(f"{name} {text!r} is not a finite number", path=path, line=lineno)
+    return value
 
 
 def write_scores_csv(rows: Iterable[ScoreRow], path, meta: Optional[dict] = None) -> None:
@@ -87,8 +112,8 @@ def write_scores_csv(rows: Iterable[ScoreRow], path, meta: Optional[dict] = None
 
 def read_scores_csv(path) -> list[ScoreRow]:
     return [
-        ScoreRow(m, td, o, measure, float(v))
-        for m, td, o, measure, v in _read_csv(path, SCORE_COLUMNS)
+        ScoreRow(m, td, o, measure, _finite(v, "value", path, lineno))
+        for lineno, (m, td, o, measure, v) in _read_csv(path, SCORE_COLUMNS)
     ]
 
 
@@ -106,7 +131,8 @@ def write_accuracies_csv(
 
 def read_accuracies_csv(path) -> list[AccuracyRow]:
     return [
-        AccuracyRow(m, o, float(a)) for m, o, a in _read_csv(path, ACCURACY_COLUMNS)
+        AccuracyRow(m, o, _finite(a, "accuracy", path, lineno))
+        for lineno, (m, o, a) in _read_csv(path, ACCURACY_COLUMNS)
     ]
 
 

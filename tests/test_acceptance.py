@@ -143,7 +143,8 @@ def _calibrated_score_log(rng, n, loc, scale, split, domain):
         )
         for i, (s, c) in enumerate(zip(raw, correct))
     )
-    return ScoreLog(model_id="m0", domain=domain, split=split, entries=entries)
+    return ScoreLog.from_entries(model_id="m0", domain=domain, split=split,
+                                 entries=entries)
 
 
 def test_05_atc_self_consistency_and_calibrated_shift():

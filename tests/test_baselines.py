@@ -24,7 +24,8 @@ def score_log(scores, correct, model_id="m0", domain="d0", split="validation"):
         )
         for i, (s, ok) in enumerate(zip(scores, correct))
     )
-    return ScoreLog(model_id=model_id, domain=domain, split=split, entries=entries)
+    return ScoreLog.from_entries(model_id=model_id, domain=domain, split=split,
+                                 entries=entries)
 
 
 class TestAtc:
@@ -72,7 +73,8 @@ class TestAtc:
 
     def test_missing_labels_rejected(self):
         entries = (ScoreEntry("e0", 0, 0.5, -0.5),)
-        log = ScoreLog(model_id="m", domain="d", split="validation", entries=entries)
+        log = ScoreLog.from_entries(model_id="m", domain="d", split="validation",
+                                    entries=entries)
         with pytest.raises(SchemaError):
             atc_fit(log, "max_confidence")
 
@@ -81,7 +83,7 @@ class TestAtc:
             atc_fit(score_log([0.5], [True]), "margin")
 
     def test_empty_log(self):
-        log = ScoreLog(model_id="m0", domain="d", split="test", entries=())
+        log = ScoreLog.from_entries(model_id="m0", domain="d", split="test", entries=())
         with pytest.raises(SchemaError):
             atc_predict(log, atc_fit(score_log([0.5], [True]), "max_confidence"))
 

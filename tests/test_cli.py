@@ -222,6 +222,51 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert f"{log}:3: " in err and "1.5 is not an integer" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("predicted_label", True),
+        ("true_label", "x"),
+        ("max_confidence", True),
+        ("max_confidence", math.nan),
+    ])
+    def test_bad_score_log_entry_exits_nonzero(self, pool, tmp_path, capsys, field,
+                                               value):
+        out_dir, _ = pool
+        logs = tmp_path / "scores"
+        shutil.copytree(out_dir / "scores", logs)
+        log = sorted(logs.glob("*.jsonl"))[0]
+        lines = log.read_text().splitlines()
+        entry = json.loads(lines[2])
+        entry[field] = value
+        lines[2] = json.dumps(entry)
+        log.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "baseline",
+            "--scores", str(logs),
+            "--manifest", str(out_dir / "manifest.jsonl"),
+            "--out", str(tmp_path / "baselines.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{log}:3: " in err and field in err
+
+    def test_non_finite_score_exits_nonzero(self, pool, tmp_path, capsys):
+        out_dir, _ = pool
+        scores, accs = tmp_path / "scores.csv", tmp_path / "acc.csv"
+        cmd_score([str(out_dir / "predictions")], out_dir / "manifest.jsonl", scores,
+                  acc_out=accs)
+        lines = scores.read_text().splitlines()  # comment, columns, then rows
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",nan"
+        scores.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "evaluate",
+            "--scores", str(scores),
+            "--accuracies", str(accs),
+            "--manifest", str(out_dir / "manifest.jsonl"),
+            "--out", str(tmp_path / "report.json"),
+        ])
+        assert rc == 1
+        assert f"{scores}:5: value 'nan' is not a finite number" in capsys.readouterr().err
+
     def test_errors_exit_nonzero(self, pool, tmp_path, capsys):
         out_dir, _ = pool
         rc = main([

@@ -1,7 +1,11 @@
 import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from smoothgen.errors import SchemaError
 from smoothgen.ingest import (
@@ -45,7 +49,7 @@ PRED_LOG = NeighborhoodPredictionLog.from_examples(
     meta={"neighborhood": "manifold-r0.5-n10"},
 )
 
-SCORE_LOG = ScoreLog(
+SCORE_LOG = ScoreLog.from_entries(
     model_id="d0-c000",
     domain="d1",
     split="test",
@@ -193,7 +197,8 @@ class TestPredictionLogTypes:
             parse_prediction_log(path)
         assert exc.value.line == 3
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"a": 1} {"b": 2}'])
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1, 2]", '{"a": 1} {"b": 2}', '{"a": ' + "1" * 5000 + "}"])
     def test_malformed_line_names_path_and_line(self, tmp_path, text):
         path = tmp_path / "log.jsonl"
         write_log_lines(path, [GOOD_EXAMPLE])
@@ -307,28 +312,191 @@ class TestScoreLog:
 
     def test_split_validated(self):
         with pytest.raises(SchemaError):
-            ScoreLog(model_id="m", domain="d", split="train", entries=())
+            ScoreLog.from_entries(model_id="m", domain="d", split="train", entries=())
 
     def test_confidence_below_uniform_rejected(self):
         # with k classes the softmax max cannot drop under 1/k
         with pytest.raises(SchemaError, match="max_confidence"):
-            ScoreLog(model_id="m", domain="d", split="test", num_classes=4,
-                     entries=(ScoreEntry("e", 0, 0.2, -0.5),))
+            ScoreLog.from_entries(model_id="m", domain="d", split="test", num_classes=4,
+                                  entries=(ScoreEntry("e", 0, 0.2, -0.5),))
 
     def test_neg_entropy_range_rejected(self):
         with pytest.raises(SchemaError, match="neg_entropy"):
-            ScoreLog(model_id="m", domain="d", split="test", num_classes=2,
-                     entries=(ScoreEntry("e", 0, 0.9, -5.0),))
+            ScoreLog.from_entries(model_id="m", domain="d", split="test", num_classes=2,
+                                  entries=(ScoreEntry("e", 0, 0.9, -5.0),))
 
     def test_positive_neg_entropy_rejected(self):
         with pytest.raises(SchemaError, match="neg_entropy"):
-            ScoreLog(model_id="m", domain="d", split="test",
-                     entries=(ScoreEntry("e", 0, 0.9, 0.5),))
+            ScoreLog.from_entries(model_id="m", domain="d", split="test",
+                                  entries=(ScoreEntry("e", 0, 0.9, 0.5),))
 
     def test_no_num_classes_skips_range_check(self):
-        log = ScoreLog(model_id="m", domain="d", split="test",
-                       entries=(ScoreEntry("e", 7, 0.2, -5.0),))
+        log = ScoreLog.from_entries(model_id="m", domain="d", split="test",
+                                    entries=(ScoreEntry("e", 7, 0.2, -5.0),))
         assert log.num_classes is None
+
+
+def write_score_lines(path, entries, **header_fields):
+    header = {"type": "score_log", "model_id": "m", "domain": "d", "split": "test",
+              "num_classes": 3, **header_fields}
+    path.write_text("".join(dumps_sorted(o) + "\n" for o in [header, *entries]))
+
+
+GOOD_ENTRY = {"example_id": "ex0", "predicted_label": 1, "max_confidence": 0.75,
+              "neg_entropy": -0.5, "true_label": 1}
+
+
+class TestScoreLogTypes:
+    @pytest.mark.parametrize("field, value, message", [
+        ("predicted_label", True, "wrong type"),
+        ("predicted_label", 1.0, "wrong type"),
+        ("predicted_label", "1", "wrong type"),
+        ("predicted_label", None, "wrong type"),
+        ("predicted_label", -1, "out of range"),
+        ("predicted_label", 3, "out of range"),
+        ("predicted_label", 10**30, "out of range"),
+        ("true_label", True, "not an integer"),
+        ("true_label", 1.0, "not an integer"),
+        ("true_label", "x", "not an integer"),
+        ("true_label", [1], "not an integer"),
+        ("true_label", -1, "out of range"),
+        ("true_label", 3, "out of range"),
+        ("max_confidence", True, "wrong type"),
+        ("max_confidence", "0.5", "wrong type"),
+        ("max_confidence", math.nan, "out of range"),
+        ("max_confidence", math.inf, "out of range"),
+        ("max_confidence", 1.5, "out of range"),
+        ("max_confidence", 0.2, "out of range"),  # below 1/k
+        ("max_confidence", 10**400, "out of range"),
+        ("neg_entropy", False, "wrong type"),
+        ("neg_entropy", math.nan, "out of range"),
+        ("neg_entropy", -math.inf, "out of range"),
+        ("neg_entropy", 0.5, "out of range"),
+        ("neg_entropy", -(10**400), "out of range"),
+        ("example_id", 5, "wrong type"),
+    ])
+    def test_bad_value_names_path_and_line(self, tmp_path, field, value, message):
+        path = tmp_path / "scores.jsonl"
+        write_score_lines(path, [GOOD_ENTRY, GOOD_ENTRY, {**GOOD_ENTRY, field: value}])
+        with pytest.raises(SchemaError, match=message) as exc:
+            parse_score_log(path)
+        assert (exc.value.path, exc.value.line) == (path, 4)
+        assert str(exc.value).startswith(f"{path}:4: ")
+
+    @pytest.mark.parametrize("field", [
+        "example_id", "predicted_label", "max_confidence", "neg_entropy"])
+    def test_missing_field_names_path_and_line(self, tmp_path, field):
+        path = tmp_path / "scores.jsonl"
+        entry = {k: v for k, v in GOOD_ENTRY.items() if k != field}
+        write_score_lines(path, [GOOD_ENTRY, entry])
+        with pytest.raises(SchemaError, match="missing required field") as exc:
+            parse_score_log(path)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_classes", True, "num_classes"),
+        ("num_classes", "3", "num_classes"),
+        ("num_classes", 1, "num_classes"),
+        ("num_classes", 2**64, "num_classes"),
+        ("split", "train", "split"),
+        ("meta", [1], "meta"),
+        ("model_id", None, "model_id"),
+    ])
+    def test_bad_header_names_line_one(self, tmp_path, field, value, message):
+        path = tmp_path / "scores.jsonl"
+        write_score_lines(path, [GOOD_ENTRY], **{field: value})
+        with pytest.raises(SchemaError, match=message) as exc:
+            parse_score_log(path)
+        assert (exc.value.path, exc.value.line) == (path, 1)
+
+    def test_boolean_and_float_labels_do_not_count_as_correct(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_score_lines(path, [{**GOOD_ENTRY, "predicted_label": True, "true_label": 1.0}])
+        with pytest.raises(SchemaError, match="predicted_label"):
+            parse_score_log(path)
+
+    def test_absent_and_null_true_labels_are_missing(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        entry = {k: v for k, v in GOOD_ENTRY.items() if k != "true_label"}
+        write_score_lines(path, [entry, {**entry, "true_label": None}])
+        log = parse_score_log(path)
+        assert log.true_labels.tolist() == [-1, -1]
+        assert [e.true_label for e in log.entries] == [None, None]
+        with pytest.raises(SchemaError, match="missing label"):
+            compute_accuracy(log)
+
+
+ODD_SCORE_LOG = ScoreLog.from_entries(
+    model_id="mé",
+    domain="d1",
+    split="validation",
+    num_classes=4,
+    entries=(
+        ScoreEntry("ex0", 3, 1.0, -0.0, true_label=0),
+        ScoreEntry('odd "id"\\\né', 0, 0.25, -math.log(4), true_label=3),
+        ScoreEntry("ex2", 2, 0.9999999999999999, -1e-300),
+        ScoreEntry("ex3", 1, 1 / 3, -1.2345678901234567e-5, true_label=1),
+    ),
+    meta={"seed": 0},
+)
+
+
+class TestScoreLogArrays:
+    @pytest.mark.parametrize("log", [SCORE_LOG, ODD_SCORE_LOG], ids=["plain", "odd"])
+    def test_template_matches_sorted_json(self, log):
+        header = {"type": "score_log", "model_id": log.model_id, "domain": log.domain,
+                  "split": log.split, "num_classes": log.num_classes}
+        if log.meta:
+            header["meta"] = log.meta
+        entries = [
+            {k: v for k, v in vars(e).items() if v is not None} for e in log.entries
+        ]
+        expected = "".join(dumps_sorted(o) + "\n" for o in [header, *entries])
+        assert serialize_score_log(log) == expected
+
+    def test_round_trip_is_byte_identical(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_score_log(ODD_SCORE_LOG, path)
+        parsed = parse_score_log(path)
+        assert parsed == ODD_SCORE_LOG
+        assert path.read_bytes() == serialize_score_log(parsed).encode()
+        assert math.copysign(1.0, parsed.neg_entropy[0]) == -1.0
+
+    def test_arrays_and_entries(self):
+        log = ODD_SCORE_LOG
+        assert log.predicted_labels.dtype == np.int64
+        assert log.max_confidence.dtype == np.float64
+        assert log.true_labels.tolist() == [0, 3, -1, 1]
+        assert len(log.entries) == 4
+        assert log.entries[-1] == ScoreEntry("ex3", 1, 1 / 3, -1.2345678901234567e-5, 1)
+        assert log.entries[1:3] == tuple(log.entries)[1:3]
+
+    def test_arrays_are_read_only_copies(self):
+        conf = np.array([0.5, 0.75])
+        log = ScoreLog(
+            model_id="m", domain="d", split="test", example_ids=("a", "b"),
+            predicted_labels=[0, 1], max_confidence=conf, neg_entropy=[-0.5, -0.25],
+            true_labels=[1, -1], num_classes=2)
+        conf[0] = 0.9
+        assert log.max_confidence.tolist() == [0.5, 0.75]
+        with pytest.raises(ValueError):
+            log.max_confidence[0] = 0.9
+
+    @pytest.mark.parametrize("change, message", [
+        ({"predicted_labels": [0.0, 1.0]}, "predicted_labels must be"),
+        ({"true_labels": [1]}, "true_labels must be"),
+        ({"max_confidence": [[0.5, 0.5]]}, "max_confidence must be"),
+        ({"true_labels": [1, -2]}, "entry 'b': true_label -2 out of range"),
+        ({"predicted_labels": [0, 2]}, "entry 'b': predicted_label 2 out of range"),
+        ({"neg_entropy": [np.nan, -0.5]}, "entry 'a': neg_entropy nan out of range"),
+        ({"example_ids": ("a", 2)}, "strings"),
+    ])
+    def test_array_validation(self, change, message):
+        fields = dict(model_id="m", domain="d", split="test", example_ids=("a", "b"),
+                      predicted_labels=[0, 1], max_confidence=[0.5, 0.75],
+                      neg_entropy=[-0.5, -0.25], true_labels=[1, -1], num_classes=2)
+        with pytest.raises(SchemaError, match=message):
+            ScoreLog(**{**fields, **change})
 
 
 class TestWeightDump:
@@ -398,3 +566,161 @@ class TestComputeAccuracy:
     def test_wrong_type(self):
         with pytest.raises(TypeError):
             compute_accuracy({"not": "a log"})
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+OUT_OF_RANGE = st.sampled_from(
+    [-1, 0, 1, 2, 3, 2**63, 2**64, 10**400, -(10**400), -0.0, 1e308, math.nan, math.inf,
+     -math.inf]
+) | st.integers() | st.floats()
+
+VALID_PREDICTION_LINES = [
+    {"type": "prediction_log", "model_id": "m", "test_domain": "d", "num_classes": 3,
+     "meta": {"neighborhood": "manifold-r0.5-n3"}},
+    {"example_id": "ex0", "neighborhood_predictions": [0, 1, 1], "true_label": 0,
+     "base_prediction": 1},
+    {"example_id": "ex1", "neighborhood_predictions": [2, 2, 2], "true_label": 2,
+     "base_prediction": 2},
+]
+VALID_SCORE_LINES = [
+    {"type": "score_log", "model_id": "m", "domain": "d", "split": "validation",
+     "num_classes": 3, "meta": {"seed": 0}},
+    {"example_id": "ex0", "predicted_label": 0, "max_confidence": 0.75,
+     "neg_entropy": -0.6, "true_label": 0},
+    {"example_id": "ex1", "predicted_label": 2, "max_confidence": 0.5,
+     "neg_entropy": -1.0, "true_label": 1},
+]
+
+
+@st.composite
+def one_field_mutation(draw, lines):
+    """The bytes of a valid log with one line changed in one field: a value of
+    another type, a missing key, an out-of-range value or broken JSON."""
+    texts = [json.dumps(obj) for obj in lines]
+    i = draw(st.integers(0, len(lines) - 1))
+    obj = dict(lines[i])
+    key = draw(st.sampled_from(sorted(obj)))
+    kind = draw(st.sampled_from(["type", "missing", "range", "broken json", "bad utf-8"]))
+    if kind == "type":
+        obj[key] = draw(JSON_VALUES)
+    elif kind == "missing":
+        del obj[key]
+    elif kind == "range":
+        value = draw(OUT_OF_RANGE)
+        if isinstance(obj[key], list):
+            obj[key] = [*obj[key][:-1], value]
+        else:
+            obj[key] = value
+    if kind in ("type", "missing", "range"):
+        texts[i] = json.dumps(obj)
+    data = [t.encode() for t in texts]
+    if kind in ("broken json", "bad utf-8"):
+        cut = draw(st.integers(0, len(data[i])))
+        insert = draw(st.sampled_from([b"", b"{", b"}", b"]", b",", b'"', b"x"]))
+        if kind == "bad utf-8":
+            insert = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        data[i] = data[i][:cut] + insert + data[i][cut + 1:]
+    return b"\n".join(data) + b"\n"
+
+
+class TestParserFuzz:
+    """A one-field change to a valid log ends in a parsed log or in a
+    SchemaError naming path:line, never in another exception."""
+
+    @pytest.mark.parametrize("parse, lines", [
+        (parse_prediction_log, VALID_PREDICTION_LINES),
+        (parse_score_log, VALID_SCORE_LINES),
+    ], ids=["prediction_log", "score_log"])
+    def test_valid_lines_parse(self, tmp_path, parse, lines):
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        assert len(parse(path).example_ids) == 2
+
+    @staticmethod
+    def check(parse, tmp_path, data):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(data)
+        try:
+            parse(path)
+        except SchemaError as e:
+            assert e.path == path and e.line is not None, str(e)
+            assert str(e).startswith(f"{path}:{e.line}: ")
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=one_field_mutation(VALID_PREDICTION_LINES))
+    def test_prediction_log(self, tmp_path, data):
+        self.check(parse_prediction_log, tmp_path, data)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=one_field_mutation(VALID_SCORE_LINES))
+    def test_score_log(self, tmp_path, data):
+        self.check(parse_score_log, tmp_path, data)
+
+
+class Crash(Exception):
+    pass
+
+
+class HalfWriter:
+    """A file that writes half of what it is given, then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        self._f.flush()
+        raise Crash("disk full")
+
+
+WRITERS = {
+    "prediction_log": lambda path: write_prediction_log(PRED_LOG, path),
+    "score_log": lambda path: write_score_log(SCORE_LOG, path),
+    "weight_dump": lambda path: write_weight_dump(
+        WeightDump(model_id="m", layers=(np.eye(3),)), path),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("crash", ["write", "replace"])
+    def test_crash_leaves_old_target_and_no_temp_file(self, tmp_path, monkeypatch,
+                                                       writer, old, crash):
+        target = tmp_path / "out"
+        if old is not None:
+            target.write_bytes(old)
+        if crash == "write":
+            fdopen = os.fdopen
+            monkeypatch.setattr(os, "fdopen", lambda *a, **kw: HalfWriter(fdopen(*a, **kw)))
+        else:
+            def replace(*args):
+                raise Crash("killed before the rename")
+            monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(Crash):
+            WRITERS[writer](target)
+        monkeypatch.undo()
+        if old is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == old
+        assert list(tmp_path.glob(".tmp-*.part")) == []
+        WRITERS[writer](target)  # and the next write goes through
+        assert list(tmp_path.iterdir()) == [target]

@@ -196,6 +196,90 @@ class TestNeighborhoodSampling:
         assert NeighborhoodSpec("manifold", 0.5, 10).tag == "manifold-r0.5-n10"
 
 
+def reference_nearest_arc(spec, base_point):
+    """Nearest arc of one base-coordinate point, one arc at a time."""
+    dists = []
+    for arc in spec.class_arcs:
+        rel = base_point - np.asarray(arc.center)
+        norm = float(np.linalg.norm(rel))
+        theta = math.atan2(rel[1], rel[0]) if norm > 0 else (
+            arc.theta_start + arc.theta_extent / 2.0
+        )
+        nearest = arc.point_at(float(arc.clamp_angle(theta)))
+        dists.append(float(np.linalg.norm(base_point - nearest)))
+    return int(np.argmin(dists))
+
+
+def reference_sample_neighborhood(point, domain, spec, rng):
+    """The neighborhood of one world-coordinate point, as the sampler made it
+    one point at a time."""
+    point = np.asarray(point, dtype=float)
+    n = spec.n_samples
+    if spec.kind == "isotropic":
+        return point + rng.normal(0.0, spec.size_r, size=(n, 2))
+    base = domain.to_base(point)
+    arc = domain.class_arcs[reference_nearest_arc(domain, base)]
+    rel = base - np.asarray(arc.center)
+    norm = float(np.linalg.norm(rel))
+    theta = math.atan2(rel[1], rel[0]) if norm > 0 else (
+        arc.theta_start + arc.theta_extent / 2.0
+    )
+    theta = float(arc.clamp_angle(theta))
+    jitter = rng.uniform(-spec.size_r, spec.size_r, size=n)
+    samples = arc.point_at(theta + jitter, radial_offset=norm - arc.radius)
+    return domain.to_world(samples)
+
+
+# Two arcs mirrored in the x-axis: a point on the positive x-axis is exactly
+# as far from one as from the other.
+MIRRORED_ARCS = (ArcSpec((0.0, 0.0), 1.0, 0.5, 1.0), ArcSpec((0.0, 0.0), 1.0, -1.5, 1.0))
+TIE_POINT = np.array([2.0, 0.0])
+CENTER_SHIFT = (0.5, -0.25)  # the world position of the default arcs' center
+
+
+class TestBatchedSamplerOracle:
+    @pytest.mark.parametrize("arcs", [MIRRORED_ARCS, MIRRORED_ARCS[::-1]])
+    def test_tie_goes_to_the_lower_class(self, arcs):
+        d = DomainSpec("tie", 0.0, (0.0, 0.0), 0.0, arcs)
+        assert reference_nearest_arc(d, TIE_POINT) == 0
+        assert nearest_arc(d, TIE_POINT) == 0
+        assert nearest_arc(d, TIE_POINT[None]).tolist() == [0]
+
+    @pytest.mark.parametrize("domain", [
+        DomainSpec("shifted", 0.0, CENTER_SHIFT, 0.05, default_arcs()),
+        DomainSpec("rotated", 0.7, (0.3, -1.1), 0.05, default_arcs()),
+        DomainSpec("far", math.radians(140), (-2.0, 0.5), 0.0, default_arcs()),
+        DomainSpec("tie", 0.0, (0.0, 0.0), 0.0, MIRRORED_ARCS),
+    ], ids=lambda d: d.domain_id)
+    @pytest.mark.parametrize("spec", [
+        NeighborhoodSpec("manifold", 0.5, n_samples=10),
+        NeighborhoodSpec("manifold", 2.6, n_samples=3),
+        NeighborhoodSpec("isotropic", 0.3, n_samples=10),
+    ], ids=lambda s: s.tag)
+    def test_batch_equals_per_point_reference(self, domain, spec):
+        special = [TIE_POINT, np.array(CENTER_SHIFT)]
+        points = np.vstack([generate_domain(domain, 200, seed=11).points, *special])
+        if domain.domain_id == "shifted":  # the norm == 0 branch is taken
+            assert np.array_equal(domain.to_base(points[-1]), [0.0, 0.0])
+        rng = np.random.default_rng(3)
+        want = np.stack([reference_sample_neighborhood(p, domain, spec, rng) for p in points])
+        got = sample_neighborhood(points, domain, spec, rng=np.random.default_rng(3))
+        assert got.shape == (len(points), spec.n_samples, 2)
+        assert np.array_equal(got, want)
+        base = domain.to_base(points)
+        assert nearest_arc(domain, base).tolist() == [
+            reference_nearest_arc(domain, b) for b in base]
+
+    def test_single_point_is_the_first_row_of_a_batch(self):
+        d = make_domain()
+        spec = NeighborhoodSpec("manifold", 0.5, n_samples=10)
+        points = generate_domain(d, 5, seed=2).points
+        batch = sample_neighborhood(points, d, spec, rng=np.random.default_rng(1))
+        one = sample_neighborhood(points[0], d, spec, rng=np.random.default_rng(1))
+        assert one.shape == (10, 2)
+        assert np.array_equal(one, batch[0])
+
+
 class TestMlp:
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(0)

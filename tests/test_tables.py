@@ -72,6 +72,29 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="empty"):
             read_scores_csv(path)
 
+    @pytest.mark.parametrize("reader, write, rows", [
+        (read_scores_csv, write_scores_csv, SCORES),
+        (read_accuracies_csv, write_accuracies_csv, ACCURACIES),
+    ], ids=["scores", "accuracies"])
+    @pytest.mark.parametrize("text, message", [
+        ("nan", "not a finite number"),
+        ("inf", "not a finite number"),
+        ("-Infinity", "not a finite number"),
+        ("0.5x", "not a finite number"),
+        ("", "not a finite number"),
+        ("0.5,extra", "expected"),
+    ])
+    def test_bad_value_names_path_and_line(self, tmp_path, reader, write, rows, text,
+                                           message):
+        path = tmp_path / "table.csv"
+        write(rows, path)
+        lines = path.read_text().splitlines()  # comment, columns, then rows
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=message) as exc:
+            reader(path)
+        assert (exc.value.path, exc.value.line) == (path, 4)
+
     def test_rows_sorted_deterministically(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_scores_csv(SCORES, a)
