@@ -133,9 +133,16 @@ def norm_measures(weights: WeightDump) -> NormMeasure:
     log_frob = 0.0
     for w in weights.layers:
         s = spectral_norm(w)
-        f = float(np.linalg.norm(w))
+        with np.errstate(over="ignore"):
+            f = float(np.linalg.norm(w))
+        if math.isfinite(f):
+            log_f = math.log(f) if f > 0 else -math.inf
+        else:
+            # The sum of squares overflowed: pre-scale as spectral_norm does.
+            scale = float(np.max(np.abs(w)))
+            log_f = math.log(scale) + math.log(float(np.linalg.norm(w / scale)))
         log_spec += 2.0 * (math.log(s) if s > 0 else -math.inf)
-        log_frob += 2.0 * (math.log(f) if f > 0 else -math.inf)
+        log_frob += 2.0 * log_f
     def safe_exp(x: float) -> float:
         if x == -math.inf:
             return 0.0

@@ -14,6 +14,7 @@ import functools
 import glob
 import io
 import json
+import math
 import os
 import sys
 
@@ -166,11 +167,17 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out, acc_out=None,
             if rec is None or not rec.converged:
                 continue
             norms = norm_measures(dump)
-            for domain in domains_by_model.get(dump.model_id, []):
-                for name, value in (
-                    ("norm_spectral", norms.spectral),
-                    ("norm_frobenius", norms.frobenius),
-                ):
+            for name, value in (
+                ("norm_spectral", norms.spectral),
+                ("norm_frobenius", norms.frobenius),
+            ):
+                # A norm too large for a float saturates to inf, which no
+                # scores CSV may hold; the measure is left out for the model.
+                if not math.isfinite(value):
+                    print(f"warning: model {dump.model_id!r}: {name} is {value!r}, "
+                          f"not finite; its rows are left out", file=sys.stderr)
+                    continue
+                for domain in domains_by_model.get(dump.model_id, []):
                     rows.append(
                         ScoreRow(
                             model_id=dump.model_id,

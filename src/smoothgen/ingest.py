@@ -637,9 +637,33 @@ def parse_prediction_log(path) -> NeighborhoodPredictionLog:
         return _log_from_values(model_id, test_domain, k, *columns, header.get("meta", {}))
 
 
+def _render_csv_ints(values: np.ndarray) -> tuple[str, np.ndarray]:
+    """Render unsigned ints as one ASCII string ``"<v0>,<v1>,...,"`` and
+    return it with ``ends``: value ``i`` and its comma end at ``ends[i]``."""
+    # Decimal width of each value: the number of powers of ten at or below it,
+    # plus one. The powers stop below the dtype's maximum, so they compare exactly.
+    powers = [10**p for p in range(1, len(str(np.iinfo(values.dtype).max)))]
+    widths = np.searchsorted(np.array(powers, dtype=values.dtype), values, side="right")
+    widths += 2  # the first digit and the comma
+    ends = np.cumsum(widths)
+    buf = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint8)
+    buf[ends - 1] = ord(",")
+    # Digits from the last: each pass writes one digit of every value that
+    # still has one, then drops the values that have none left.
+    pos = ends - 2
+    rest = values
+    while len(rest):
+        buf[pos] = rest % 10 + ord("0")
+        rest = rest // 10
+        more = rest > 0
+        pos, rest = pos[more] - 1, rest[more]
+    return buf.tobytes().decode("ascii"), ends
+
+
 def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
     """The log as JSON Lines; example lines are rendered from a fixed template
-    that gives the same bytes as sorted-key ``json.dumps``."""
+    that gives the same bytes as sorted-key ``json.dumps``. Every prediction
+    is rendered once into one buffer, and each example takes a slice of it."""
     header = {
         "type": "prediction_log",
         "model_id": log.model_id,
@@ -648,23 +672,25 @@ def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
     }
     if log.meta:
         header["meta"] = log.meta
-    # Indexed by label + 1, so an absent label (-1) renders as nothing.
-    base_field = [""] + [f'"base_prediction":{c},' for c in range(log.num_classes)]
-    true_field = [""] + [f',"true_label":{c}' for c in range(log.num_classes)]
-    flat = log.predictions.tolist()
-    offsets = log.offsets.tolist()
+    # The field of each label the log holds; an absent label (-1) renders as
+    # nothing.
+    bases = log.base_predictions.tolist()
+    trues = log.true_labels.tolist()
+    base_field = {c: f'"base_prediction":{c},' for c in set(bases)}
+    true_field = {c: f',"true_label":{c}' for c in set(trues)}
+    base_field[-1] = true_field[-1] = ""
+    text, ends = _render_csv_ints(log.predictions)
+    # Character bounds of each example's predictions in ``text``, the comma
+    # after its last prediction excluded.
+    bounds = np.concatenate(([0], ends))[log.offsets]
+    starts = bounds[:-1].tolist()
+    stops = (bounds[1:] - 1).tolist()
     lines = [_dumps(header)]
     lines.extend(
         f'{{{base_field[base]}"example_id":{_json_string(ex_id)},'
-        f'"neighborhood_predictions":{str(flat[start:end]).replace(" ", "")}'
+        f'"neighborhood_predictions":[{text[start:stop]}]'
         f"{true_field[true]}}}"
-        for ex_id, start, end, base, true in zip(
-            log.example_ids,
-            offsets,
-            offsets[1:],
-            (log.base_predictions + 1).tolist(),
-            (log.true_labels + 1).tolist(),
-        )
+        for ex_id, start, stop, base, true in zip(log.example_ids, starts, stops, bases, trues)
     )
     return "\n".join(lines) + "\n"
 

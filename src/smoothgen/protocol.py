@@ -192,9 +192,11 @@ def evaluate_r2_mae(
 
 
 def _tau_or_skip(xs, ys, variant):
+    """Tau, or a skip reason when it is undefined for the sample; any other
+    fault (a length mismatch, a non-finite value) raises."""
     try:
         return kendall_tau(xs, ys, variant=variant), None
-    except (DegenerateSampleError, ValueError) as e:
+    except DegenerateSampleError as e:
         return None, str(e)
 
 

@@ -76,17 +76,39 @@ def init_model(num_classes: int, config: TrainConfig) -> MlpModel:
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Logits for a batch of inputs."""
+    """Logits for a batch of inputs, each layer computed in place.
+
+    The batch size is part of the output bits: BLAS chooses its matmul kernel
+    by row count, so predicting the same rows in other chunks can change the
+    last bits of the logits and, on a near tie, a predicted class. Callers
+    must not split or merge predict batches.
+    """
     h = np.asarray(x, dtype=float)
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.tanh(h @ w + b)
-    return h @ model.weights[-1] + model.biases[-1]
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
+    h = h @ model.weights[-1]
+    h += model.biases[-1]
+    return h
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    # A column-wise running max is exact in any order and much faster than a
+    # row reduce over a handful of classes; the row sum stays a reduce, whose
+    # pairwise order column-wise adds match only below 8 classes.
+    row_max = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, j], out=row_max)
+    e = logits - row_max[:, None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+def predict_classes(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Predicted classes: the classes ``model_predict`` gives, and nothing else."""
+    return _softmax(forward(model, np.atleast_2d(x))).argmax(axis=1)
 
 
 def model_predict(model: MlpModel, x: np.ndarray):

@@ -10,6 +10,7 @@ for a fixed experiment seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -42,7 +43,7 @@ from .domains import (
     generate_domain,
     sample_neighborhood,
 )
-from .mlp import TrainConfig, model_predict, train_model
+from .mlp import TrainConfig, model_predict, predict_classes, train_model
 
 
 def derive_seed(*parts) -> int:
@@ -381,12 +382,15 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
     neighborhoods = {}
     for d in config.domains:
         for spec in config.neighborhoods:
-            neighborhoods[(d.domain_id, spec.tag)] = _neighborhood_points(
+            neighborhoods[(d.domain_id, spec)] = _neighborhood_points(
                 test_sets[d.domain_id], d, spec, config.seed
             )
 
     # Ablation inputs: a large test set, a deep-sample neighborhood and a
-    # size_r sweep, all on one designated domain.
+    # size_r sweep, all on one designated domain. A set on the domain's test
+    # set with a main spec is that main set (same seed, same points): it shares
+    # the samples and, per model, the predicted classes. Each set carries the
+    # ``neighborhoods`` key of the main set it shares, or None.
     ab = config.ablation
     ab_sets = {}
     if ab is not None:
@@ -404,21 +408,25 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
             seed=config.seed,
         )
         ab_sets["dataset_size"] = (
-            big, base_spec, _neighborhood_points(big, domain, base_spec, config.seed)
+            big, base_spec, _neighborhood_points(big, domain, base_spec, config.seed), None
         )
         small = test_sets[ab.domain_id]
-        ab_sets["n_samples"] = (
-            small, deep_spec, _neighborhood_points(small, domain, deep_spec, config.seed)
-        )
+        small_specs = {"n_samples": deep_spec}
         for r in ab.size_r_values:
-            spec = NeighborhoodSpec(
+            small_specs[f"size_r__{r:g}"] = NeighborhoodSpec(
                 kind="manifold", size_r=r, n_samples=10, seed=config.seed
             )
-            ab_sets[f"size_r__{r:g}"] = (
-                small, spec, _neighborhood_points(small, domain, spec, config.seed)
-            )
+        for name, spec in small_specs.items():
+            key = (ab.domain_id, spec)
+            if key in neighborhoods:
+                ab_sets[name] = (small, spec, neighborhoods[key], key)
+            else:
+                samples = _neighborhood_points(small, domain, spec, config.seed)
+                ab_sets[name] = (small, spec, samples, None)
 
     result = PoolResult(out_dir=out_dir, manifest=manifest, num_converged=len(by_id))
+    # Every log of one size shares one tuple of example ids.
+    example_ids = functools.cache(_example_ids)
 
     def emit_score_log(path, model_id, domain_id, split, model, dataset):
         classes, conf, negent = model_predict(model, dataset.points)
@@ -426,7 +434,7 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
             model_id=model_id,
             domain=domain_id,
             split=split,
-            example_ids=_example_ids(len(classes)),
+            example_ids=example_ids(len(classes)),
             predicted_labels=classes,
             max_confidence=conf,
             # Rounding can leave an entropy a hair above zero. Like min(x, 0.0),
@@ -441,14 +449,15 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
         return classes
 
     def emit_prediction_log(path, model_id, domain_id, model, dataset, spec, samples,
-                            base_classes):
+                            base_classes, classes=None):
         m, n, _ = samples.shape
-        classes, _, _ = model_predict(model, samples.reshape(m * n, 2))
+        if classes is None:
+            classes = predict_classes(model, samples.reshape(m * n, 2))
         log = NeighborhoodPredictionLog(
             model_id=model_id,
             test_domain=domain_id,
             num_classes=dataset.num_classes,
-            example_ids=_example_ids(m),
+            example_ids=example_ids(m),
             predictions=classes,
             lengths=np.full(m, n),
             true_labels=dataset.labels,
@@ -457,6 +466,7 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
         )
         write_prediction_log(log, path)
         result.prediction_log_paths.append(path)
+        return classes
 
     for model_id, (train_domain, model) in sorted(by_id.items()):
         # Validation scores on the model's own domain (threshold fitting).
@@ -469,9 +479,11 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
             val_sets[train_domain],
         )
 
+        # This model's classes of each test set and each main neighborhood set.
+        test_classes, nbr_classes = {}, {}
         for d in config.domains:
             test = test_sets[d.domain_id]
-            base_classes = emit_score_log(
+            base_classes = test_classes[d.domain_id] = emit_score_log(
                 os.path.join(out_dir, "scores", f"{model_id}__{d.domain_id}__test.jsonl"),
                 model_id,
                 d.domain_id,
@@ -480,7 +492,8 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
                 test,
             )
             for spec in config.neighborhoods:
-                emit_prediction_log(
+                key = (d.domain_id, spec)
+                nbr_classes[key] = emit_prediction_log(
                     os.path.join(
                         out_dir,
                         "predictions",
@@ -491,12 +504,15 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
                     model,
                     test,
                     spec,
-                    neighborhoods[(d.domain_id, spec.tag)],
+                    neighborhoods[key],
                     base_classes,
                 )
 
-        for name, (dataset, spec, samples) in ab_sets.items():
-            base_classes, _, _ = model_predict(model, dataset.points)
+        for name, (dataset, spec, samples, key) in ab_sets.items():
+            if dataset is test_sets[ab.domain_id]:
+                base_classes = test_classes[ab.domain_id]
+            else:
+                base_classes = predict_classes(model, dataset.points)
             emit_prediction_log(
                 os.path.join(out_dir, "ablation", f"{model_id}__{name}.jsonl"),
                 model_id,
@@ -506,6 +522,7 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
                 spec,
                 samples,
                 base_classes,
+                nbr_classes.get(key),
             )
 
         write_weight_dump(

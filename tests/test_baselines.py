@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,3 +148,14 @@ class TestNormMeasures:
         m = norm_measures(WeightDump(model_id="m", layers=layers))
         assert m.spectral == math.inf
         assert math.isfinite(m.log_spectral)
+
+    def test_huge_weights_keep_a_finite_log_frobenius_without_warning(self):
+        layers = (np.full((2, 2), 1e200), np.full((3, 2), -1e250))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = norm_measures(WeightDump(model_id="m", layers=layers))
+        # ||W||_F of a constant (r, c) matrix of c0 is sqrt(r * c) * |c0|.
+        expected = 2.0 * (math.log(2.0 * 1e200) + math.log(math.sqrt(6.0) * 1e250))
+        assert math.isfinite(m.log_frobenius)
+        assert m.log_frobenius == pytest.approx(expected, rel=1e-12)
+        assert m.frobenius == math.inf

@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
 from smoothgen.cli import (
@@ -13,6 +14,7 @@ from smoothgen.cli import (
     cmd_score,
     main,
 )
+from smoothgen.ingest import WeightDump, read_weight_dump, write_weight_dump
 from smoothgen.synthbench import (
     AblationSpec,
     DomainSpec,
@@ -266,6 +268,39 @@ class TestMainEntry:
         ])
         assert rc == 1
         assert f"{scores}:5: value 'nan' is not a finite number" in capsys.readouterr().err
+
+    def test_huge_weight_norms_are_left_out_and_evaluate_succeeds(self, pool, tmp_path,
+                                                                  capsys):
+        out_dir, result = pool
+        weights = tmp_path / "weights"
+        shutil.copytree(out_dir / "weights", weights)
+        converged = sorted(r.model_id for r in result.manifest if r.converged)
+        huge_id = converged[0]
+        dump = read_weight_dump(weights / f"{huge_id}.bin")
+        write_weight_dump(
+            WeightDump(huge_id, tuple(np.full(w.shape, 1e200) for w in dump.layers)),
+            weights / f"{huge_id}.bin",
+        )
+        manifest = str(out_dir / "manifest.jsonl")
+        scores, accs = tmp_path / "scores.csv", tmp_path / "acc.csv"
+        baselines = tmp_path / "baselines.csv"
+        assert main(["score", "--input", str(out_dir / "predictions"),
+                     "--manifest", manifest, "--out", str(scores),
+                     "--acc-out", str(accs)]) == 0
+        assert main(["baseline", "--scores", str(out_dir / "scores"),
+                     "--weights", str(weights), "--manifest", manifest,
+                     "--out", str(baselines)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(huge_id in line for line in err)
+        assert "norm_spectral" in err[0] and "norm_frobenius" in err[1]
+        norm_rows = [r for r in read_scores_csv(baselines) if r.measure.startswith("norm_")]
+        assert {r.model_id for r in norm_rows} == set(converged) - {huge_id}
+        assert main(["evaluate", "--scores", str(scores), str(baselines),
+                     "--accuracies", str(accs), "--manifest", manifest,
+                     "--out", str(tmp_path / "report.json")]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert {"norm_spectral", "norm_frobenius"} <= set(report["measures"])
 
     def test_errors_exit_nonzero(self, pool, tmp_path, capsys):
         out_dir, _ = pool

@@ -298,6 +298,94 @@ class TestPredictionLogArrays:
             NeighborhoodPredictionLog(**{**fields, **change})
 
 
+def reference_serialize_prediction_log(log):
+    """The log as serialize_prediction_log rendered it with one
+    ``str(list).replace(" ", "")`` per example."""
+    header = {"type": "prediction_log", "model_id": log.model_id,
+              "test_domain": log.test_domain, "num_classes": log.num_classes}
+    if log.meta:
+        header["meta"] = log.meta
+    flat = log.predictions.tolist()
+    offsets = log.offsets.tolist()
+    lines = [dumps_sorted(header)]
+    for ex_id, start, end, base, true in zip(
+        log.example_ids, offsets, offsets[1:],
+        log.base_predictions.tolist(), log.true_labels.tolist()
+    ):
+        base_field = "" if base < 0 else f'"base_prediction":{base},'
+        true_field = "" if true < 0 else f',"true_label":{true}'
+        lines.append(
+            f'{{{base_field}"example_id":{json.dumps(ex_id)},'
+            f'"neighborhood_predictions":{str(flat[start:end]).replace(" ", "")}'
+            f"{true_field}}}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def random_log(k, lengths, seed=0, first=()):
+    """A log of k classes with the given neighborhood lengths, random
+    predictions starting with ``first``, and about a third of the labels absent."""
+    rng = np.random.default_rng(seed)
+    m = len(lengths)
+    predictions = rng.integers(0, k, size=sum(lengths), dtype=np.int64)
+    predictions[: len(first)] = first
+    labels = rng.integers(0, k, size=(2, m), dtype=np.int64)
+    labels[rng.random((2, m)) < 0.3] = -1
+    return NeighborhoodPredictionLog(
+        model_id="m", test_domain="d", num_classes=k,
+        example_ids=tuple(f"ex{i:05d}" for i in range(m)), predictions=predictions,
+        lengths=lengths, true_labels=labels[0], base_predictions=labels[1],
+        meta={"neighborhood": "manifold-r0.5-n10"})
+
+
+DIGIT_AND_DTYPE_EDGES = [9, 10, 99, 100, 255, 256, 65_535, 65_536]
+
+
+class TestPredictionLogRendererOracle:
+    @pytest.mark.parametrize("k, dtype", [
+        (2, np.uint8), (10, np.uint8), (11, np.uint8), (256, np.uint8),
+        (257, np.uint16), (65_537, np.uint32), (2**63 - 1, np.uint64),
+    ])
+    def test_class_counts(self, k, dtype):
+        lengths = np.random.default_rng(k % 1000).integers(1, 30, size=60)
+        log = random_log(k, lengths, seed=1, first=[0, k - 1, k - 1, 0])
+        assert log.predictions.dtype == dtype
+        assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
+
+    def test_digit_and_dtype_edges(self):
+        edges = DIGIT_AND_DTYPE_EDGES
+        # Each edge value alone, then all of them in one neighborhood.
+        lengths = [1] * len(edges) + [len(edges), 3]
+        log = random_log(65_537, lengths, seed=2, first=edges + edges[::-1])
+        assert log.predictions[: 2 * len(edges)].tolist() == edges + edges[::-1]
+        assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
+
+    @pytest.mark.parametrize("log", [PRED_LOG, RAGGED_LOG], ids=["uniform", "ragged"])
+    def test_fixed_logs(self, log):
+        assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
+
+    def test_log_with_zero_examples(self):
+        log = random_log(3, [])
+        assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
+        assert serialize_prediction_log(log).count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.one_of(st.integers(2, 300), st.integers(2, 70_000),
+                                       st.integers(2, 2**63 - 1)))
+    def test_random_logs(self, data, k):
+        value = st.one_of(st.integers(0, k - 1), st.sampled_from(
+            [v for v in DIGIT_AND_DTYPE_EDGES if v < k] + [k - 1]))
+        label = st.one_of(st.none(), st.integers(0, k - 1))
+        examples = data.draw(st.lists(
+            st.tuples(st.lists(value, min_size=1, max_size=15), label, label), max_size=12))
+        log = NeighborhoodPredictionLog.from_examples(
+            model_id="m", test_domain="d", num_classes=k,
+            examples=[ExampleEntry(f"ex{i}", tuple(preds), true_label=true,
+                                   base_prediction=base)
+                      for i, (preds, true, base) in enumerate(examples)])
+        assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
+
+
 class TestScoreLog:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scores.jsonl"

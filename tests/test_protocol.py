@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,19 @@ class TestAggregates:
         assert res.value is None
         assert res.breakdown == []
         assert all("tied" in reason for _, _, reason in res.skipped)
+
+    @pytest.mark.parametrize("aggregate", [id_tau, macro_tau, micro_tau, cross_domain_tau])
+    def test_non_finite_measure_raises_instead_of_skipping(self, aggregate):
+        matrix = linear_matrix()
+        measures = dict(matrix.measures)
+        # One in-domain and one out-of-domain NaN: a group of every aggregate
+        # holds one of them.
+        measures[("d0-m0", "d0", MEASURE)] = math.nan
+        measures[("d0-m0", "d1", MEASURE)] = math.nan
+        matrix = EvaluationMatrix(measures, matrix.accuracies, matrix.models,
+                                  matrix.domains)
+        with pytest.raises(ValueError, match="non-finite"):
+            aggregate(matrix, MEASURE)
 
 
 class TestDirectMeasures:

@@ -7,6 +7,7 @@ import pytest
 
 from smoothgen.errors import SchemaError
 from smoothgen.synthbench import (
+    AblationSpec,
     ArcSpec,
     DomainSpec,
     NeighborhoodSpec,
@@ -14,19 +15,23 @@ from smoothgen.synthbench import (
     apply_label_noise,
     cross_entropy,
     default_experiment,
+    default_grid,
     derive_seed,
     experiment_from_dict,
     experiment_to_dict,
+    forward,
     generate_domain,
     init_model,
     load_experiment,
     loss_and_grads,
+    model_predict,
     nearest_arc,
     run_pool,
     sample_neighborhood,
     sgd_step,
     train_model,
 )
+from smoothgen.synthbench.mlp import _softmax, predict_classes
 from smoothgen.synthbench.pool import _noise_floor_ce, default_arcs
 
 
@@ -280,6 +285,58 @@ class TestBatchedSamplerOracle:
         assert np.array_equal(one, batch[0])
 
 
+def reference_forward(model, x):
+    """Logits as forward made them before it computed layers in place."""
+    h = np.asarray(x, dtype=float)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.tanh(h @ w + b)
+    return h @ model.weights[-1] + model.biases[-1]
+
+
+def reference_softmax(logits):
+    """Softmax as _softmax made it before, with row reduces."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def random_model(config, k, scale):
+    """An initialised model with random biases, every parameter times scale
+    (x100 saturates tanh)."""
+    model = init_model(k, config)
+    rng = np.random.default_rng([config.depth, config.width, k])
+    model.weights = [w * scale for w in model.weights]
+    model.biases = [rng.standard_normal(b.shape) * scale for b in model.biases]
+    return model
+
+
+ARCHITECTURES = sorted({(c.depth, c.width): c for c in default_grid()}.items())
+
+
+class TestInferenceOracle:
+    @pytest.mark.parametrize("arch, config", ARCHITECTURES,
+                             ids=[f"depth{d}-width{w}" for (d, w), _ in ARCHITECTURES])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_in_place_inference_equals_reference(self, arch, config, scale, k):
+        model = random_model(config, k, scale)
+        x = np.random.default_rng(5).normal(0.0, 1.5, size=(3000, 2))
+        logits = forward(model, x)
+        assert np.array_equal(logits, reference_forward(model, x))
+        kept = logits.copy()
+        assert np.array_equal(_softmax(logits), reference_softmax(logits))
+        assert np.array_equal(logits, kept)  # the input is left alone
+        classes = predict_classes(model, x)
+        assert np.array_equal(classes, model_predict(model, x)[0])
+        assert np.array_equal(classes, reference_softmax(reference_forward(model, x)).argmax(1))
+
+    def test_single_point_and_empty_batch(self):
+        model = random_model(default_grid()[0], 3, 1.0)
+        point = np.array([0.3, -0.2])
+        assert predict_classes(model, point).tolist() == [model_predict(model, point)[0][0]]
+        assert predict_classes(model, np.empty((0, 2))).shape == (0,)
+
+
 class TestMlp:
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -463,6 +520,22 @@ class TestRunPool:
         n_pred = len(list((out / "predictions").glob("*.jsonl")))
         # one log per converged model, domain and neighborhood spec
         assert n_pred == result.num_converged * len(config.domains)
+
+    def test_ablation_set_with_a_main_spec_repeats_its_log(self, tmp_path):
+        config = tiny_config()
+        config.neighborhoods = [NeighborhoodSpec("manifold", 0.5, n_samples=10, seed=0)]
+        config.ablation = AblationSpec("rotB", base_size_r=0.5, m_test=30,
+                                       n_samples_max=12, size_r_values=(0.2, 0.5))
+        out = tmp_path / "out"
+        result = run_pool(config, out)
+        assert result.num_converged > 0
+        for rec in result.manifest:
+            if rec.converged:
+                main_log = out / "predictions" / f"{rec.model_id}__rotB__manifold-r0.5-n10.jsonl"
+                shared = out / "ablation" / f"{rec.model_id}__size_r__0.5.jsonl"
+                other = out / "ablation" / f"{rec.model_id}__size_r__0.2.jsonl"
+                assert shared.read_bytes() == main_log.read_bytes()
+                assert other.read_bytes() != main_log.read_bytes()
 
     def test_needs_two_training_domains(self, tmp_path):
         config = tiny_config()
