@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import glob
 import io
 import json
@@ -29,8 +28,10 @@ from .ingest import (
     parse_score_log,
     read_weight_dump,
 )
-from .protocol import build_report
+from .protocol import REPORT_LAYOUT, build_report
 from .smoothness import (
+    check_neighborhood_length,
+    check_subsample_size,
     dataset_smoothness,
     subsample_examples,
     truncate_neighborhood,
@@ -211,19 +212,8 @@ def cmd_evaluate(score_csvs, accuracies_csv, manifest_path, out, breakdown_dir=N
     return report
 
 
-_BREAKDOWN_COLUMNS = {
-    "r2_pairs": ("train_domain", "test_domain"),
-    "mae_pairs": ("train_domain", "test_domain"),
-    "id_domains": ("domain",),
-    "macro_pairs": ("train_domain", "test_domain"),
-    "micro_groups": ("arch", "test_domain"),
-    "arch_domains": ("test_domain",),
-    "cross_domain_models": ("model_id", "arch"),
-}
-
-
 def _write_breakdowns(report, breakdown_dir, meta=None):
-    for table, key_cols in _BREAKDOWN_COLUMNS.items():
+    for _, table, key_cols, _ in REPORT_LAYOUT:
         buf = io.StringIO()
         for line in header_comments(meta):
             buf.write(line + "\n")
@@ -254,78 +244,75 @@ def _ablation_context(artifacts, test_domain=None):
     return pool, domain, ablation
 
 
-def _sweep_tau(logs_by_model, accuracies, transform, variant, tau_variant):
-    xs, ys = [], []
-    for model_id, log in logs_by_model.items():
-        xs.append(dataset_smoothness(transform(log), variant))
-        ys.append(accuracies[model_id])
-    return kendall_tau(xs, ys, variant=tau_variant), len(xs)
+def _sweep_row(value, logs_by_model, accuracies, transform, variant, tau_variant):
+    """(value, tau, "ok", models), or a skipped row when tau is undefined."""
+    xs = [dataset_smoothness(transform(log, value), variant)
+          for log in logs_by_model.values()]
+    ys = [accuracies[model_id] for model_id in logs_by_model]
+    try:
+        return (value, repr(kendall_tau(xs, ys, variant=tau_variant)), "ok", len(xs))
+    except DegenerateSampleError as e:
+        return (value, "", f"skipped: {e}", 0)
 
 
 def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
                tau_variant="b", seed=0, test_domain=None, meta=None):
-    """Sweep CSV of (value, tau) rows for one ablation kind."""
+    """Sweep CSV of (value, tau) rows for one ablation kind.
+
+    A value the logs cannot take (a size beyond a log's examples, more samples
+    than a neighbourhood holds, no logs for a size_r) and a value where tau is
+    undefined give a skipped row; a malformed log raises.
+    """
     pool, domain, ablation = _ablation_context(artifacts, test_domain)
     ab_dir = os.path.join(artifacts, "ablation")
 
     def load(name):
-        logs = {}
-        for m in pool:
-            path = os.path.join(ab_dir, f"{m.model_id}__{name}.jsonl")
-            if os.path.exists(path):
-                logs[m.model_id] = parse_prediction_log(path)
-        if len(logs) < 2:
-            raise SmoothgenError(f"missing ablation logs {name!r} under {ab_dir}")
-        return logs
-
-    def with_accuracies(logs):
+        """(logs, accuracies) by model, or None when fewer than two logs exist."""
+        paths = {m.model_id: os.path.join(ab_dir, f"{m.model_id}__{name}.jsonl")
+                 for m in pool}
+        paths = {mid: p for mid, p in paths.items() if os.path.exists(p)}
+        if len(paths) < 2:
+            return None
+        logs = {mid: parse_prediction_log(p) for mid, p in paths.items()}
         return logs, {mid: compute_accuracy(log) for mid, log in logs.items()}
 
-    rows = []
+    def missing(name):
+        return f"missing ablation logs {name!r} under {ab_dir}"
 
-    def sweep(sweep_values, logs_for, transform_for):
-        for v in sweep_values:
-            try:
-                logs, accuracies = logs_for(v)
-                tau, n_models = _sweep_tau(
-                    logs, accuracies, transform_for(v), variant, tau_variant
-                )
-                rows.append((v, repr(tau), "ok", n_models))
-            except (DegenerateSampleError, ValueError, SmoothgenError) as e:
-                rows.append((v, "", f"skipped: {e}", 0))
-
-    if kind == "dataset_size":
-        if not values:
-            raise SmoothgenError("dataset_size sweep needs --values")
-        logs = load("dataset_size")
-        # the same logs at every value, so their accuracies are computed once
-        logs_once = functools.cache(lambda: with_accuracies(logs))
-        sweep(
-            values,
-            lambda v: logs_once(),
-            lambda v: (lambda log: subsample_examples(log, v, seed)),
-        )
-    elif kind == "n_samples":
-        if not values:
-            raise SmoothgenError("n_samples sweep needs --values")
-        logs = load("n_samples")
-        logs_once = functools.cache(lambda: with_accuracies(logs))
-        sweep(
-            values,
-            lambda v: logs_once(),
-            lambda v: (lambda log: truncate_neighborhood(log, v)),
-        )
-    elif kind == "neighborhood_size":
-        size_rs = values or [float(r) for r in ablation.get("size_r_values", ())]
-        if not size_rs:
-            raise SmoothgenError("neighborhood_size sweep needs --values")
-        sweep(
-            size_rs,
-            lambda v: with_accuracies(load(f"size_r__{v:g}")),
-            lambda v: (lambda log: log),
-        )
-    else:
+    sweeps = {  # kind: (check that a value fits a log, the log at that value)
+        "dataset_size": (check_subsample_size,
+                         lambda log, v: subsample_examples(log, v, seed)),
+        "n_samples": (check_neighborhood_length, truncate_neighborhood),
+    }
+    if kind == "neighborhood_size":
+        values = values or [float(r) for r in ablation.get("size_r_values", ())]
+    elif kind not in sweeps:
         raise SmoothgenError(f"unknown ablation kind {kind!r}")
+    if not values:
+        raise SmoothgenError(f"{kind} sweep needs --values")
+    rows = []
+    if kind == "neighborhood_size":
+        for v in values:
+            name = f"size_r__{v:g}"
+            loaded = load(name)
+            if loaded is None:
+                rows.append((v, "", f"skipped: {missing(name)}", 0))
+            else:
+                rows.append(_sweep_row(v, *loaded, lambda log, _: log, variant, tau_variant))
+    else:
+        # the same logs at every value, so they are read and scored for accuracy once
+        loaded = load(kind)
+        if loaded is None:
+            raise SmoothgenError(missing(kind))
+        check, transform = sweeps[kind]
+        for v in values:
+            try:
+                for log in loaded[0].values():
+                    check(log, v)
+            except ValueError as e:
+                rows.append((v, "", f"skipped: {e}", 0))
+            else:
+                rows.append(_sweep_row(v, *loaded, transform, variant, tau_variant))
 
     buf = io.StringIO()
     run_meta = {"kind": kind, "test_domain": domain, "seed": seed, **(meta or {})}
@@ -343,8 +330,7 @@ def cmd_report(report_path, stream=None):
     stream = stream or sys.stdout
     with open(report_path, "r", encoding="utf-8") as f:
         report = json.load(f)
-    cols = ("r2", "mae_pct", "macro_tau", "micro_tau", "id_tau", "arch_tau",
-            "cross_domain_tau")
+    cols = [value_key for value_key, *_ in REPORT_LAYOUT]
     name_w = max([len("measure")] + [len(m) for m in report["measures"]])
     print(f"{'measure':<{name_w}} " + " ".join(f"{c:>10}" for c in cols), file=stream)
     for measure in sorted(report["measures"]):
@@ -420,7 +406,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":
-            from .synthbench import default_experiment, load_experiment, run_pool
+            from .synthbench.pool import default_experiment, load_experiment, run_pool
 
             if args.config:
                 config = load_experiment(args.config)

@@ -81,39 +81,97 @@ class EvaluationMatrix:
     def measure_names(self) -> list[str]:
         return sorted({k[2] for k in self.measures})
 
-    def scored_models(self, measure: str, domain: str, train_domains=None, archs=None):
-        """Models with both a measure value and an accuracy on the domain."""
-        out = []
-        for m in self.models:
-            if train_domains is not None and m.train_domain not in train_domains:
-                continue
-            if archs is not None and m.arch not in archs:
-                continue
-            key = (m.model_id, domain, measure)
-            if key in self.measures:
-                out.append(m)
-        return out
-
-    def pairs(self, measure: str):
-        """Ordered (train, test) pairs i != o with at least one scored model."""
-        out = []
-        for i in self.training_domains:
-            for o in self.all_domains:
-                if o == i:
-                    continue
-                if self.scored_models(measure, o, train_domains={i}):
-                    out.append((i, o))
-        return out
-
 
 def is_direct_measure(name: str) -> bool:
     return name.startswith(DIRECT_MEASURE_PREFIXES)
 
 
-def _sample(matrix: EvaluationMatrix, measure: str, domain: str, models) -> tuple[list, list]:
-    xs = [matrix.measures[(m.model_id, domain, measure)] for m in models]
-    ys = [matrix.accuracies[(m.model_id, domain)] for m in models]
-    return xs, ys
+# The report's layout, one row per aggregate: its value key, its breakdown
+# table with that table's key columns, and its list of skipped groups. R^2 and
+# MAE are computed on the same pairs and share one skipped list. The order is
+# the column order of ``smoothgen report``.
+REPORT_LAYOUT = (
+    ("r2", "r2_pairs", ("train_domain", "test_domain"), "r2_mae"),
+    ("mae_pct", "mae_pairs", ("train_domain", "test_domain"), "r2_mae"),
+    ("macro_tau", "macro_pairs", ("train_domain", "test_domain"), "macro"),
+    ("micro_tau", "micro_groups", ("arch", "test_domain"), "micro"),
+    ("id_tau", "id_domains", ("domain",), "id"),
+    ("arch_tau", "arch_domains", ("test_domain",), "arch"),
+    ("cross_domain_tau", "cross_domain_models", ("model_id", "arch"), "cross_domain"),
+)
+
+
+def _cells(matrix: EvaluationMatrix, measure: str, domain: str, models) -> list:
+    """(model_id, domain) cells, in the models' order, of the models that have
+    a value of the measure on the domain."""
+    return [(m.model_id, domain) for m in models
+            if (m.model_id, domain, measure) in matrix.measures]
+
+
+def _groups(matrix: EvaluationMatrix, measure: str, kind: str):
+    """(key, cells, noun) for every group of one kind: ``id``, each training
+    domain's models on it; ``pair``, training domain i's models on a domain
+    o != i, for pairs with a cell; ``micro``, per (arch, o), that arch's models
+    from training domains other than o; ``arch``, the same pools over all
+    archs; ``cross``, each model's out-of-domain cells."""
+    training, domains = matrix.training_domains, matrix.all_domains
+    trained_on = {i: [m for m in matrix.models if m.train_domain == i] for i in training}
+
+    def pooled(o, arch=None):
+        return [m for m in matrix.models if m.train_domain != o
+                and m.train_domain in trained_on and arch in (None, m.arch)]
+
+    if kind == "id":
+        for i in training:
+            yield (i,), _cells(matrix, measure, i, trained_on[i]), "in-domain models"
+    elif kind == "pair":
+        for i, o in ((i, o) for i in training for o in domains if o != i):
+            cells = _cells(matrix, measure, o, trained_on[i])
+            if cells:
+                yield (i, o), cells, "evaluated models"
+    elif kind == "micro":
+        for arch in matrix.archs:
+            for o in domains:
+                yield (arch, o), _cells(matrix, measure, o, pooled(o, arch)), "pooled models"
+    elif kind == "arch":
+        for o in domains:
+            yield (o,), _cells(matrix, measure, o, pooled(o)), "pooled models"
+    elif kind == "cross":
+        for m in matrix.models:
+            cells = [(m.model_id, o) for o in domains
+                     if o != m.train_domain and (m.model_id, o, measure) in matrix.measures]
+            yield (m.model_id,), cells, "OOD evaluations"
+    else:
+        raise ValueError(f"unknown group kind {kind!r}")
+
+
+def _sample(matrix: EvaluationMatrix, measure: str, cells) -> tuple[list, list]:
+    return ([matrix.measures[(model_id, domain, measure)] for model_id, domain in cells],
+            [matrix.accuracies[cell] for cell in cells])
+
+
+def _aggregate(matrix: EvaluationMatrix, measure: str, kind: str, stat):
+    """Rows of (key..., stat(key, xs, ys)) and skipped rows of (key..., reason).
+
+    A group with fewer than two cells, or one on which ``stat`` raises a
+    ``DegenerateSampleError``, is skipped with the reason; any other error
+    (a length mismatch, a non-finite value) raises.
+    """
+    rows, skipped = [], []
+    for key, cells, noun in _groups(matrix, measure, kind):
+        if len(cells) < 2:
+            skipped.append((*key, f"only {len(cells)} {noun}"))
+            continue
+        try:
+            rows.append((*key, stat(key, *_sample(matrix, measure, cells))))
+        except DegenerateSampleError as e:
+            skipped.append((*key, str(e)))
+    return rows, skipped
+
+
+def _tau(variant: str):
+    # kendall_tau is looked up at call time, so a wrapper set on this module applies
+    return lambda key, xs, ys: kendall_tau(xs, ys, variant=variant)
 
 
 def fit_transfer_model(
@@ -124,18 +182,14 @@ def fit_transfer_model(
     The pool excludes models trained on either the training domain under
     evaluation or the test domain itself.
     """
-    pool = matrix.scored_models(
-        measure,
-        test_domain,
-        train_domains=set(matrix.training_domains) - {train_domain, test_domain},
-    )
+    others = set(matrix.training_domains) - {train_domain, test_domain}
+    pool = _cells(matrix, measure, test_domain,
+                  [m for m in matrix.models if m.train_domain in others])
     if len(pool) < 2:
-        raise SkipPair(
-            f"pool too small for ({train_domain}, {test_domain}): {len(pool)} models"
-        )
-    xs, ys = _sample(matrix, measure, test_domain, pool)
+        raise SkipPair(f"pool too small for ({train_domain}, {test_domain}): "
+                       f"{len(pool)} models")
     try:
-        return ols_fit(xs, ys)
+        return ols_fit(*_sample(matrix, measure, pool))
     except DegenerateSampleError as e:
         raise SkipPair(f"degenerate pool for ({train_domain}, {test_domain}): {e}")
 
@@ -145,6 +199,11 @@ class AggregateResult:
     value: Optional[float]
     breakdown: list  # rows of (group..., value)
     skipped: list = field(default_factory=list)  # rows of (group..., reason)
+
+    @classmethod
+    def of(cls, rows: list, skipped: list) -> "AggregateResult":
+        """The result whose value is the mean of the rows' last column."""
+        return cls(_mean([r[-1] for r in rows]), rows, skipped)
 
 
 def _mean(values: Sequence[float]) -> Optional[float]:
@@ -161,101 +220,32 @@ def evaluate_r2_mae(
     """
     if direct is None:
         direct = is_direct_measure(measure)
-    r2_rows, mae_rows, skipped = [], [], []
-    for i, o in matrix.pairs(measure):
-        targets = matrix.scored_models(measure, o, train_domains={i})
-        if len(targets) < 2:
-            skipped.append((i, o, f"only {len(targets)} evaluated models"))
-            continue
-        xs, ys = _sample(matrix, measure, o, targets)
-        if direct:
-            preds = xs
-        else:
-            try:
-                fit = fit_transfer_model(matrix, measure, i, o)
-            except SkipPair as e:
-                skipped.append((i, o, str(e)))
-                continue
-            preds = [fit.predict(x) for x in xs]
-        try:
-            r2 = r_squared(preds, ys)
-        except DegenerateSampleError as e:
-            skipped.append((i, o, str(e)))
-            continue
-        err = 100.0 * mae(preds, ys)
-        r2_rows.append((i, o, r2))
-        mae_rows.append((i, o, err))
-    return (
-        AggregateResult(_mean([r[2] for r in r2_rows]), r2_rows, skipped),
-        AggregateResult(_mean([r[2] for r in mae_rows]), mae_rows, list(skipped)),
-    )
 
+    def r2_and_mae(key, xs, ys):
+        if not direct:
+            fit = fit_transfer_model(matrix, measure, *key)
+            xs = [fit.predict(x) for x in xs]
+        return r_squared(xs, ys), 100.0 * mae(xs, ys)
 
-def _tau_or_skip(xs, ys, variant):
-    """Tau, or a skip reason when it is undefined for the sample; any other
-    fault (a length mismatch, a non-finite value) raises."""
-    try:
-        return kendall_tau(xs, ys, variant=variant), None
-    except DegenerateSampleError as e:
-        return None, str(e)
+    rows, skipped = _aggregate(matrix, measure, "pair", r2_and_mae)
+    r2_res = AggregateResult.of([(i, o, r2) for i, o, (r2, _) in rows], skipped)
+    return r2_res, AggregateResult.of([(i, o, err) for i, o, (_, err) in rows], list(skipped))
 
 
 def id_tau(matrix: EvaluationMatrix, measure: str, variant: str = "b") -> AggregateResult:
     """Correlation with in-domain accuracy, averaged over training domains."""
-    rows, skipped = [], []
-    for i in matrix.training_domains:
-        models = matrix.scored_models(measure, i, train_domains={i})
-        if len(models) < 2:
-            skipped.append((i, f"only {len(models)} in-domain models"))
-            continue
-        xs, ys = _sample(matrix, measure, i, models)
-        tau, reason = _tau_or_skip(xs, ys, variant)
-        if tau is None:
-            skipped.append((i, reason))
-        else:
-            rows.append((i, tau))
-    return AggregateResult(_mean([r[1] for r in rows]), rows, skipped)
+    return AggregateResult.of(*_aggregate(matrix, measure, "id", _tau(variant)))
 
 
 def macro_tau(matrix: EvaluationMatrix, measure: str, variant: str = "b") -> AggregateResult:
     """Per-(train, test)-pair correlation, averaged over all pairs."""
-    rows, skipped = [], []
-    for i, o in matrix.pairs(measure):
-        models = matrix.scored_models(measure, o, train_domains={i})
-        if len(models) < 2:
-            skipped.append((i, o, f"only {len(models)} evaluated models"))
-            continue
-        xs, ys = _sample(matrix, measure, o, models)
-        tau, reason = _tau_or_skip(xs, ys, variant)
-        if tau is None:
-            skipped.append((i, o, reason))
-        else:
-            rows.append((i, o, tau))
-    return AggregateResult(_mean([r[2] for r in rows]), rows, skipped)
+    return AggregateResult.of(*_aggregate(matrix, measure, "pair", _tau(variant)))
 
 
 def micro_tau(matrix: EvaluationMatrix, measure: str, variant: str = "b") -> AggregateResult:
     """Per-test-domain correlation pooling models from all other training
     domains, one architecture at a time; averaged over (arch, domain) groups."""
-    rows, skipped = [], []
-    for arch in matrix.archs:
-        for o in matrix.all_domains:
-            pool = matrix.scored_models(
-                measure,
-                o,
-                train_domains=set(matrix.training_domains) - {o},
-                archs={arch},
-            )
-            if len(pool) < 2:
-                skipped.append((arch, o, f"only {len(pool)} pooled models"))
-                continue
-            xs, ys = _sample(matrix, measure, o, pool)
-            tau, reason = _tau_or_skip(xs, ys, variant)
-            if tau is None:
-                skipped.append((arch, o, reason))
-            else:
-                rows.append((arch, o, tau))
-    return AggregateResult(_mean([r[2] for r in rows]), rows, skipped)
+    return AggregateResult.of(*_aggregate(matrix, measure, "micro", _tau(variant)))
 
 
 def arch_tau(matrix: EvaluationMatrix, measure: str, variant: str = "b") -> AggregateResult:
@@ -265,49 +255,19 @@ def arch_tau(matrix: EvaluationMatrix, measure: str, variant: str = "b") -> Aggr
     """
     if len(matrix.archs) < 2:
         return AggregateResult(None, [], [("*", "single architecture")])
-    rows, skipped = [], []
-    for o in matrix.all_domains:
-        pool = matrix.scored_models(
-            measure, o, train_domains=set(matrix.training_domains) - {o}
-        )
-        if len(pool) < 2:
-            skipped.append((o, f"only {len(pool)} pooled models"))
-            continue
-        xs, ys = _sample(matrix, measure, o, pool)
-        tau, reason = _tau_or_skip(xs, ys, variant)
-        if tau is None:
-            skipped.append((o, reason))
-        else:
-            rows.append((o, tau))
-    return AggregateResult(_mean([r[1] for r in rows]), rows, skipped)
+    return AggregateResult.of(*_aggregate(matrix, measure, "arch", _tau(variant)))
 
 
 def cross_domain_tau(
     matrix: EvaluationMatrix, measure: str, variant: str = "b"
 ) -> tuple[dict[str, float], AggregateResult]:
     """Per-model correlation across its OOD test domains, averaged per arch."""
-    rows, skipped = [], []
-    per_arch: dict[str, list[float]] = {}
-    for m in matrix.models:
-        points = [
-            (matrix.measures[(m.model_id, o, measure)], matrix.accuracies[(m.model_id, o)])
-            for o in matrix.all_domains
-            if o != m.train_domain and (m.model_id, o, measure) in matrix.measures
-        ]
-        if len(points) < 2:
-            skipped.append((m.model_id, f"only {len(points)} OOD evaluations"))
-            continue
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        tau, reason = _tau_or_skip(xs, ys, variant)
-        if tau is None:
-            skipped.append((m.model_id, reason))
-        else:
-            rows.append((m.model_id, m.arch, tau))
-            per_arch.setdefault(m.arch, []).append(tau)
-    means = {arch: _mean(vals) for arch, vals in sorted(per_arch.items())}
-    overall = _mean([r[2] for r in rows])
-    return means, AggregateResult(overall, rows, skipped)
+    arch_of = {m.model_id: m.arch for m in matrix.models}
+    taus, skipped = _aggregate(matrix, measure, "cross", _tau(variant))
+    rows = [(model_id, arch_of[model_id], tau) for model_id, tau in taus]
+    means = {arch: _mean([tau for _, a, tau in rows if a == arch])
+             for arch in sorted({arch for _, arch, _ in rows})}
+    return means, AggregateResult.of(rows, skipped)
 
 
 def build_report(
@@ -315,42 +275,25 @@ def build_report(
     measures: Optional[Sequence[str]] = None,
     tau_variant: str = "b",
 ) -> dict:
-    """Full metric table for every measure, JSON-serializable, stable order."""
+    """Full metric table for every measure, JSON-serializable, stable order.
+
+    Each measure's entry holds, for every row of ``REPORT_LAYOUT``, the
+    aggregate's value, its breakdown rows and its skipped groups.
+    """
     if measures is None:
         measures = matrix.measure_names()
     report = {"tau_variant": tau_variant, "measures": {}}
     for measure in sorted(measures):
         r2_res, mae_res = evaluate_r2_mae(matrix, measure)
-        id_res = id_tau(matrix, measure, tau_variant)
-        macro_res = macro_tau(matrix, measure, tau_variant)
-        micro_res = micro_tau(matrix, measure, tau_variant)
-        arch_res = arch_tau(matrix, measure, tau_variant)
         cross_means, cross_res = cross_domain_tau(matrix, measure, tau_variant)
-        report["measures"][measure] = {
-            "r2": r2_res.value,
-            "mae_pct": mae_res.value,
-            "macro_tau": macro_res.value,
-            "micro_tau": micro_res.value,
-            "id_tau": id_res.value,
-            "arch_tau": arch_res.value,
-            "cross_domain_tau": cross_res.value,
-            "cross_domain_tau_per_arch": cross_means,
-            "breakdown": {
-                "r2_pairs": [list(r) for r in r2_res.breakdown],
-                "mae_pairs": [list(r) for r in mae_res.breakdown],
-                "id_domains": [list(r) for r in id_res.breakdown],
-                "macro_pairs": [list(r) for r in macro_res.breakdown],
-                "micro_groups": [list(r) for r in micro_res.breakdown],
-                "arch_domains": [list(r) for r in arch_res.breakdown],
-                "cross_domain_models": [list(r) for r in cross_res.breakdown],
-            },
-            "skipped": {
-                "r2_mae": [list(r) for r in r2_res.skipped],
-                "id": [list(r) for r in id_res.skipped],
-                "macro": [list(r) for r in macro_res.skipped],
-                "micro": [list(r) for r in micro_res.skipped],
-                "arch": [list(r) for r in arch_res.skipped],
-                "cross_domain": [list(r) for r in cross_res.skipped],
-            },
-        }
+        results = {"r2": r2_res, "mae_pct": mae_res, "cross_domain_tau": cross_res}
+        for agg in (macro_tau, micro_tau, id_tau, arch_tau):  # named as their value keys
+            results[agg.__name__] = agg(matrix, measure, tau_variant)
+        entry = {"cross_domain_tau_per_arch": cross_means, "breakdown": {}, "skipped": {}}
+        for value_key, table, _, skip_list in REPORT_LAYOUT:
+            res = results[value_key]
+            entry[value_key] = res.value
+            entry["breakdown"][table] = [list(r) for r in res.breakdown]
+            entry["skipped"][skip_list] = [list(r) for r in res.skipped]
+        report["measures"][measure] = entry
     return report

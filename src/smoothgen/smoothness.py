@@ -123,6 +123,13 @@ def dataset_smoothness(log: NeighborhoodPredictionLog, variant: str = "majority"
     return float(np.cumsum(per_example)[-1] / m)
 
 
+def check_subsample_size(log: NeighborhoodPredictionLog, size: int) -> None:
+    """Raise ValueError unless the log has at least ``size`` >= 1 examples."""
+    m = len(log.example_ids)
+    if not 1 <= size <= m:
+        raise ValueError(f"size must be in [1, {m}], got {size}")
+
+
 def subsample_examples(
     log: NeighborhoodPredictionLog, size: int, seed: int
 ) -> NeighborhoodPredictionLog:
@@ -131,9 +138,8 @@ def subsample_examples(
     Nested across sizes: for the same seed the size-s subsample is a subset of
     the size-s' subsample whenever s < s'.
     """
+    check_subsample_size(log, size)
     m = len(log.example_ids)
-    if not 1 <= size <= m:
-        raise ValueError(f"size must be in [1, {m}], got {size}")
     order = np.random.default_rng(seed).permutation(m)
     keep = np.zeros(m, dtype=bool)
     keep[order[:size]] = True
@@ -147,10 +153,8 @@ def subsample_examples(
     )
 
 
-def truncate_neighborhood(
-    log: NeighborhoodPredictionLog, n_keep: int
-) -> NeighborhoodPredictionLog:
-    """Keep the first n_keep neighborhood predictions of every example."""
+def check_neighborhood_length(log: NeighborhoodPredictionLog, n_keep: int) -> None:
+    """Raise ValueError unless every example has at least ``n_keep`` >= 1 predictions."""
     if n_keep < 1:
         raise ValueError(f"n_keep must be >= 1, got {n_keep}")
     short = log.lengths < n_keep
@@ -159,6 +163,13 @@ def truncate_neighborhood(
             f"n_keep={n_keep} exceeds neighborhood length of example "
             f"{log.example_ids[int(short.argmax())]!r}"
         )
+
+
+def truncate_neighborhood(
+    log: NeighborhoodPredictionLog, n_keep: int
+) -> NeighborhoodPredictionLog:
+    """Keep the first n_keep neighborhood predictions of every example."""
+    check_neighborhood_length(log, n_keep)
     return replace(
         log,
         predictions=log.predictions[(log.offsets[:-1, None] + np.arange(n_keep)).ravel()],

@@ -1,63 +1,3 @@
-from .domains import (
-    ArcSpec,
-    Dataset,
-    DomainSpec,
-    NeighborhoodSpec,
-    apply_label_noise,
-    generate_domain,
-    nearest_arc,
-    sample_neighborhood,
-)
-from .mlp import (
-    MlpModel,
-    TrainConfig,
-    cross_entropy,
-    forward,
-    init_model,
-    loss_and_grads,
-    model_predict,
-    sgd_step,
-    train_model,
-)
-from .pool import (
-    AblationSpec,
-    ExperimentConfig,
-    PoolResult,
-    default_experiment,
-    default_grid,
-    derive_seed,
-    experiment_from_dict,
-    experiment_to_dict,
-    load_experiment,
-    run_pool,
-)
+from .pool import run_pool
 
-__all__ = [
-    "ArcSpec",
-    "Dataset",
-    "DomainSpec",
-    "NeighborhoodSpec",
-    "apply_label_noise",
-    "generate_domain",
-    "nearest_arc",
-    "sample_neighborhood",
-    "MlpModel",
-    "TrainConfig",
-    "cross_entropy",
-    "forward",
-    "init_model",
-    "loss_and_grads",
-    "model_predict",
-    "sgd_step",
-    "train_model",
-    "AblationSpec",
-    "ExperimentConfig",
-    "PoolResult",
-    "default_experiment",
-    "default_grid",
-    "derive_seed",
-    "experiment_from_dict",
-    "experiment_to_dict",
-    "load_experiment",
-    "run_pool",
-]
+__all__ = ["run_pool"]

@@ -84,49 +84,9 @@ class ExperimentConfig:
 
 
 def experiment_to_dict(config: ExperimentConfig) -> dict:
-    def arc(a):
-        return {
-            "center": list(a.center),
-            "radius": a.radius,
-            "theta_start": a.theta_start,
-            "theta_extent": a.theta_extent,
-        }
-
-    out = {
-        "seed": config.seed,
-        "m_train": config.m_train,
-        "m_val": config.m_val,
-        "m_test": config.m_test,
-        "domains": [
-            {
-                "domain_id": d.domain_id,
-                "rotation": d.rotation,
-                "translation": list(d.translation),
-                "noise_std": d.noise_std,
-                "far_shift": d.far_shift,
-                "class_arcs": [arc(a) for a in d.class_arcs],
-            }
-            for d in config.domains
-        ],
-        "grid": [c.hyperparams() for c in config.grid],
-        "neighborhoods": [
-            {
-                "kind": n.kind,
-                "size_r": n.size_r,
-                "n_samples": n.n_samples,
-                "seed": n.seed,
-            }
-            for n in config.neighborhoods
-        ],
-    }
-    if config.ablation is not None:
-        out["ablation"] = {
-            "domain_id": config.ablation.domain_id,
-            "base_size_r": config.ablation.base_size_r,
-            "m_test": config.ablation.m_test,
-            "n_samples_max": config.ablation.n_samples_max,
-            "size_r_values": list(config.ablation.size_r_values),
-        }
+    out = dataclasses.asdict(config)
+    if out["ablation"] is None:
+        del out["ablation"]
     return out
 
 
@@ -170,15 +130,26 @@ def experiment_from_dict(obj: dict) -> ExperimentConfig:
 
 
 def load_experiment(path) -> ExperimentConfig:
+    """The experiment in a .json or .toml file; a file that does not parse or
+    does not describe an experiment raises a SchemaError naming it."""
     path = os.fspath(path)
-    with open(path, "rb") as f:
-        if path.endswith(".toml"):
-            import tomllib
+    try:
+        with open(path, "rb") as f:
+            if path.endswith(".toml"):
+                import tomllib
 
-            obj = tomllib.load(f)
-        else:
-            obj = json.load(f)
-    return experiment_from_dict(obj)
+                obj = tomllib.load(f)
+            else:
+                obj = json.load(f)
+        if not isinstance(obj, dict):
+            raise SchemaError(f"top level must be an object, got {type(obj).__name__}")
+        return experiment_from_dict(obj)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"invalid JSON: {e.msg}", path, e.lineno) from e
+    except KeyError as e:
+        raise SchemaError(f"missing key {e}", path) from e
+    except (TypeError, ValueError, AttributeError, SchemaError) as e:
+        raise SchemaError(f"invalid experiment: {e}", path) from e
 
 
 def _noise_floor_ce(label_noise: float, k: int) -> float:

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from smoothgen.cli import cmd_ablate, cmd_baseline, cmd_evaluate, cmd_score
-from smoothgen.synthbench import default_experiment, run_pool
+from smoothgen.synthbench.pool import default_experiment, run_pool
 
 # Criterion results registered by tests/test_acceptance.py, printed as a
 # one-line-per-criterion summary at the end of the run.

@@ -24,7 +24,8 @@ from smoothgen.protocol import (
 )
 from smoothgen.smoothness import smoothness
 from smoothgen.stats import kendall_tau, ols_fit, r_squared
-from smoothgen.synthbench import init_model, loss_and_grads, run_pool, sgd_step
+from smoothgen.synthbench.mlp import init_model, loss_and_grads, sgd_step
+from smoothgen.synthbench.pool import run_pool
 
 from conftest import record_acceptance
 from test_protocol import MEASURE, linear_matrix, null_matrix

@@ -15,15 +15,15 @@ from smoothgen.cli import (
     main,
 )
 from smoothgen.ingest import WeightDump, read_weight_dump, write_weight_dump
-from smoothgen.synthbench import (
+from smoothgen.synthbench.domains import DomainSpec, NeighborhoodSpec
+from smoothgen.synthbench.mlp import TrainConfig
+from smoothgen.synthbench.pool import (
     AblationSpec,
-    DomainSpec,
     ExperimentConfig,
-    NeighborhoodSpec,
-    TrainConfig,
+    default_arcs,
+    experiment_to_dict,
     run_pool,
 )
-from smoothgen.synthbench.pool import default_arcs
 from smoothgen.tables import read_accuracies_csv, read_scores_csv
 
 
@@ -186,6 +186,49 @@ class TestAblateCommand:
         with pytest.raises(SmoothgenError, match="--values"):
             cmd_ablate(str(out_dir), "dataset_size", tmp_path / "s.csv")
 
+    def test_values_the_logs_cannot_take_are_skipped_rows(self, pool, tmp_path):
+        out_dir, _ = pool
+        out = tmp_path / "s.csv"
+        rows = cmd_ablate(str(out_dir), "dataset_size", out, values=[10, 61])
+        assert rows[0][2] == "ok"
+        assert rows[1] == (61, "", "skipped: size must be in [1, 60], got 61", 0)
+        rows = cmd_ablate(str(out_dir), "n_samples", out, values=[4, 9, 0])
+        assert rows[0][2] == "ok"
+        assert rows[1][:2] == (9, "") and rows[1][3] == 0
+        assert rows[1][2].startswith("skipped: n_keep=9 exceeds neighborhood length")
+        assert rows[2] == (0, "", "skipped: n_keep must be >= 1, got 0", 0)
+        rows = cmd_ablate(str(out_dir), "neighborhood_size", out, values=[0.5, 0.3])
+        assert rows[0][2] == "ok"
+        missing = f"missing ablation logs 'size_r__0.3' under {out_dir / 'ablation'}"
+        assert rows[1] == (0.3, "", f"skipped: {missing}", 0)
+
+    @pytest.mark.parametrize("kind, log_name", [
+        ("neighborhood_size", "size_r__0.5"),
+        ("dataset_size", "dataset_size"),
+        ("n_samples", "n_samples"),
+    ])
+    def test_malformed_ablation_log_exits_nonzero(self, pool, tmp_path, capsys, kind,
+                                                  log_name):
+        out_dir, result = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        model = next(r for r in result.manifest
+                     if r.converged and r.train_domain != "rot030")
+        log = artifacts / "ablation" / f"{model.model_id}__{log_name}.jsonl"
+        lines = log.read_text().splitlines()
+        example = json.loads(lines[1])
+        example["neighborhood_predictions"][0] = 1.5
+        lines[1] = json.dumps(example)
+        log.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "sweep.csv"
+        rc = main(["ablate", "--artifacts", str(artifacts), "--kind", kind,
+                   "--values", "4" if kind == "n_samples" else "10" if kind == "dataset_size"
+                   else "0.5", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{log}:2: " in err and "1.5 is not an integer" in err
+        assert not out.exists()
+
 
 class TestMainEntry:
     def test_version_flag(self, capsys):
@@ -301,6 +344,27 @@ class TestMainEntry:
                      "--out", str(tmp_path / "report.json")]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert {"norm_spectral", "norm_frobenius"} <= set(report["measures"])
+
+    @pytest.mark.parametrize("name, content", [
+        ("no_domains.json", '{"grid": []}'),
+        ("not_an_object.json", "[1]"),
+        ("partial_grid_entry.json", {"grid": [{"depth": 1}]}),
+        ("bad_train_config.json", {"grid": [dict(small_experiment().grid[0].hyperparams(),
+                                                  depth=0)]}),
+        ("domain_not_an_object.json", {"domains": [1]}),
+        ("broken.json", '{"domains": '),
+        ("broken.toml", "seed = "),
+    ])
+    def test_malformed_experiment_file_exits_nonzero(self, tmp_path, capsys, name, content):
+        if isinstance(content, dict):  # a valid experiment with some keys replaced
+            content = json.dumps({**experiment_to_dict(small_experiment()), **content})
+        path = tmp_path / name
+        path.write_text(content)
+        rc = main(["synth", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_errors_exit_nonzero(self, pool, tmp_path, capsys):
         out_dir, _ = pool

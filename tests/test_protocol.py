@@ -1,11 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from smoothgen.errors import SchemaError
+from smoothgen.errors import DegenerateSampleError, SchemaError
 from smoothgen.ingest import ModelRecord
 from smoothgen.protocol import (
+    AggregateResult,
     DomainInfo,
     EvaluationMatrix,
     SkipPair,
@@ -19,6 +21,7 @@ from smoothgen.protocol import (
     macro_tau,
     micro_tau,
 )
+from smoothgen.stats import kendall_tau, mae, ols_fit, r_squared
 
 MEASURE = "ms_test"
 
@@ -61,6 +64,22 @@ def null_matrix(seed=0, per_domain=40):
     domains = tuple(DomainInfo(d, True) for d in domain_ids)
     return EvaluationMatrix(measures, accuracies, tuple(models), domains)
 
+
+
+def two_arch_matrix():
+    """Two linear matrices, one per architecture, as one pool."""
+    m1 = linear_matrix(arch="mlp")
+    m2 = linear_matrix(arch="cnn")
+    models = m1.models + tuple(
+        ModelRecord(r.model_id + "x", r.arch, r.train_domain, {}, True)
+        for r in m2.models)
+    measures = dict(m1.measures)
+    accuracies = dict(m1.accuracies)
+    for (mid, dom, meas), v in m2.measures.items():
+        measures[(mid + "x", dom, meas)] = v
+    for (mid, dom), v in m2.accuracies.items():
+        accuracies[(mid + "x", dom)] = v
+    return EvaluationMatrix(measures, accuracies, models, m1.domains)
 
 class TestMatrixValidation:
     def test_unconverged_models_rejected(self):
@@ -146,19 +165,7 @@ class TestAggregates:
         assert res.breakdown == []
 
     def test_arch_tau_pools_across_archs(self):
-        m1 = linear_matrix(arch="mlp")
-        m2 = linear_matrix(arch="cnn")
-        models = m1.models + tuple(
-            ModelRecord(r.model_id + "x", r.arch, r.train_domain, {}, True)
-            for r in m2.models)
-        measures = dict(m1.measures)
-        accuracies = dict(m1.accuracies)
-        for (mid, dom, meas), v in m2.measures.items():
-            measures[(mid + "x", dom, meas)] = v
-        for (mid, dom), v in m2.accuracies.items():
-            accuracies[(mid + "x", dom)] = v
-        matrix = EvaluationMatrix(measures, accuracies, models, m1.domains)
-        res = arch_tau(matrix, MEASURE)
+        res = arch_tau(two_arch_matrix(), MEASURE)
         assert res.value == pytest.approx(1.0)
 
     def test_cross_domain_tau_per_model(self):
@@ -236,3 +243,276 @@ class TestReport:
         matrix = linear_matrix()
         report = build_report(matrix, measures=[MEASURE])
         assert set(report["measures"]) == {MEASURE}
+
+
+# ------------------------------------------------------------ engine oracle
+# The six aggregates as they were written before the grouping engine, one
+# hand-written loop each, kept as the reference the engine must reproduce.
+
+
+def sparse_matrix(seed=3):
+    """Two archs, a domain no model trains on, cells dropped at random and
+    values drawn from a few levels, so that some pairs have no or one scored
+    model, some models have fewer than two OOD cells and some groups tie."""
+    rng = np.random.default_rng(seed)
+    training = ["d0", "d1", "d2"]
+    domains = tuple(DomainInfo(d, True) for d in training) + (DomainInfo("far", False),)
+    sizes = {"d0": 4, "d1": 3, "d2": 1}
+    models, measures, accuracies = [], {}, {}
+    for dom in training:
+        for j in range(sizes[dom]):
+            mid = f"{dom}-m{j}"
+            models.append(ModelRecord(mid, ("mlp", "cnn")[j % 2], dom, {}, True))
+            for d in domains:
+                if rng.uniform() < 0.35 or (dom, d.domain_id) == ("d2", "far"):
+                    continue  # pair (d2, far) has no scored model
+                accuracies[(mid, d.domain_id)] = float(rng.choice([0.5, 0.6, 0.7, 0.9]))
+                for measure in (MEASURE, "atc_mc"):
+                    if rng.uniform() < 0.85:
+                        value = float(rng.choice([0.2, 0.4, 0.6, 0.8]))
+                        measures[(mid, d.domain_id, measure)] = value
+    return EvaluationMatrix(measures, accuracies, tuple(models), domains)
+
+
+def ref_scored_models(matrix, measure, domain, train_domains=None, archs=None):
+    out = []
+    for m in matrix.models:
+        if train_domains is not None and m.train_domain not in train_domains:
+            continue
+        if archs is not None and m.arch not in archs:
+            continue
+        if (m.model_id, domain, measure) in matrix.measures:
+            out.append(m)
+    return out
+
+
+def ref_pairs(matrix, measure):
+    out = []
+    for i in matrix.training_domains:
+        for o in matrix.all_domains:
+            if o == i:
+                continue
+            if ref_scored_models(matrix, measure, o, train_domains={i}):
+                out.append((i, o))
+    return out
+
+
+def ref_sample(matrix, measure, domain, models):
+    xs = [matrix.measures[(m.model_id, domain, measure)] for m in models]
+    ys = [matrix.accuracies[(m.model_id, domain)] for m in models]
+    return xs, ys
+
+
+def ref_mean(values):
+    return sum(values) / len(values) if values else None
+
+
+def ref_fit(matrix, measure, i, o):
+    pool = ref_scored_models(
+        matrix, measure, o, train_domains=set(matrix.training_domains) - {i, o})
+    if len(pool) < 2:
+        raise SkipPair(f"pool too small for ({i}, {o}): {len(pool)} models")
+    xs, ys = ref_sample(matrix, measure, o, pool)
+    try:
+        return ols_fit(xs, ys)
+    except DegenerateSampleError as e:
+        raise SkipPair(f"degenerate pool for ({i}, {o}): {e}")
+
+
+def ref_r2_mae(matrix, measure):
+    direct = is_direct_measure(measure)
+    r2_rows, mae_rows, skipped = [], [], []
+    for i, o in ref_pairs(matrix, measure):
+        targets = ref_scored_models(matrix, measure, o, train_domains={i})
+        if len(targets) < 2:
+            skipped.append((i, o, f"only {len(targets)} evaluated models"))
+            continue
+        xs, ys = ref_sample(matrix, measure, o, targets)
+        if direct:
+            preds = xs
+        else:
+            try:
+                fit = ref_fit(matrix, measure, i, o)
+            except SkipPair as e:
+                skipped.append((i, o, str(e)))
+                continue
+            preds = [fit.predict(x) for x in xs]
+        try:
+            r2 = r_squared(preds, ys)
+        except DegenerateSampleError as e:
+            skipped.append((i, o, str(e)))
+            continue
+        r2_rows.append((i, o, r2))
+        mae_rows.append((i, o, 100.0 * mae(preds, ys)))
+    return (AggregateResult(ref_mean([r[2] for r in r2_rows]), r2_rows, skipped),
+            AggregateResult(ref_mean([r[2] for r in mae_rows]), mae_rows, list(skipped)))
+
+
+def ref_tau(xs, ys, variant):
+    try:
+        return kendall_tau(xs, ys, variant=variant), None
+    except DegenerateSampleError as e:
+        return None, str(e)
+
+
+def ref_id(matrix, measure, variant):
+    rows, skipped = [], []
+    for i in matrix.training_domains:
+        models = ref_scored_models(matrix, measure, i, train_domains={i})
+        if len(models) < 2:
+            skipped.append((i, f"only {len(models)} in-domain models"))
+            continue
+        tau, reason = ref_tau(*ref_sample(matrix, measure, i, models), variant)
+        if tau is None:
+            skipped.append((i, reason))
+        else:
+            rows.append((i, tau))
+    return AggregateResult(ref_mean([r[1] for r in rows]), rows, skipped)
+
+
+def ref_macro(matrix, measure, variant):
+    rows, skipped = [], []
+    for i, o in ref_pairs(matrix, measure):
+        models = ref_scored_models(matrix, measure, o, train_domains={i})
+        if len(models) < 2:
+            skipped.append((i, o, f"only {len(models)} evaluated models"))
+            continue
+        tau, reason = ref_tau(*ref_sample(matrix, measure, o, models), variant)
+        if tau is None:
+            skipped.append((i, o, reason))
+        else:
+            rows.append((i, o, tau))
+    return AggregateResult(ref_mean([r[2] for r in rows]), rows, skipped)
+
+
+def ref_micro(matrix, measure, variant):
+    rows, skipped = [], []
+    for arch in matrix.archs:
+        for o in matrix.all_domains:
+            pool = ref_scored_models(
+                matrix, measure, o,
+                train_domains=set(matrix.training_domains) - {o}, archs={arch})
+            if len(pool) < 2:
+                skipped.append((arch, o, f"only {len(pool)} pooled models"))
+                continue
+            tau, reason = ref_tau(*ref_sample(matrix, measure, o, pool), variant)
+            if tau is None:
+                skipped.append((arch, o, reason))
+            else:
+                rows.append((arch, o, tau))
+    return AggregateResult(ref_mean([r[2] for r in rows]), rows, skipped)
+
+
+def ref_arch(matrix, measure, variant):
+    if len(matrix.archs) < 2:
+        return AggregateResult(None, [], [("*", "single architecture")])
+    rows, skipped = [], []
+    for o in matrix.all_domains:
+        pool = ref_scored_models(
+            matrix, measure, o, train_domains=set(matrix.training_domains) - {o})
+        if len(pool) < 2:
+            skipped.append((o, f"only {len(pool)} pooled models"))
+            continue
+        tau, reason = ref_tau(*ref_sample(matrix, measure, o, pool), variant)
+        if tau is None:
+            skipped.append((o, reason))
+        else:
+            rows.append((o, tau))
+    return AggregateResult(ref_mean([r[1] for r in rows]), rows, skipped)
+
+
+def ref_cross(matrix, measure, variant):
+    rows, skipped = [], []
+    per_arch = {}
+    for m in matrix.models:
+        points = [
+            (matrix.measures[(m.model_id, o, measure)], matrix.accuracies[(m.model_id, o)])
+            for o in matrix.all_domains
+            if o != m.train_domain and (m.model_id, o, measure) in matrix.measures
+        ]
+        if len(points) < 2:
+            skipped.append((m.model_id, f"only {len(points)} OOD evaluations"))
+            continue
+        tau, reason = ref_tau([p[0] for p in points], [p[1] for p in points], variant)
+        if tau is None:
+            skipped.append((m.model_id, reason))
+        else:
+            rows.append((m.model_id, m.arch, tau))
+            per_arch.setdefault(m.arch, []).append(tau)
+    means = {arch: ref_mean(vals) for arch, vals in sorted(per_arch.items())}
+    return means, AggregateResult(ref_mean([r[2] for r in rows]), rows, skipped)
+
+
+def ref_report(matrix, tau_variant="b"):
+    report = {"tau_variant": tau_variant, "measures": {}}
+    for measure in matrix.measure_names():
+        r2_res, mae_res = ref_r2_mae(matrix, measure)
+        id_res = ref_id(matrix, measure, tau_variant)
+        macro_res = ref_macro(matrix, measure, tau_variant)
+        micro_res = ref_micro(matrix, measure, tau_variant)
+        arch_res = ref_arch(matrix, measure, tau_variant)
+        cross_means, cross_res = ref_cross(matrix, measure, tau_variant)
+        report["measures"][measure] = {
+            "r2": r2_res.value,
+            "mae_pct": mae_res.value,
+            "macro_tau": macro_res.value,
+            "micro_tau": micro_res.value,
+            "id_tau": id_res.value,
+            "arch_tau": arch_res.value,
+            "cross_domain_tau": cross_res.value,
+            "cross_domain_tau_per_arch": cross_means,
+            "breakdown": {
+                "r2_pairs": [list(r) for r in r2_res.breakdown],
+                "mae_pairs": [list(r) for r in mae_res.breakdown],
+                "id_domains": [list(r) for r in id_res.breakdown],
+                "macro_pairs": [list(r) for r in macro_res.breakdown],
+                "micro_groups": [list(r) for r in micro_res.breakdown],
+                "arch_domains": [list(r) for r in arch_res.breakdown],
+                "cross_domain_models": [list(r) for r in cross_res.breakdown],
+            },
+            "skipped": {
+                "r2_mae": [list(r) for r in r2_res.skipped],
+                "id": [list(r) for r in id_res.skipped],
+                "macro": [list(r) for r in macro_res.skipped],
+                "micro": [list(r) for r in micro_res.skipped],
+                "arch": [list(r) for r in arch_res.skipped],
+                "cross_domain": [list(r) for r in cross_res.skipped],
+            },
+        }
+    return report
+
+
+def tied_matrix():
+    matrix = linear_matrix()
+    return EvaluationMatrix({k: 0.5 for k in matrix.measures}, matrix.accuracies,
+                            matrix.models, matrix.domains)
+
+
+class TestEngineOracle:
+    @pytest.mark.parametrize("make", [linear_matrix, null_matrix, tied_matrix,
+                                      two_arch_matrix, sparse_matrix])
+    @pytest.mark.parametrize("tau_variant", ["b", "a"])
+    def test_report_equals_the_hand_written_loops(self, make, tau_variant):
+        matrix = make()
+        expected = ref_report(matrix, tau_variant)
+        report = build_report(matrix, tau_variant=tau_variant)
+        assert report == expected
+        # the bytes report.json is written with
+        assert (json.dumps(report, sort_keys=True, indent=2)
+                == json.dumps(expected, sort_keys=True, indent=2))
+
+    def test_sparse_matrix_reaches_every_skip(self):
+        matrix = sparse_matrix()
+        assert not all(d.is_training for d in matrix.domains)
+        assert len(matrix.archs) == 2
+        entry = ref_report(matrix)["measures"][MEASURE]
+        listed = {(i, o) for i, o, _ in entry["skipped"]["r2_mae"]}
+        listed |= {(i, o) for i, o, _ in entry["breakdown"]["r2_pairs"]}
+        every_pair = {(i, o) for i in matrix.training_domains
+                      for o in matrix.all_domains if o != i}
+        assert listed < every_pair  # pairs with no scored model are not listed
+        reasons = [r[-1] for rows in entry["skipped"].values() for r in rows]
+        assert "only 1 evaluated models" in reasons
+        assert any(r in reasons for r in ("only 0 OOD evaluations", "only 1 OOD evaluations"))
+        assert any("tied" in r for r in reasons)
+        assert entry["breakdown"]["macro_pairs"] and entry["breakdown"]["cross_domain_models"]

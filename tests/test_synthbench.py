@@ -6,33 +6,39 @@ import numpy as np
 import pytest
 
 from smoothgen.errors import SchemaError
-from smoothgen.synthbench import (
-    AblationSpec,
+from smoothgen.synthbench.domains import (
     ArcSpec,
     DomainSpec,
     NeighborhoodSpec,
-    TrainConfig,
     apply_label_noise,
+    generate_domain,
+    nearest_arc,
+    sample_neighborhood,
+)
+from smoothgen.synthbench.mlp import (
+    TrainConfig,
+    _softmax,
     cross_entropy,
+    forward,
+    init_model,
+    loss_and_grads,
+    model_predict,
+    predict_classes,
+    sgd_step,
+    train_model,
+)
+from smoothgen.synthbench.pool import (
+    AblationSpec,
+    _noise_floor_ce,
+    default_arcs,
     default_experiment,
     default_grid,
     derive_seed,
     experiment_from_dict,
     experiment_to_dict,
-    forward,
-    generate_domain,
-    init_model,
     load_experiment,
-    loss_and_grads,
-    model_predict,
-    nearest_arc,
     run_pool,
-    sample_neighborhood,
-    sgd_step,
-    train_model,
 )
-from smoothgen.synthbench.mlp import _softmax, predict_classes
-from smoothgen.synthbench.pool import _noise_floor_ce, default_arcs
 
 
 def make_domain(rotation=0.0, noise_std=0.05, **kwargs):
@@ -47,7 +53,7 @@ def make_domain(rotation=0.0, noise_std=0.05, **kwargs):
 
 
 def tiny_config(seed=0):
-    from smoothgen.synthbench import ExperimentConfig
+    from smoothgen.synthbench.pool import ExperimentConfig
 
     domains = [
         DomainSpec("rotA", 0.0, (0.0, 0.0), 0.05, default_arcs()),
