@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .baselines import atc_fit, atc_predict, norm_measures
-from .errors import DegenerateSampleError, SmoothgenError
+from .errors import DegenerateSampleError, SchemaError, SmoothgenError
 from .ingest import (
     atomic_write_text,
     compute_accuracy,
@@ -225,13 +225,27 @@ def _write_breakdowns(report, breakdown_dir, meta=None):
         atomic_write_text(os.path.join(breakdown_dir, f"{table}.csv"), buf.getvalue())
 
 
+def _read_json_object(path, key):
+    """The object under ``key`` in the JSON object of file ``path``; a file
+    that holds no such object raises a SchemaError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            obj = json.load(f)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"invalid JSON: {e.msg}", path, e.lineno) from None
+    if not isinstance(obj, dict):
+        raise SchemaError(f"top level must be an object, got {type(obj).__name__}", path)
+    if not isinstance(obj.get(key), dict):
+        raise SchemaError(f"missing object {key!r}", path)
+    return obj[key]
+
+
 def _ablation_context(artifacts, test_domain=None):
     manifest = parse_manifest(os.path.join(artifacts, "manifest.jsonl"))
     exp_path = os.path.join(artifacts, "experiment.json")
     ablation = {}
     if os.path.exists(exp_path):
-        with open(exp_path, "r", encoding="utf-8") as f:
-            ablation = json.load(f)["experiment"].get("ablation") or {}
+        ablation = _read_json_object(exp_path, "experiment").get("ablation") or {}
     domain = test_domain or ablation.get("domain_id")
     if domain is None:
         raise SmoothgenError("no ablation domain configured; pass --test-domain")
@@ -328,13 +342,12 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
 def cmd_report(report_path, stream=None):
     """Human-readable summary of a metric report."""
     stream = stream or sys.stdout
-    with open(report_path, "r", encoding="utf-8") as f:
-        report = json.load(f)
+    measures = _read_json_object(report_path, "measures")
     cols = [value_key for value_key, *_ in REPORT_LAYOUT]
-    name_w = max([len("measure")] + [len(m) for m in report["measures"]])
+    name_w = max([len("measure")] + [len(m) for m in measures])
     print(f"{'measure':<{name_w}} " + " ".join(f"{c:>10}" for c in cols), file=stream)
-    for measure in sorted(report["measures"]):
-        entry = report["measures"][measure]
+    for measure in sorted(measures):
+        entry = measures[measure]
         cells = [
             f"{entry[c]:>10.3f}" if entry.get(c) is not None else f"{'--':>10}"
             for c in cols

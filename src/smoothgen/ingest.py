@@ -8,15 +8,16 @@ values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
 import struct
+import sys
 import tempfile
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -77,15 +78,6 @@ class ModelRecord:
     hyperparams: dict
     converged: bool
 
-    def to_json_obj(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "arch": self.arch,
-            "train_domain": self.train_domain,
-            "hyperparams": self.hyperparams,
-            "converged": self.converged,
-        }
-
 
 @dataclass(frozen=True)
 class ExampleEntry:
@@ -112,27 +104,43 @@ def _check_num_classes(k):
         raise SchemaError(f"num_classes must be in [2, 2**63), got {k}")
 
 
-_LOG_ARRAYS = ("predictions", "lengths", "true_labels", "base_predictions")
+def _within(values, lo, hi):
+    """Whether every value is in [lo, hi] (finite bounds, so no NaN or
+    infinity is), from the array's minimum and maximum alone."""
+    return not len(values) or bool(lo <= values.min() and values.max() <= hi)
 
 
-def _example_fault(k, predictions, true_label, base_prediction):
-    """What makes one example (Python values, None for an absent label)
-    invalid, or None."""
-    if len(predictions) == 0:
-        return "empty neighborhood_predictions"
-    for p in predictions:
-        if type(p) is not int:
-            return f"prediction {p!r} is not an integer"
-        if not 0 <= p < k:
-            return f"prediction {p} out of range [0, {k})"
-    for name, v in (("true_label", true_label), ("base_prediction", base_prediction)):
-        if v is None:
-            continue
-        if type(v) is not int:
-            return f"{name} {v!r} is not an integer"
-        if not 0 <= v < k:
-            return f"{name} {v} out of range [0, {k})"
+def _range_fault(name, values, lo, hi, suffix=""):
+    """(index, message) of the first value outside [lo, hi] (finite bounds,
+    so a NaN or an infinity is outside), or None."""
+    bad = ~((lo <= values) & (values <= hi))
+    if bad.any():
+        i = int(bad.argmax())
+        return i, f"{name} {values[i].item()} out of range{suffix}"
     return None
+
+
+def _raise_first(noun, ids, faults):
+    """Raise a ``_RowError`` naming the row's id for the lowest row among the
+    (row, message) ``faults`` (None where a check found nothing); of faults in
+    one row, the first listed."""
+    found = [f for f in faults if f is not None]
+    if found:
+        i, message = min(found, key=itemgetter(0))
+        raise _RowError(i, f"{noun} {ids[i]!r}: {message}")
+
+
+def _log_eq(self, other):
+    """Field-wise equality of two logs of one type, arrays by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    )
+
+
+_LOG_ARRAYS = ("predictions", "lengths", "true_labels", "base_predictions")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +166,8 @@ class NeighborhoodPredictionLog:
     meta: dict = field(default_factory=dict)
     offsets: np.ndarray = field(init=False, repr=False)
 
+    __eq__ = _log_eq
+
     def __post_init__(self):
         k = self.num_classes
         _check_num_classes(k)
@@ -178,19 +188,20 @@ class NeighborhoodPredictionLog:
         offsets.flags.writeable = False
         object.__setattr__(self, "offsets", offsets)
 
-        bad = self.lengths == 0
-        if len(self.predictions) and not 0 <= self.predictions.min() <= self.predictions.max() < k:
-            out_of_range = (self.predictions < 0) | (self.predictions >= k)
-            bad[self.example_index()[out_of_range]] = True
-        for labels in (self.true_labels, self.base_predictions):
-            bad |= (labels < -1) | (labels >= k)
-        if bad.any():
-            i = int(bad.argmax())
-            ex = self.examples[i]
-            fault = _example_fault(
-                k, ex.neighborhood_predictions, ex.true_label, ex.base_prediction
-            )
-            raise _RowError(i, f"example {ex.example_id!r}: {fault}")
+        suffix = f" [0, {k})"
+        labels = {"true_label": self.true_labels, "base_prediction": self.base_predictions}
+        if not (self.lengths.all() and _within(self.predictions, 0, k - 1)
+                and all(_within(a, -1, k - 1) for a in labels.values())):
+            empty = self.lengths == 0
+            prediction = _range_fault("prediction", self.predictions, 0, k - 1, suffix)
+            if prediction is not None:  # the example of the first bad prediction
+                j, message = prediction
+                prediction = int(np.searchsorted(offsets, j, side="right")) - 1, message
+            _raise_first("example", self.example_ids, [
+                (int(empty.argmax()), "empty neighborhood_predictions") if empty.any() else None,
+                prediction,
+                *(_range_fault(name, a, -1, k - 1, suffix) for name, a in labels.items()),
+            ])
 
         # Predictions are stored in the narrowest type that holds every class
         # (uint8 for up to 256 classes): a sweep keeps all of its logs in
@@ -202,21 +213,6 @@ class NeighborhoodPredictionLog:
                 arr = arr.astype(dtype)
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_examples(cls, model_id, test_domain, num_classes, examples, meta=None):
-        """A log from ``ExampleEntry`` rows of Python ints."""
-        examples = tuple(examples)
-        return _log_from_values(
-            model_id,
-            test_domain,
-            num_classes,
-            [ex.example_id for ex in examples],
-            [ex.neighborhood_predictions for ex in examples],
-            [ex.true_label for ex in examples],
-            [ex.base_prediction for ex in examples],
-            meta or {},
-        )
 
     @property
     def examples(self) -> _Rows:
@@ -236,16 +232,6 @@ class NeighborhoodPredictionLog:
     def example_index(self) -> np.ndarray:
         """The example each prediction belongs to, aligned with ``predictions``."""
         return np.repeat(np.arange(len(self.lengths)), self.lengths)
-
-    def __eq__(self, other):
-        if not isinstance(other, NeighborhoodPredictionLog):
-            return NotImplemented
-        return (
-            (self.model_id, self.test_domain, self.num_classes, self.example_ids, self.meta)
-            == (other.model_id, other.test_domain, other.num_classes, other.example_ids,
-                other.meta)
-            and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in _LOG_ARRAYS)
-        )
 
 
 class _Rows(Sequence):
@@ -269,54 +255,6 @@ class _Rows(Sequence):
         return tuple(self) == tuple(other)
 
 
-def _int64_column(values, absent_ok=False):
-    """``values`` as decoded from JSON as an int64 array, None (an absent
-    label, allowed when ``absent_ok``) as -1. Returns None if a value is not
-    a JSON integer, is negative or does not fit in int64."""
-    if not set(map(type, values)) <= ({int, type(None)} if absent_ok else {int}):
-        return None
-    try:
-        arr = np.array(
-            [-1 if v is None else v for v in values] if absent_ok else values,
-            dtype=np.int64,
-        )
-    except OverflowError:
-        return None
-    if np.count_nonzero(arr < 0) != (values.count(None) if absent_ok else 0):
-        return None
-    arr.flags.writeable = False
-    return arr
-
-
-def _log_from_values(model_id, test_domain, k, ids, rows, true_labels, base_predictions,
-                     meta):
-    """A log from per-example Python values as JSON decodes them (None for
-    an absent label). Raises ``_RowError`` for the first example whose
-    values are not integers in range."""
-    columns = (
-        _int64_column(list(chain.from_iterable(rows))),
-        _int64_column(true_labels, absent_ok=True),
-        _int64_column(base_predictions, absent_ok=True),
-    )
-    if any(c is None for c in columns):
-        for i, row in enumerate(rows):
-            fault = _example_fault(k, row, true_labels[i], base_predictions[i])
-            if fault is not None:
-                raise _RowError(i, f"example {ids[i]!r}: {fault}")
-    predictions, true_arr, base_arr = columns
-    return NeighborhoodPredictionLog(
-        model_id=model_id,
-        test_domain=test_domain,
-        num_classes=k,
-        example_ids=tuple(ids),
-        predictions=predictions,
-        lengths=np.array(list(map(len, rows)), dtype=np.int64),
-        true_labels=true_arr,
-        base_predictions=base_arr,
-        meta=meta,
-    )
-
-
 @dataclass(frozen=True)
 class ScoreEntry:
     """One entry of a score log, as a row (true_label None where absent)."""
@@ -334,35 +272,6 @@ _SCORE_ARRAYS = {
     "neg_entropy": np.float64,
     "true_labels": np.int64,
 }
-
-
-def _score_bounds(k):
-    """The closed range of each score: with k classes the softmax maximum is
-    at least 1/k and the entropy at most log k."""
-    lo_conf, hi_entropy = (1.0 / k - _EPS, math.log(k) + _EPS) if k else (0.0, math.inf)
-    return {"max_confidence": (lo_conf, 1.0 + _EPS), "neg_entropy": (-hi_entropy, _EPS)}
-
-
-def _entry_fault(k, predicted_label, max_confidence, neg_entropy, true_label):
-    """What makes one score-log entry (Python values, None for an absent true
-    label) invalid, or None."""
-    for (name, (lo, hi)), v in zip(_score_bounds(k).items(), (max_confidence, neg_entropy)):
-        if type(v) not in (int, float):
-            return f"{name} {v!r} is not a number"
-        try:
-            in_range = math.isfinite(v) and lo <= v <= hi
-        except OverflowError:  # an integer too large for a float
-            in_range = False
-        if not in_range:
-            return f"{name} {v} out of range"
-    for name, v in (("predicted_label", predicted_label), ("true_label", true_label)):
-        if v is None and name == "true_label":
-            continue
-        if type(v) is not int:
-            return f"{name} {v!r} is not an integer"
-        if not 0 <= v < (k or 2**63):
-            return f"{name} {v} out of range" + (f" [0, {k})" if k else "")
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,6 +297,8 @@ class ScoreLog:
     num_classes: Optional[int] = None
     meta: dict = field(default_factory=dict)
 
+    __eq__ = _log_eq
+
     def __post_init__(self):
         if self.split not in ("validation", "test"):
             raise SchemaError(f"split must be 'validation' or 'test', got {self.split!r}")
@@ -406,36 +317,20 @@ class ScoreLog:
                 arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-        bad = (self.predicted_labels < 0) | (self.true_labels < -1)
-        if k is not None:
-            bad |= (self.predicted_labels >= k) | (self.true_labels >= k)
-        for name, (lo, hi) in _score_bounds(k).items():
-            scores = getattr(self, name)
-            bad |= ~(np.isfinite(scores) & (lo <= scores) & (scores <= hi))
-        if bad.any():
-            i = int(bad.argmax())
-            e = self.entries[i]
-            fault = _entry_fault(
-                k, e.predicted_label, e.max_confidence, e.neg_entropy, e.true_label
-            )
-            raise _RowError(i, f"entry {e.example_id!r}: {fault}")
-
-    @classmethod
-    def from_entries(cls, model_id, domain, split, entries, num_classes=None, meta=None):
-        """A log from ``ScoreEntry`` rows of Python numbers."""
-        entries = tuple(entries)
-        return _score_log_from_values(
-            model_id,
-            domain,
-            split,
-            num_classes,
-            [e.example_id for e in entries],
-            [e.predicted_label for e in entries],
-            [e.max_confidence for e in entries],
-            [e.neg_entropy for e in entries],
-            [e.true_label for e in entries],
-            meta or {},
+        # With k classes the softmax maximum is at least 1/k and the entropy at
+        # most log k; scores are finite.
+        low_conf, top_entropy = (
+            (1.0 / k - _EPS, math.log(k) + _EPS) if k else (0.0, sys.float_info.max)
         )
+        top, suffix = (k - 1, f" [0, {k})") if k else (2**63 - 1, "")
+        columns = [
+            ("max_confidence", self.max_confidence, low_conf, 1.0 + _EPS, ""),
+            ("neg_entropy", self.neg_entropy, -top_entropy, _EPS, ""),
+            ("predicted_label", self.predicted_labels, 0, top, suffix),
+            ("true_label", self.true_labels, -1, top, suffix),
+        ]
+        if not all(_within(values, lo, hi) for _, values, lo, hi, _ in columns):
+            _raise_first("entry", self.example_ids, [_range_fault(*c) for c in columns])
 
     @property
     def entries(self) -> _Rows:
@@ -451,49 +346,6 @@ class ScoreLog:
             neg_entropy=float(self.neg_entropy[i]),
             true_label=None if true == -1 else true,
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, ScoreLog):
-            return NotImplemented
-        return (
-            (self.model_id, self.domain, self.split, self.num_classes, self.example_ids,
-             self.meta)
-            == (other.model_id, other.domain, other.split, other.num_classes,
-                other.example_ids, other.meta)
-            and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in _SCORE_ARRAYS)
-        )
-
-
-def _float64_column(values):
-    """``values`` as decoded from JSON as a float64 array. Returns None if a
-    value is not a JSON number (booleans are not) or does not fit in a float."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        return None
-
-
-def _score_log_from_values(model_id, domain, split, k, ids, predicted_labels,
-                           max_confidence, neg_entropy, true_labels, meta):
-    """A score log from per-entry Python values as JSON decodes them (None for
-    an absent true label). Raises ``_RowError`` for the first entry whose
-    values are not numbers of the right kind and range."""
-    _check_num_classes(k)
-    values = (predicted_labels, max_confidence, neg_entropy, true_labels)
-    columns = (
-        _int64_column(predicted_labels),
-        _float64_column(max_confidence),
-        _float64_column(neg_entropy),
-        _int64_column(true_labels, absent_ok=True),
-    )
-    if any(c is None for c in columns):
-        for i, entry in enumerate(zip(*values)):
-            fault = _entry_fault(k, *entry)
-            if fault is not None:
-                raise _RowError(i, f"entry {ids[i]!r}: {fault}")
-    return ScoreLog(model_id, domain, split, tuple(ids), *columns, num_classes=k, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -533,25 +385,41 @@ def _iter_jsonl(path):
             yield lineno, obj
 
 
-def _require(obj, key, path, lineno, types=None):
-    """``obj[key]``, which must be present and, if ``types`` is given, an
-    instance of it; a boolean counts as an integer only where ``types`` is
-    ``bool``."""
+def _field_fault(obj, key, types=None):
+    """What makes ``obj[key]`` missing or, if ``types`` is given, not an
+    instance of it, or None; a boolean counts as an integer only where
+    ``types`` is ``bool``."""
     if key not in obj:
-        raise SchemaError(f"missing required field {key!r}", path=path, line=lineno)
+        return f"missing required field {key!r}"
     v = obj[key]
     if types is not None and (
         not isinstance(v, types) or (type(v) is bool and types is not bool)
     ):
-        raise SchemaError(f"field {key!r} has wrong type", path=path, line=lineno)
-    return v
+        return f"field {key!r} has wrong type"
+    return None
+
+
+def _require(obj, key, path, lineno, types=None):
+    """``obj[key]``, which must be present and, if ``types`` is given, an
+    instance of it (see ``_field_fault``)."""
+    fault = _field_fault(obj, key, types)
+    if fault is not None:
+        raise SchemaError(fault, path=path, line=lineno)
+    return obj[key]
 
 
 def _read_log(path, log_type):
-    """The header of a JSONL log with its line number, then the entry objects
-    with theirs. The header must declare ``log_type``; its ``meta``, if any,
-    must be an object."""
-    numbered = list(_iter_jsonl(path))
+    """The header of a JSONL log with its line number, then its entries: the
+    entry objects, their line numbers and the error of a malformed line that
+    ends them, or None. The header must declare ``log_type``; its ``meta``, if
+    any, must be an object."""
+    numbered, malformed = [], None
+    try:
+        numbered.extend(_iter_jsonl(path))
+    except SchemaError as e:
+        if not numbered:
+            raise
+        malformed = e
     if not numbered:
         raise SchemaError("empty file: missing header line", path=path)
     linenos, objs = zip(*numbered)
@@ -560,35 +428,87 @@ def _read_log(path, log_type):
         raise SchemaError(f"header must declare type {log_type!r}", path=path, line=head_line)
     if type(header.get("meta", {})) is not dict:
         raise SchemaError("field 'meta' has wrong type", path=path, line=head_line)
-    return header, head_line, objs[1:], linenos[1:]
+    return header, head_line, (objs[1:], linenos[1:], malformed)
 
 
-def _columns(body, path, lines, fields):
+def _field_values(body, types):
     """The values of each field over the entries (None where absent), one list
-    per field in the order of ``fields``. It maps each field to the types its
-    values must have exactly, or to None if it is optional; an entry that
-    lacks a required field or holds a value of another type raises at its
-    line."""
-    columns = []
-    for key, types in fields.items():
-        values = list(map(dict.get, body, repeat(key)))
-        if types is not None and not set(map(type, values)) <= set(types):
-            i = next(i for i, v in enumerate(values) if type(v) not in types)
-            _require(body[i], key, path, lines[i], types)  # raises: missing or wrong type
-        columns.append(values)
-    return columns
+    per field in the order of ``types``, up to the first entry that lacks a
+    required field or holds a value of another type; with that entry's
+    (row, message) fault, or None. ``types`` maps each field to the types its
+    values must have exactly, or to None if it is optional."""
+    columns = [list(map(dict.get, body, repeat(key))) for key in types]
+    faults = []
+    for (key, kinds), values in zip(types.items(), columns):
+        if kinds is not None and not set(map(type, values)) <= set(kinds):
+            i = next(i for i, v in enumerate(values) if type(v) not in kinds)
+            faults.append((i, _field_fault(body[i], key, kinds)))
+    if not faults:
+        return columns, None
+    fault = min(faults, key=itemgetter(0))
+    return [values[: fault[0]] for values in columns], fault
 
 
-@contextlib.contextmanager
-def _located(path, head_line, lines):
-    """Re-raise a schema error of a log built from a parsed file at the line
-    it comes from: an entry's line for a ``_RowError``, else the header's."""
+def _column(values, name, dtype, k=None, lengths=None, absent_ok=False):
+    """``values`` of one field as JSON decodes them as a read-only ``dtype``
+    array (None, where ``absent_ok``, as -1), with None; or None with
+    (row, message) for the first value no such array holds: one of another
+    type (a boolean is not a number), a negative integer or one too large for
+    ``dtype``. With ``lengths``, ``values`` are the rows' lists flattened, and
+    the fault names the row its value is in."""
+    integer = dtype is np.int64
+    types = {int} if integer else {int, float}
+    if set(map(type, values)) <= (types | {type(None)} if absent_ok else types):
+        try:
+            arr = np.array(
+                [-1 if v is None else v for v in values] if absent_ok else values, dtype=dtype
+            )
+        except OverflowError:
+            arr = None
+        if arr is not None and (
+            not integer
+            or np.count_nonzero(arr < 0) == (values.count(None) if absent_ok else 0)
+        ):
+            arr.flags.writeable = False
+            return arr, None
+    for i, v in enumerate(values):
+        if v is None and absent_ok:
+            continue
+        if type(v) not in types:
+            fault = f"{name} {v!r} is not {'an integer' if integer else 'a number'}"
+        else:
+            try:
+                fits = np.array(v, dtype=dtype) >= 0 or not integer
+            except OverflowError:
+                fits = False
+            if fits:
+                continue
+            fault = f"{name} {v} out of range" + (f" [0, {k})" if k else "")
+        if lengths is not None:
+            i = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
+        return None, (i, fault)
+
+
+def _build(path, head_line, entries, decode, make):
+    """The log ``make`` builds from the arrays ``decode`` gives for the
+    entries; errors name path:line. ``decode`` raises a ``_RowError`` for the
+    first entry holding a value no array holds; the entries before it are then
+    built first, so that a value out of range on an earlier line is named."""
+    body, lines, malformed = entries
     try:
-        yield
+        try:
+            arrays = decode(body)
+        except _RowError as fault:
+            make(*decode(body[: fault.index]))
+            raise fault
+        log = make(*arrays)
     except _RowError as e:
         raise SchemaError(str(e), path=path, line=lines[e.index]) from None
     except SchemaError as e:
         raise SchemaError(str(e), path=path, line=head_line) from None
+    if malformed is not None:
+        raise malformed
+    return log
 
 
 def parse_manifest(path) -> list[ModelRecord]:
@@ -613,7 +533,7 @@ def parse_manifest(path) -> list[ModelRecord]:
 
 
 def serialize_manifest(records: Iterable[ModelRecord]) -> str:
-    return "".join(_dumps(r.to_json_obj()) + "\n" for r in records)
+    return "".join(_dumps(asdict(r)) + "\n" for r in records)
 
 
 def write_manifest(records: Iterable[ModelRecord], path) -> None:
@@ -622,19 +542,33 @@ def write_manifest(records: Iterable[ModelRecord], path) -> None:
 
 def parse_prediction_log(path) -> NeighborhoodPredictionLog:
     """Parse a neighborhood prediction log (header line + one example per line)
-    straight into the log's arrays; errors name path:line."""
-    header, head_line, body, lines = _read_log(path, "prediction_log")
+    straight into the log's arrays; an error names path:line of the first
+    faulty line."""
+    header, head_line, entries = _read_log(path, "prediction_log")
     model_id = _require(header, "model_id", path, head_line, str)
     test_domain = _require(header, "test_domain", path, head_line, str)
     k = _require(header, "num_classes", path, head_line, int)
-    columns = _columns(body, path, lines, {
-        "example_id": (str,),
-        "neighborhood_predictions": (list,),
-        "true_label": None,
-        "base_prediction": None,
-    })
-    with _located(path, head_line, lines):
-        return _log_from_values(model_id, test_domain, k, *columns, header.get("meta", {}))
+
+    def decode(body):
+        (ids, rows, true, base), fault = _field_values(body, {
+            "example_id": (str,),
+            "neighborhood_predictions": (list,),
+            "true_label": None,
+            "base_prediction": None,
+        })
+        lengths = np.array(list(map(len, rows)), dtype=np.int64)
+        (preds, f1), (true, f2), (base, f3) = (
+            _column(list(chain.from_iterable(rows)), "prediction", np.int64, k, lengths),
+            _column(true, "true_label", np.int64, k, absent_ok=True),
+            _column(base, "base_prediction", np.int64, k, absent_ok=True),
+        )
+        _raise_first("example", ids, [f1, f2, f3])
+        if fault is not None:
+            raise _RowError(*fault)
+        return tuple(ids), preds, lengths, true, base
+
+    return _build(path, head_line, entries, decode, lambda *arrays: NeighborhoodPredictionLog(
+        model_id, test_domain, k, *arrays, meta=header.get("meta", {})))
 
 
 def _render_csv_ints(values: np.ndarray) -> tuple[str, np.ndarray]:
@@ -701,25 +635,36 @@ def write_prediction_log(log: NeighborhoodPredictionLog, path) -> None:
 
 def parse_score_log(path) -> ScoreLog:
     """Parse a score log (header line + one entry per line) straight into the
-    log's arrays; errors name path:line."""
-    header, head_line, body, lines = _read_log(path, "score_log")
+    log's arrays; an error names path:line of the first faulty line."""
+    header, head_line, entries = _read_log(path, "score_log")
     model_id = _require(header, "model_id", path, head_line, str)
     domain = _require(header, "domain", path, head_line, str)
     split = _require(header, "split", path, head_line, str)
     k = header.get("num_classes")
     if k is not None:
         _require(header, "num_classes", path, head_line, int)
-    columns = _columns(body, path, lines, {
-        "example_id": (str,),
-        "predicted_label": (int,),
-        "max_confidence": (int, float),
-        "neg_entropy": (int, float),
-        "true_label": None,
-    })
-    with _located(path, head_line, lines):
-        return _score_log_from_values(
-            model_id, domain, split, k, *columns, header.get("meta", {})
+
+    def decode(body):
+        (ids, predicted, conf, negent, true), fault = _field_values(body, {
+            "example_id": (str,),
+            "predicted_label": (int,),
+            "max_confidence": (int, float),
+            "neg_entropy": (int, float),
+            "true_label": None,
+        })
+        columns = (
+            _column(predicted, "predicted_label", np.int64, k),
+            _column(conf, "max_confidence", np.float64),
+            _column(negent, "neg_entropy", np.float64),
+            _column(true, "true_label", np.int64, k, absent_ok=True),
         )
+        _raise_first("entry", ids, [f for _, f in columns])
+        if fault is not None:
+            raise _RowError(*fault)
+        return (tuple(ids), *(arr for arr, _ in columns))
+
+    return _build(path, head_line, entries, decode, lambda *arrays: ScoreLog(
+        model_id, domain, split, *arrays, num_classes=k, meta=header.get("meta", {})))
 
 
 def serialize_score_log(log: ScoreLog) -> str:

@@ -95,11 +95,13 @@ def _distinct_rows(a: np.ndarray):
 def dataset_smoothness(log: NeighborhoodPredictionLog, variant: str = "majority") -> float:
     """Mean per-example smoothness over all examples in the log.
 
-    One (m, k) histogram counts every example's predictions. Each example's
-    score is the one ``smoothness`` gives it (negative entropy is computed by
-    ``neg_entropy`` once per distinct histogram row), and the scores are
-    summed left to right, so the mean is bit-identical to a loop over
-    ``smoothness``.
+    One (m, k) histogram counts every example's predictions; when it would be
+    large next to the predictions (many classes), only its occupied cells are
+    counted, each example's in class order. Each example's score is the one
+    ``smoothness`` gives it (negative entropy is computed by ``neg_entropy``,
+    which sums the nonzero counts in class order, once per distinct histogram
+    row), and the scores are summed left to right, so the mean is
+    bit-identical to a loop over ``smoothness``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -108,18 +110,37 @@ def dataset_smoothness(log: NeighborhoodPredictionLog, variant: str = "majority"
         raise SchemaError("cannot score a log with no examples")
     k = log.num_classes
     cells = log.example_index()
-    cells *= k
-    cells += log.predictions
-    hist = np.bincount(cells, minlength=m * k).reshape(m, k)
-    if variant == "majority":
-        per_example = hist.max(axis=1) / log.lengths
+    if m * k <= 8 * len(log.predictions):
+        cells *= k
+        # uint64 predictions (over 2**32 classes) add to int64 cells only by an
+        # explicit cast; every class is below 2**63.
+        np.add(cells, log.predictions, out=cells, casting="unsafe")
+        hist = np.bincount(cells, minlength=m * k).reshape(m, k)
+        if variant == "majority":
+            per_example = hist.max(axis=1) / log.lengths
+        else:
+            rows, inverse = _distinct_rows(hist)
+            row_scores = [
+                neg_entropy(DecisionDistribution(counts=tuple(r), n=sum(r)))
+                for r in rows.tolist()
+            ]
+            per_example = np.array(row_scores)[inverse]
     else:
-        rows, inverse = _distinct_rows(hist)
-        row_scores = [
-            neg_entropy(DecisionDistribution(counts=tuple(r), n=sum(r)))
-            for r in rows.tolist()
-        ]
-        per_example = np.array(row_scores)[inverse]
+        # Classes renumbered in order among those that occur, so that no cell
+        # index overflows; every example has at least one occupied cell.
+        classes, ranks = np.unique(log.predictions, return_inverse=True)
+        cells *= len(classes)
+        cells += ranks
+        occupied, counts = np.unique(cells, return_counts=True)
+        starts = np.flatnonzero(np.diff(occupied // len(classes), prepend=-1))
+        if variant == "majority":
+            per_example = np.maximum.reduceat(counts, starts) / log.lengths
+        else:
+            example_counts = [c.tolist() for c in np.split(counts, starts[1:])]
+            per_example = np.array([
+                neg_entropy(DecisionDistribution(counts=tuple(c), n=sum(c)))
+                for c in example_counts
+            ])
     return float(np.cumsum(per_example)[-1] / m)
 
 

@@ -8,7 +8,7 @@ flagged unconverged. Everything is deterministic given the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,17 +42,7 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 0")
 
     def hyperparams(self) -> dict:
-        return {
-            "depth": self.depth,
-            "width": self.width,
-            "weight_decay": self.weight_decay,
-            "label_noise": self.label_noise,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "ce_stop": self.ce_stop,
-            "max_epochs": self.max_epochs,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass

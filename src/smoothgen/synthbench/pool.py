@@ -15,6 +15,8 @@ import hashlib
 import json
 import math
 import os
+import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -66,9 +68,9 @@ class AblationSpec:
 
 @dataclass
 class ExperimentConfig:
-    domains: list
-    grid: list
-    neighborhoods: list
+    domains: list[DomainSpec]
+    grid: list[TrainConfig]
+    neighborhoods: list[NeighborhoodSpec]
     m_train: int = 500
     m_val: int = 250
     m_test: int = 500
@@ -90,43 +92,48 @@ def experiment_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+def _decode(tp, value, where):
+    """``value`` from an experiment file as type ``tp``: a dataclass from an
+    object of its fields, a list or tuple from an array, an Optional, or a
+    scalar. Values are checked, not converted (an integer stays one where a
+    float is expected, and a boolean is not a number), so the experiment
+    written back and its hash keep their bytes."""
+    if dataclasses.is_dataclass(tp):
+        if type(value) is not dict:
+            raise SchemaError(f"{where} must be an object")
+        hints = typing.get_type_hints(tp)
+        fields = {f.name: f for f in dataclasses.fields(tp)}
+        unknown = sorted(value.keys() - fields)
+        if unknown:
+            raise SchemaError(f"{where}: unknown key {unknown[0]!r}")
+        for name, f in fields.items():
+            if name not in value and f.default is f.default_factory is dataclasses.MISSING:
+                raise SchemaError(f"{where}: missing key {name!r}")
+        return tp(**{name: _decode(hints[name], v, f"{where}.{name}") for name, v in value.items()})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:  # Optional[X]
+        return None if value is None else _decode(args[0], value, where)
+    if origin in (list, tuple):
+        if type(value) not in (list, tuple):
+            raise SchemaError(f"{where} must be an array")
+        fixed = origin is tuple and args[-1] is not Ellipsis  # tuple[X, Y], not tuple[X, ...]
+        if fixed and len(value) != len(args):
+            raise SchemaError(f"{where} must have {len(args)} items")
+        items = args if fixed else args[:1] * len(value)
+        return origin(_decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    if type(value) not in ((int, float) if tp is float else (tp,)):
+        raise SchemaError(f"{where} must be of type {tp.__name__}, got {value!r}")
+    if tp is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise SchemaError(f"{where} must be a finite float, got {value!r}")
+    return value
+
+
 def experiment_from_dict(obj: dict) -> ExperimentConfig:
-    domains = [
-        DomainSpec(
-            domain_id=d["domain_id"],
-            rotation=d["rotation"],
-            translation=tuple(d["translation"]),
-            noise_std=d["noise_std"],
-            far_shift=d.get("far_shift", False),
-            class_arcs=tuple(
-                ArcSpec(
-                    center=tuple(a["center"]),
-                    radius=a["radius"],
-                    theta_start=a["theta_start"],
-                    theta_extent=a["theta_extent"],
-                )
-                for a in d["class_arcs"]
-            ),
-        )
-        for d in obj["domains"]
-    ]
-    grid = [TrainConfig(**c) for c in obj["grid"]]
-    neighborhoods = [NeighborhoodSpec(**n) for n in obj["neighborhoods"]]
-    ablation = None
-    if "ablation" in obj and obj["ablation"] is not None:
-        ab = dict(obj["ablation"])
-        ab["size_r_values"] = tuple(ab.get("size_r_values", ()))
-        ablation = AblationSpec(**ab)
-    return ExperimentConfig(
-        domains=domains,
-        grid=grid,
-        neighborhoods=neighborhoods,
-        m_train=obj.get("m_train", 500),
-        m_val=obj.get("m_val", 250),
-        m_test=obj.get("m_test", 500),
-        seed=obj.get("seed", 0),
-        ablation=ablation,
-    )
+    config = _decode(ExperimentConfig, obj, "experiment")
+    ablation = config.ablation
+    if ablation is not None and ablation.domain_id not in {d.domain_id for d in config.domains}:
+        raise SchemaError(f"ablation domain {ablation.domain_id!r} names no domain")
+    return config
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -141,14 +148,10 @@ def load_experiment(path) -> ExperimentConfig:
                 obj = tomllib.load(f)
             else:
                 obj = json.load(f)
-        if not isinstance(obj, dict):
-            raise SchemaError(f"top level must be an object, got {type(obj).__name__}")
         return experiment_from_dict(obj)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e.msg}", path, e.lineno) from e
-    except KeyError as e:
-        raise SchemaError(f"missing key {e}", path) from e
-    except (TypeError, ValueError, AttributeError, SchemaError) as e:
+    except (ValueError, SchemaError) as e:
         raise SchemaError(f"invalid experiment: {e}", path) from e
 
 

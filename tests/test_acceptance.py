@@ -28,6 +28,7 @@ from smoothgen.synthbench.mlp import init_model, loss_and_grads, sgd_step
 from smoothgen.synthbench.pool import run_pool
 
 from conftest import record_acceptance
+from logrows import log_from_rows
 from test_protocol import MEASURE, linear_matrix, null_matrix
 from test_smoothness import naive_smoothness
 from test_stats import tau_pairwise
@@ -144,8 +145,7 @@ def _calibrated_score_log(rng, n, loc, scale, split, domain):
         )
         for i, (s, c) in enumerate(zip(raw, correct))
     )
-    return ScoreLog.from_entries(model_id="m0", domain=domain, split=split,
-                                 entries=entries)
+    return log_from_rows(ScoreLog, entries, model_id="m0", domain=domain, split=split)
 
 
 def test_05_atc_self_consistency_and_calibrated_shift():

@@ -13,6 +13,8 @@ from smoothgen.baselines import (
 from smoothgen.errors import SchemaError
 from smoothgen.ingest import ScoreEntry, ScoreLog, WeightDump
 
+from logrows import log_from_rows
+
 
 def score_log(scores, correct, model_id="m0", domain="d0", split="validation"):
     entries = tuple(
@@ -25,8 +27,7 @@ def score_log(scores, correct, model_id="m0", domain="d0", split="validation"):
         )
         for i, (s, ok) in enumerate(zip(scores, correct))
     )
-    return ScoreLog.from_entries(model_id=model_id, domain=domain, split=split,
-                                 entries=entries)
+    return log_from_rows(ScoreLog, entries, model_id=model_id, domain=domain, split=split)
 
 
 class TestAtc:
@@ -74,8 +75,7 @@ class TestAtc:
 
     def test_missing_labels_rejected(self):
         entries = (ScoreEntry("e0", 0, 0.5, -0.5),)
-        log = ScoreLog.from_entries(model_id="m", domain="d", split="validation",
-                                    entries=entries)
+        log = log_from_rows(ScoreLog, entries, model_id="m", domain="d", split="validation")
         with pytest.raises(SchemaError):
             atc_fit(log, "max_confidence")
 
@@ -84,7 +84,7 @@ class TestAtc:
             atc_fit(score_log([0.5], [True]), "margin")
 
     def test_empty_log(self):
-        log = ScoreLog.from_entries(model_id="m0", domain="d", split="test", entries=())
+        log = log_from_rows(ScoreLog, (), model_id="m0", domain="d", split="test")
         with pytest.raises(SchemaError):
             atc_predict(log, atc_fit(score_log([0.5], [True]), "max_confidence"))
 

@@ -155,6 +155,13 @@ class TestEvaluateCommand:
         assert "measure" in text and "micro_tau" in text
         assert "ms_manifold-r0.5-n5" in text
 
+    def test_report_of_a_malformed_file_exits_nonzero(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("[1]")
+        assert main(["report", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and "Traceback" not in err
+
 
 class TestAblateCommand:
     def test_neighborhood_size_sweep(self, pool, tmp_path):
@@ -201,6 +208,21 @@ class TestAblateCommand:
         assert rows[0][2] == "ok"
         missing = f"missing ablation logs 'size_r__0.3' under {out_dir / 'ablation'}"
         assert rows[1] == (0.3, "", f"skipped: {missing}", 0)
+
+    @pytest.mark.parametrize("truncated", [True, False], ids=["truncated", "not_an_object"])
+    def test_malformed_experiment_file_exits_nonzero(self, pool, tmp_path, capsys, truncated):
+        out_dir, _ = pool
+        artifacts = tmp_path / "run"
+        artifacts.mkdir()
+        shutil.copy(out_dir / "manifest.jsonl", artifacts)
+        path = artifacts / "experiment.json"
+        text = (out_dir / "experiment.json").read_text()
+        path.write_text(text[: len(text) // 2] if truncated else "[1]")
+        rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
+                   "--values", "4", "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and "Traceback" not in err
 
     @pytest.mark.parametrize("kind, log_name", [
         ("neighborhood_size", "size_r__0.5"),
@@ -352,6 +374,18 @@ class TestMainEntry:
         ("bad_train_config.json", {"grid": [dict(small_experiment().grid[0].hyperparams(),
                                                   depth=0)]}),
         ("domain_not_an_object.json", {"domains": [1]}),
+        ("text_rotation.json", {"domains": [
+            dict(d, rotation="abc") for d in experiment_to_dict(small_experiment())["domains"]]}),
+        ("nan_rotation.json", {"domains": [
+            dict(d, rotation=math.nan) for d in experiment_to_dict(small_experiment())["domains"]]}),
+        ("huge_radius.json", {"domains": [
+            dict(d, class_arcs=[dict(a, radius=10**400) for a in d["class_arcs"]])
+            for d in experiment_to_dict(small_experiment())["domains"]]}),
+        ("text_m_test.json", {"m_test": "x"}),
+        ("fractional_depth.json", {"grid": [dict(small_experiment().grid[0].hyperparams(),
+                                                 depth=1.5)]}),
+        ("unknown_ablation_domain.json", {"ablation": dict(
+            experiment_to_dict(small_experiment())["ablation"], domain_id="nowhere")}),
         ("broken.json", '{"domains": '),
         ("broken.toml", "seed = "),
     ])

@@ -30,6 +30,8 @@ from smoothgen.ingest import (
     write_weight_dump,
 )
 
+from logrows import log_from_rows
+
 RECORD = ModelRecord(
     model_id="d0-c000",
     arch="mlp",
@@ -38,23 +40,25 @@ RECORD = ModelRecord(
     converged=True,
 )
 
-PRED_LOG = NeighborhoodPredictionLog.from_examples(
+PRED_LOG = log_from_rows(
+    NeighborhoodPredictionLog,
     model_id="d0-c000",
     test_domain="d1",
     num_classes=3,
-    examples=(
+    rows=(
         ExampleEntry("ex0", (0, 0, 1), true_label=0, base_prediction=0),
         ExampleEntry("ex1", (2, 2, 2), true_label=1, base_prediction=2),
     ),
     meta={"neighborhood": "manifold-r0.5-n10"},
 )
 
-SCORE_LOG = ScoreLog.from_entries(
+SCORE_LOG = log_from_rows(
+    ScoreLog,
     model_id="d0-c000",
     domain="d1",
     split="test",
     num_classes=3,
-    entries=(
+    rows=(
         ScoreEntry("ex0", 0, 0.9, -0.3, true_label=0),
         ScoreEntry("ex1", 2, 0.5, -1.0, true_label=1),
     ),
@@ -124,34 +128,43 @@ class TestPredictionLog:
 
     def test_out_of_range_prediction_rejected(self):
         with pytest.raises(SchemaError, match="out of range"):
-            NeighborhoodPredictionLog.from_examples(
-                model_id="m", test_domain="d", num_classes=2,
-                examples=(ExampleEntry("e", (0, 2)),))
+            log_from_rows(NeighborhoodPredictionLog, (ExampleEntry("e", (0, 2)),),
+                          model_id="m", test_domain="d", num_classes=2)
 
     def test_empty_neighborhood_rejected(self):
         with pytest.raises(SchemaError, match="empty"):
-            NeighborhoodPredictionLog.from_examples(
-                model_id="m", test_domain="d", num_classes=2,
-                examples=(ExampleEntry("e", ()),))
+            log_from_rows(NeighborhoodPredictionLog, (ExampleEntry("e", ()),),
+                          model_id="m", test_domain="d", num_classes=2)
 
     def test_num_classes_lower_bound(self):
         with pytest.raises(SchemaError):
-            NeighborhoodPredictionLog.from_examples(
-                model_id="m", test_domain="d", num_classes=1, examples=())
+            log_from_rows(NeighborhoodPredictionLog, (),
+                          model_id="m", test_domain="d", num_classes=1)
 
 
 def dumps_sorted(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def render_lines(objs):
+    """JSON Lines of the objects; a string is a line's text as it is."""
+    return "".join((o if isinstance(o, str) else dumps_sorted(o)) + "\n" for o in objs)
+
+
 def write_log_lines(path, examples, num_classes=3):
     header = {"type": "prediction_log", "model_id": "m", "test_domain": "d",
               "num_classes": num_classes}
-    path.write_text("".join(dumps_sorted(o) + "\n" for o in [header, *examples]))
+    path.write_text(render_lines([header, *examples]))
 
 
 GOOD_EXAMPLE = {"example_id": "ex0", "neighborhood_predictions": [0, 1],
                 "true_label": 0, "base_prediction": 1}
+
+
+def write_faulty_lines(path, write_lines, good, faults):
+    """A log of a good line, then one line per fault: the fields to change in
+    ``good``, or the text of a malformed line."""
+    write_lines(path, [good] + [f if isinstance(f, str) else {**good, **f} for f in faults])
 
 
 class TestPredictionLogTypes:
@@ -207,6 +220,32 @@ class TestPredictionLogTypes:
             parse_prediction_log(path)
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("range_fault, range_message", [
+        ({"neighborhood_predictions": [0, 3]}, "prediction 3 out of range"),
+        ({"true_label": 3}, "true_label 3 out of range"),
+        ({"base_prediction": -2}, "base_prediction -2 out of range"),
+        ({"neighborhood_predictions": [1, 10**30]}, "out of range"),
+        ({"neighborhood_predictions": []}, "empty"),
+    ])
+    @pytest.mark.parametrize("type_fault, type_message", [
+        ({"true_label": "x"}, "not an integer"),
+        ({"neighborhood_predictions": [0, 1.5]}, "not an integer"),
+        ({"neighborhood_predictions": "01"}, "wrong type"),
+        ({"example_id": None}, "wrong type"),
+        ("{not json", "malformed JSON"),
+    ])
+    @pytest.mark.parametrize("range_first", [True, False], ids=["range_first", "type_first"])
+    def test_first_faulty_line_is_named(self, tmp_path, range_fault, range_message,
+                                        type_fault, type_message, range_first):
+        path = tmp_path / "log.jsonl"
+        faults = [(range_fault, range_message), (type_fault, type_message)]
+        if not range_first:
+            faults.reverse()
+        write_faulty_lines(path, write_log_lines, GOOD_EXAMPLE, [f for f, _ in faults])
+        with pytest.raises(SchemaError, match=faults[0][1]) as exc:
+            parse_prediction_log(path)
+        assert exc.value.line == 3
+
     def test_boolean_num_classes_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
         write_log_lines(path, [GOOD_EXAMPLE], num_classes=True)
@@ -225,11 +264,12 @@ class TestPredictionLogTypes:
         assert [ex.true_label for ex in log.examples] == [None, None]
 
 
-RAGGED_LOG = NeighborhoodPredictionLog.from_examples(
+RAGGED_LOG = log_from_rows(
+    NeighborhoodPredictionLog,
     model_id="m\u00e9",
     test_domain="d1",
     num_classes=4,
-    examples=(
+    rows=(
         ExampleEntry("ex0", (3,), true_label=0, base_prediction=3),
         ExampleEntry('odd "id"\\\n\u00e9', (0, 1, 2, 3, 3, 3, 1), true_label=3),
         ExampleEntry("ex2", (2, 2), base_prediction=0),
@@ -378,11 +418,11 @@ class TestPredictionLogRendererOracle:
         label = st.one_of(st.none(), st.integers(0, k - 1))
         examples = data.draw(st.lists(
             st.tuples(st.lists(value, min_size=1, max_size=15), label, label), max_size=12))
-        log = NeighborhoodPredictionLog.from_examples(
-            model_id="m", test_domain="d", num_classes=k,
-            examples=[ExampleEntry(f"ex{i}", tuple(preds), true_label=true,
-                                   base_prediction=base)
-                      for i, (preds, true, base) in enumerate(examples)])
+        log = log_from_rows(
+            NeighborhoodPredictionLog,
+            [ExampleEntry(f"ex{i}", tuple(preds), true_label=true, base_prediction=base)
+             for i, (preds, true, base) in enumerate(examples)],
+            model_id="m", test_domain="d", num_classes=k)
         assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
 
 
@@ -400,34 +440,34 @@ class TestScoreLog:
 
     def test_split_validated(self):
         with pytest.raises(SchemaError):
-            ScoreLog.from_entries(model_id="m", domain="d", split="train", entries=())
+            log_from_rows(ScoreLog, (), model_id="m", domain="d", split="train")
 
     def test_confidence_below_uniform_rejected(self):
         # with k classes the softmax max cannot drop under 1/k
         with pytest.raises(SchemaError, match="max_confidence"):
-            ScoreLog.from_entries(model_id="m", domain="d", split="test", num_classes=4,
-                                  entries=(ScoreEntry("e", 0, 0.2, -0.5),))
+            log_from_rows(ScoreLog, (ScoreEntry("e", 0, 0.2, -0.5),),
+                          model_id="m", domain="d", split="test", num_classes=4)
 
     def test_neg_entropy_range_rejected(self):
         with pytest.raises(SchemaError, match="neg_entropy"):
-            ScoreLog.from_entries(model_id="m", domain="d", split="test", num_classes=2,
-                                  entries=(ScoreEntry("e", 0, 0.9, -5.0),))
+            log_from_rows(ScoreLog, (ScoreEntry("e", 0, 0.9, -5.0),),
+                          model_id="m", domain="d", split="test", num_classes=2)
 
     def test_positive_neg_entropy_rejected(self):
         with pytest.raises(SchemaError, match="neg_entropy"):
-            ScoreLog.from_entries(model_id="m", domain="d", split="test",
-                                  entries=(ScoreEntry("e", 0, 0.9, 0.5),))
+            log_from_rows(ScoreLog, (ScoreEntry("e", 0, 0.9, 0.5),),
+                          model_id="m", domain="d", split="test")
 
     def test_no_num_classes_skips_range_check(self):
-        log = ScoreLog.from_entries(model_id="m", domain="d", split="test",
-                                    entries=(ScoreEntry("e", 7, 0.2, -5.0),))
+        log = log_from_rows(ScoreLog, (ScoreEntry("e", 7, 0.2, -5.0),),
+                            model_id="m", domain="d", split="test")
         assert log.num_classes is None
 
 
 def write_score_lines(path, entries, **header_fields):
     header = {"type": "score_log", "model_id": "m", "domain": "d", "split": "test",
               "num_classes": 3, **header_fields}
-    path.write_text("".join(dumps_sorted(o) + "\n" for o in [header, *entries]))
+    path.write_text(render_lines([header, *entries]))
 
 
 GOOD_ENTRY = {"example_id": "ex0", "predicted_label": 1, "max_confidence": 0.75,
@@ -470,6 +510,30 @@ class TestScoreLogTypes:
             parse_score_log(path)
         assert (exc.value.path, exc.value.line) == (path, 4)
         assert str(exc.value).startswith(f"{path}:4: ")
+
+    @pytest.mark.parametrize("range_fault, range_message", [
+        ({"max_confidence": 1.5}, "max_confidence 1.5 out of range"),
+        ({"predicted_label": 3}, "predicted_label 3 out of range"),
+        ({"predicted_label": -1}, "predicted_label -1 out of range"),
+        ({"neg_entropy": -(10**400)}, "neg_entropy -1000* out of range"),
+    ])
+    @pytest.mark.parametrize("type_fault, type_message", [
+        ({"true_label": "x"}, "not an integer"),
+        ({"predicted_label": True}, "wrong type"),
+        ({"max_confidence": "0.5"}, "wrong type"),
+        ("{not json", "malformed JSON"),
+    ])
+    @pytest.mark.parametrize("range_first", [True, False], ids=["range_first", "type_first"])
+    def test_first_faulty_line_is_named(self, tmp_path, range_fault, range_message,
+                                        type_fault, type_message, range_first):
+        path = tmp_path / "scores.jsonl"
+        faults = [(range_fault, range_message), (type_fault, type_message)]
+        if not range_first:
+            faults.reverse()
+        write_faulty_lines(path, write_score_lines, GOOD_ENTRY, [f for f, _ in faults])
+        with pytest.raises(SchemaError, match=faults[0][1]) as exc:
+            parse_score_log(path)
+        assert exc.value.line == 3
 
     @pytest.mark.parametrize("field", [
         "example_id", "predicted_label", "max_confidence", "neg_entropy"])
@@ -514,12 +578,13 @@ class TestScoreLogTypes:
             compute_accuracy(log)
 
 
-ODD_SCORE_LOG = ScoreLog.from_entries(
+ODD_SCORE_LOG = log_from_rows(
+    ScoreLog,
     model_id="mé",
     domain="d1",
     split="validation",
     num_classes=4,
-    entries=(
+    rows=(
         ScoreEntry("ex0", 3, 1.0, -0.0, true_label=0),
         ScoreEntry('odd "id"\\\né', 0, 0.25, -math.log(4), true_label=3),
         ScoreEntry("ex2", 2, 0.9999999999999999, -1e-300),
@@ -645,9 +710,8 @@ class TestComputeAccuracy:
         assert compute_accuracy(SCORE_LOG) == 0.5
 
     def test_missing_label_rejected(self):
-        log = NeighborhoodPredictionLog.from_examples(
-            model_id="m", test_domain="d", num_classes=2,
-            examples=(ExampleEntry("e", (0,)),))
+        log = log_from_rows(NeighborhoodPredictionLog, (ExampleEntry("e", (0,)),),
+                            model_id="m", test_domain="d", num_classes=2)
         with pytest.raises(SchemaError, match="missing label"):
             compute_accuracy(log)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from smoothgen.errors import SchemaError
 from smoothgen.ingest import ExampleEntry, NeighborhoodPredictionLog
 from smoothgen.smoothness import (
+    VARIANTS,
     dataset_smoothness,
     decision_distribution,
     dominant_label,
@@ -18,6 +20,8 @@ from smoothgen.smoothness import (
     subsample_examples,
     truncate_neighborhood,
 )
+
+from logrows import log_from_rows
 
 
 def naive_smoothness(predictions, k):
@@ -40,7 +44,7 @@ def make_log(example_preds, k=3, **kwargs):
     )
     defaults = dict(model_id="m0", test_domain="d0", num_classes=k)
     defaults.update(kwargs)
-    return NeighborhoodPredictionLog.from_examples(examples=examples, **defaults)
+    return log_from_rows(NeighborhoodPredictionLog, examples, **defaults)
 
 
 class TestDecisionDistribution:
@@ -167,10 +171,49 @@ class TestDatasetSmoothness:
             assert dataset_smoothness(log, variant) == total / len(example_preds)
 
     def test_empty_log(self):
-        log = NeighborhoodPredictionLog.from_examples(
-            model_id="m", test_domain="d", num_classes=2, examples=())
+        log = log_from_rows(NeighborhoodPredictionLog, (),
+                            model_id="m", test_domain="d", num_classes=2)
         with pytest.raises(SchemaError):
             dataset_smoothness(log)
+
+
+def renumbered(predictions):
+    """The predictions with their classes renumbered 0, 1, ... in class order,
+    and the number of classes that occur."""
+    classes = sorted(set(predictions))
+    return [classes.index(p) for p in predictions], len(classes)
+
+
+class TestManyClasses:
+    """Logs whose (example, class) histogram would not fit in memory."""
+
+    @pytest.mark.parametrize("k, m", [(2**40, 3), (70_000, 2_000)])
+    def test_equals_loop_over_per_example_scores(self, k, m):
+        rng = np.random.default_rng(0)
+        # Each example draws its 10 predictions from 3 classes of its own.
+        classes = rng.integers(0, k, size=(m, 3))
+        classes[0, 0] = k - 1
+        preds = np.take_along_axis(classes, rng.integers(0, 3, size=(m, 10)), axis=1)
+        log = NeighborhoodPredictionLog(
+            model_id="m", test_domain="d", num_classes=k,
+            example_ids=tuple(f"e{i}" for i in range(m)), predictions=preds.ravel(),
+            lengths=np.full(m, 10), true_labels=np.full(m, -1),
+            base_predictions=np.full(m, -1))
+        tracemalloc.start()
+        try:
+            scores = {variant: dataset_smoothness(log, variant) for variant in VARIANTS}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The (m, k) int64 histogram alone would take 1.1 GB for 70,000 classes.
+        assert peak < 8 * 2**20
+        # smoothness() of renumbered classes gives the same mu and, summing
+        # the same counts in the same order, the same negative entropy.
+        for variant, attr in (("majority", "mu"), ("neg_entropy", "neg_entropy")):
+            total = 0.0
+            for p in preds.tolist():
+                total += getattr(smoothness(*renumbered(p)), attr)
+            assert scores[variant] == total / m
 
 
 class TestSubsample:
