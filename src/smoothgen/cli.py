@@ -9,9 +9,7 @@ report). All outputs are machine-readable and deterministic for fixed seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import glob
-import io
 import json
 import math
 import os
@@ -41,10 +39,10 @@ from .tables import (
     AccuracyRow,
     ScoreRow,
     build_matrix,
-    header_comments,
     read_accuracies_csv,
     read_scores_csv,
     write_accuracies_csv,
+    write_csv,
     write_scores_csv,
 )
 
@@ -66,7 +64,7 @@ def _train_domain_map(manifest_path):
     return {m.model_id: m for m in records}, records
 
 
-def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None, meta=None):
+def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     """Smoothness measure CSV (and optionally accuracies) from prediction logs."""
     by_id, _ = _train_domain_map(manifest_path)
     variants = {"both": ("majority", "neg_entropy"), "majority": ("majority",),
@@ -95,10 +93,10 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None, meta=Non
             acc_rows.append(
                 (AccuracyRow(log.model_id, log.test_domain, compute_accuracy(log)), path)
             )
-    write_scores_csv(score_rows, out, meta)
+    write_scores_csv(score_rows, out)
     if acc_out is not None:
         # one accuracy per (model, domain) regardless of neighborhood count
-        write_accuracies_csv(_unique_accuracies(acc_rows), acc_out, meta)
+        write_accuracies_csv(_unique_accuracies(acc_rows), acc_out)
     return len(score_rows)
 
 
@@ -118,8 +116,7 @@ def _unique_accuracies(rows):
     return [row for row, _ in uniq.values()]
 
 
-def cmd_baseline(score_inputs, weight_inputs, manifest_path, out, acc_out=None,
-                 meta=None):
+def cmd_baseline(score_inputs, weight_inputs, manifest_path, out, acc_out=None):
     """ATC accuracy predictions and weight-norm measures as a scores CSV."""
     by_id, _ = _train_domain_map(manifest_path)
     paths = _expand_inputs(score_inputs)
@@ -188,14 +185,14 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out, acc_out=None,
                             value=value,
                         )
                     )
-    write_scores_csv(rows, out, meta)
+    write_scores_csv(rows, out)
     if acc_out is not None:
-        write_accuracies_csv(_unique_accuracies(acc_rows), acc_out, meta)
+        write_accuracies_csv(_unique_accuracies(acc_rows), acc_out)
     return len(rows)
 
 
 def cmd_evaluate(score_csvs, accuracies_csv, manifest_path, out, breakdown_dir=None,
-                 tau_variant="b", meta=None):
+                 tau_variant="b"):
     """Joined metric report (JSON) plus optional breakdown CSVs."""
     _, manifest = _train_domain_map(manifest_path)
     scores = []
@@ -204,25 +201,21 @@ def cmd_evaluate(score_csvs, accuracies_csv, manifest_path, out, breakdown_dir=N
     accuracies = read_accuracies_csv(accuracies_csv)
     matrix = build_matrix(manifest, scores, accuracies)
     report = build_report(matrix, tau_variant=tau_variant)
-    payload = {"meta": {"tool_version": __version__, **(meta or {})}, **report}
+    payload = {"meta": {"tool_version": __version__}, **report}
     atomic_write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if breakdown_dir is not None:
         os.makedirs(breakdown_dir, exist_ok=True)
-        _write_breakdowns(report, breakdown_dir, meta)
+        _write_breakdowns(report, breakdown_dir)
     return report
 
 
-def _write_breakdowns(report, breakdown_dir, meta=None):
+def _write_breakdowns(report, breakdown_dir):
+    measures = report["measures"]
     for _, table, key_cols, _ in REPORT_LAYOUT:
-        buf = io.StringIO()
-        for line in header_comments(meta):
-            buf.write(line + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("measure",) + key_cols + ("value",))
-        for measure in sorted(report["measures"]):
-            for row in report["measures"][measure]["breakdown"][table]:
-                writer.writerow([measure, *row])
-        atomic_write_text(os.path.join(breakdown_dir, f"{table}.csv"), buf.getvalue())
+        rows = [(measure, *row) for measure in sorted(measures)
+                for row in measures[measure]["breakdown"][table]]
+        write_csv(os.path.join(breakdown_dir, f"{table}.csv"),
+                  ("measure",) + key_cols + ("value",), rows)
 
 
 def _read_json_object(path, key):
@@ -241,12 +234,20 @@ def _read_json_object(path, key):
 
 
 def _ablation_context(artifacts, test_domain=None):
+    """(converged models not trained on the domain, the domain, the run's
+    AblationSpec or None)."""
     manifest = parse_manifest(os.path.join(artifacts, "manifest.jsonl"))
     exp_path = os.path.join(artifacts, "experiment.json")
-    ablation = {}
+    ablation = None
     if os.path.exists(exp_path):
-        ablation = _read_json_object(exp_path, "experiment").get("ablation") or {}
-    domain = test_domain or ablation.get("domain_id")
+        from .synthbench.pool import ablation_from_dict
+
+        experiment = _read_json_object(exp_path, "experiment")
+        try:
+            ablation = ablation_from_dict(experiment)
+        except SchemaError as e:
+            raise SchemaError(f"invalid experiment: {e}", exp_path) from e
+    domain = test_domain or (ablation.domain_id if ablation else None)
     if domain is None:
         raise SmoothgenError("no ablation domain configured; pass --test-domain")
     pool = [
@@ -270,7 +271,7 @@ def _sweep_row(value, logs_by_model, accuracies, transform, variant, tau_variant
 
 
 def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
-               tau_variant="b", seed=0, test_domain=None, meta=None):
+               tau_variant="b", seed=0, test_domain=None):
     """Sweep CSV of (value, tau) rows for one ablation kind.
 
     A value the logs cannot take (a size beyond a log's examples, more samples
@@ -299,7 +300,7 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
         "n_samples": (check_neighborhood_length, truncate_neighborhood),
     }
     if kind == "neighborhood_size":
-        values = values or [float(r) for r in ablation.get("size_r_values", ())]
+        values = values or [float(r) for r in (ablation.size_r_values if ablation else ())]
     elif kind not in sweeps:
         raise SmoothgenError(f"unknown ablation kind {kind!r}")
     if not values:
@@ -328,14 +329,8 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
             else:
                 rows.append(_sweep_row(v, *loaded, transform, variant, tau_variant))
 
-    buf = io.StringIO()
-    run_meta = {"kind": kind, "test_domain": domain, "seed": seed, **(meta or {})}
-    for line in header_comments(run_meta):
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("value", "tau", "status", "num_models"))
-    writer.writerows(rows)
-    atomic_write_text(out, buf.getvalue())
+    write_csv(out, ("value", "tau", "status", "num_models"), rows,
+              {"kind": kind, "test_domain": domain, "seed": seed})
     return rows
 
 
@@ -355,12 +350,16 @@ def cmd_report(report_path, stream=None):
         print(f"{measure:<{name_w}} " + " ".join(cells), file=stream)
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v]
-
-
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v]
+def _sweep_values(text, kind):
+    """The comma-separated --values of a sweep: floats for neighborhood_size,
+    integers for the other kinds."""
+    number = float if kind == "neighborhood_size" else int
+    try:
+        return [number(v) for v in text.split(",") if v]
+    except ValueError:
+        raise SmoothgenError(
+            f"--values {text!r}: expected comma-separated {number.__name__} values"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,17 +444,14 @@ def main(argv=None) -> int:
                          breakdown_dir=args.breakdown_dir, tau_variant=args.tau)
             print(f"wrote report to {args.out}")
         elif args.command == "ablate":
-            values = None
-            if args.values:
-                values = (_float_list(args.values) if args.kind == "neighborhood_size"
-                          else _int_list(args.values))
+            values = _sweep_values(args.values, args.kind) if args.values else None
             cmd_ablate(args.artifacts, args.kind, args.out, values=values,
                        variant=args.variant, tau_variant=args.tau, seed=args.seed,
                        test_domain=args.test_domain)
             print(f"wrote sweep to {args.out}")
         elif args.command == "report":
             cmd_report(args.input)
-    except SmoothgenError as e:
+    except (SmoothgenError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

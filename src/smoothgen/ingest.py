@@ -41,25 +41,11 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file and atomic rename."""
+def _atomic_write(path, data: bytes) -> None:
+    """Write data to path via a temp file and atomic rename; on any failure
+    the target keeps its old bytes and the temp file is removed."""
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_bytes(path, data: bytes) -> None:
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -68,6 +54,15 @@ def atomic_write_bytes(path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 via a temp file and atomic rename."""
+    _atomic_write(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    _atomic_write(path, data)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 and emits the manifest, prediction logs, score logs and weight dumps consumed
 by the rest of the pipeline.
 
-Neighborhood samples are generated once per (domain, neighborhood spec) and
+Each neighborhood set a model's prediction logs need is sampled once and
 shared across models. All outputs are written atomically and deterministically
 for a fixed experiment seed.
 """
@@ -12,13 +12,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -136,6 +137,12 @@ def experiment_from_dict(obj: dict) -> ExperimentConfig:
     return config
 
 
+def ablation_from_dict(obj: dict) -> Optional[AblationSpec]:
+    """The experiment's ablation, checked without building (and so checking the
+    arc margins of) its domains, which takes milliseconds and megabytes each."""
+    return _decode(Optional[AblationSpec], obj.get("ablation"), "experiment.ablation")
+
+
 def load_experiment(path) -> ExperimentConfig:
     """The experiment in a .json or .toml file; a file that does not parse or
     does not describe an experiment raises a SchemaError naming it."""
@@ -176,25 +183,22 @@ def default_grid(
 ) -> list:
     """Hyperparameter grid; ce_stop tracks the noise floor of each setting so
     label-noise runs can converge without memorizing every corrupted label."""
-    grid = []
-    for depth in depths:
-        for width in widths:
-            for wd in weight_decays:
-                for noise in label_noises:
-                    grid.append(
-                        TrainConfig(
-                            depth=depth,
-                            width=width,
-                            weight_decay=wd,
-                            label_noise=noise,
-                            batch_size=32,
-                            learning_rate=0.1,
-                            ce_stop=ce_margin + _noise_floor_ce(noise, k),
-                            max_epochs=max_epochs,
-                            seed=seed,
-                        )
-                    )
-    return grid
+    return [
+        TrainConfig(
+            depth=depth,
+            width=width,
+            weight_decay=wd,
+            label_noise=noise,
+            batch_size=32,
+            learning_rate=0.1,
+            ce_stop=ce_margin + _noise_floor_ce(noise, k),
+            max_epochs=max_epochs,
+            seed=seed,
+        )
+        for depth, width, wd, noise in itertools.product(
+            depths, widths, weight_decays, label_noises
+        )
+    ]
 
 
 def default_arcs(k: int = 3, gap: float = math.radians(20)) -> tuple:
@@ -255,13 +259,12 @@ def default_experiment(seed: int = 0, with_ablation: bool = True) -> ExperimentC
     )
 
 
-def _train_job(args):
-    domain_id, model_id, dataset, config = args
+def _train_job(job):
+    _, _, dataset, config = job
     try:
-        model = train_model(dataset, config)
+        return train_model(dataset, config)
     except DivergenceError:
-        model = None
-    return domain_id, model_id, model
+        return None
 
 
 @dataclass
@@ -269,8 +272,6 @@ class PoolResult:
     out_dir: str
     manifest: list
     num_converged: int
-    prediction_log_paths: list = field(default_factory=list)
-    score_log_paths: list = field(default_factory=list)
 
 
 def _neighborhood_points(test_set: Dataset, domain: DomainSpec, spec: NeighborhoodSpec,
@@ -294,11 +295,8 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
     for sub in ("predictions", "scores", "weights", "ablation"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
-    meta_common = {
-        "tool_version": __version__,
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-    }
+    meta_common = {"tool_version": __version__, "config_hash": config.config_hash(),
+                   "seed": config.seed}
 
     # Training jobs, one per (training domain, grid config).
     jobs = []
@@ -325,7 +323,7 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
 
     by_id = {}
     manifest = []
-    for (domain_id, model_id, dataset, cfg), (_, _, model) in zip(jobs, trained):
+    for (domain_id, model_id, dataset, cfg), model in zip(jobs, trained):
         converged = model is not None and model.converged
         manifest.append(
             ModelRecord(
@@ -340,176 +338,102 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
             by_id[model_id] = (domain_id, model)
     write_manifest(manifest, os.path.join(out_dir, "manifest.jsonl"))
 
-    # Shared evaluation data: test/validation sets and neighborhood samples.
+    # Evaluation sets: a validation set per training domain, and test sets by
+    # (domain, split), one per domain plus the ablation's large one.
+    domains = {d.domain_id: d for d in config.domains}
+    val_sets = {
+        d.domain_id: generate_domain(d, config.m_val, derive_seed(config.seed, "val", d.domain_id))
+        for d in training
+    }
     test_sets = {
-        d.domain_id: generate_domain(
+        (d.domain_id, "test"): generate_domain(
             d, config.m_test, derive_seed(config.seed, "test", d.domain_id)
         )
         for d in config.domains
     }
-    val_sets = {
-        d.domain_id: generate_domain(
-            d, config.m_val, derive_seed(config.seed, "val", d.domain_id)
-        )
-        for d in training
-    }
-    neighborhoods = {}
-    for d in config.domains:
-        for spec in config.neighborhoods:
-            neighborhoods[(d.domain_id, spec)] = _neighborhood_points(
-                test_sets[d.domain_id], d, spec, config.seed
-            )
 
-    # Ablation inputs: a large test set, a deep-sample neighborhood and a
-    # size_r sweep, all on one designated domain. A set on the domain's test
-    # set with a main spec is that main set (same seed, same points): it shares
-    # the samples and, per model, the predicted classes. Each set carries the
-    # ``neighborhoods`` key of the main set it shares, or None.
+    # Every prediction log a model gets, main and ablation alike, as (directory,
+    # name, test set, spec). The ablation adds a large test set, a deep-sample
+    # neighborhood and a size_r sweep, all on one designated domain.
+    pred_dir, ab_dir = os.path.join(out_dir, "predictions"), os.path.join(out_dir, "ablation")
+    plan = [
+        (pred_dir, f"{d.domain_id}__{spec.tag}", (d.domain_id, "test"), spec)
+        for d in config.domains
+        for spec in config.neighborhoods
+    ]
     ab = config.ablation
-    ab_sets = {}
     if ab is not None:
-        domain = next(d for d in config.domains if d.domain_id == ab.domain_id)
-        big = generate_domain(
-            domain, ab.m_test, derive_seed(config.seed, "ablation_test", ab.domain_id)
-        )
-        base_spec = NeighborhoodSpec(
-            kind="manifold", size_r=ab.base_size_r, n_samples=10, seed=config.seed
-        )
-        deep_spec = NeighborhoodSpec(
-            kind="manifold",
-            size_r=ab.base_size_r,
-            n_samples=ab.n_samples_max,
-            seed=config.seed,
-        )
-        ab_sets["dataset_size"] = (
-            big, base_spec, _neighborhood_points(big, domain, base_spec, config.seed), None
-        )
-        small = test_sets[ab.domain_id]
-        small_specs = {"n_samples": deep_spec}
-        for r in ab.size_r_values:
-            small_specs[f"size_r__{r:g}"] = NeighborhoodSpec(
-                kind="manifold", size_r=r, n_samples=10, seed=config.seed
-            )
-        for name, spec in small_specs.items():
-            key = (ab.domain_id, spec)
-            if key in neighborhoods:
-                ab_sets[name] = (small, spec, neighborhoods[key], key)
-            else:
-                samples = _neighborhood_points(small, domain, spec, config.seed)
-                ab_sets[name] = (small, spec, samples, None)
+        big, small = (ab.domain_id, "ablation_test"), (ab.domain_id, "test")
+        test_sets[big] = generate_domain(domains[ab.domain_id], ab.m_test,
+                                         derive_seed(config.seed, "ablation_test", ab.domain_id))
+        sets = [("dataset_size", big, ab.base_size_r, 10),
+                ("n_samples", small, ab.base_size_r, ab.n_samples_max)]
+        sets += [(f"size_r__{r:g}", small, r, 10) for r in ab.size_r_values]
+        plan += [
+            (ab_dir, name, key,
+             NeighborhoodSpec(kind="manifold", size_r=r, n_samples=n, seed=config.seed))
+            for name, key, r, n in sets
+        ]
+    # Each set is sampled once, seeded by its domain and spec, for all models.
+    plan = [
+        (directory, name, key, spec,
+         _neighborhood_points(test_sets[key], domains[key[0]], spec, config.seed))
+        for directory, name, key, spec in plan
+    ]
 
-    result = PoolResult(out_dir=out_dir, manifest=manifest, num_converged=len(by_id))
     # Every log of one size shares one tuple of example ids.
     example_ids = functools.cache(_example_ids)
-
-    def emit_score_log(path, model_id, domain_id, split, model, dataset):
-        classes, conf, negent = model_predict(model, dataset.points)
-        log = ScoreLog(
-            model_id=model_id,
-            domain=domain_id,
-            split=split,
-            example_ids=example_ids(len(classes)),
-            predicted_labels=classes,
-            max_confidence=conf,
-            # Rounding can leave an entropy a hair above zero. Like min(x, 0.0),
-            # this keeps a -0.0, where np.minimum need not.
-            neg_entropy=np.where(negent > 0.0, 0.0, negent),
-            true_labels=dataset.labels,
-            num_classes=dataset.num_classes,
-            meta=meta_common,
-        )
-        write_score_log(log, path)
-        result.score_log_paths.append(path)
-        return classes
-
-    def emit_prediction_log(path, model_id, domain_id, model, dataset, spec, samples,
-                            base_classes, classes=None):
-        m, n, _ = samples.shape
-        if classes is None:
-            classes = predict_classes(model, samples.reshape(m * n, 2))
-        log = NeighborhoodPredictionLog(
-            model_id=model_id,
-            test_domain=domain_id,
-            num_classes=dataset.num_classes,
-            example_ids=example_ids(m),
-            predictions=classes,
-            lengths=np.full(m, n),
-            true_labels=dataset.labels,
-            base_predictions=base_classes,
-            meta={**meta_common, "neighborhood": spec.tag},
-        )
-        write_prediction_log(log, path)
-        result.prediction_log_paths.append(path)
-        return classes
-
     for model_id, (train_domain, model) in sorted(by_id.items()):
-        # Validation scores on the model's own domain (threshold fitting).
-        emit_score_log(
-            os.path.join(out_dir, "scores", f"{model_id}__{train_domain}__validation.jsonl"),
-            model_id,
-            train_domain,
-            "validation",
-            model,
-            val_sets[train_domain],
-        )
-
-        # This model's classes of each test set and each main neighborhood set.
-        test_classes, nbr_classes = {}, {}
-        for d in config.domains:
-            test = test_sets[d.domain_id]
-            base_classes = test_classes[d.domain_id] = emit_score_log(
-                os.path.join(out_dir, "scores", f"{model_id}__{d.domain_id}__test.jsonl"),
-                model_id,
-                d.domain_id,
-                "test",
-                model,
-                test,
+        # Score logs on the model's validation set (threshold fitting) and on
+        # each test set; a test set's classes are its base classes.
+        base_classes = {}
+        for (domain_id, split), dataset in [
+            ((train_domain, "validation"), val_sets[train_domain]), *test_sets.items()
+        ]:
+            if split == "ablation_test":
+                base_classes[domain_id, split] = predict_classes(model, dataset.points)
+                continue
+            classes, conf, negent = model_predict(model, dataset.points)
+            base_classes[domain_id, split] = classes
+            log = ScoreLog(
+                model_id=model_id,
+                domain=domain_id,
+                split=split,
+                example_ids=example_ids(len(classes)),
+                predicted_labels=classes,
+                max_confidence=conf,
+                # Rounding can leave an entropy a hair above zero. Like min(x, 0.0),
+                # this keeps a -0.0, where np.minimum need not.
+                neg_entropy=np.where(negent > 0.0, 0.0, negent),
+                true_labels=dataset.labels,
+                num_classes=dataset.num_classes,
+                meta=meta_common,
             )
-            for spec in config.neighborhoods:
-                key = (d.domain_id, spec)
-                nbr_classes[key] = emit_prediction_log(
-                    os.path.join(
-                        out_dir,
-                        "predictions",
-                        f"{model_id}__{d.domain_id}__{spec.tag}.jsonl",
-                    ),
-                    model_id,
-                    d.domain_id,
-                    model,
-                    test,
-                    spec,
-                    neighborhoods[key],
-                    base_classes,
-                )
+            path = os.path.join(out_dir, "scores", f"{model_id}__{domain_id}__{split}.jsonl")
+            write_score_log(log, path)
 
-        for name, (dataset, spec, samples, key) in ab_sets.items():
-            if dataset is test_sets[ab.domain_id]:
-                base_classes = test_classes[ab.domain_id]
-            else:
-                base_classes = predict_classes(model, dataset.points)
-            emit_prediction_log(
-                os.path.join(out_dir, "ablation", f"{model_id}__{name}.jsonl"),
-                model_id,
-                ab.domain_id,
-                model,
-                dataset,
-                spec,
-                samples,
-                base_classes,
-                nbr_classes.get(key),
+        for directory, name, key, spec, samples in plan:
+            dataset = test_sets[key]
+            m, n, _ = samples.shape
+            log = NeighborhoodPredictionLog(
+                model_id=model_id,
+                test_domain=key[0],
+                num_classes=dataset.num_classes,
+                example_ids=example_ids(m),
+                predictions=predict_classes(model, samples.reshape(m * n, 2)),
+                lengths=np.full(m, n),
+                true_labels=dataset.labels,
+                base_predictions=base_classes[key],
+                meta={**meta_common, "neighborhood": spec.tag},
             )
+            write_prediction_log(log, os.path.join(directory, f"{model_id}__{name}.jsonl"))
 
         write_weight_dump(
             WeightDump(model_id=model_id, layers=tuple(np.array(w) for w in model.weights)),
             os.path.join(out_dir, "weights", f"{model_id}.bin"),
         )
 
-    atomic_write_text(
-        os.path.join(out_dir, "experiment.json"),
-        json.dumps(
-            {"meta": meta_common, "experiment": experiment_to_dict(config)},
-            sort_keys=True,
-            indent=2,
-        ),
-    )
-    return result
+    experiment = {"meta": meta_common, "experiment": experiment_to_dict(config)}
+    atomic_write_text(os.path.join(out_dir, "experiment.json"),
+                      json.dumps(experiment, sort_keys=True, indent=2))
+    return PoolResult(out_dir=out_dir, manifest=manifest, num_converged=len(by_id))

@@ -47,7 +47,8 @@ def header_comments(meta: Optional[dict] = None) -> list[str]:
     return ["# smoothgen " + " ".join(parts)]
 
 
-def _write_csv(path, columns, rows, meta) -> None:
+def write_csv(path, columns, rows, meta: Optional[dict] = None) -> None:
+    """Header comments, then a header row of ``columns`` and ``rows``."""
     buf = io.StringIO()
     for line in header_comments(meta):
         buf.write(line + "\n")
@@ -99,7 +100,7 @@ def _finite(text, name, path, lineno) -> float:
 
 def write_scores_csv(rows: Iterable[ScoreRow], path, meta: Optional[dict] = None) -> None:
     ordered = sorted(rows, key=lambda r: (r.measure, r.model_id, r.test_domain))
-    _write_csv(
+    write_csv(
         path,
         SCORE_COLUMNS,
         [
@@ -121,7 +122,7 @@ def write_accuracies_csv(
     rows: Iterable[AccuracyRow], path, meta: Optional[dict] = None
 ) -> None:
     ordered = sorted(rows, key=lambda r: (r.model_id, r.test_domain))
-    _write_csv(
+    write_csv(
         path,
         ACCURACY_COLUMNS,
         [(r.model_id, r.test_domain, repr(r.accuracy)) for r in ordered],

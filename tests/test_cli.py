@@ -209,15 +209,35 @@ class TestAblateCommand:
         missing = f"missing ablation logs 'size_r__0.3' under {out_dir / 'ablation'}"
         assert rows[1] == (0.3, "", f"skipped: {missing}", 0)
 
-    @pytest.mark.parametrize("truncated", [True, False], ids=["truncated", "not_an_object"])
-    def test_malformed_experiment_file_exits_nonzero(self, pool, tmp_path, capsys, truncated):
+    @pytest.mark.parametrize("case", [
+        "truncated",
+        "not_an_object",
+        "ablation_not_an_object",
+        "size_r_values_not_numbers",
+        "domain_id_not_a_string",
+    ])
+    def test_malformed_experiment_file_exits_nonzero(self, pool, tmp_path, capsys, case):
         out_dir, _ = pool
         artifacts = tmp_path / "run"
         artifacts.mkdir()
         shutil.copy(out_dir / "manifest.jsonl", artifacts)
         path = artifacts / "experiment.json"
         text = (out_dir / "experiment.json").read_text()
-        path.write_text(text[: len(text) // 2] if truncated else "[1]")
+        obj = json.loads(text)
+        ablation = obj["experiment"]["ablation"]
+        if case == "truncated":
+            text = text[: len(text) // 2]
+        elif case == "not_an_object":
+            text = "[1]"
+        else:
+            if case == "ablation_not_an_object":
+                obj["experiment"]["ablation"] = [1]
+            elif case == "size_r_values_not_numbers":
+                ablation["size_r_values"] = ["x"]
+            else:
+                ablation["domain_id"] = 7
+            text = json.dumps(obj)
+        path.write_text(text)
         rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
                    "--values", "4", "--out", str(tmp_path / "sweep.csv")])
         assert rc == 1
@@ -399,6 +419,38 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind, values", [
+        ("n_samples", "x"),
+        ("n_samples", "4,1.5"),
+        ("neighborhood_size", "0.5,x"),
+    ])
+    def test_unparsable_sweep_values_exit_nonzero(self, pool, tmp_path, capsys, kind,
+                                                  values):
+        out_dir, _ = pool
+        out = tmp_path / "sweep.csv"
+        rc = main(["ablate", "--artifacts", str(out_dir), "--kind", kind,
+                   "--values", values, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: --values {values!r}") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score_manifest", "report_input", "evaluate_scores"])
+    def test_missing_input_file_exits_nonzero(self, pool, tmp_path, capsys, command):
+        out_dir, _ = pool
+        missing = str(tmp_path / "missing")
+        manifest = str(out_dir / "manifest.jsonl")
+        argv = {
+            "score_manifest": ["score", "--input", str(out_dir / "predictions"),
+                               "--manifest", missing, "--out", str(tmp_path / "s.csv")],
+            "report_input": ["report", "--input", missing],
+            "evaluate_scores": ["evaluate", "--scores", missing, "--accuracies", missing,
+                                "--manifest", manifest, "--out", str(tmp_path / "r.json")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err and "Traceback" not in err
 
     def test_errors_exit_nonzero(self, pool, tmp_path, capsys):
         out_dir, _ = pool
