@@ -289,6 +289,10 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
         if len(paths) < 2:
             return None
         logs = {mid: parse_prediction_log(p) for mid, p in paths.items()}
+        for mid, log in logs.items():
+            if log.test_domain != domain:
+                raise SchemaError(f"ablation log of test domain {log.test_domain!r}, "
+                                  f"but the sweep's domain is {domain!r}", paths[mid])
         return logs, {mid: compute_accuracy(log) for mid, log in logs.items()}
 
     def missing(name):

@@ -8,6 +8,8 @@ values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -358,8 +360,10 @@ class WeightDump:
                 raise SchemaError(f"layer {i}: non-finite entries")
 
 
-def _iter_jsonl(path):
-    with open(path, "rb") as f:
+def _iter_jsonl(path, lines=None):
+    """(line number, object) of each non-blank line of the JSON Lines file at
+    ``path``; ``lines``, if given, are its lines as bytes, else it is read."""
+    with open(path, "rb") if lines is None else contextlib.nullcontext(lines) as f:
         for lineno, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8").strip()
@@ -403,14 +407,13 @@ def _require(obj, key, path, lineno, types=None):
     return obj[key]
 
 
-def _read_log(path, log_type):
+def _read_log(path, lines=None):
     """The header of a JSONL log with its line number, then its entries: the
     entry objects, their line numbers and the error of a malformed line that
-    ends them, or None. The header must declare ``log_type``; its ``meta``, if
-    any, must be an object."""
+    ends them, or None. ``lines`` are as for ``_iter_jsonl``."""
     numbered, malformed = [], None
     try:
-        numbered.extend(_iter_jsonl(path))
+        numbered.extend(_iter_jsonl(path, lines))
     except SchemaError as e:
         if not numbered:
             raise
@@ -418,12 +421,30 @@ def _read_log(path, log_type):
     if not numbered:
         raise SchemaError("empty file: missing header line", path=path)
     linenos, objs = zip(*numbered)
-    header, head_line = objs[0], linenos[0]
+    return objs[0], linenos[0], (objs[1:], linenos[1:], malformed)
+
+
+def _check_header(header, path, head_line, log_type):
+    """A log's header must declare ``log_type``; its ``meta``, if any, must be
+    an object, which is returned ({} if absent)."""
     if header.get("type") != log_type:
         raise SchemaError(f"header must declare type {log_type!r}", path=path, line=head_line)
-    if type(header.get("meta", {})) is not dict:
+    meta = header.get("meta", {})
+    if type(meta) is not dict:
         raise SchemaError("field 'meta' has wrong type", path=path, line=head_line)
-    return header, head_line, (objs[1:], linenos[1:], malformed)
+    return meta
+
+
+def _prediction_header(header, path, head_line):
+    """(model_id, test_domain, num_classes, meta) of a prediction log's
+    header: two strings, an integer (not a boolean) and an object."""
+    meta = _check_header(header, path, head_line, "prediction_log")
+    return (
+        _require(header, "model_id", path, head_line, str),
+        _require(header, "test_domain", path, head_line, str),
+        _require(header, "num_classes", path, head_line, int),
+        meta,
+    )
 
 
 def _field_values(body, types):
@@ -538,11 +559,16 @@ def write_manifest(records: Iterable[ModelRecord], path) -> None:
 def parse_prediction_log(path) -> NeighborhoodPredictionLog:
     """Parse a neighborhood prediction log (header line + one example per line)
     straight into the log's arrays; an error names path:line of the first
-    faulty line."""
-    header, head_line, entries = _read_log(path, "prediction_log")
-    model_id = _require(header, "model_id", path, head_line, str)
-    test_domain = _require(header, "test_domain", path, head_line, str)
-    k = _require(header, "num_classes", path, head_line, int)
+    faulty line. A file in the form ``serialize_prediction_log`` writes is
+    read by an array scan (``_scan_prediction_log``), any other by a JSON
+    decode of each line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    log = _scan_prediction_log(path, data)
+    if log is not None:
+        return log
+    header, head_line, entries = _read_log(path, io.BytesIO(data))
+    model_id, test_domain, k, meta = _prediction_header(header, path, head_line)
 
     def decode(body):
         (ids, rows, true, base), fault = _field_values(body, {
@@ -563,7 +589,126 @@ def parse_prediction_log(path) -> NeighborhoodPredictionLog:
         return tuple(ids), preds, lengths, true, base
 
     return _build(path, head_line, entries, decode, lambda *arrays: NeighborhoodPredictionLog(
-        model_id, test_domain, k, *arrays, meta=header.get("meta", {})))
+        model_id, test_domain, k, *arrays, meta=meta))
+
+
+# Lengths of the fixed text of a canonical example line, which is
+# {"base_prediction":B,"example_id":"ID","neighborhood_predictions":[P,...],"true_label":T}
+# with the base and true label fields each present or not.
+_BASE_KEY = len('{"base_prediction":')  # the line start to B
+_ID_KEY = len('{"example_id":"')  # the line start, or the comma after B, to ID
+_PREDICTIONS_KEY = len('","neighborhood_predictions":')  # the end of ID to "["
+_TRUE_KEY = len('],"true_label":')  # "]" to T
+_MIN_OPEN = _ID_KEY + _PREDICTIONS_KEY  # the line start to "[" at the least
+
+
+def _decimal_fields(buf, starts, stops):
+    """The unsigned integers written in decimal at ``buf[starts[i]:stops[i]]``
+    as uint64, or None when a field is empty or longer than 19 digits, the
+    most that uint64 holds of any digits. Bytes are not checked: a field that
+    is not all digits gives some value, whose decimal form differs from it."""
+    widths = stops - starts
+    if len(widths) and (widths.min() < 1 or widths.max() > 19):
+        return None
+    # Digit by digit from the left: each pass takes the next digit of the
+    # fields that have one, then drops the fields that have none left.
+    values = (buf[starts] - 48).astype(np.uint64)
+    rest = np.flatnonzero(widths > 1)
+    pos = starts[rest] + 1
+    while len(rest):
+        values[rest] = values[rest] * 10 + (buf[pos] - 48)
+        pos += 1
+        more = pos < stops[rest]
+        rest, pos = rest[more], pos[more]
+    return values
+
+
+def _scan_prediction_log(path, data):
+    """The prediction log held in the file bytes ``data`` when they are what
+    ``serialize_prediction_log`` writes for it, else None; a header the
+    strict parse rejects raises its error.
+
+    Soundness: the arrays come from a scan of the structural bytes that checks
+    almost nothing, and the log is kept only when rendering it gives ``data``
+    back byte for byte. The renderer gives the bytes of sorted-key
+    ``json.dumps`` of the log's header and example objects (its oracle tests
+    hold it to that), and JSON-decoding those bytes gives back those objects,
+    from which the strict parse builds this very log. So equal bytes mean the
+    strict parse returns an equal log, and the strict parse stays the only
+    decoder of any other file and the only source of its errors. A faulty
+    file is declined by the scan, fails the render check or makes the log's
+    constructor raise a SchemaError; each sends it to the strict parse.
+    """
+    nl = data.find(b"\n")
+    if nl < 0 or not data.isascii() or data[-1:] != b"\n":
+        return None
+    header = list(_iter_jsonl(path, [data[:nl]]))
+    if not header:
+        return None
+    model_id, test_domain, k, meta = _prediction_header(header[0][1], path, 1)
+
+    # Positions below are in the body, the bytes after the header line.
+    body_at = nl + 1
+    buf = np.frombuffer(data, dtype=np.uint8)[body_at:]
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([-1], ends))[:-1] + 1
+    # Each line must hold one "[" and one "]", in that order, after the
+    # shortest text that can precede "[".
+    opens, closes = np.flatnonzero(buf == ord("[")), np.flatnonzero(buf == ord("]"))
+    m = len(ends)
+    if not len(opens) == len(closes) == m:
+        return None
+    if m and not ((opens - starts >= _MIN_OPEN).all() and (opens < closes).all()
+                  and (closes < ends).all()):
+        return None
+
+    # The bytes after each "[" up to and with its "]": every prediction ends
+    # at a comma or at the "]". When each is one digit, the digits sit at the
+    # even places and the ends at the odd ones.
+    cuts = np.column_stack((opens + 1, closes + 1)).ravel()
+    inside = np.arange(2 * m + 1) % 2 == 1  # of the pieces between the cuts
+    region = buf[np.repeat(inside, np.diff(cuts, prepend=0, append=len(buf)))]
+    spans = closes - opens
+    is_end = (region == ord(",")) | (region == ord("]"))
+    if not (spans % 2).any() and is_end[1::2].all():
+        predictions, lengths = region[::2] - 48, spans // 2
+    else:
+        stops = np.flatnonzero(is_end)
+        predictions = _decimal_fields(
+            region, np.concatenate(([-1], stops))[:-1] + 1, stops)
+        lengths = np.diff(np.flatnonzero(region[stops] == ord("]")), prepend=-1)
+    if predictions is None:
+        return None
+
+    # The labels: B up to the comma after it, which the 20 bytes from B (all
+    # before the "[") hold if B has at most 19 digits; T up to the "}".
+    has_base = buf[starts + 2] == ord("b")
+    base_at = starts[has_base] + _BASE_KEY
+    base_end = base_at + (buf[base_at[:, None] + np.arange(20)] == ord(",")).argmax(axis=1)
+    has_true = ends - closes > len("]}")
+    labels = []
+    for has, values in (
+        (has_true, _decimal_fields(buf, closes[has_true] + _TRUE_KEY, ends[has_true] - 1)),
+        (has_base, _decimal_fields(buf, base_at, base_end)),
+    ):
+        if values is None:
+            return None
+        column = np.full(m, -1, dtype=np.int64)
+        column[has] = values
+        labels.append(column)
+
+    id_starts = starts + _ID_KEY
+    id_starts[has_base] = base_end + _ID_KEY
+    id_stops = opens - _PREDICTIONS_KEY
+    text = data.decode("ascii")
+    ids = tuple(text[a:b] for a, b in zip((id_starts + body_at).tolist(),
+                                          (id_stops + body_at).tolist()))
+    try:
+        log = NeighborhoodPredictionLog(
+            model_id, test_domain, k, ids, predictions, lengths, *labels, meta=meta)
+    except SchemaError:
+        return None
+    return log if _render_prediction_log(log) == text else None
 
 
 def _render_csv_ints(values: np.ndarray) -> tuple[str, np.ndarray]:
@@ -624,6 +769,11 @@ def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The renderer under a name of its own, so that wrapping the public name (as a
+# tracer does) leaves the parse's check out of the writer's count.
+_render_prediction_log = serialize_prediction_log
+
+
 def write_prediction_log(log: NeighborhoodPredictionLog, path) -> None:
     atomic_write_text(path, serialize_prediction_log(log))
 
@@ -631,7 +781,8 @@ def write_prediction_log(log: NeighborhoodPredictionLog, path) -> None:
 def parse_score_log(path) -> ScoreLog:
     """Parse a score log (header line + one entry per line) straight into the
     log's arrays; an error names path:line of the first faulty line."""
-    header, head_line, entries = _read_log(path, "score_log")
+    header, head_line, entries = _read_log(path)
+    meta = _check_header(header, path, head_line, "score_log")
     model_id = _require(header, "model_id", path, head_line, str)
     domain = _require(header, "domain", path, head_line, str)
     split = _require(header, "split", path, head_line, str)
@@ -659,7 +810,7 @@ def parse_score_log(path) -> ScoreLog:
         return (tuple(ids), *(arr for arr, _ in columns))
 
     return _build(path, head_line, entries, decode, lambda *arrays: ScoreLog(
-        model_id, domain, split, *arrays, num_classes=k, meta=header.get("meta", {})))
+        model_id, domain, split, *arrays, num_classes=k, meta=meta))
 
 
 def serialize_score_log(log: ScoreLog) -> str:

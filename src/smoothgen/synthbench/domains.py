@@ -8,6 +8,7 @@ or add isotropic Gaussian noise (isotropic kind).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -77,16 +78,7 @@ class DomainSpec:
 
     def arc_margin(self, resolution: int = 256) -> float:
         """Minimum distance between points of distinct class arcs at rotation 0."""
-        clouds = []
-        for arc in self.class_arcs:
-            t = arc.theta_start + arc.theta_extent * np.linspace(0, 1, resolution)
-            clouds.append(arc.point_at(t))
-        best = math.inf
-        for a in range(len(clouds)):
-            for b in range(a + 1, len(clouds)):
-                diff = clouds[a][:, None, :] - clouds[b][None, :, :]
-                best = min(best, float(np.sqrt((diff**2).sum(-1)).min()))
-        return best
+        return _arc_margin(self.class_arcs, resolution)
 
     def rotation_matrix(self) -> np.ndarray:
         c, s = math.cos(self.rotation), math.sin(self.rotation)
@@ -97,6 +89,22 @@ class DomainSpec:
 
     def to_base(self, world_points: np.ndarray) -> np.ndarray:
         return (world_points - np.asarray(self.translation)) @ self.rotation_matrix()
+
+
+@functools.lru_cache
+def _arc_margin(class_arcs, resolution):
+    """``DomainSpec.arc_margin``, computed once per distinct arcs and
+    resolution: an experiment's domains mostly share one set of arcs."""
+    clouds = []
+    for arc in class_arcs:
+        t = arc.theta_start + arc.theta_extent * np.linspace(0, 1, resolution)
+        clouds.append(arc.point_at(t))
+    best = math.inf
+    for a in range(len(clouds)):
+        for b in range(a + 1, len(clouds)):
+            diff = clouds[a][:, None, :] - clouds[b][None, :, :]
+            best = min(best, float(np.sqrt((diff**2).sum(-1)).min()))
+    return best
 
 
 @dataclass(frozen=True)

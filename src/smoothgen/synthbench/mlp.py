@@ -166,7 +166,7 @@ def train_model(
     x, y = dataset.points, dataset.labels
     m = len(y)
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    epoch = 0
+    epoch, ce = 0, None
     for epoch in range(1, config.max_epochs + 1):
         perm = shuffle_rng.permutation(m)
         for start in range(0, m, config.batch_size):
@@ -185,6 +185,7 @@ def train_model(
         if ce <= config.ce_stop:
             model.converged = True
             break
-    model.final_ce = cross_entropy(model, x, y)
+    # The last epoch's ce is that of the final weights.
+    model.final_ce = cross_entropy(model, x, y) if ce is None else ce
     model.epochs_run = epoch
     return model

@@ -271,6 +271,28 @@ class TestAblateCommand:
         assert f"{log}:2: " in err and "1.5 is not an integer" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["experiment_domain", "test_domain_option"])
+    def test_logs_of_another_domain_exit_nonzero(self, pool, tmp_path, capsys, case):
+        out_dir, _ = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        option = []
+        if case == "experiment_domain":
+            path = artifacts / "experiment.json"
+            obj = json.loads(path.read_text())
+            obj["experiment"]["ablation"]["domain_id"] = "nowhere"
+            path.write_text(json.dumps(obj))
+        else:
+            option = ["--test-domain", "rot000"]
+        out = tmp_path / "sweep.csv"
+        rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
+                   "--values", "4", "--out", str(out), *option])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {artifacts / 'ablation'}")
+        assert "test domain 'rot030'" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestMainEntry:
     def test_version_flag(self, capsys):

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from smoothgen import ingest
 from smoothgen.errors import SchemaError
 from smoothgen.ingest import (
     ExampleEntry,
@@ -29,8 +31,10 @@ from smoothgen.ingest import (
     write_score_log,
     write_weight_dump,
 )
+from smoothgen.synthbench.pool import run_pool
 
 from logrows import log_from_rows
+from test_cli import small_experiment
 
 RECORD = ModelRecord(
     model_id="d0-c000",
@@ -424,6 +428,147 @@ class TestPredictionLogRendererOracle:
              for i, (preds, true, base) in enumerate(examples)],
             model_id="m", test_domain="d", num_classes=k)
         assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
+
+
+def strict_path():
+    """A patch under which every prediction log takes the JSON decode of each
+    line."""
+    return mock.patch.object(ingest, "_scan_prediction_log", lambda path, data: None)
+
+
+def scan_only():
+    """A patch under which a prediction log that the array scan declines
+    fails the test."""
+    return mock.patch.object(ingest, "_read_log", side_effect=AssertionError("scan declined"))
+
+
+def parse_outcome(path):
+    """The log parsed from ``path``, or the message, path and line of its
+    SchemaError."""
+    try:
+        return parse_prediction_log(path)
+    except SchemaError as e:
+        return str(e), e.path, e.line
+
+
+SCAN_LOG = log_from_rows(
+    NeighborhoodPredictionLog,
+    model_id="m",
+    test_domain="d",
+    num_classes=3,
+    rows=(
+        ExampleEntry("ex0", (0, 1, 2), true_label=0, base_prediction=1),
+        ExampleEntry("ex1", (2,), base_prediction=2),
+        ExampleEntry("ex2", (1, 1), true_label=1),
+        ExampleEntry("ex3", (0, 2, 2, 2)),
+    ),
+    meta={"neighborhood": "manifold-r0.5-n10"},
+)
+SCAN_TEXT = serialize_prediction_log(SCAN_LOG)
+FIRST_EXAMPLE = SCAN_TEXT.splitlines()[1]
+
+
+@pytest.fixture(scope="module")
+def small_tree(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scan-pool")
+    run_pool(small_experiment(), out)
+    return out
+
+
+class TestPredictionLogScan:
+    """A canonical log is read by the array scan; every other file gives what
+    the JSON decode of each line gives, a log or its SchemaError."""
+
+    def test_every_log_of_a_pool_takes_the_scan(self, small_tree):
+        paths = sorted((small_tree / "predictions").glob("*.jsonl"))
+        paths += sorted((small_tree / "ablation").glob("*.jsonl"))
+        assert len(paths) > 20
+        with scan_only():
+            logs = [parse_prediction_log(p) for p in paths]
+        with strict_path():
+            assert logs == [parse_prediction_log(p) for p in paths]
+
+    def test_canonical_log_takes_the_scan(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text(SCAN_TEXT)
+        with scan_only():
+            assert parse_prediction_log(path) == SCAN_LOG
+
+    @pytest.mark.parametrize("old, new", [
+        ("[0,1,2]", "[0, 1, 2]"),
+        (FIRST_EXAMPLE, '{"example_id":"ex0","base_prediction":1,'
+                        '"neighborhood_predictions":[0,1,2],"true_label":0}'),
+        ("[0,1,2]", "[0,01,2]"),
+        ("[0,1,2]", "[0,1.0,2]"),
+        ("[0,1,2]", "[0,true,2]"),
+        ('"ex1"', '"\\u0065x1"'),
+        ("\n", "\r\n"),
+        (FIRST_EXAMPLE + "\n", FIRST_EXAMPLE + "\n\n"),
+        ("[0,1,2]", "[0,12345678901234567890,2]"),
+        ("[0,1,2]", "[0,1234567890123456789,2]"),
+        ('"num_classes":3', '"num_classes":3.0'),
+        ('"num_classes":3', '"num_classes":true'),
+        ("[0,1,2]", "[0,3,2]"),
+        ('"true_label":0', '"true_label":3'),
+        ('"base_prediction":1', '"base_prediction":-1'),
+        ("[0,1,2]", "[]"),
+        ('"ex3"', '"ex[3]"'),
+        ('"ex3"', '"ex,3"'),
+    ], ids=["spaces", "key_order", "leading_zero", "float", "boolean", "escaped_id", "crlf",
+            "blank_line", "20_digits", "19_digits", "float_num_classes",
+            "boolean_num_classes", "prediction_out_of_range", "true_label_out_of_range",
+            "negative_base", "empty_neighborhood", "bracket_in_id", "comma_in_id"])
+    def test_variant_gives_the_strict_outcome(self, tmp_path, old, new):
+        path = tmp_path / "log.jsonl"
+        assert old in SCAN_TEXT
+        path.write_text(SCAN_TEXT.replace(old, new, 1), newline="")
+        with strict_path():
+            expected = parse_outcome(path)
+        got = parse_outcome(path)
+        assert got == expected
+        if isinstance(got, tuple):  # an error names the changed line
+            assert got[1:] == (path, SCAN_TEXT[:SCAN_TEXT.index(old)].count("\n") + 1)
+
+    def test_missing_final_newline_gives_the_strict_outcome(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text(SCAN_TEXT[:-1])
+        assert parse_prediction_log(path) == SCAN_LOG
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(at=st.integers(0, len(SCAN_TEXT)), cut=st.integers(0, 2),
+           insert=st.sampled_from([b"", b"0", b"1", b"9", b",", b"[", b"]", b"{", b"}", b'"',
+                                   b"\\", b"\n", b" ", b"x", b"-", b"\xff"]))
+    def test_changed_bytes_give_the_strict_outcome(self, tmp_path, at, cut, insert):
+        data = SCAN_TEXT.encode()
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(data[:at] + insert + data[at + cut:])
+        with strict_path():
+            expected = parse_outcome(path)
+        assert parse_outcome(path) == expected
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), k=st.sampled_from([2, 11, 256, 65_537, 2**63 - 1]),
+           labelled=st.booleans(),
+           meta=st.sampled_from([{}, {"neighborhood": "manifold-r0.5-n10"}]))
+    def test_round_trip_takes_the_scan(self, tmp_path, data, k, labelled, meta):
+        value = st.one_of(st.integers(0, k - 1), st.sampled_from(
+            [v for v in DIGIT_AND_DTYPE_EDGES if v < k] + [k - 1]))
+        label = st.one_of(st.none(), st.integers(0, k - 1)) if labelled else st.none()
+        ex_id = st.text("abcxyz019-_ ,.:", max_size=8)
+        examples = data.draw(st.lists(
+            st.tuples(ex_id, st.lists(value, min_size=1, max_size=15), label, label),
+            max_size=12))
+        log = log_from_rows(
+            NeighborhoodPredictionLog,
+            [ExampleEntry(i, tuple(preds), true_label=true, base_prediction=base)
+             for i, preds, true, base in examples],
+            model_id="m", test_domain="d", num_classes=k, meta=meta)
+        path = tmp_path / "log.jsonl"
+        write_prediction_log(log, path)
+        with scan_only():
+            assert parse_prediction_log(path) == log
 
 
 class TestScoreLog:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from smoothgen.errors import SchemaError
+from smoothgen.synthbench import domains
 from smoothgen.synthbench.domains import (
     ArcSpec,
     DomainSpec,
@@ -107,6 +108,14 @@ class TestDomains:
     def test_arcs_too_close_for_noise_rejected(self):
         with pytest.raises(SchemaError, match="too close"):
             make_domain(noise_std=0.5)
+
+    def test_default_experiment_computes_the_arc_margin_once(self):
+        domains._arc_margin.cache_clear()
+        config = default_experiment()
+        assert len({d.class_arcs for d in config.domains}) == 1 < len(config.domains)
+        assert domains._arc_margin.cache_info().misses == 1
+        assert config.domains[0].arc_margin() == domains._arc_margin.__wrapped__(
+            default_arcs(), 256)
 
     def test_arc_validation(self):
         with pytest.raises(SchemaError):
@@ -407,6 +416,20 @@ class TestMlp:
         model = train_model(ds, cfg)
         assert not model.converged
         assert model.epochs_run == 0
+
+    @pytest.mark.parametrize("ce_stop, max_epochs, converged", [
+        (0.2, 200, True), (0.01, 3, False), (0.2, 0, False),
+    ], ids=["converged", "epoch_budget", "no_epochs"])
+    def test_final_ce_is_that_of_the_final_weights(self, ce_stop, max_epochs, converged):
+        ds = generate_domain(make_domain(noise_std=0.0), 120, seed=3)
+        cfg = TrainConfig(depth=1, width=16, weight_decay=0.0, label_noise=0.0,
+                          batch_size=16, learning_rate=0.1, ce_stop=ce_stop,
+                          max_epochs=max_epochs, seed=2)
+        model = train_model(ds, cfg)
+        assert model.converged == converged
+        if not converged:
+            assert model.epochs_run == max_epochs
+        assert model.final_ce == cross_entropy(model, ds.points, ds.labels)
 
     def test_training_is_deterministic(self):
         ds = generate_domain(make_domain(), 60, seed=1)
