@@ -640,12 +640,17 @@ def _scan_prediction_log(path, data):
     constructor raise a SchemaError; each sends it to the strict parse.
     """
     nl = data.find(b"\n")
-    if nl < 0 or not data.isascii() or data[-1:] != b"\n":
+    # The scan takes ids verbatim and the renderer escapes each "\", so a body
+    # with a JSON escape never renders back to itself: decline it at once.
+    if nl < 0 or not data.isascii() or data[-1:] != b"\n" or data.find(b"\\", nl) >= 0:
         return None
     header = list(_iter_jsonl(path, [data[:nl]]))
     if not header:
         return None
     model_id, test_domain, k, meta = _prediction_header(header[0][1], path, 1)
+    # A header that renders back to itself is the sorted-key dump of its object.
+    if _dumps(header[0][1]) != data[:nl].decode():
+        return None
 
     # Positions below are in the body, the bytes after the header line.
     body_at = nl + 1
@@ -664,7 +669,8 @@ def _scan_prediction_log(path, data):
 
     # The bytes after each "[" up to and with its "]": every prediction ends
     # at a comma or at the "]". When each is one digit, the digits sit at the
-    # even places and the ends at the odd ones.
+    # even places and the ends at the odd ones; reading them so takes about a
+    # fifth of the time of the digit runs and builds no index arrays.
     cuts = np.column_stack((opens + 1, closes + 1)).ravel()
     inside = np.arange(2 * m + 1) % 2 == 1  # of the pieces between the cuts
     region = buf[np.repeat(inside, np.diff(cuts, prepend=0, append=len(buf)))]

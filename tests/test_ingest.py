@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -494,6 +495,14 @@ class TestPredictionLogScan:
         with scan_only():
             assert parse_prediction_log(path) == SCAN_LOG
 
+    def test_escape_in_the_header_takes_the_scan(self, tmp_path):
+        log = dataclasses.replace(SCAN_LOG, model_id='a\\b"c', meta={"note": "x\ty"})
+        path = tmp_path / "log.jsonl"
+        path.write_text(serialize_prediction_log(log))
+        assert "\\\\" in path.read_text().splitlines()[0]
+        with scan_only():
+            assert parse_prediction_log(path) == log
+
     @pytest.mark.parametrize("old, new", [
         ("[0,1,2]", "[0, 1, 2]"),
         (FIRST_EXAMPLE, '{"example_id":"ex0","base_prediction":1,'
@@ -528,6 +537,21 @@ class TestPredictionLogScan:
         assert got == expected
         if isinstance(got, tuple):  # an error names the changed line
             assert got[1:] == (path, SCAN_TEXT[:SCAN_TEXT.index(old)].count("\n") + 1)
+
+    @pytest.mark.parametrize("text", [
+        SCAN_TEXT.replace(",", ", "),
+        SCAN_TEXT.replace("\n", "\r\n"),
+        SCAN_TEXT.replace('"ex1"', '"\\u0065x1"'),
+        SCAN_TEXT.replace(",", ", ", 1),
+    ], ids=["spaced", "crlf", "escaped_id", "spaced_header"])
+    def test_other_layouts_are_declined_before_the_render(self, tmp_path, text):
+        path = tmp_path / "log.jsonl"
+        path.write_text(text, newline="")
+        with strict_path():
+            expected = parse_outcome(path)
+        with mock.patch.object(ingest, "_render_prediction_log",
+                               side_effect=AssertionError("rendered")):
+            assert parse_outcome(path) == expected == SCAN_LOG
 
     def test_missing_final_newline_gives_the_strict_outcome(self, tmp_path):
         path = tmp_path / "log.jsonl"
