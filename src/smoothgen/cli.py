@@ -13,6 +13,7 @@ import glob
 import json
 import math
 import os
+import statistics
 import sys
 
 from . import __version__
@@ -339,19 +340,35 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
 
 
 def cmd_report(report_path, stream=None):
-    """Human-readable summary of a metric report."""
+    """Human-readable summary of a metric report: per measure and aggregate,
+    the mean the report holds, and from its breakdown the median of the
+    group values, the number of groups and the number skipped."""
     stream = stream or sys.stdout
     measures = _read_json_object(report_path, "measures")
-    cols = [value_key for value_key, *_ in REPORT_LAYOUT]
     name_w = max([len("measure")] + [len(m) for m in measures])
-    print(f"{'measure':<{name_w}} " + " ".join(f"{c:>10}" for c in cols), file=stream)
+    agg_w = max(len(value_key) for value_key, *_ in REPORT_LAYOUT)
+    print(f"{'measure':<{name_w}} {'aggregate':<{agg_w}} {'mean':>10} {'median':>10} "
+          f"{'groups':>6} {'skipped':>7}", file=stream)
+
+    def number(x):
+        return f"{x:>10.3f}" if x is not None else f"{'--':>10}"
+
     for measure in sorted(measures):
         entry = measures[measure]
-        cells = [
-            f"{entry[c]:>10.3f}" if entry.get(c) is not None else f"{'--':>10}"
-            for c in cols
-        ]
-        print(f"{measure:<{name_w}} " + " ".join(cells), file=stream)
+        for value_key, table, _, skip_list in REPORT_LAYOUT:
+            try:
+                values = [row[-1] for row in entry["breakdown"][table]]
+                skipped = len(entry["skipped"][skip_list])
+                median = statistics.median(values) if values else None
+                line = (f"{measure:<{name_w}} {value_key:<{agg_w}} "
+                        f"{number(entry.get(value_key))} {number(median)} "
+                        f"{len(values):>6} {skipped:>7}")
+            except (KeyError, IndexError, TypeError, ValueError):
+                raise SchemaError(
+                    f"measure {measure!r}: no valid {value_key!r} mean, "
+                    f"{table!r} breakdown or {skip_list!r} skipped list", report_path
+                ) from None
+            print(line, file=stream)
 
 
 def _sweep_values(text, kind):

@@ -3,12 +3,18 @@
 Training early-stops once the full-dataset cross entropy drops to the
 configured threshold; models that never get there within the epoch budget are
 flagged unconverged. Everything is deterministic given the config seed.
+
+A training step works in place on one parameter buffer and one gradient
+buffer, and every bit it computes is what the per-array version kept in the
+tests computes: each reduction keeps its order and operands, and only buffers
+and the number of numpy calls change (``x.mean()``, for one, is
+``add.reduce(x) / n`` without numpy's Python-level wrapper).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -53,16 +59,38 @@ class MlpModel:
     final_ce: float = math.nan
     epochs_run: int = 0
     converged: bool = False
+    # The buffer that init_model lays every weight matrix, then every bias
+    # vector, out in, as views; sgd_step updates all of it at once. None for
+    # a model built from loose arrays.
+    params: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __getstate__(self):
+        # Pickling copies each view into an array of its own, so the buffer
+        # would no longer back them; a pickled model leaves it behind.
+        return {**self.__dict__, "params": None}
+
+
+def _zeros(dims) -> MlpModel:
+    """A zero model with the given layer widths, laid out in one buffer."""
+    pairs = list(zip(dims, dims[1:]))
+    sizes = [fan_in * fan_out for fan_in, fan_out in pairs] + list(dims[1:])
+    params = np.zeros(sum(sizes))
+    parts = np.split(params, np.cumsum(sizes)[:-1])
+    weights = [part.reshape(shape) for part, shape in zip(parts, pairs)]
+    return MlpModel(weights=weights, biases=parts[len(pairs):], num_classes=dims[-1],
+                    params=params)
+
+
+def _zeros_like(model: MlpModel) -> MlpModel:
+    return _zeros([w.shape[0] for w in model.weights] + [model.num_classes])
 
 
 def init_model(num_classes: int, config: TrainConfig) -> MlpModel:
     rng = np.random.default_rng(config.seed)
-    dims = [2] + [config.width] * config.depth + [num_classes]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        weights.append(rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(weights=weights, biases=biases, num_classes=num_classes)
+    model = _zeros([2] + [config.width] * config.depth + [num_classes])
+    for w in model.weights:
+        w[...] = rng.standard_normal(w.shape) / math.sqrt(w.shape[0])
+    return model
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -83,16 +111,21 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _row_max(logits: np.ndarray) -> np.ndarray:
     # A column-wise running max is exact in any order and much faster than a
-    # row reduce over a handful of classes; the row sum stays a reduce, whose
-    # pairwise order column-wise adds match only below 8 classes.
+    # row reduce over a handful of classes.
     row_max = logits[:, 0].copy()
     for j in range(1, logits.shape[1]):
         np.maximum(row_max, logits[:, j], out=row_max)
-    e = logits - row_max[:, None]
+    return row_max[:, None]
+
+
+def _softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # The row sum stays a reduce: its pairwise order matches column-wise adds
+    # only below 8 classes. ``out=logits`` computes it in place.
+    e = np.subtract(logits, _row_max(logits), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
     return e
 
 
@@ -112,47 +145,62 @@ def model_predict(model: MlpModel, x: np.ndarray):
 
 
 def cross_entropy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    logits = forward(model, x)
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(len(y)), y].mean())
+    z = forward(model, x)
+    z -= _row_max(z)
+    picked = z[np.arange(len(y)), y]
+    np.exp(z, out=z)
+    log_sum = np.add.reduce(z, axis=1)
+    np.log(log_sum, out=log_sum)
+    picked -= log_sum
+    return -float(np.add.reduce(picked)) / len(y)
 
 
-def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
-    """Mean cross entropy and its gradients w.r.t. all weights and biases."""
+def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray,
+                   grads: Optional[MlpModel] = None):
+    """Mean cross entropy of a batch, and its gradient w.r.t. every weight and
+    bias written into ``grads`` (a model of the same layout; new if None).
+    Returns ``(loss, grads)``."""
+    if grads is None:
+        grads = _zeros_like(model)
     x = np.asarray(x, dtype=float)
     acts = [x]
     h = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.tanh(h @ w + b)
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
         acts.append(h)
-    logits = h @ model.weights[-1] + model.biases[-1]
-    z = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(z)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = h @ model.weights[-1]
+    probs += model.biases[-1]
+    _softmax(probs, out=probs)
     n = len(y)
-    loss = float(-np.log(probs[np.arange(n), y]).mean())
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+    rows = np.arange(n)
+    picked = probs[rows, y]
+    np.log(picked, out=picked)
+    loss = -float(np.add.reduce(picked)) / n
+    delta = probs  # the output layer's error, in place
+    delta[rows, y] -= 1.0
     delta /= n
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(acts[layer].T, delta, out=grads.weights[layer])
+        np.add.reduce(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (1.0 - acts[layer] ** 2)
-    return loss, grads_w, grads_b
+            a = acts[layer]  # 1 - a**2, the derivative of tanh
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            delta = delta @ model.weights[layer].T
+            delta *= a
+    return loss, grads
 
 
-def sgd_step(model: MlpModel, grads_w, grads_b, lr: float, weight_decay: float):
-    """One SGD update; weight decay shrinks weight matrices multiplicatively."""
+def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float):
+    """One SGD update over the parameter buffer; weight decay shrinks the
+    weight matrices multiplicatively. Scales ``grads`` by ``lr`` in place."""
     decay = 1.0 - lr * weight_decay
-    for w, gw in zip(model.weights, grads_w):
-        w *= decay
-        w -= lr * gw
-    for b, gb in zip(model.biases, grads_b):
-        b -= lr * gb
+    if decay != 1.0:
+        model.params[: model.params.size - sum(b.size for b in model.biases)] *= decay
+    grads.params *= lr
+    model.params -= grads.params
 
 
 def train_model(
@@ -163,20 +211,22 @@ def train_model(
         raise ValueError("empty training dataset")
     k = num_classes if num_classes is not None else dataset.num_classes
     model = init_model(k, config)
+    grads = _zeros_like(model)
     x, y = dataset.points, dataset.labels
-    m = len(y)
+    m, size = len(y), config.batch_size
     shuffle_rng = np.random.default_rng([config.seed, 1])
     epoch, ce = 0, None
     for epoch in range(1, config.max_epochs + 1):
         perm = shuffle_rng.permutation(m)
-        for start in range(0, m, config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            loss, gw, gb = loss_and_grads(model, x[batch], y[batch])
+        xs, ys = x[perm], y[perm]
+        for start in range(0, m, size):
+            stop = start + size
+            loss, _ = loss_and_grads(model, xs[start:stop], ys[start:stop], grads)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}", epoch=epoch
                 )
-            sgd_step(model, gw, gb, config.learning_rate, config.weight_decay)
+            sgd_step(model, grads, config.learning_rate, config.weight_decay)
         ce = cross_entropy(model, x, y)
         if not math.isfinite(ce):
             raise DivergenceError(

@@ -24,7 +24,7 @@ from smoothgen.protocol import (
 )
 from smoothgen.smoothness import smoothness
 from smoothgen.stats import kendall_tau, ols_fit, r_squared
-from smoothgen.synthbench.mlp import init_model, loss_and_grads, sgd_step
+from smoothgen.synthbench.mlp import _zeros_like, init_model, loss_and_grads, sgd_step
 from smoothgen.synthbench.pool import run_pool
 
 from conftest import record_acceptance
@@ -216,10 +216,10 @@ def test_07_training_gradients_decay_and_determinism(tmp_path):
     model = init_model(3, cfg)
     x = rng.normal(size=(10, 2))
     y = rng.integers(0, 3, size=10)
-    _, gw, gb = loss_and_grads(model, x, y)
+    _, grad = loss_and_grads(model, x, y)
     eps = 1e-6
     worst = 0.0
-    for params, grads in ((model.weights, gw), (model.biases, gb)):
+    for params, grads in ((model.weights, grad.weights), (model.biases, grad.biases)):
         for p, g in zip(params, grads):
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
@@ -235,13 +235,12 @@ def test_07_training_gradients_decay_and_determinism(tmp_path):
     grads_ok = worst < 1e-5
 
     decay_model = init_model(2, cfg)
-    zero_w = [np.zeros_like(w) for w in decay_model.weights]
-    zero_b = [np.zeros_like(b) for b in decay_model.biases]
+    zero = _zeros_like(decay_model)
     factor = 1.0 - 0.1 * 0.5
     before = [np.linalg.norm(w) for w in decay_model.weights]
     decay_ok = True
     for step in range(1, 4):
-        sgd_step(decay_model, zero_w, zero_b, 0.1, 0.5)
+        sgd_step(decay_model, zero, 0.1, 0.5)
         now = [np.linalg.norm(w) for w in decay_model.weights]
         decay_ok &= all(
             abs(n - factor**step * b0) <= 1e-12 * b0 for n, b0 in zip(now, before))

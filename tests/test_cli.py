@@ -15,6 +15,7 @@ from smoothgen.cli import (
     main,
 )
 from smoothgen.ingest import WeightDump, read_weight_dump, write_weight_dump
+from smoothgen.protocol import REPORT_LAYOUT
 from smoothgen.synthbench.domains import DomainSpec, NeighborhoodSpec
 from smoothgen.synthbench.mlp import TrainConfig
 from smoothgen.synthbench.pool import (
@@ -161,6 +162,48 @@ class TestEvaluateCommand:
         assert main(["report", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and "Traceback" not in err
+
+    @staticmethod
+    def constructed_report():
+        """One measure whose R^2 mean (-334.333) is far from its median (-2)."""
+        entry = {"breakdown": {}, "skipped": {}}
+        for value_key, table, _, skip_list in REPORT_LAYOUT:
+            entry[value_key] = None
+            entry["breakdown"][table] = []
+            entry["skipped"].setdefault(skip_list, [])
+        entry["r2"] = (-1000.0 - 2.0 - 1.0) / 3
+        entry["breakdown"]["r2_pairs"] = [["a", "b", -1000.0], ["a", "c", -2.0],
+                                          ["b", "a", -1.0]]
+        entry["skipped"]["r2_mae"] = [["b", "c", "pool too small"]]
+        entry["id_tau"] = 0.5
+        entry["breakdown"]["id_domains"] = [["a", 0.25], ["b", 0.75]]
+        return {"tau_variant": "b", "measures": {"ms_x": entry}}
+
+    def test_report_prints_median_groups_and_skipped(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(self.constructed_report()))
+        buf = io.StringIO()
+        cmd_report(path, stream=buf)
+        rows = {line.split()[1]: line.split()[2:] for line in buf.getvalue().splitlines()[1:]}
+        assert buf.getvalue().split("\n")[0].split() == [
+            "measure", "aggregate", "mean", "median", "groups", "skipped"]
+        assert list(rows) == [value_key for value_key, *_ in REPORT_LAYOUT]
+        assert rows["r2"] == ["-334.333", "-2.000", "3", "1"]
+        assert rows["mae_pct"] == ["--", "--", "0", "1"]  # shares the r2 skip list
+        assert rows["id_tau"] == ["0.500", "0.500", "2", "0"]
+        assert rows["micro_tau"] == ["--", "--", "0", "0"]
+
+    @pytest.mark.parametrize("breakdown", [[["a", "b", "x"]], [[]], "rows", None])
+    def test_report_with_a_malformed_breakdown_exits_nonzero(self, tmp_path, capsys,
+                                                             breakdown):
+        report = self.constructed_report()
+        report["measures"]["ms_x"]["breakdown"]["r2_pairs"] = breakdown
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["report", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and "r2_pairs" in err
+        assert "Traceback" not in err
 
 
 class TestAblateCommand:

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from smoothgen.errors import SchemaError
+from smoothgen.errors import DivergenceError, SchemaError
+from smoothgen.ingest import parse_manifest
 from smoothgen.synthbench import domains
 from smoothgen.synthbench.domains import (
     ArcSpec,
@@ -17,8 +20,10 @@ from smoothgen.synthbench.domains import (
     sample_neighborhood,
 )
 from smoothgen.synthbench.mlp import (
+    MlpModel,
     TrainConfig,
     _softmax,
+    _zeros_like,
     cross_entropy,
     forward,
     init_model,
@@ -352,6 +357,160 @@ class TestInferenceOracle:
         assert predict_classes(model, np.empty((0, 2))).shape == (0,)
 
 
+def reference_init_model(num_classes, config):
+    """A fresh model as init_model made it, one array per layer."""
+    rng = np.random.default_rng(config.seed)
+    dims = [2] + [config.width] * config.depth + [num_classes]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        weights.append(rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in))
+        biases.append(np.zeros(fan_out))
+    return MlpModel(weights=weights, biases=biases, num_classes=num_classes)
+
+
+def reference_cross_entropy(model, x, y):
+    """cross_entropy as it was before it gathered the labels' rows first."""
+    logits = reference_forward(model, x)
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(y)), y].mean())
+
+
+def reference_loss_and_grads(model, x, y):
+    """Loss and per-layer gradients as loss_and_grads made them before it
+    wrote into one buffer."""
+    x = np.asarray(x, dtype=float)
+    acts = [x]
+    h = x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.tanh(h @ w + b)
+        acts.append(h)
+    logits = h @ model.weights[-1] + model.biases[-1]
+    z = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(z)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = len(y)
+    loss = float(-np.log(probs[np.arange(n), y]).mean())
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * (1.0 - acts[layer] ** 2)
+    return loss, grads_w, grads_b
+
+
+def reference_sgd_step(model, grads_w, grads_b, lr, weight_decay):
+    decay = 1.0 - lr * weight_decay
+    for w, gw in zip(model.weights, grads_w):
+        w *= decay
+        w -= lr * gw
+    for b, gb in zip(model.biases, grads_b):
+        b -= lr * gb
+
+
+def reference_train_model(dataset, config):
+    """train_model as it was before one buffer and one gather per epoch."""
+    model = reference_init_model(dataset.num_classes, config)
+    x, y = dataset.points, dataset.labels
+    m = len(y)
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    epoch, ce = 0, None
+    for epoch in range(1, config.max_epochs + 1):
+        perm = shuffle_rng.permutation(m)
+        for start in range(0, m, config.batch_size):
+            batch = perm[start : start + config.batch_size]
+            loss, gw, gb = reference_loss_and_grads(model, x[batch], y[batch])
+            if not math.isfinite(loss):
+                raise DivergenceError("step", epoch=epoch)
+            reference_sgd_step(model, gw, gb, config.learning_rate, config.weight_decay)
+        ce = reference_cross_entropy(model, x, y)
+        if not math.isfinite(ce):
+            raise DivergenceError("epoch", epoch=epoch)
+        if ce <= config.ce_stop:
+            model.converged = True
+            break
+    model.final_ce = reference_cross_entropy(model, x, y) if ce is None else ce
+    model.epochs_run = epoch
+    return model
+
+
+# Every default_grid() config (label noise and weight decay included) and the
+# bench's synth_train grid; each gets its own seed.
+TRAIN_GRID = [dataclasses.replace(c, seed=i) for i, c in enumerate(
+    default_grid() + default_grid(ce_margin=0.02, label_noises=(0.0,)))]
+
+
+def oracle_dataset(config, m=50):
+    """A small training set whose last batch of 32 is short, with the
+    config's label noise applied."""
+    ds = generate_domain(make_domain(), m, seed=config.seed)
+    return apply_label_noise(ds, config.label_noise, seed=config.seed)
+
+
+def assert_same_training(model, want):
+    for got_arrays, want_arrays in ((model.weights, want.weights), (model.biases, want.biases)):
+        assert len(got_arrays) == len(want_arrays)
+        for got, ref in zip(got_arrays, want_arrays):
+            assert np.array_equal(got, ref)
+    assert (model.epochs_run, model.converged) == (want.epochs_run, want.converged)
+    assert model.final_ce.hex() == want.final_ce.hex()
+
+
+class TestTrainingOracle:
+    @pytest.mark.parametrize("arch, config", ARCHITECTURES,
+                             ids=[f"depth{d}-width{w}" for (d, w), _ in ARCHITECTURES])
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("rows", [32, 18])
+    def test_one_step_equals_reference(self, arch, config, k, rows):
+        x = np.random.default_rng(k).normal(0.0, 1.5, size=(rows, 2))
+        y = np.random.default_rng(rows).integers(0, k, size=rows)
+        model = init_model(k, config)
+        want = reference_init_model(k, config)
+        assert_same_training(model, want)
+        loss, grads = loss_and_grads(model, x, y)
+        want_loss, want_w, want_b = reference_loss_and_grads(want, x, y)
+        assert loss.hex() == want_loss.hex()
+        for got, ref in zip(grads.weights + grads.biases, want_w + want_b):
+            assert np.array_equal(got, ref)
+        sgd_step(model, grads, 0.1, 1e-4)
+        reference_sgd_step(want, want_w, want_b, 0.1, 1e-4)
+        assert_same_training(model, want)
+        assert cross_entropy(model, x, y).hex() == reference_cross_entropy(want, x, y).hex()
+
+    @pytest.mark.parametrize("config", TRAIN_GRID, ids=lambda c: (
+        f"d{c.depth}w{c.width}-wd{c.weight_decay}-noise{c.label_noise}-stop{c.ce_stop:.3f}"))
+    def test_training_equals_reference(self, config):
+        ds = oracle_dataset(config)
+        assert len(ds.labels) % config.batch_size
+        assert_same_training(train_model(ds, config), reference_train_model(ds, config))
+
+    @pytest.mark.parametrize("learning_rate, epoch, check", [
+        (1e10, 2, "step"), (1e308, 1, "epoch"),
+    ], ids=["step_loss", "epoch_cross_entropy"])
+    def test_divergence_raises_at_the_reference_epoch(self, learning_rate, epoch, check):
+        # One batch per epoch. With lr 1e10 the epoch-1 cross entropy (a stable
+        # log-sum-exp) is finite and the epoch-2 step loss takes the log of an
+        # underflowed probability; with lr 1e308 the first step is finite and
+        # the update overflows the logits that the epoch's cross entropy sums.
+        config = TrainConfig(depth=1, width=8, weight_decay=0.0, label_noise=0.0,
+                             batch_size=64, learning_rate=learning_rate, ce_stop=0.01,
+                             max_epochs=50, seed=0)
+        ds = oracle_dataset(config, m=40)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as want:
+                reference_train_model(ds, config)
+            with pytest.raises(DivergenceError) as got:
+                train_model(ds, config)
+        assert (str(want.value), want.value.epoch) == (check, epoch)
+        assert got.value.epoch == epoch
+        assert str(got.value) == f"non-finite training loss at epoch {epoch}"
+
+
 class TestMlp:
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -361,13 +520,13 @@ class TestMlp:
         model = init_model(3, cfg)
         x = rng.normal(size=(12, 2))
         y = rng.integers(0, 3, size=12)
-        _, gw, gb = loss_and_grads(model, x, y)
+        _, grad = loss_and_grads(model, x, y)
         eps = 1e-6
 
         def loss_at():
             return loss_and_grads(model, x, y)[0]
 
-        for params, grads in ((model.weights, gw), (model.biases, gb)):
+        for params, grads in ((model.weights, grad.weights), (model.biases, grad.biases)):
             for p, g in zip(params, grads):
                 it = np.nditer(p, flags=["multi_index"])
                 for _ in it:
@@ -387,11 +546,10 @@ class TestMlp:
                           batch_size=4, learning_rate=0.1, ce_stop=0.1,
                           max_epochs=1, seed=1)
         model = init_model(2, cfg)
-        zero_w = [np.zeros_like(w) for w in model.weights]
-        zero_b = [np.zeros_like(b) for b in model.biases]
+        zero = _zeros_like(model)
         norms = [[np.linalg.norm(w) for w in model.weights]]
         for _ in range(5):
-            sgd_step(model, zero_w, zero_b, cfg.learning_rate, cfg.weight_decay)
+            sgd_step(model, zero, cfg.learning_rate, cfg.weight_decay)
             norms.append([np.linalg.norm(w) for w in model.weights])
         decay = 1.0 - cfg.learning_rate * cfg.weight_decay
         for step in range(1, 6):
@@ -430,6 +588,19 @@ class TestMlp:
         if not converged:
             assert model.epochs_run == max_epochs
         assert model.final_ce == cross_entropy(model, ds.points, ds.labels)
+
+    def test_a_pickled_model_leaves_its_training_buffer_behind(self):
+        ds = generate_domain(make_domain(), 30, seed=0)
+        cfg = TrainConfig(depth=2, width=4, weight_decay=0.0, label_noise=0.0,
+                          batch_size=8, learning_rate=0.1, ce_stop=0.01,
+                          max_epochs=2, seed=0)
+        model = train_model(ds, cfg)
+        assert np.shares_memory(model.params, model.weights[0])
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy.params is None and model.params is not None
+        for got, want in zip(copy.weights + copy.biases, model.weights + model.biases):
+            assert np.array_equal(got, want)
+        assert (copy.final_ce, copy.epochs_run) == (model.final_ce, model.epochs_run)
 
     def test_training_is_deterministic(self):
         ds = generate_domain(make_domain(), 60, seed=1)
@@ -538,6 +709,17 @@ class TestRunPool:
         run_pool(tiny_config(), serial, threads=1)
         run_pool(tiny_config(), parallel, threads=2)
         assert tree_digest(parallel) == tree_digest(serial)
+
+    def test_a_diverging_model_is_written_unconverged(self, tmp_path):
+        config = tiny_config()
+        config.grid = [config.grid[0], dataclasses.replace(config.grid[0], learning_rate=1e10)]
+        with np.errstate(all="ignore"):
+            result = run_pool(config, tmp_path / "out")
+        records = parse_manifest(tmp_path / "out" / "manifest.jsonl")
+        assert [r.converged for r in records] == [True, False, True, False]
+        assert [r.converged for r in result.manifest] == [True, False, True, False]
+        assert sorted(p.stem for p in (tmp_path / "out" / "weights").iterdir()) == [
+            records[0].model_id, records[2].model_id]
 
     def test_artifact_layout(self, tmp_path):
         config = tiny_config()
