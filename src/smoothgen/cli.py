@@ -60,23 +60,26 @@ def _expand_inputs(paths, pattern="*.jsonl"):
     return files
 
 
-def _train_domain_map(manifest_path):
-    records = parse_manifest(manifest_path)
-    return {m.model_id: m for m in records}, records
+def _converged(models, model_id, path):
+    """The manifest record of the model whose artifact is file ``path`` if it
+    converged, None if it did not; a model the manifest lacks raises a
+    SmoothgenError naming the file. ``models`` maps ids to records."""
+    rec = models.get(model_id)
+    if rec is None:
+        raise SmoothgenError(f"{path}: model {model_id!r} not in manifest")
+    return rec if rec.converged else None
 
 
 def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     """Smoothness measure CSV (and optionally accuracies) from prediction logs."""
-    by_id, _ = _train_domain_map(manifest_path)
+    models = {m.model_id: m for m in parse_manifest(manifest_path)}
     variants = {"both": ("majority", "neg_entropy"), "majority": ("majority",),
                 "entropy": ("neg_entropy",)}[variant]
     score_rows, acc_rows = [], []
     for path in _expand_inputs(inputs):
         log = parse_prediction_log(path)
-        rec = by_id.get(log.model_id)
+        rec = _converged(models, log.model_id, path)
         if rec is None:
-            raise SmoothgenError(f"{path}: model {log.model_id!r} not in manifest")
-        if not rec.converged:
             continue
         tag = log.meta.get("neighborhood", "default")
         for var in variants:
@@ -97,73 +100,66 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     write_scores_csv(score_rows, out)
     if acc_out is not None:
         # one accuracy per (model, domain) regardless of neighborhood count
-        write_accuracies_csv(_unique_accuracies(acc_rows), acc_out)
+        write_accuracies_csv(_unique_rows(acc_rows), acc_out)
     return len(score_rows)
 
 
-def _unique_accuracies(rows):
-    """One row per (model, domain) from (AccuracyRow, source path) pairs;
-    rows for the same pair must agree."""
+def _unique_rows(pairs):
+    """One row per key from (row, source) pairs, the first of each: an
+    accuracy row's key is its model and test domain, a score row's also its
+    measure. Rows of one key must hold equal values."""
     uniq = {}
-    for row, source in rows:
-        key = (row.model_id, row.test_domain)
-        if key in uniq and uniq[key][0].accuracy != row.accuracy:
-            first, first_source = uniq[key]
+    for row, source in pairs:
+        if isinstance(row, AccuracyRow):
+            name, value = "accuracy", row.accuracy
+        else:
+            name, value = f"measure {row.measure!r}", row.value
+        _, first_value, first_source = uniq.setdefault(
+            (name, row.model_id, row.test_domain), (row, value, source))
+        if first_value != value:
             raise SmoothgenError(
-                f"accuracy of model {row.model_id!r} on {row.test_domain!r} differs: "
-                f"{first.accuracy!r} in {first_source}, {row.accuracy!r} in {source}"
+                f"{name} of model {row.model_id!r} on {row.test_domain!r} differs: "
+                f"{first_value!r} in {first_source}, {value!r} in {source}"
             )
-        uniq[key] = (row, source)
-    return [row for row, _ in uniq.values()]
+    return [row for row, _, _ in uniq.values()]
 
 
-def cmd_baseline(score_inputs, weight_inputs, manifest_path, out, acc_out=None):
+def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
     """ATC accuracy predictions and weight-norm measures as a scores CSV."""
-    by_id, _ = _train_domain_map(manifest_path)
-    paths = _expand_inputs(score_inputs)
-    logs = [parse_score_log(p) for p in paths]
-    validation = {}
-    tests = []
-    for log, path in zip(logs, paths):
-        rec = by_id.get(log.model_id)
+    models = {m.model_id: m for m in parse_manifest(manifest_path)}
+    validation, tests = {}, []
+    for path in _expand_inputs(score_inputs):
+        log = parse_score_log(path)
+        rec = _converged(models, log.model_id, path)
         if rec is None:
-            raise SmoothgenError(f"model {log.model_id!r} not in manifest")
-        if not rec.converged:
             continue
         if log.split == "validation":
             validation[log.model_id] = log
         else:
-            tests.append((log, path))
-    rows, acc_rows = [], []
-    for log, path in tests:
-        rec = by_id[log.model_id]
-        val = validation.get(log.model_id)
-        if val is None:
-            raise SmoothgenError(
-                f"model {log.model_id!r}: no validation score log for threshold fitting"
-            )
-        for kind, name in (("max_confidence", "atc_mc"), ("neg_entropy", "atc_ne")):
-            rows.append(
-                ScoreRow(
-                    model_id=log.model_id,
-                    train_domain=rec.train_domain,
-                    test_domain=log.domain,
-                    measure=name,
-                    value=atc_predict(log, atc_fit(val, kind)),
+            tests.append((log, rec))
+    rows, thresholds = [], {}
+    for log, rec in tests:
+        if log.model_id not in thresholds:
+            val = validation.get(log.model_id)
+            if val is None:
+                raise SmoothgenError(
+                    f"model {log.model_id!r}: no validation score log for threshold fitting"
                 )
-            )
-        if acc_out is not None:
-            acc_rows.append(
-                (AccuracyRow(log.model_id, log.domain, compute_accuracy(log)), path)
-            )
+            thresholds[log.model_id] = [
+                (name, atc_fit(val, kind))
+                for kind, name in (("max_confidence", "atc_mc"), ("neg_entropy", "atc_ne"))
+            ]
+        rows.extend(ScoreRow(log.model_id, rec.train_domain, log.domain, name,
+                             atc_predict(log, threshold))
+                    for name, threshold in thresholds[log.model_id])
     if weight_inputs:
         domains_by_model = {}
         for log, _ in tests:
             domains_by_model.setdefault(log.model_id, []).append(log.domain)
         for path in _expand_inputs(weight_inputs, pattern="*.bin"):
             dump = read_weight_dump(path)
-            rec = by_id.get(dump.model_id)
-            if rec is None or not rec.converged:
+            rec = _converged(models, dump.model_id, path)
+            if rec is None:
                 continue
             norms = norm_measures(dump)
             for name, value in (
@@ -187,20 +183,27 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out, acc_out=None):
                         )
                     )
     write_scores_csv(rows, out)
-    if acc_out is not None:
-        write_accuracies_csv(_unique_accuracies(acc_rows), acc_out)
     return len(rows)
 
 
 def cmd_evaluate(score_csvs, accuracies_csv, manifest_path, out, breakdown_dir=None,
                  tau_variant="b"):
     """Joined metric report (JSON) plus optional breakdown CSVs."""
-    _, manifest = _train_domain_map(manifest_path)
+    manifest = parse_manifest(manifest_path)
+    train_domains = {m.model_id: m.train_domain for m in manifest}
     scores = []
     for path in score_csvs:
-        scores.extend(read_scores_csv(path))
-    accuracies = read_accuracies_csv(accuracies_csv)
-    matrix = build_matrix(manifest, scores, accuracies)
+        for row in read_scores_csv(path):
+            # A model the manifest lacks stays out of the join, unchecked.
+            expected = train_domains.get(row.model_id, row.train_domain)
+            if row.train_domain != expected:
+                raise SmoothgenError(
+                    f"{path}: model {row.model_id!r} has train_domain "
+                    f"{row.train_domain!r}, but the manifest says {expected!r}"
+                )
+            scores.append((row, path))
+    accuracies = [(row, accuracies_csv) for row in read_accuracies_csv(accuracies_csv)]
+    matrix = build_matrix(manifest, _unique_rows(scores), _unique_rows(accuracies))
     report = build_report(matrix, tau_variant=tau_variant)
     payload = {"meta": {"tool_version": __version__}, **report}
     atomic_write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -409,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", nargs="*", default=[], help="weight dumps or directories")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--acc-out")
 
     p = sub.add_parser("evaluate", help="full correlation report")
     p.add_argument("--scores", nargs="+", required=True, help="scores CSV files")
@@ -457,8 +459,7 @@ def main(argv=None) -> int:
                           variant=args.variant, acc_out=args.acc_out)
             print(f"wrote {n} score rows to {args.out}")
         elif args.command == "baseline":
-            n = cmd_baseline(args.scores, args.weights, args.manifest, args.out,
-                             acc_out=args.acc_out)
+            n = cmd_baseline(args.scores, args.weights, args.manifest, args.out)
             print(f"wrote {n} score rows to {args.out}")
         elif args.command == "evaluate":
             cmd_evaluate(args.scores, args.accuracies, args.manifest, args.out,

@@ -8,6 +8,7 @@ values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import io
 import json
@@ -86,15 +87,6 @@ class ExampleEntry:
     base_prediction: Optional[int] = None
 
 
-class _RowError(SchemaError):
-    """A row of a log (an example or an entry) breaks its schema; ``index`` is
-    its position."""
-
-    def __init__(self, index, message):
-        super().__init__(message)
-        self.index = index
-
-
 def _check_num_classes(k):
     """A class count, if given, is at least 2 and fits in an int64 label."""
     if k is not None and not 2 <= k < 2**63:
@@ -118,13 +110,13 @@ def _range_fault(name, values, lo, hi, suffix=""):
 
 
 def _raise_first(noun, ids, faults):
-    """Raise a ``_RowError`` naming the row's id for the lowest row among the
+    """Raise a SchemaError naming the row's id for the lowest row among the
     (row, message) ``faults`` (None where a check found nothing); of faults in
     one row, the first listed."""
     found = [f for f in faults if f is not None]
     if found:
         i, message = min(found, key=itemgetter(0))
-        raise _RowError(i, f"{noun} {ids[i]!r}: {message}")
+        raise SchemaError(f"{noun} {ids[i]!r}: {message}")
 
 
 def _log_eq(self, other):
@@ -449,20 +441,16 @@ def _prediction_header(header, path, head_line):
 
 def _field_values(body, types):
     """The values of each field over the entries (None where absent), one list
-    per field in the order of ``types``, up to the first entry that lacks a
-    required field or holds a value of another type; with that entry's
-    (row, message) fault, or None. ``types`` maps each field to the types its
-    values must have exactly, or to None if it is optional."""
+    per field in the order of ``types``, which maps each field to the types its
+    values must have exactly, or to None if it is optional. An entry that
+    lacks a required field or holds a value of another type raises a
+    SchemaError, for the first such field in ``types``."""
     columns = [list(map(dict.get, body, repeat(key))) for key in types]
-    faults = []
     for (key, kinds), values in zip(types.items(), columns):
         if kinds is not None and not set(map(type, values)) <= set(kinds):
             i = next(i for i, v in enumerate(values) if type(v) not in kinds)
-            faults.append((i, _field_fault(body[i], key, kinds)))
-    if not faults:
-        return columns, None
-    fault = min(faults, key=itemgetter(0))
-    return [values[: fault[0]] for values in columns], fault
+            raise SchemaError(_field_fault(body[i], key, kinds))
+    return columns
 
 
 def _column(values, name, dtype, k=None, lengths=None, absent_ok=False):
@@ -507,21 +495,30 @@ def _column(values, name, dtype, k=None, lengths=None, absent_ok=False):
 
 def _build(path, head_line, entries, decode, make):
     """The log ``make`` builds from the arrays ``decode`` gives for the
-    entries; errors name path:line. ``decode`` raises a ``_RowError`` for the
-    first entry holding a value no array holds; the entries before it are then
-    built first, so that a value out of range on an earlier line is named."""
+    entries; an error names path:line of the first faulty line.
+
+    A valid log takes one decode and one build. A faulty one is named by
+    bisection over the prefixes of its entries: every check of ``decode`` and
+    ``make`` belongs to the header or to one entry, so whether a prefix fails
+    to build is monotone in its length, and the shortest prefix that fails
+    ends at the first faulty entry (or is empty, for a faulty header). Its
+    error is raised at that entry's line.
+    """
     body, lines, malformed = entries
-    try:
+
+    def error(n):
+        """The SchemaError building the first ``n`` entries raises, or None."""
         try:
-            arrays = decode(body)
-        except _RowError as fault:
-            make(*decode(body[: fault.index]))
-            raise fault
-        log = make(*arrays)
-    except _RowError as e:
-        raise SchemaError(str(e), path=path, line=lines[e.index]) from None
-    except SchemaError as e:
-        raise SchemaError(str(e), path=path, line=head_line) from None
+            make(*decode(body[:n]))
+        except SchemaError as e:
+            return e
+        return None
+
+    try:
+        log = make(*decode(body))
+    except SchemaError:
+        n = bisect.bisect_left(range(len(body) + 1), True, key=lambda n: error(n) is not None)
+        raise SchemaError(str(error(n)), path=path, line=lines[n - 1] if n else head_line) from None
     if malformed is not None:
         raise malformed
     return log
@@ -571,7 +568,7 @@ def parse_prediction_log(path) -> NeighborhoodPredictionLog:
     model_id, test_domain, k, meta = _prediction_header(header, path, head_line)
 
     def decode(body):
-        (ids, rows, true, base), fault = _field_values(body, {
+        ids, rows, true, base = _field_values(body, {
             "example_id": (str,),
             "neighborhood_predictions": (list,),
             "true_label": None,
@@ -584,8 +581,6 @@ def parse_prediction_log(path) -> NeighborhoodPredictionLog:
             _column(base, "base_prediction", np.int64, k, absent_ok=True),
         )
         _raise_first("example", ids, [f1, f2, f3])
-        if fault is not None:
-            raise _RowError(*fault)
         return tuple(ids), preds, lengths, true, base
 
     return _build(path, head_line, entries, decode, lambda *arrays: NeighborhoodPredictionLog(
@@ -797,7 +792,7 @@ def parse_score_log(path) -> ScoreLog:
         _require(header, "num_classes", path, head_line, int)
 
     def decode(body):
-        (ids, predicted, conf, negent, true), fault = _field_values(body, {
+        ids, predicted, conf, negent, true = _field_values(body, {
             "example_id": (str,),
             "predicted_label": (int,),
             "max_confidence": (int, float),
@@ -811,8 +806,6 @@ def parse_score_log(path) -> ScoreLog:
             _column(true, "true_label", np.int64, k, absent_ok=True),
         )
         _raise_first("entry", ids, [f for _, f in columns])
-        if fault is not None:
-            raise _RowError(*fault)
         return (tuple(ids), *(arr for arr, _ in columns))
 
     return _build(path, head_line, entries, decode, lambda *arrays: ScoreLog(

@@ -260,11 +260,15 @@ def default_experiment(seed: int = 0, with_ablation: bool = True) -> ExperimentC
 
 
 def _train_job(job):
+    """(the trained model, None), or (None, the epoch) for a model whose
+    training diverged; numpy's floating-point warnings are silenced, as
+    ``run_pool`` names each diverged model instead."""
     _, _, dataset, config = job
-    try:
-        return train_model(dataset, config)
-    except DivergenceError:
-        return None
+    with np.errstate(all="ignore"):
+        try:
+            return train_model(dataset, config), None
+        except DivergenceError as e:
+            return None, e.epoch
 
 
 @dataclass
@@ -323,7 +327,10 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
 
     by_id = {}
     manifest = []
-    for (domain_id, model_id, dataset, cfg), model in zip(jobs, trained):
+    for (domain_id, model_id, dataset, cfg), (model, diverged_at) in zip(jobs, trained):
+        if diverged_at is not None:
+            print(f"warning: model {model_id!r}: training diverged at epoch {diverged_at}; "
+                  f"recorded as not converged", file=sys.stderr)
         converged = model is not None and model.converged
         manifest.append(
             ModelRecord(

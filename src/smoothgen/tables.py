@@ -130,9 +130,17 @@ def write_accuracies_csv(
     )
 
 
+def _accuracy(text, path, lineno) -> float:
+    """The accuracy a CSV field holds: a number in [0, 1]."""
+    value = _finite(text, "accuracy", path, lineno)
+    if not 0.0 <= value <= 1.0:
+        raise SchemaError(f"accuracy {text!r} is outside [0, 1]", path=path, line=lineno)
+    return value
+
+
 def read_accuracies_csv(path) -> list[AccuracyRow]:
     return [
-        AccuracyRow(m, o, _finite(a, "accuracy", path, lineno))
+        AccuracyRow(m, o, _accuracy(a, path, lineno))
         for lineno, (m, o, a) in _read_csv(path, ACCURACY_COLUMNS)
     ]
 

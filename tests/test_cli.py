@@ -126,6 +126,101 @@ class TestBaselineCommand:
         assert all(0.0 <= r.value <= 1.0 for r in by_measure["atc_mc"])
         assert all(r.value > 0 for r in by_measure["norm_spectral"])
 
+    def test_weight_dump_of_a_model_not_in_the_manifest_exits_nonzero(self, pool, tmp_path,
+                                                                      capsys):
+        out_dir, result = pool
+        weights = tmp_path / "weights"
+        shutil.copytree(out_dir / "weights", weights)
+        model_id = next(r.model_id for r in result.manifest if r.converged)
+        dump = read_weight_dump(weights / f"{model_id}.bin")
+        ghost = weights / "ghost.bin"
+        write_weight_dump(WeightDump("ghost", dump.layers), ghost)
+        out = tmp_path / "baselines.csv"
+        rc = main(["baseline", "--scores", str(out_dir / "scores"), "--weights", str(weights),
+                   "--manifest", str(out_dir / "manifest.jsonl"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ghost}: model 'ghost' not in manifest")
+        assert not out.exists()
+
+
+def _ood_score_row(lines):
+    """The fields of the first row of a scores CSV's lines whose test domain
+    is not its model's training domain."""
+    return next(row for row in (line.split(",") for line in lines[2:]) if row[1] != row[2])
+
+
+def _conflicting_score_row(scores, accuracies, extra):
+    model, train, test, measure, value = _ood_score_row(scores)
+    extra.append(f"{model},{train},{test},{measure},{float(value) + 1.0!r}")
+
+
+def _conflicting_accuracy_row(scores, accuracies, extra):
+    model, test, accuracy = accuracies[2].split(",")
+    accuracies.append(f"{model},{test},{'0.0' if float(accuracy) else '1.0'}")
+
+
+def _accuracy(text):
+    def mutate(scores, accuracies, extra):
+        accuracies[2] = accuracies[2].rsplit(",", 1)[0] + "," + text
+    return mutate
+
+
+def _foreign_train_domain(scores, accuracies, extra):
+    row = _ood_score_row(scores)
+    scores[scores.index(",".join(row))] = ",".join([row[0], row[2], *row[2:]])
+
+
+def _equal_duplicate_rows(scores, accuracies, extra):
+    extra.append(",".join(_ood_score_row(scores)))
+    accuracies.append(accuracies[2])
+
+
+class TestEvaluateTables:
+    """``evaluate`` on a scores CSV, a second scores CSV of no rows and an
+    accuracies CSV, each mutation applied to their lines."""
+
+    def run(self, pool, tmp_path, mutate):
+        out_dir, _ = pool
+        manifest = str(out_dir / "manifest.jsonl")
+        paths = [tmp_path / "scores.csv", tmp_path / "acc.csv", tmp_path / "extra.csv"]
+        cmd_score([str(out_dir / "predictions")], manifest, paths[0], acc_out=paths[1])
+        tables = [paths[0].read_text().splitlines(), paths[1].read_text().splitlines()]
+        tables.append(tables[0][:2])  # comment and columns, then no rows
+        mutate(*tables)
+        for path, lines in zip(paths, tables):
+            path.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "report.json"
+        rc = main(["evaluate", "--scores", str(paths[0]), str(paths[2]),
+                   "--accuracies", str(paths[1]), "--manifest", manifest,
+                   "--out", str(report)])
+        return rc, report
+
+    @pytest.mark.parametrize("mutate, names", [
+        (_conflicting_score_row, ["scores.csv", "extra.csv"]),
+        (_conflicting_accuracy_row, ["acc.csv"]),
+        (_accuracy("7.5"), ["acc.csv:3"]),
+        (_accuracy("-0.1"), ["acc.csv:3"]),
+        (_foreign_train_domain, ["scores.csv"]),
+    ], ids=["conflicting_score", "conflicting_accuracy", "accuracy_7.5", "accuracy_-0.1",
+            "foreign_train_domain"])
+    def test_malformed_table_exits_nonzero(self, pool, tmp_path, capsys, mutate, names):
+        rc, report = self.run(pool, tmp_path, mutate)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert all(str(tmp_path / name) in err for name in names)
+        assert not report.exists()
+
+    def test_equal_duplicate_rows_leave_the_report_unchanged(self, pool, tmp_path):
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "duplicated").mkdir()
+        rc, plain = self.run(pool, tmp_path / "plain", lambda *tables: None)
+        assert rc == 0
+        rc, duplicated = self.run(pool, tmp_path / "duplicated", _equal_duplicate_rows)
+        assert rc == 0
+        assert duplicated.read_bytes() == plain.read_bytes()
+
 
 class TestEvaluateCommand:
     def test_report_written_with_breakdowns(self, pool, tmp_path):

@@ -251,6 +251,21 @@ class TestPredictionLogTypes:
             parse_prediction_log(path)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("range_first", [True, False], ids=["range_first", "type_first"])
+    def test_first_faulty_line_of_a_long_log_is_named(self, tmp_path, range_first):
+        path = tmp_path / "log.jsonl"
+        faults = [({"neighborhood_predictions": [0, 3]}, "prediction 3 out of range"),
+                  ({"true_label": "x"}, "true_label 'x' is not an integer")]
+        if not range_first:
+            faults.reverse()
+        examples = [{**GOOD_EXAMPLE, "example_id": f"ex{i}"} for i in range(1000)]
+        examples[700].update(faults[0][0])
+        examples[900].update(faults[1][0])
+        write_log_lines(path, examples)
+        with pytest.raises(SchemaError, match=f"'ex700': {faults[0][1]}") as exc:
+            parse_prediction_log(path)
+        assert exc.value.line == 702  # the header, then entries 0 to 700
+
     def test_boolean_num_classes_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
         write_log_lines(path, [GOOD_EXAMPLE], num_classes=True)
@@ -703,6 +718,21 @@ class TestScoreLogTypes:
         with pytest.raises(SchemaError, match=faults[0][1]) as exc:
             parse_score_log(path)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("range_first", [True, False], ids=["range_first", "type_first"])
+    def test_first_faulty_line_of_a_long_log_is_named(self, tmp_path, range_first):
+        path = tmp_path / "scores.jsonl"
+        faults = [({"max_confidence": 1.5}, "max_confidence 1.5 out of range"),
+                  ({"true_label": "x"}, "true_label 'x' is not an integer")]
+        if not range_first:
+            faults.reverse()
+        entries = [{**GOOD_ENTRY, "example_id": f"ex{i}"} for i in range(1000)]
+        entries[700].update(faults[0][0])
+        entries[900].update(faults[1][0])
+        write_score_lines(path, entries)
+        with pytest.raises(SchemaError, match=f"'ex700': {faults[0][1]}") as exc:
+            parse_score_log(path)
+        assert exc.value.line == 702  # the header, then entries 0 to 700
 
     @pytest.mark.parametrize("field", [
         "example_id", "predicted_label", "max_confidence", "neg_entropy"])

@@ -710,16 +710,22 @@ class TestRunPool:
         run_pool(tiny_config(), parallel, threads=2)
         assert tree_digest(parallel) == tree_digest(serial)
 
-    def test_a_diverging_model_is_written_unconverged(self, tmp_path):
+    def test_a_diverging_model_is_written_unconverged(self, tmp_path, capsys):
         config = tiny_config()
         config.grid = [config.grid[0], dataclasses.replace(config.grid[0], learning_rate=1e10)]
-        with np.errstate(all="ignore"):
-            result = run_pool(config, tmp_path / "out")
+        result = run_pool(config, tmp_path / "out")
         records = parse_manifest(tmp_path / "out" / "manifest.jsonl")
         assert [r.converged for r in records] == [True, False, True, False]
         assert [r.converged for r in result.manifest] == [True, False, True, False]
         assert sorted(p.stem for p in (tmp_path / "out" / "weights").iterdir()) == [
             records[0].model_id, records[2].model_id]
+        # One line per diverged model, in job order, and no numpy warning.
+        warnings = [f"warning: model {records[i].model_id!r}: training diverged at epoch 1; "
+                    f"recorded as not converged" for i in (1, 3)]
+        assert capsys.readouterr().err.splitlines() == warnings
+        run_pool(config, tmp_path / "parallel", threads=2)
+        assert tree_digest(tmp_path / "parallel") == tree_digest(tmp_path / "out")
+        assert capsys.readouterr().err.splitlines() == warnings
 
     def test_artifact_layout(self, tmp_path):
         config = tiny_config()

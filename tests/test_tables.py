@@ -32,6 +32,23 @@ ACCURACIES = [
     AccuracyRow("d1-m0", "d1", 0.9),
 ]
 
+TABLES = {
+    "scores": (read_scores_csv, write_scores_csv, SCORES),
+    "accuracies": (read_accuracies_csv, write_accuracies_csv, ACCURACIES),
+}
+
+# (the text of a row's last field, the error it gives, the tables it is bad in)
+BAD_VALUES = [
+    ("nan", "not a finite number", TABLES),
+    ("inf", "not a finite number", TABLES),
+    ("-Infinity", "not a finite number", TABLES),
+    ("0.5x", "not a finite number", TABLES),
+    ("", "not a finite number", TABLES),
+    ("0.5,extra", "expected", TABLES),
+    ("7.5", "outside", ["accuracies"]),
+    ("-0.1", "outside", ["accuracies"]),
+]
+
 
 class TestCsvRoundTrip:
     def test_scores(self, tmp_path):
@@ -72,20 +89,12 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="empty"):
             read_scores_csv(path)
 
-    @pytest.mark.parametrize("reader, write, rows", [
-        (read_scores_csv, write_scores_csv, SCORES),
-        (read_accuracies_csv, write_accuracies_csv, ACCURACIES),
-    ], ids=["scores", "accuracies"])
-    @pytest.mark.parametrize("text, message", [
-        ("nan", "not a finite number"),
-        ("inf", "not a finite number"),
-        ("-Infinity", "not a finite number"),
-        ("0.5x", "not a finite number"),
-        ("", "not a finite number"),
-        ("0.5,extra", "expected"),
+    @pytest.mark.parametrize("text, message, table", [
+        pytest.param(text, message, table, id=f"{text}-{message}-{table}")
+        for text, message, tables in BAD_VALUES for table in tables
     ])
-    def test_bad_value_names_path_and_line(self, tmp_path, reader, write, rows, text,
-                                           message):
+    def test_bad_value_names_path_and_line(self, tmp_path, text, message, table):
+        reader, write, rows = TABLES[table]
         path = tmp_path / "table.csv"
         write(rows, path)
         lines = path.read_text().splitlines()  # comment, columns, then rows
