@@ -70,6 +70,15 @@ def _converged(models, model_id, path):
     return rec if rec.converged else None
 
 
+def _of_file(path, fn, *args):
+    """``fn(*args)``; a SchemaError it raises is raised again naming file
+    ``path``, the log ``args`` were read from."""
+    try:
+        return fn(*args)
+    except SchemaError as e:
+        raise SchemaError(str(e), path) from None
+
+
 def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     """Smoothness measure CSV (and optionally accuracies) from prediction logs."""
     models = {m.model_id: m for m in parse_manifest(manifest_path)}
@@ -95,7 +104,8 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
             )
         if acc_out is not None:
             acc_rows.append(
-                (AccuracyRow(log.model_id, log.test_domain, compute_accuracy(log)), path)
+                (AccuracyRow(log.model_id, log.test_domain,
+                             _of_file(path, compute_accuracy, log)), path)
             )
     write_scores_csv(score_rows, out)
     if acc_out is not None:
@@ -134,19 +144,24 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
         if rec is None:
             continue
         if log.split == "validation":
-            validation[log.model_id] = log
+            if log.model_id in validation:
+                raise SmoothgenError(
+                    f"model {log.model_id!r}: two validation score logs, "
+                    f"{validation[log.model_id][1]} and {path}"
+                )
+            validation[log.model_id] = log, path
         else:
             tests.append((log, rec))
     rows, thresholds = [], {}
     for log, rec in tests:
         if log.model_id not in thresholds:
-            val = validation.get(log.model_id)
-            if val is None:
+            if log.model_id not in validation:
                 raise SmoothgenError(
                     f"model {log.model_id!r}: no validation score log for threshold fitting"
                 )
+            val, val_path = validation[log.model_id]
             thresholds[log.model_id] = [
-                (name, atc_fit(val, kind))
+                (name, _of_file(val_path, atc_fit, val, kind))
                 for kind, name in (("max_confidence", "atc_mc"), ("neg_entropy", "atc_ne"))
             ]
         rows.extend(ScoreRow(log.model_id, rec.train_domain, log.domain, name,
@@ -297,7 +312,8 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
             if log.test_domain != domain:
                 raise SchemaError(f"ablation log of test domain {log.test_domain!r}, "
                                   f"but the sweep's domain is {domain!r}", paths[mid])
-        return logs, {mid: compute_accuracy(log) for mid, log in logs.items()}
+        return logs, {mid: _of_file(paths[mid], compute_accuracy, log)
+                      for mid, log in logs.items()}
 
     def missing(name):
         return f"missing ablation logs {name!r} under {ab_dir}"

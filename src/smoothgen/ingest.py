@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -557,7 +558,7 @@ def parse_prediction_log(path) -> NeighborhoodPredictionLog:
     """Parse a neighborhood prediction log (header line + one example per line)
     straight into the log's arrays; an error names path:line of the first
     faulty line. A file in the form ``serialize_prediction_log`` writes is
-    read by an array scan (``_scan_prediction_log``), any other by a JSON
+    read by one line pattern (``_scan_prediction_log``), any other by a JSON
     decode of each line."""
     with open(path, "rb") as f:
         data = f.read()
@@ -587,23 +588,83 @@ def parse_prediction_log(path) -> NeighborhoodPredictionLog:
         model_id, test_domain, k, *arrays, meta=meta))
 
 
-# Lengths of the fixed text of a canonical example line, which is
-# {"base_prediction":B,"example_id":"ID","neighborhood_predictions":[P,...],"true_label":T}
-# with the base and true label fields each present or not.
-_BASE_KEY = len('{"base_prediction":')  # the line start to B
-_ID_KEY = len('{"example_id":"')  # the line start, or the comma after B, to ID
-_PREDICTIONS_KEY = len('","neighborhood_predictions":')  # the end of ID to "["
-_TRUE_KEY = len('],"true_label":')  # "]" to T
-_MIN_OPEN = _ID_KEY + _PREDICTIONS_KEY  # the line start to "[" at the least
+# The values of a canonical log line, each a capture group. An integer as JSON
+# writes it, of at most 19 digits (so it fits in a uint64). A string with no
+# escape and no control character: its JSON value is its text. A number with
+# a fraction or an exponent, which JSON decodes as ``float`` of its text; an
+# integer literal decodes as an int (-0 as 0, so as +0.0 in a float column)
+# and is left to the strict decode.
+_INT = r"(0|[1-9][0-9]{0,18})"
+_ID = r'"([^"\\\x00-\x1f]*)"'
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+
+# A line of each log as its writer renders it: sorted keys, no spaces, the
+# optional labels present or not.
+_PREDICTION_LINE = re.compile(
+    rf'^\{{(?:"base_prediction":{_INT},)?"example_id":{_ID},'
+    rf'"neighborhood_predictions":\[([0-9,]*)\](?:,"true_label":{_INT})?\}}$', re.M)
+_SCORE_LINE = re.compile(
+    rf'^\{{"example_id":{_ID},"max_confidence":{_FLOAT},"neg_entropy":{_FLOAT},'
+    rf'"predicted_label":{_INT}(?:,"true_label":{_INT})?\}}$', re.M)
+
+
+def _scan(path, data, line, read_header):
+    """What ``read_header`` gives for the header of the log in the file bytes
+    ``data``, with the groups the pattern ``line`` captures from its body
+    lines, one tuple per group ("" where a group took no part); None unless
+    the file is UTF-8, ends in a newline and every line after the first
+    matches ``line``. A header the strict parse rejects raises its error.
+
+    Soundness: every line the pattern matches is a JSON object the strict
+    decode accepts, and each group holds the text of one of its values: a
+    string whose text is its value, an integer or a float that JSON decodes
+    exactly as ``int`` or ``float`` of the text. The pattern is anchored at
+    both ends of a line and no group holds a newline, so each line matches at
+    most once, and a match count equal to the body's newline count means
+    every line matched (a blank line, which the strict decode skips, does
+    not). The header is read by the strict decode itself. So a log built
+    from the groups is the log the strict parse builds, and a value the log's
+    constructor rejects sends the file to the strict parse, which stays the
+    only source of errors.
+    """
+    nl = data.find(b"\n")
+    if nl < 0 or data[-1:] != b"\n":
+        return None
+    header = list(_iter_jsonl(path, [data[:nl]]))
+    if not header:
+        return None
+    fields = read_header(header[0][1], path, 1)
+    try:
+        body = data[nl + 1:].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    # A file of another layout throughout (spaces, CRLF) fails on its first
+    # line, so it is declined before a pass over its whole body.
+    if body and not line.match(body):
+        return None
+    matches = line.findall(body)
+    if len(matches) != data.count(b"\n") - 1:
+        return None
+    return fields, list(zip(*matches)) or [()] * line.groups
+
+
+def _labels(texts):
+    """The labels written as ``texts`` (decimal, "" where absent) as int64,
+    -1 where absent; None when one is beyond int64."""
+    try:
+        return np.array([t or "-1" for t in texts] if "" in texts else texts, dtype=np.int64)
+    except OverflowError:
+        return None
 
 
 def _decimal_fields(buf, starts, stops):
     """The unsigned integers written in decimal at ``buf[starts[i]:stops[i]]``
-    as uint64, or None when a field is empty or longer than 19 digits, the
-    most that uint64 holds of any digits. Bytes are not checked: a field that
-    is not all digits gives some value, whose decimal form differs from it."""
+    as uint64, or None when a field is empty, has a leading zero or is longer
+    than 19 digits, the most that uint64 holds of any digits. The bytes must
+    be digits."""
     widths = stops - starts
-    if len(widths) and (widths.min() < 1 or widths.max() > 19):
+    if len(widths) and (widths.min() < 1 or widths.max() > 19
+                        or (buf[starts[widths > 1]] == ord("0")).any()):
         return None
     # Digit by digit from the left: each pass takes the next digit of the
     # fields that have one, then drops the fields that have none left.
@@ -618,98 +679,43 @@ def _decimal_fields(buf, starts, stops):
     return values
 
 
-def _scan_prediction_log(path, data):
-    """The prediction log held in the file bytes ``data`` when they are what
-    ``serialize_prediction_log`` writes for it, else None; a header the
-    strict parse rejects raises its error.
-
-    Soundness: the arrays come from a scan of the structural bytes that checks
-    almost nothing, and the log is kept only when rendering it gives ``data``
-    back byte for byte. The renderer gives the bytes of sorted-key
-    ``json.dumps`` of the log's header and example objects (its oracle tests
-    hold it to that), and JSON-decoding those bytes gives back those objects,
-    from which the strict parse builds this very log. So equal bytes mean the
-    strict parse returns an equal log, and the strict parse stays the only
-    decoder of any other file and the only source of its errors. A faulty
-    file is declined by the scan, fails the render check or makes the log's
-    constructor raise a SchemaError; each sends it to the strict parse.
-    """
-    nl = data.find(b"\n")
-    # The scan takes ids verbatim and the renderer escapes each "\", so a body
-    # with a JSON escape never renders back to itself: decline it at once.
-    if nl < 0 or not data.isascii() or data[-1:] != b"\n" or data.find(b"\\", nl) >= 0:
-        return None
-    header = list(_iter_jsonl(path, [data[:nl]]))
-    if not header:
-        return None
-    model_id, test_domain, k, meta = _prediction_header(header[0][1], path, 1)
-    # A header that renders back to itself is the sorted-key dump of its object.
-    if _dumps(header[0][1]) != data[:nl].decode():
-        return None
-
-    # Positions below are in the body, the bytes after the header line.
-    body_at = nl + 1
-    buf = np.frombuffer(data, dtype=np.uint8)[body_at:]
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([-1], ends))[:-1] + 1
-    # Each line must hold one "[" and one "]", in that order, after the
-    # shortest text that can precede "[".
-    opens, closes = np.flatnonzero(buf == ord("[")), np.flatnonzero(buf == ord("]"))
-    m = len(ends)
-    if not len(opens) == len(closes) == m:
-        return None
-    if m and not ((opens - starts >= _MIN_OPEN).all() and (opens < closes).all()
-                  and (closes < ends).all()):
-        return None
-
-    # The bytes after each "[" up to and with its "]": every prediction ends
-    # at a comma or at the "]". When each is one digit, the digits sit at the
-    # even places and the ends at the odd ones; reading them so takes about a
-    # fifth of the time of the digit runs and builds no index arrays.
-    cuts = np.column_stack((opens + 1, closes + 1)).ravel()
-    inside = np.arange(2 * m + 1) % 2 == 1  # of the pieces between the cuts
-    region = buf[np.repeat(inside, np.diff(cuts, prepend=0, append=len(buf)))]
-    spans = closes - opens
+def _predictions(rows):
+    """The predictions of the examples whose lists hold the texts ``rows``
+    (digits and commas), flattened, with the number of each example; None
+    unless every comma-separated token is an integer as JSON writes it, of at
+    most 19 digits."""
+    # The rows joined, each closed by "]": every prediction ends at a comma
+    # or at the "]". When each is one digit, the digits sit at the even places
+    # and the ends at the odd ones; reading them so takes about a fifth of the
+    # time of the digit runs and builds no index arrays.
+    region = np.frombuffer("]".join((*rows, "")).encode("ascii"), dtype=np.uint8)
     is_end = (region == ord(",")) | (region == ord("]"))
-    if not (spans % 2).any() and is_end[1::2].all():
-        predictions, lengths = region[::2] - 48, spans // 2
-    else:
-        stops = np.flatnonzero(is_end)
-        predictions = _decimal_fields(
-            region, np.concatenate(([-1], stops))[:-1] + 1, stops)
-        lengths = np.diff(np.flatnonzero(region[stops] == ord("]")), prepend=-1)
+    if not len(region) % 2 and is_end[1::2].all() and not is_end[::2].any():
+        return region[::2] - 48, np.fromiter(map(len, rows), np.int64, len(rows)) // 2 + 1
+    stops = np.flatnonzero(is_end)
+    predictions = _decimal_fields(region, np.concatenate(([0], stops[:-1] + 1)), stops)
     if predictions is None:
         return None
+    return predictions, np.diff(np.flatnonzero(region[stops] == ord("]")), prepend=-1)
 
-    # The labels: B up to the comma after it, which the 20 bytes from B (all
-    # before the "[") hold if B has at most 19 digits; T up to the "}".
-    has_base = buf[starts + 2] == ord("b")
-    base_at = starts[has_base] + _BASE_KEY
-    base_end = base_at + (buf[base_at[:, None] + np.arange(20)] == ord(",")).argmax(axis=1)
-    has_true = ends - closes > len("]}")
-    labels = []
-    for has, values in (
-        (has_true, _decimal_fields(buf, closes[has_true] + _TRUE_KEY, ends[has_true] - 1)),
-        (has_base, _decimal_fields(buf, base_at, base_end)),
-    ):
-        if values is None:
-            return None
-        column = np.full(m, -1, dtype=np.int64)
-        column[has] = values
-        labels.append(column)
 
-    id_starts = starts + _ID_KEY
-    id_starts[has_base] = base_end + _ID_KEY
-    id_stops = opens - _PREDICTIONS_KEY
-    text = data.decode("ascii")
-    ids = tuple(text[a:b] for a, b in zip((id_starts + body_at).tolist(),
-                                          (id_stops + body_at).tolist()))
+def _scan_prediction_log(path, data):
+    """The prediction log held in the file bytes ``data`` when each line after
+    the header is in the form ``serialize_prediction_log`` writes, else None;
+    a header the strict parse rejects raises its error. See ``_scan``."""
+    scanned = _scan(path, data, _PREDICTION_LINE, _prediction_header)
+    if scanned is None:
+        return None
+    (model_id, test_domain, k, meta), (bases, ids, rows, trues) = scanned
+    decoded = _predictions(rows), _labels(trues), _labels(bases)
+    if any(part is None for part in decoded):
+        return None
+    (predictions, lengths), true, base = decoded
     try:
-        log = NeighborhoodPredictionLog(
-            model_id, test_domain, k, ids, predictions, lengths, *labels, meta=meta)
+        return NeighborhoodPredictionLog(
+            model_id, test_domain, k, ids, predictions, lengths, true, base, meta=meta)
     except SchemaError:
         return None
-    return log if _render_prediction_log(log) == text else None
 
 
 def _render_csv_ints(values: np.ndarray) -> tuple[str, np.ndarray]:
@@ -770,26 +776,35 @@ def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The renderer under a name of its own, so that wrapping the public name (as a
-# tracer does) leaves the parse's check out of the writer's count.
-_render_prediction_log = serialize_prediction_log
-
-
 def write_prediction_log(log: NeighborhoodPredictionLog, path) -> None:
     atomic_write_text(path, serialize_prediction_log(log))
 
 
-def parse_score_log(path) -> ScoreLog:
-    """Parse a score log (header line + one entry per line) straight into the
-    log's arrays; an error names path:line of the first faulty line."""
-    header, head_line, entries = _read_log(path)
+def _score_header(header, path, head_line):
+    """(model_id, domain, split, num_classes or None, meta) of a score log's
+    header: three strings, an integer (not a boolean) if present, and an
+    object."""
     meta = _check_header(header, path, head_line, "score_log")
-    model_id = _require(header, "model_id", path, head_line, str)
-    domain = _require(header, "domain", path, head_line, str)
-    split = _require(header, "split", path, head_line, str)
+    fields = [_require(header, key, path, head_line, str)
+              for key in ("model_id", "domain", "split")]
     k = header.get("num_classes")
     if k is not None:
         _require(header, "num_classes", path, head_line, int)
+    return (*fields, k, meta)
+
+
+def parse_score_log(path) -> ScoreLog:
+    """Parse a score log (header line + one entry per line) straight into the
+    log's arrays; an error names path:line of the first faulty line. A file
+    in the form ``serialize_score_log`` writes is read by one line pattern
+    (``_scan_score_log``), any other by a JSON decode of each line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    log = _scan_score_log(path, data)
+    if log is not None:
+        return log
+    header, head_line, entries = _read_log(path, io.BytesIO(data))
+    model_id, domain, split, k, meta = _score_header(header, path, head_line)
 
     def decode(body):
         ids, predicted, conf, negent, true = _field_values(body, {
@@ -810,6 +825,25 @@ def parse_score_log(path) -> ScoreLog:
 
     return _build(path, head_line, entries, decode, lambda *arrays: ScoreLog(
         model_id, domain, split, *arrays, num_classes=k, meta=meta))
+
+
+def _scan_score_log(path, data):
+    """The score log held in the file bytes ``data`` when each line after the
+    header is in the form ``serialize_score_log`` writes, else None; a header
+    the strict parse rejects raises its error. See ``_scan``."""
+    scanned = _scan(path, data, _SCORE_LINE, _score_header)
+    if scanned is None:
+        return None
+    (model_id, domain, split, k, meta), (ids, conf, negent, predicted, true) = scanned
+    labels = _labels(predicted), _labels(true)
+    if any(part is None for part in labels):
+        return None
+    scores = [np.array(list(map(float, texts))) for texts in (conf, negent)]
+    try:
+        return ScoreLog(model_id, domain, split, ids, labels[0], *scores, labels[1],
+                        num_classes=k, meta=meta)
+    except SchemaError:
+        return None
 
 
 def serialize_score_log(log: ScoreLog) -> str:

@@ -110,6 +110,24 @@ class TestScoreCommand:
         assert str(source) in str(exc.value) and str(tampered) in str(exc.value)
 
 
+    def test_missing_label_names_the_log(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        logs = tmp_path / "predictions"
+        shutil.copytree(out_dir / "predictions", logs)
+        model_id = next(r.model_id for r in result.manifest if r.converged)
+        log = sorted(logs.glob(f"{model_id}__*.jsonl"))[0]
+        header, first, *rest = log.read_text().splitlines()
+        example = json.loads(first)
+        del example["true_label"]
+        log.write_text("\n".join([header, json.dumps(example), *rest]) + "\n")
+        rc = main(["score", "--input", str(logs), "--manifest", str(out_dir / "manifest.jsonl"),
+                   "--out", str(tmp_path / "s.csv"), "--acc-out", str(tmp_path / "a.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}: example {example['example_id']!r}: missing label, "
+            f"accuracy unavailable\n")
+
+
 class TestBaselineCommand:
     def test_atc_and_norm_rows(self, pool, tmp_path):
         out_dir, result = pool
@@ -141,6 +159,46 @@ class TestBaselineCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ghost}: model 'ghost' not in manifest")
+        assert not out.exists()
+
+
+    @staticmethod
+    def validation_log(result, scores):
+        """The validation score log of the first converged model under ``scores``."""
+        model_id = next(r.model_id for r in result.manifest if r.converged)
+        return next(scores.glob(f"{model_id}__*__validation.jsonl"))
+
+    def test_two_validation_logs_of_one_model_exit_nonzero(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        scores = tmp_path / "scores"
+        shutil.copytree(out_dir / "scores", scores)
+        first = self.validation_log(result, scores)
+        second = scores / ("zz-" + first.name)
+        shutil.copy(first, second)
+        out = tmp_path / "baselines.csv"
+        rc = main(["baseline", "--scores", str(scores), "--manifest",
+                   str(out_dir / "manifest.jsonl"), "--out", str(out)])
+        assert rc == 1
+        model_id = first.name.split("__")[0]
+        assert capsys.readouterr().err == (
+            f"error: model {model_id!r}: two validation score logs, {first} and {second}\n")
+        assert not out.exists()
+
+    def test_missing_true_label_names_the_log(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        scores = tmp_path / "scores"
+        shutil.copytree(out_dir / "scores", scores)
+        log = self.validation_log(result, scores)
+        header, first, *rest = log.read_text().splitlines()
+        entry = json.loads(first)
+        del entry["true_label"]
+        log.write_text("\n".join([header, json.dumps(entry), *rest]) + "\n")
+        out = tmp_path / "baselines.csv"
+        rc = main(["baseline", "--scores", str(scores), "--manifest",
+                   str(out_dir / "manifest.jsonl"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}: entry {entry['example_id']!r}: missing true_label\n")
         assert not out.exists()
 
 
@@ -409,6 +467,24 @@ class TestAblateCommand:
         assert f"{log}:2: " in err and "1.5 is not an integer" in err
         assert not out.exists()
 
+    def test_missing_label_names_the_log(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        model = next(r for r in result.manifest
+                     if r.converged and r.train_domain != "rot030")
+        log = artifacts / "ablation" / f"{model.model_id}__n_samples.jsonl"
+        header, first, *rest = log.read_text().splitlines()
+        example = json.loads(first)
+        del example["base_prediction"]
+        log.write_text("\n".join([header, json.dumps(example), *rest]) + "\n")
+        rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
+                   "--values", "4", "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}: example {example['example_id']!r}: missing label, "
+            f"accuracy unavailable\n")
+
     @pytest.mark.parametrize("case", ["experiment_domain", "test_domain_option"])
     def test_logs_of_another_domain_exit_nonzero(self, pool, tmp_path, capsys, case):
         out_dir, _ = pool
@@ -430,6 +506,91 @@ class TestAblateCommand:
         assert err.startswith(f"error: {artifacts / 'ablation'}")
         assert "test domain 'rot030'" in err and "Traceback" not in err
         assert not out.exists()
+
+
+LOG_MUTATIONS = {  # name: the message it gives, for prediction logs and for score logs
+    "truncated": ("malformed JSON: Unterminated string starting at",) * 2,
+    "wrong_type": ("field 'example_id' has wrong type",) * 2,
+    "out_of_range": ("example 'ex00000': prediction 3 out of range [0, 3)",
+                     "entry 'ex00000': max_confidence 1.5 out of range"),
+    "invalid_utf8": ("invalid UTF-8: invalid start byte",) * 2,
+    "missing_field": ("missing required field 'example_id'",) * 2,
+}
+
+
+def _mutated_line(entry, mutation, layout):
+    """The bytes of the log line of object ``entry`` with ``mutation`` made,
+    in ``layout``: compact sorted keys, as the writers render them, or with a
+    space after each separator."""
+    entry = dict(entry)
+    if mutation == "wrong_type":
+        entry["example_id"] = 5
+    elif mutation == "missing_field":
+        del entry["example_id"]
+    elif mutation == "out_of_range":
+        if "neighborhood_predictions" in entry:
+            entry["neighborhood_predictions"] = [3, *entry["neighborhood_predictions"][1:]]
+        else:
+            entry["max_confidence"] = 1.5
+    separators = (",", ":") if layout == "canonical" else (", ", ": ")
+    line = json.dumps(entry, sort_keys=True, separators=separators).encode()
+    if mutation in ("truncated", "invalid_utf8"):
+        at = line.index(b'"ex00000"') + 3  # inside the id
+        line = line[:at] if mutation == "truncated" else line[:at] + b"\xff" + line[at:]
+    return line
+
+
+class TestMalformedLogs:
+    """Every command that reads a log stops on each kind of fault in it with
+    exit code 1 and the same ``error:`` line naming path:line, whether the
+    file is in the writers' layout or a spaced one."""
+
+    @staticmethod
+    def run(pool, tmp_path, command, mutation, layout):
+        """(exit code, stderr, the mutated log) of ``command`` on a copy of
+        the pool whose first log of the kind it reads has ``mutation`` in its
+        first entry, every line in ``layout``."""
+        out_dir, result = pool
+        run = tmp_path / layout
+        run.mkdir()
+        shutil.copy(out_dir / "manifest.jsonl", run)
+        shutil.copy(out_dir / "experiment.json", run)
+        folder, pattern, args = {
+            "score": ("predictions", "*.jsonl", ["score", "--input", str(run / "predictions")]),
+            "baseline": ("scores", "*__validation.jsonl",
+                         ["baseline", "--scores", str(run / "scores")]),
+            "ablate": ("ablation", "*__n_samples.jsonl",
+                       ["ablate", "--artifacts", str(run), "--kind", "n_samples",
+                        "--values", "4"]),
+        }[command]
+        shutil.copytree(out_dir / folder, run / folder)
+        pool_ids = {r.model_id for r in result.manifest
+                    if r.converged and r.train_domain != "rot030"}
+        log = next(p for p in sorted((run / folder).glob(pattern))
+                   if p.name.split("__")[0] in pool_ids)
+        header, entry, *rest = map(json.loads, log.read_text().splitlines())
+        separators = (",", ":") if layout == "canonical" else (", ", ": ")
+        lines = [json.dumps(obj, sort_keys=True, separators=separators).encode()
+                 for obj in (header, entry, *rest)]
+        lines[1] = _mutated_line(entry, mutation, layout)
+        log.write_bytes(b"\n".join(lines) + b"\n")
+        if command != "ablate":
+            args += ["--manifest", str(run / "manifest.jsonl")]
+        return main([*args, "--out", str(tmp_path / f"{layout}.csv")]), log
+
+    @pytest.mark.parametrize("mutation", sorted(LOG_MUTATIONS))
+    @pytest.mark.parametrize("command", ["score", "ablate", "baseline"])
+    def test_fault_gives_one_error_in_either_layout(self, pool, tmp_path, capsys, command,
+                                                    mutation):
+        errors = []
+        for layout in ("canonical", "spaced"):
+            rc, log = self.run(pool, tmp_path, command, mutation, layout)
+            err = capsys.readouterr().err
+            assert rc == 1 and "Traceback" not in err
+            errors.append(err.replace(str(log), "<log>"))
+            assert not (tmp_path / f"{layout}.csv").exists()
+        message = LOG_MUTATIONS[mutation][command == "baseline"]
+        assert errors == [f"error: <log>:2: {message}\n"] * 2
 
 
 class TestMainEntry:

@@ -447,24 +447,55 @@ class TestPredictionLogRendererOracle:
 
 
 def strict_path():
-    """A patch under which every prediction log takes the JSON decode of each
-    line."""
-    return mock.patch.object(ingest, "_scan_prediction_log", lambda path, data: None)
+    """A patch under which every log takes the JSON decode of each line."""
+    return mock.patch.multiple(ingest, _scan_prediction_log=lambda path, data: None,
+                               _scan_score_log=lambda path, data: None)
 
 
 def scan_only():
-    """A patch under which a prediction log that the array scan declines
-    fails the test."""
-    return mock.patch.object(ingest, "_read_log", side_effect=AssertionError("scan declined"))
+    """A patch under which a log that the line pattern declines, or any
+    render of a log, fails the test."""
+    fail = mock.Mock(side_effect=AssertionError("declined or rendered"))
+    return mock.patch.multiple(ingest, _read_log=fail, serialize_prediction_log=fail,
+                               serialize_score_log=fail)
 
 
-def parse_outcome(path):
-    """The log parsed from ``path``, or the message, path and line of its
+def parse_outcome(path, parse=parse_prediction_log):
+    """The log parsed from ``path`` with the bytes of its score arrays (so
+    that -0.0 and 0.0 differ), or the message, path and line of its
     SchemaError."""
     try:
-        return parse_prediction_log(path)
+        log = parse(path)
     except SchemaError as e:
         return str(e), e.path, e.line
+    if isinstance(log, ScoreLog):
+        return log, [log.max_confidence.tobytes(), log.neg_entropy.tobytes()]
+    return log, []
+
+
+def check_variant(tmp_path, parse, text, old, new):
+    """Parsing ``text`` with ``old`` changed to ``new`` gives the strict
+    outcome; an error names the changed line."""
+    path = tmp_path / "log.jsonl"
+    assert old in text
+    path.write_text(text.replace(old, new, 1), newline="")
+    with strict_path():
+        expected = parse_outcome(path, parse)
+    got = parse_outcome(path, parse)
+    assert got == expected
+    if isinstance(got[0], str):
+        assert got[1:] == (path, text[:text.index(old)].count("\n") + 1)
+
+
+def check_byte_edit(tmp_path, parse, text, at, cut, insert):
+    """Parsing ``text`` with ``cut`` bytes at ``at`` replaced by ``insert``
+    gives the strict outcome."""
+    data = text.encode()
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(data[:at] + insert + data[at + cut:])
+    with strict_path():
+        expected = parse_outcome(path, parse)
+    assert parse_outcome(path, parse) == expected
 
 
 SCAN_LOG = log_from_rows(
@@ -482,6 +513,8 @@ SCAN_LOG = log_from_rows(
 )
 SCAN_TEXT = serialize_prediction_log(SCAN_LOG)
 FIRST_EXAMPLE = SCAN_TEXT.splitlines()[1]
+SCAN_HEADER = SCAN_TEXT.splitlines()[0]
+ESCAPED_HEADER_LOG = dataclasses.replace(SCAN_LOG, model_id='a\\b"c', meta={"note": "x\ty"})
 
 
 @pytest.fixture(scope="module")
@@ -491,18 +524,22 @@ def small_tree(tmp_path_factory):
     return out
 
 
-class TestPredictionLogScan:
-    """A canonical log is read by the array scan; every other file gives what
-    the JSON decode of each line gives, a log or its SchemaError."""
+@pytest.mark.parametrize("parse, folders", [
+    (parse_prediction_log, ("predictions", "ablation")),
+    (parse_score_log, ("scores",)),
+], ids=["prediction_logs", "score_logs"])
+def test_every_log_of_a_pool_takes_the_fast_read(small_tree, parse, folders):
+    paths = [p for folder in folders for p in sorted((small_tree / folder).glob("*.jsonl"))]
+    assert len(paths) > 20
+    with scan_only():
+        outcomes = [parse_outcome(p, parse) for p in paths]
+    with strict_path():
+        assert outcomes == [parse_outcome(p, parse) for p in paths]
 
-    def test_every_log_of_a_pool_takes_the_scan(self, small_tree):
-        paths = sorted((small_tree / "predictions").glob("*.jsonl"))
-        paths += sorted((small_tree / "ablation").glob("*.jsonl"))
-        assert len(paths) > 20
-        with scan_only():
-            logs = [parse_prediction_log(p) for p in paths]
-        with strict_path():
-            assert logs == [parse_prediction_log(p) for p in paths]
+
+class TestPredictionLogScan:
+    """A canonical log is read by the line pattern; every other file gives
+    what the JSON decode of each line gives, a log or its SchemaError."""
 
     def test_canonical_log_takes_the_scan(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -510,11 +547,15 @@ class TestPredictionLogScan:
         with scan_only():
             assert parse_prediction_log(path) == SCAN_LOG
 
-    def test_escape_in_the_header_takes_the_scan(self, tmp_path):
-        log = dataclasses.replace(SCAN_LOG, model_id='a\\b"c', meta={"note": "x\ty"})
+    @pytest.mark.parametrize("header, log", [
+        (serialize_prediction_log(ESCAPED_HEADER_LOG).splitlines()[0], ESCAPED_HEADER_LOG),
+        (SCAN_HEADER.replace(",", ", "), SCAN_LOG),
+        (json.dumps(dict(reversed(json.loads(SCAN_HEADER).items()))), SCAN_LOG),
+        (SCAN_HEADER + "\r", SCAN_LOG),
+    ], ids=["escaped", "spaced", "unsorted", "crlf"])
+    def test_any_header_layout_takes_the_scan(self, tmp_path, header, log):
         path = tmp_path / "log.jsonl"
-        path.write_text(serialize_prediction_log(log))
-        assert "\\\\" in path.read_text().splitlines()[0]
+        path.write_text(header + SCAN_TEXT[len(SCAN_HEADER):], newline="")
         with scan_only():
             assert parse_prediction_log(path) == log
 
@@ -525,11 +566,19 @@ class TestPredictionLogScan:
         ("[0,1,2]", "[0,01,2]"),
         ("[0,1,2]", "[0,1.0,2]"),
         ("[0,1,2]", "[0,true,2]"),
+        ("[0,1,2]", "[0,,2]"),
+        ("[0,1,2]", "[0,1,2,]"),
+        ("[0,1,2]", "[,0,1,2]"),
         ('"ex1"', '"\\u0065x1"'),
+        ('"ex1"', '"ex\t1"'),
+        ('"ex1"', '"ex\x7f1"'),
+        ('"ex1"', '"ex\u00e91"'),
         ("\n", "\r\n"),
         (FIRST_EXAMPLE + "\n", FIRST_EXAMPLE + "\n\n"),
         ("[0,1,2]", "[0,12345678901234567890,2]"),
         ("[0,1,2]", "[0,1234567890123456789,2]"),
+        ('"true_label":0', '"true_label":9999999999999999999'),
+        ('"true_label":0', '"true_label":00'),
         ('"num_classes":3', '"num_classes":3.0'),
         ('"num_classes":3', '"num_classes":true'),
         ("[0,1,2]", "[0,3,2]"),
@@ -538,35 +587,32 @@ class TestPredictionLogScan:
         ("[0,1,2]", "[]"),
         ('"ex3"', '"ex[3]"'),
         ('"ex3"', '"ex,3"'),
-    ], ids=["spaces", "key_order", "leading_zero", "float", "boolean", "escaped_id", "crlf",
-            "blank_line", "20_digits", "19_digits", "float_num_classes",
+    ], ids=["spaces", "key_order", "leading_zero", "float", "boolean", "empty_token",
+            "trailing_comma", "leading_comma", "escaped_id", "control_char_in_id",
+            "del_in_id", "non_ascii_id", "crlf", "blank_line", "20_digits", "19_digits",
+            "int64_overflow_label", "leading_zero_label", "float_num_classes",
             "boolean_num_classes", "prediction_out_of_range", "true_label_out_of_range",
             "negative_base", "empty_neighborhood", "bracket_in_id", "comma_in_id"])
     def test_variant_gives_the_strict_outcome(self, tmp_path, old, new):
-        path = tmp_path / "log.jsonl"
-        assert old in SCAN_TEXT
-        path.write_text(SCAN_TEXT.replace(old, new, 1), newline="")
-        with strict_path():
-            expected = parse_outcome(path)
-        got = parse_outcome(path)
-        assert got == expected
-        if isinstance(got, tuple):  # an error names the changed line
-            assert got[1:] == (path, SCAN_TEXT[:SCAN_TEXT.index(old)].count("\n") + 1)
+        check_variant(tmp_path, parse_prediction_log, SCAN_TEXT, old, new)
+
+    @pytest.mark.parametrize("new", ["[0,,,2]", "[,]", "[,,,]"])
+    def test_empty_tokens_give_the_strict_outcome_with_many_classes(self, tmp_path, new):
+        # A comma read as a digit would be 252, a class of a log with more
+        # than 252 classes.
+        text = SCAN_TEXT.replace('"num_classes":3', '"num_classes":300')
+        check_variant(tmp_path, parse_prediction_log, text, "[0,1,2]", new)
 
     @pytest.mark.parametrize("text", [
         SCAN_TEXT.replace(",", ", "),
         SCAN_TEXT.replace("\n", "\r\n"),
         SCAN_TEXT.replace('"ex1"', '"\\u0065x1"'),
-        SCAN_TEXT.replace(",", ", ", 1),
-    ], ids=["spaced", "crlf", "escaped_id", "spaced_header"])
-    def test_other_layouts_are_declined_before_the_render(self, tmp_path, text):
+    ], ids=["spaced", "crlf", "escaped_id"])
+    def test_other_layouts_take_the_strict_decode(self, tmp_path, text):
         path = tmp_path / "log.jsonl"
         path.write_text(text, newline="")
-        with strict_path():
-            expected = parse_outcome(path)
-        with mock.patch.object(ingest, "_render_prediction_log",
-                               side_effect=AssertionError("rendered")):
-            assert parse_outcome(path) == expected == SCAN_LOG
+        assert ingest._scan_prediction_log(path, path.read_bytes()) is None
+        assert parse_prediction_log(path) == SCAN_LOG
 
     def test_missing_final_newline_gives_the_strict_outcome(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -579,12 +625,7 @@ class TestPredictionLogScan:
            insert=st.sampled_from([b"", b"0", b"1", b"9", b",", b"[", b"]", b"{", b"}", b'"',
                                    b"\\", b"\n", b" ", b"x", b"-", b"\xff"]))
     def test_changed_bytes_give_the_strict_outcome(self, tmp_path, at, cut, insert):
-        data = SCAN_TEXT.encode()
-        path = tmp_path / "log.jsonl"
-        path.write_bytes(data[:at] + insert + data[at + cut:])
-        with strict_path():
-            expected = parse_outcome(path)
-        assert parse_outcome(path) == expected
+        check_byte_edit(tmp_path, parse_prediction_log, SCAN_TEXT, at, cut, insert)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -608,6 +649,136 @@ class TestPredictionLogScan:
         write_prediction_log(log, path)
         with scan_only():
             assert parse_prediction_log(path) == log
+
+
+SCORE_SCAN_LOG = log_from_rows(
+    ScoreLog,
+    model_id="m",
+    domain="d",
+    split="validation",
+    num_classes=3,
+    rows=(
+        ScoreEntry("ex0", 0, 0.75, -0.5, true_label=0),
+        ScoreEntry("ex1", 2, 1.0, -0.0),
+        ScoreEntry("ex2", 1, 0.5, -1.0986122886681098, true_label=2),
+    ),
+    meta={"seed": 0},
+)
+SCORE_SCAN_TEXT = serialize_score_log(SCORE_SCAN_LOG)
+SCORE_FIRST_ENTRY = SCORE_SCAN_TEXT.splitlines()[1]
+
+# Scores at the edges of the shortest float forms: the least subnormal, the
+# switch to exponent form at both ends, and a negative zero.
+FLOAT_FORM_EDGES = [5e-324, 1e-05, 1e+16, -0.0]
+
+
+class TestScoreLogScan:
+    """A canonical score log is read by the line pattern; every other file
+    gives what the JSON decode of each line gives, a log or its SchemaError,
+    down to the sign of a zero."""
+
+    def test_canonical_log_takes_the_scan(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(SCORE_SCAN_TEXT)
+        with scan_only():
+            assert parse_outcome(path, parse_score_log) == (
+                SCORE_SCAN_LOG, [SCORE_SCAN_LOG.max_confidence.tobytes(),
+                                 SCORE_SCAN_LOG.neg_entropy.tobytes()])
+
+    def test_log_without_num_classes_or_entries_takes_the_scan(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        for log in (dataclasses.replace(SCORE_SCAN_LOG, num_classes=None, meta={}),
+                    log_from_rows(ScoreLog, (), model_id="m", domain="d", split="test")):
+            write_score_log(log, path)
+            with scan_only():
+                assert parse_score_log(path) == log
+
+    @pytest.mark.parametrize("old, new", [
+        ('"neg_entropy":-0.0', '"neg_entropy":-0'),
+        ('"neg_entropy":-0.0', '"neg_entropy":0'),
+        ('"max_confidence":1.0', '"max_confidence":1'),
+        ('"max_confidence":0.75', '"max_confidence":1e400'),
+        ('"neg_entropy":-0.5', '"neg_entropy":-1e400'),
+        ('"neg_entropy":-0.5', '"neg_entropy":-1e-400'),
+        ('"max_confidence":0.75', '"max_confidence":7.5E-1'),
+        ('"max_confidence":0.75', '"max_confidence":0.75e+0'),
+        ('"max_confidence":0.75', '"max_confidence":00.75'),
+        ('"max_confidence":0.75', '"max_confidence":.75'),
+        ('"max_confidence":0.75', '"max_confidence":0.'),
+        ('"max_confidence":0.75', '"max_confidence":NaN'),
+        ('"max_confidence":0.75', '"max_confidence":1.5'),
+        ('"max_confidence":0.75', '"max_confidence":"0.75"'),
+        ('"neg_entropy":-0.5', '"neg_entropy":0.5'),
+        ('"neg_entropy":-0.5', '"neg_entropy":--0.5'),
+        (SCORE_FIRST_ENTRY, '{"max_confidence":0.75,"example_id":"ex0","neg_entropy":-0.5,'
+                            '"predicted_label":0,"true_label":0}'),
+        (',"max_confidence"', ', "max_confidence"'),
+        ('"ex1"', '"\\u0065x1"'),
+        ('"ex1"', '"ex\t1"'),
+        ('"ex1"', '"ex\x7f1"'),
+        ('"ex1"', '"ex\u00e91"'),
+        ("\n", "\r\n"),
+        (SCORE_FIRST_ENTRY + "\n", SCORE_FIRST_ENTRY + "\n\n"),
+        ('"predicted_label":2', '"predicted_label":02'),
+        ('"predicted_label":2', '"predicted_label":2.0'),
+        ('"predicted_label":2', '"predicted_label":true'),
+        ('"predicted_label":2', '"predicted_label":3'),
+        ('"predicted_label":2', '"predicted_label":1234567890123456789'),
+        ('"predicted_label":2', '"predicted_label":9999999999999999999'),
+        ('"predicted_label":2', '"predicted_label":12345678901234567890'),
+        ('"true_label":0', '"true_label":-1'),
+        ('"true_label":0', '"true_label":null'),
+        (',"predicted_label":0', ""),
+        ('"split":"validation"', '"split":"train"'),
+        ('"num_classes":3', '"num_classes":3.0'),
+    ], ids=["negative_int_zero", "int_zero", "int_one", "1e400", "minus_1e400",
+            "underflow_to_minus_zero", "capital_exponent", "zero_exponent", "leading_zero",
+            "no_integer_part", "no_fraction_digits", "nan", "out_of_range", "string_score",
+            "positive_neg_entropy", "double_minus", "key_order", "spaces", "escaped_id",
+            "control_char_in_id", "del_in_id", "non_ascii_id", "crlf", "blank_line",
+            "leading_zero_label", "float_label", "boolean_label", "label_out_of_range",
+            "19_digits", "int64_overflow_label", "20_digits", "negative_true_label",
+            "null_true_label", "missing_field", "bad_split", "float_num_classes"])
+    def test_variant_gives_the_strict_outcome(self, tmp_path, old, new):
+        check_variant(tmp_path, parse_score_log, SCORE_SCAN_TEXT, old, new)
+
+    @pytest.mark.parametrize("text", [
+        SCORE_SCAN_TEXT.replace(",", ", "),
+        SCORE_SCAN_TEXT.replace("\n", "\r\n"),
+        SCORE_SCAN_TEXT.replace('"ex1"', '"\\u0065x1"'),
+    ], ids=["spaced", "crlf", "escaped_id"])
+    def test_other_layouts_take_the_strict_decode(self, tmp_path, text):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(text, newline="")
+        assert ingest._scan_score_log(path, path.read_bytes()) is None
+        assert parse_score_log(path) == SCORE_SCAN_LOG
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(at=st.integers(0, len(SCORE_SCAN_TEXT)), cut=st.integers(0, 2),
+           insert=st.sampled_from([b"", b"0", b"1", b"9", b",", b".", b"e", b"E", b"+", b"-",
+                                   b"{", b"}", b'"', b"\\", b"\n", b" ", b"x", b"\xff"]))
+    def test_changed_bytes_give_the_strict_outcome(self, tmp_path, at, cut, insert):
+        check_byte_edit(tmp_path, parse_score_log, SCORE_SCAN_TEXT, at, cut, insert)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), labelled=st.booleans())
+    def test_round_trip_takes_the_scan(self, tmp_path, data, labelled):
+        edges = st.sampled_from(FLOAT_FORM_EDGES)
+        conf = st.floats(0.0, 1.0) | edges.filter(lambda v: v <= 1.0)
+        negent = st.floats(max_value=0.0, allow_infinity=False) | edges.map(lambda v: -v)
+        label = st.one_of(st.none(), st.integers(0, 2**63 - 1)) if labelled else st.none()
+        entries = data.draw(st.lists(st.tuples(
+            st.text("abcxyz019-_ ,.:", max_size=8), st.integers(0, 2**63 - 1), conf, negent,
+            label), max_size=12))
+        log = log_from_rows(ScoreLog, [ScoreEntry(*entry) for entry in entries],
+                            model_id="m", domain="d", split="test")
+        path = tmp_path / "scores.jsonl"
+        write_score_log(log, path)
+        with scan_only():
+            got = parse_outcome(path, parse_score_log)
+        assert got == (log, [log.max_confidence.tobytes(), log.neg_entropy.tobytes()])
 
 
 class TestScoreLog:
