@@ -948,6 +948,116 @@ class TestScoreLogTypes:
             compute_accuracy(log)
 
 
+PREDICTION_ROW = {"base_prediction": 1, "example_id": "ex", "neighborhood_predictions": [0, 1, 2],
+                  "true_label": 0}
+SCORE_ROW = {"example_id": "ex", "max_confidence": 0.75, "neg_entropy": -0.5,
+             "predicted_label": 1, "true_label": 1}
+DROP = object()  # a field value that leaves the field out
+
+# (log type, fields changed in the third entry, ex2, the message of its fault).
+# The fourth entry holds a fault as well, so the message is also the first.
+STRICT_FAULTS = {
+    "missing_list": ("prediction", {"neighborhood_predictions": DROP},
+                     "missing required field 'neighborhood_predictions'"),
+    "missing_id": ("prediction", {"example_id": DROP}, "missing required field 'example_id'"),
+    "container_object": ("prediction", {"neighborhood_predictions": {"0": 1}},
+                         "field 'neighborhood_predictions' has wrong type"),
+    "container_string": ("prediction", {"neighborhood_predictions": "01"},
+                         "field 'neighborhood_predictions' has wrong type"),
+    "float_prediction": ("prediction", {"neighborhood_predictions": [0, 1.5]},
+                         "example 'ex2': prediction 1.5 is not an integer"),
+    "boolean_prediction": ("prediction", {"neighborhood_predictions": [True]},
+                           "example 'ex2': prediction True is not an integer"),
+    "boolean_true_label": ("prediction", {"true_label": True},
+                           "example 'ex2': true_label True is not an integer"),
+    "float_base": ("prediction", {"base_prediction": 0.5},
+                   "example 'ex2': base_prediction 0.5 is not an integer"),
+    "negative_prediction": ("prediction", {"neighborhood_predictions": [0, -1]},
+                            "example 'ex2': prediction -1 out of range [0, 3)"),
+    "negative_base": ("prediction", {"base_prediction": -2},
+                      "example 'ex2': base_prediction -2 out of range [0, 3)"),
+    "huge_prediction": ("prediction", {"neighborhood_predictions": [2**63]},
+                        f"example 'ex2': prediction {2**63} out of range [0, 3)"),
+    "huge_true_label": ("prediction", {"true_label": 2**64},
+                        f"example 'ex2': true_label {2**64} out of range [0, 3)"),
+    "empty_neighborhood": ("prediction", {"neighborhood_predictions": []},
+                           "example 'ex2': empty neighborhood_predictions"),
+    "prediction_range": ("prediction", {"neighborhood_predictions": [0, 3]},
+                         "example 'ex2': prediction 3 out of range [0, 3)"),
+    "true_label_range": ("prediction", {"true_label": 3},
+                         "example 'ex2': true_label 3 out of range [0, 3)"),
+    "type_before_label": ("prediction", {"neighborhood_predictions": [0, 1.5],
+                                         "true_label": "x"},
+                          "example 'ex2': prediction 1.5 is not an integer"),
+    "empty_before_label": ("prediction", {"neighborhood_predictions": [], "true_label": 3},
+                           "example 'ex2': empty neighborhood_predictions"),
+    "missing_score": ("score", {"max_confidence": DROP},
+                      "missing required field 'max_confidence'"),
+    "string_label": ("score", {"predicted_label": "1"},
+                     "field 'predicted_label' has wrong type"),
+    "boolean_label": ("score", {"predicted_label": True},
+                      "field 'predicted_label' has wrong type"),
+    "list_score": ("score", {"neg_entropy": [0]}, "field 'neg_entropy' has wrong type"),
+    "float_true_label": ("score", {"true_label": 1.5},
+                         "entry 'ex2': true_label 1.5 is not an integer"),
+    "boolean_true_label_score": ("score", {"true_label": False},
+                                 "entry 'ex2': true_label False is not an integer"),
+    "negative_label": ("score", {"predicted_label": -1},
+                       "entry 'ex2': predicted_label -1 out of range [0, 3)"),
+    "negative_true_label": ("score", {"true_label": -1},
+                            "entry 'ex2': true_label -1 out of range [0, 3)"),
+    "huge_label": ("score", {"predicted_label": 2**63},
+                   f"entry 'ex2': predicted_label {2**63} out of range [0, 3)"),
+    "integer_score_overflow": ("score", {"max_confidence": 10**400},
+                               f"entry 'ex2': max_confidence {10**400} out of range"),
+    "negative_integer_score_overflow": ("score", {"neg_entropy": -(10**400)},
+                                        f"entry 'ex2': neg_entropy {-(10**400)} out of range"),
+    "confidence_range": ("score", {"max_confidence": 1.5},
+                         "entry 'ex2': max_confidence 1.5 out of range"),
+    "nan_confidence": ("score", {"max_confidence": math.nan},
+                       "entry 'ex2': max_confidence nan out of range"),
+    "entropy_range": ("score", {"neg_entropy": 0.5},
+                      "entry 'ex2': neg_entropy 0.5 out of range"),
+    "label_range": ("score", {"predicted_label": 3},
+                    "entry 'ex2': predicted_label 3 out of range [0, 3)"),
+    "label_before_true_label": ("score", {"predicted_label": 2**63, "true_label": 1.5},
+                                f"entry 'ex2': predicted_label {2**63} out of range [0, 3)"),
+    "confidence_before_label": ("score", {"max_confidence": 1.5, "predicted_label": 3},
+                                "entry 'ex2': max_confidence 1.5 out of range"),
+}
+
+
+class TestStrictDecodeMessages:
+    """The full error of each fault kind the strict decode finds, in the
+    writers' layout and in a spaced one: the message names the entry's id
+    where a value is at fault, and the error names the entry's line."""
+
+    @pytest.mark.parametrize("layout", ["canonical", "spaced"])
+    @pytest.mark.parametrize("fault", sorted(STRICT_FAULTS))
+    def test_message_and_line(self, tmp_path, fault, layout):
+        kind, change, message = STRICT_FAULTS[fault]
+        if kind == "prediction":
+            header = {"type": "prediction_log", "model_id": "m", "test_domain": "d",
+                      "num_classes": 3}
+            row, parse, later_fault = PREDICTION_ROW, parse_prediction_log, {"true_label": 7}
+        else:
+            header = {"type": "score_log", "model_id": "m", "domain": "d", "split": "test",
+                      "num_classes": 3}
+            row, parse, later_fault = SCORE_ROW, parse_score_log, {"neg_entropy": 1.0}
+        entries = [{**row, "example_id": f"ex{i}"} for i in range(5)]
+        entries[2].update(change)
+        entries[3].update(later_fault)
+        entries[2] = {k: v for k, v in entries[2].items() if v is not DROP}
+        separators = (",", ":") if layout == "canonical" else (", ", ": ")
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(json.dumps(obj, sort_keys=True, separators=separators) + "\n"
+                                for obj in [header, *entries]))
+        with pytest.raises(SchemaError) as exc:
+            parse(path)
+        assert (str(exc.value), exc.value.path, exc.value.line) == (
+            f"{path}:4: {message}", path, 4)
+
+
 ODD_SCORE_LOG = log_from_rows(
     ScoreLog,
     model_id="mé",
