@@ -29,6 +29,7 @@ from .ingest import (
 )
 from .protocol import REPORT_LAYOUT, build_report
 from .smoothness import (
+    VARIANTS,
     check_neighborhood_length,
     check_subsample_size,
     dataset_smoothness,
@@ -42,10 +43,15 @@ from .tables import (
     build_matrix,
     read_accuracies_csv,
     read_scores_csv,
+    read_text,
     write_accuracies_csv,
     write_csv,
     write_scores_csv,
 )
+
+
+# The smoothness variants of each --variant name of score and ablate.
+CLI_VARIANTS = {"majority": ("majority",), "entropy": ("neg_entropy",), "both": VARIANTS}
 
 
 def _expand_inputs(paths, pattern="*.jsonl"):
@@ -82,8 +88,6 @@ def _of_file(path, fn, *args):
 def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     """Smoothness measure CSV (and optionally accuracies) from prediction logs."""
     models = {m.model_id: m for m in parse_manifest(manifest_path)}
-    variants = {"both": ("majority", "neg_entropy"), "majority": ("majority",),
-                "entropy": ("neg_entropy",)}[variant]
     score_rows, acc_rows = [], []
     for path in _expand_inputs(inputs):
         log = parse_prediction_log(path)
@@ -91,7 +95,7 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
         if rec is None:
             continue
         tag = log.meta.get("neighborhood", "default")
-        for var in variants:
+        for var in CLI_VARIANTS[variant]:
             prefix = "ms" if var == "majority" else "mse"
             score_rows.append(
                 ScoreRow(
@@ -99,7 +103,7 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
                     train_domain=rec.train_domain,
                     test_domain=log.test_domain,
                     measure=f"{prefix}_{tag}",
-                    value=dataset_smoothness(log, var),
+                    value=_of_file(path, dataset_smoothness, log, var),
                 )
             )
         if acc_out is not None:
@@ -151,9 +155,9 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
                 )
             validation[log.model_id] = log, path
         else:
-            tests.append((log, rec))
+            tests.append((log, rec, path))
     rows, thresholds = [], {}
-    for log, rec in tests:
+    for log, rec, path in tests:
         if log.model_id not in thresholds:
             if log.model_id not in validation:
                 raise SmoothgenError(
@@ -165,11 +169,11 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
                 for kind, name in (("max_confidence", "atc_mc"), ("neg_entropy", "atc_ne"))
             ]
         rows.extend(ScoreRow(log.model_id, rec.train_domain, log.domain, name,
-                             atc_predict(log, threshold))
+                             _of_file(path, atc_predict, log, threshold))
                     for name, threshold in thresholds[log.model_id])
     if weight_inputs:
         domains_by_model = {}
-        for log, _ in tests:
+        for log, _, _ in tests:
             domains_by_model.setdefault(log.model_id, []).append(log.domain)
         for path in _expand_inputs(weight_inputs, pattern="*.bin"):
             dump = read_weight_dump(path)
@@ -218,7 +222,8 @@ def cmd_evaluate(score_csvs, accuracies_csv, manifest_path, out, breakdown_dir=N
                 )
             scores.append((row, path))
     accuracies = [(row, accuracies_csv) for row in read_accuracies_csv(accuracies_csv)]
-    matrix = build_matrix(manifest, _unique_rows(scores), _unique_rows(accuracies))
+    matrix = _of_file(accuracies_csv, build_matrix, manifest, _unique_rows(scores),
+                      _unique_rows(accuracies))
     report = build_report(matrix, tau_variant=tau_variant)
     payload = {"meta": {"tool_version": __version__}, **report}
     atomic_write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -240,11 +245,13 @@ def _write_breakdowns(report, breakdown_dir):
 def _read_json_object(path, key):
     """The object under ``key`` in the JSON object of file ``path``; a file
     that holds no such object raises a SchemaError naming it."""
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e.msg}", path, e.lineno) from None
+    except (ValueError, RecursionError) as e:  # too many digits, too deep
+        raise SchemaError(f"invalid JSON: {e}", path) from None
     if not isinstance(obj, dict):
         raise SchemaError(f"top level must be an object, got {type(obj).__name__}", path)
     if not isinstance(obj.get(key), dict):
@@ -421,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="scores CSV path")
     p.add_argument("--acc-out", help="also write an accuracies CSV here")
-    p.add_argument("--variant", choices=("majority", "entropy", "both"), default="both")
+    p.add_argument("--variant", choices=tuple(CLI_VARIANTS), default="both")
 
     p = sub.add_parser("baseline", help="ATC and weight-norm baseline scores")
     p.add_argument("--scores", nargs="+", required=True, help="score logs or directories")
@@ -483,8 +490,9 @@ def main(argv=None) -> int:
             print(f"wrote report to {args.out}")
         elif args.command == "ablate":
             values = _sweep_values(args.values, args.kind) if args.values else None
+            (variant,) = CLI_VARIANTS[args.variant]
             cmd_ablate(args.artifacts, args.kind, args.out, values=values,
-                       variant=args.variant, tau_variant=args.tau, seed=args.seed,
+                       variant=variant, tau_variant=args.tau, seed=args.seed,
                        test_domain=args.test_domain)
             print(f"wrote sweep to {args.out}")
         elif args.command == "report":

@@ -359,7 +359,9 @@ def _iter_jsonl(path, lines=None):
     with open(path, "rb") if lines is None else contextlib.nullcontext(lines) as f:
         for lineno, raw in enumerate(f, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                # Only JSON's whitespace: str.strip() would also take control
+                # characters such as \x1f and Unicode spaces such as U+2028.
+                line = raw.decode("utf-8").strip(" \t\r\n")
             except UnicodeDecodeError as e:
                 raise SchemaError(f"invalid UTF-8: {e.reason}", path=path, line=lineno)
             if not line:
@@ -370,34 +372,22 @@ def _iter_jsonl(path, lines=None):
                     raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as e:
                 raise SchemaError(f"malformed JSON: {e.msg}", path=path, line=lineno)
-            except ValueError as e:  # e.g. an integer literal over the digit limit
+            except (ValueError, RecursionError) as e:  # too many digits, too deep
                 raise SchemaError(f"malformed JSON: {e}", path=path, line=lineno)
             if not isinstance(obj, dict):
                 raise SchemaError("expected a JSON object", path=path, line=lineno)
             yield lineno, obj
 
 
-def _field_fault(obj, key, types=None):
-    """What makes ``obj[key]`` missing or, if ``types`` is given, not an
-    instance of it, or None; a boolean counts as an integer only where
-    ``types`` is ``bool``."""
+def _require(obj, key, types, path=None, lineno=None):
+    """``obj[key]``, which must be present and an instance of ``types``; a
+    boolean counts as an integer only where ``types`` is ``bool``."""
     if key not in obj:
-        return f"missing required field {key!r}"
+        raise SchemaError(f"missing required field {key!r}", path=path, line=lineno)
     v = obj[key]
-    if types is not None and (
-        not isinstance(v, types) or (type(v) is bool and types is not bool)
-    ):
-        return f"field {key!r} has wrong type"
-    return None
-
-
-def _require(obj, key, path, lineno, types=None):
-    """``obj[key]``, which must be present and, if ``types`` is given, an
-    instance of it (see ``_field_fault``)."""
-    fault = _field_fault(obj, key, types)
-    if fault is not None:
-        raise SchemaError(fault, path=path, line=lineno)
-    return obj[key]
+    if not isinstance(v, types) or (type(v) is bool and types is not bool):
+        raise SchemaError(f"field {key!r} has wrong type", path=path, line=lineno)
+    return v
 
 
 def _read_log(path, lines=None):
@@ -422,10 +412,7 @@ def _check_header(header, path, head_line, log_type):
     an object, which is returned ({} if absent)."""
     if header.get("type") != log_type:
         raise SchemaError(f"header must declare type {log_type!r}", path=path, line=head_line)
-    meta = header.get("meta", {})
-    if type(meta) is not dict:
-        raise SchemaError("field 'meta' has wrong type", path=path, line=head_line)
-    return meta
+    return _require(header, "meta", dict, path, head_line) if "meta" in header else {}
 
 
 def _prediction_header(header, path, head_line):
@@ -433,9 +420,9 @@ def _prediction_header(header, path, head_line):
     header: two strings, an integer (not a boolean) and an object."""
     meta = _check_header(header, path, head_line, "prediction_log")
     return (
-        _require(header, "model_id", path, head_line, str),
-        _require(header, "test_domain", path, head_line, str),
-        _require(header, "num_classes", path, head_line, int),
+        _require(header, "model_id", str, path, head_line),
+        _require(header, "test_domain", str, path, head_line),
+        _require(header, "num_classes", int, path, head_line),
         meta,
     )
 
@@ -443,24 +430,24 @@ def _prediction_header(header, path, head_line):
 def _field_values(body, types):
     """The values of each field over the entries (None where absent), one list
     per field in the order of ``types``, which maps each field to the types its
-    values must have exactly, or to None if it is optional. An entry that
-    lacks a required field or holds a value of another type raises a
-    SchemaError, for the first such field in ``types``."""
+    values must have, or to None if it is optional. The first entry that
+    lacks a required field or holds a value of another type raises the error
+    of ``_require``, for the first such field in ``types``."""
     columns = [list(map(dict.get, body, repeat(key))) for key in types]
     for (key, kinds), values in zip(types.items(), columns):
         if kinds is not None and not set(map(type, values)) <= set(kinds):
-            i = next(i for i, v in enumerate(values) if type(v) not in kinds)
-            raise SchemaError(_field_fault(body[i], key, kinds))
+            for obj in body:
+                _require(obj, key, kinds)
     return columns
 
 
-def _column(values, name, dtype, k=None, lengths=None, absent_ok=False):
+def _column(values, name, dtype, noun, ids, k=None, lengths=None, absent_ok=False):
     """``values`` of one field as JSON decodes them as a read-only ``dtype``
-    array (None, where ``absent_ok``, as -1), with None; or None with
-    (row, message) for the first value no such array holds: one of another
-    type (a boolean is not a number), a negative integer or one too large for
-    ``dtype``. With ``lengths``, ``values`` are the rows' lists flattened, and
-    the fault names the row its value is in."""
+    array (None, where ``absent_ok``, as -1). The first value no such array
+    holds raises a SchemaError naming the ``noun`` of id ``ids[i]`` it is in:
+    a value of another type (a boolean is not a number), a negative integer
+    or one too large for ``dtype``. With ``lengths``, ``values`` are the
+    entries' lists flattened."""
     integer = dtype is np.int64
     types = {int} if integer else {int, float}
     if set(map(type, values)) <= (types | {type(None)} if absent_ok else types):
@@ -475,7 +462,7 @@ def _column(values, name, dtype, k=None, lengths=None, absent_ok=False):
             or np.count_nonzero(arr < 0) == (values.count(None) if absent_ok else 0)
         ):
             arr.flags.writeable = False
-            return arr, None
+            return arr
     for i, v in enumerate(values):
         if v is None and absent_ok:
             continue
@@ -491,7 +478,7 @@ def _column(values, name, dtype, k=None, lengths=None, absent_ok=False):
             fault = f"{name} {v} out of range" + (f" [0, {k})" if k else "")
         if lengths is not None:
             i = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
-        return None, (i, fault)
+        raise SchemaError(f"{noun} {ids[i]!r}: {fault}")
 
 
 def _build(path, head_line, entries, decode, make):
@@ -531,11 +518,11 @@ def parse_manifest(path) -> list[ModelRecord]:
     seen = set()
     for lineno, obj in _iter_jsonl(path):
         rec = ModelRecord(
-            model_id=_require(obj, "model_id", path, lineno, str),
-            arch=_require(obj, "arch", path, lineno, str),
-            train_domain=_require(obj, "train_domain", path, lineno, str),
-            hyperparams=_require(obj, "hyperparams", path, lineno, dict),
-            converged=_require(obj, "converged", path, lineno, bool),
+            model_id=_require(obj, "model_id", str, path, lineno),
+            arch=_require(obj, "arch", str, path, lineno),
+            train_domain=_require(obj, "train_domain", str, path, lineno),
+            hyperparams=_require(obj, "hyperparams", dict, path, lineno),
+            converged=_require(obj, "converged", bool, path, lineno),
         )
         if rec.model_id in seen:
             raise SchemaError(
@@ -576,13 +563,14 @@ def parse_prediction_log(path) -> NeighborhoodPredictionLog:
             "base_prediction": None,
         })
         lengths = np.array(list(map(len, rows)), dtype=np.int64)
-        (preds, f1), (true, f2), (base, f3) = (
-            _column(list(chain.from_iterable(rows)), "prediction", np.int64, k, lengths),
-            _column(true, "true_label", np.int64, k, absent_ok=True),
-            _column(base, "base_prediction", np.int64, k, absent_ok=True),
+        return (
+            tuple(ids),
+            _column(list(chain.from_iterable(rows)), "prediction", np.int64, "example", ids, k,
+                    lengths),
+            lengths,
+            _column(true, "true_label", np.int64, "example", ids, k, absent_ok=True),
+            _column(base, "base_prediction", np.int64, "example", ids, k, absent_ok=True),
         )
-        _raise_first("example", ids, [f1, f2, f3])
-        return tuple(ids), preds, lengths, true, base
 
     return _build(path, head_line, entries, decode, lambda *arrays: NeighborhoodPredictionLog(
         model_id, test_domain, k, *arrays, meta=meta))
@@ -785,11 +773,11 @@ def _score_header(header, path, head_line):
     header: three strings, an integer (not a boolean) if present, and an
     object."""
     meta = _check_header(header, path, head_line, "score_log")
-    fields = [_require(header, key, path, head_line, str)
+    fields = [_require(header, key, str, path, head_line)
               for key in ("model_id", "domain", "split")]
     k = header.get("num_classes")
     if k is not None:
-        _require(header, "num_classes", path, head_line, int)
+        _require(header, "num_classes", int, path, head_line)
     return (*fields, k, meta)
 
 
@@ -814,14 +802,13 @@ def parse_score_log(path) -> ScoreLog:
             "neg_entropy": (int, float),
             "true_label": None,
         })
-        columns = (
-            _column(predicted, "predicted_label", np.int64, k),
-            _column(conf, "max_confidence", np.float64),
-            _column(negent, "neg_entropy", np.float64),
-            _column(true, "true_label", np.int64, k, absent_ok=True),
+        return (
+            tuple(ids),
+            _column(predicted, "predicted_label", np.int64, "entry", ids, k),
+            _column(conf, "max_confidence", np.float64, "entry", ids),
+            _column(negent, "neg_entropy", np.float64, "entry", ids),
+            _column(true, "true_label", np.int64, "entry", ids, k, absent_ok=True),
         )
-        _raise_first("entry", ids, [f for _, f in columns])
-        return (tuple(ids), *(arr for arr, _ in columns))
 
     return _build(path, head_line, entries, decode, lambda *arrays: ScoreLog(
         model_id, domain, split, *arrays, num_classes=k, meta=meta))
@@ -916,7 +903,10 @@ def read_weight_dump(path) -> WeightDump:
     if take(len(WEIGHT_DUMP_MAGIC)) != WEIGHT_DUMP_MAGIC:
         raise SchemaError("bad magic bytes in weight dump", path=path)
     (id_len,) = struct.unpack("<Q", take(8))
-    model_id = take(id_len).decode("utf-8")
+    try:
+        model_id = take(id_len).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"model id is not UTF-8: {e.reason}", path=path) from None
     (n_layers,) = struct.unpack("<Q", take(8))
     layers = []
     for _ in range(n_layers):
@@ -926,7 +916,10 @@ def read_weight_dump(path) -> WeightDump:
         layers.append(w)
     if off != len(data):
         raise SchemaError("trailing bytes in weight dump", path=path)
-    return WeightDump(model_id=model_id, layers=tuple(layers))
+    try:
+        return WeightDump(model_id=model_id, layers=tuple(layers))
+    except SchemaError as e:
+        raise SchemaError(str(e), path=path) from None
 
 
 def compute_accuracy(log) -> float:

@@ -158,7 +158,7 @@ def load_experiment(path) -> ExperimentConfig:
         return experiment_from_dict(obj)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e.msg}", path, e.lineno) from e
-    except (ValueError, SchemaError) as e:
+    except (ValueError, RecursionError, SchemaError) as e:
         raise SchemaError(f"invalid experiment: {e}", path) from e
 
 

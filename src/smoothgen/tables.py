@@ -59,11 +59,26 @@ def write_csv(path, columns, rows, meta: Optional[dict] = None) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``; the first byte that is not
+    UTF-8 raises a SchemaError naming path:line (a line ends at LF, CR or
+    CRLF, as in the CSV reader)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # The text before the byte, with "x" standing in for it: its last line
+        # is the byte's.
+        line = len(io.StringIO(data[:e.start].decode("utf-8") + "x", newline="").readlines())
+        raise SchemaError(f"invalid UTF-8: {e.reason}", path=path, line=line) from None
+
+
 def _read_csv(path, columns):
     """The data rows of a table with their line numbers in the file; each row
     has one field per column."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        numbered = [(n, ln) for n, ln in enumerate(f, start=1) if not ln.startswith("#")]
+    f = io.StringIO(read_text(path), newline="")
+    numbered = [(n, ln) for n, ln in enumerate(f, start=1) if not ln.startswith("#")]
     if not numbered:
         raise SchemaError("empty CSV", path=path)
     linenos, lines = zip(*numbered)

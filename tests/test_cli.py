@@ -2,6 +2,7 @@ import io
 import json
 import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ class TestScoreCommand:
             f"error: {log}: example {example['example_id']!r}: missing label, "
             f"accuracy unavailable\n")
 
+    def test_log_of_no_examples_names_the_log(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        logs = tmp_path / "predictions"
+        shutil.copytree(out_dir / "predictions", logs)
+        model_id = next(r.model_id for r in result.manifest if r.converged)
+        log = sorted(logs.glob(f"{model_id}__*.jsonl"))[0]
+        log.write_text(log.read_text().splitlines()[0] + "\n")
+        rc = main(["score", "--input", str(logs), "--manifest", str(out_dir / "manifest.jsonl"),
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {log}: cannot score a log with no examples\n"
+
 
 class TestBaselineCommand:
     def test_atc_and_norm_rows(self, pool, tmp_path):
@@ -184,6 +197,20 @@ class TestBaselineCommand:
             f"error: model {model_id!r}: two validation score logs, {first} and {second}\n")
         assert not out.exists()
 
+    def test_test_log_of_no_entries_names_the_log(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        scores = tmp_path / "scores"
+        shutil.copytree(out_dir / "scores", scores)
+        model_id = self.validation_log(result, scores).name.split("__")[0]
+        log = next(p for p in sorted(scores.glob(f"{model_id}__*.jsonl"))
+                   if not p.name.endswith("__validation.jsonl"))
+        log.write_text(log.read_text().splitlines()[0] + "\n")
+        rc = main(["baseline", "--scores", str(scores), "--manifest",
+                   str(out_dir / "manifest.jsonl"), "--out", str(tmp_path / "baselines.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}: cannot predict accuracy on an empty score log\n")
+
     def test_missing_true_label_names_the_log(self, pool, tmp_path, capsys):
         out_dir, result = pool
         scores = tmp_path / "scores"
@@ -229,6 +256,18 @@ def _foreign_train_domain(scores, accuracies, extra):
     scores[scores.index(",".join(row))] = ",".join([row[0], row[2], *row[2:]])
 
 
+def _invalid_byte(table, row):
+    """A byte that is not UTF-8 in line ``row`` of table ``table`` (0 the
+    scores, 1 the accuracies), written as the surrogate that stands for it."""
+    def mutate(*tables):
+        tables[table][row] = tables[table][row][:3] + "\udcff" + tables[table][row][3:]
+    return mutate
+
+
+def _missing_accuracy(scores, accuracies, extra):
+    del accuracies[2]
+
+
 def _equal_duplicate_rows(scores, accuracies, extra):
     extra.append(",".join(_ood_score_row(scores)))
     accuracies.append(accuracies[2])
@@ -247,7 +286,7 @@ class TestEvaluateTables:
         tables.append(tables[0][:2])  # comment and columns, then no rows
         mutate(*tables)
         for path, lines in zip(paths, tables):
-            path.write_text("\n".join(lines) + "\n")
+            path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         report = tmp_path / "report.json"
         rc = main(["evaluate", "--scores", str(paths[0]), str(paths[2]),
                    "--accuracies", str(paths[1]), "--manifest", manifest,
@@ -260,8 +299,13 @@ class TestEvaluateTables:
         (_accuracy("7.5"), ["acc.csv:3"]),
         (_accuracy("-0.1"), ["acc.csv:3"]),
         (_foreign_train_domain, ["scores.csv"]),
+        (_invalid_byte(0, 4), ["scores.csv:5: invalid UTF-8: invalid start byte"]),
+        (_invalid_byte(1, 2), ["acc.csv:3: invalid UTF-8: invalid start byte"]),
+        (_invalid_byte(1, 0), ["acc.csv:1: invalid UTF-8: invalid start byte"]),
+        (_missing_accuracy, ["acc.csv: missing accuracies for scored pairs"]),
     ], ids=["conflicting_score", "conflicting_accuracy", "accuracy_7.5", "accuracy_-0.1",
-            "foreign_train_domain"])
+            "foreign_train_domain", "invalid_utf8_score_row", "invalid_utf8_accuracy_row",
+            "invalid_utf8_comment", "missing_accuracy"])
     def test_malformed_table_exits_nonzero(self, pool, tmp_path, capsys, mutate, names):
         rc, report = self.run(pool, tmp_path, mutate)
         assert rc == 1
@@ -309,9 +353,11 @@ class TestEvaluateCommand:
         assert "measure" in text and "micro_tau" in text
         assert "ms_manifold-r0.5-n5" in text
 
-    def test_report_of_a_malformed_file_exits_nonzero(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["[1]", '{"measures": ' + "1" * 5000 + "}",
+                                      "[" * 100_000], ids=["list", "digits", "depth"])
+    def test_report_of_a_malformed_file_exits_nonzero(self, tmp_path, capsys, text):
         path = tmp_path / "report.json"
-        path.write_text("[1]")
+        path.write_text(text)
         assert main(["report", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and "Traceback" not in err
@@ -381,6 +427,16 @@ class TestAblateCommand:
         rows = cmd_ablate(str(out_dir), "dataset_size", tmp_path / "s.csv",
                           values=[10, 60])
         assert all(s == "ok" for _, _, s, _ in rows)
+
+    def test_entropy_variant_is_the_neg_entropy_measure(self, pool, tmp_path):
+        out_dir, _ = pool
+        out = tmp_path / "cli.csv"
+        assert main(["ablate", "--artifacts", str(out_dir), "--kind", "n_samples",
+                     "--values", "4,8", "--variant", "entropy", "--out", str(out)]) == 0
+        rows = cmd_ablate(str(out_dir), "n_samples", tmp_path / "api.csv", values=[4, 8],
+                          variant="neg_entropy")
+        assert [status for _, _, status, _ in rows] == ["ok", "ok"]
+        assert out.read_bytes() == (tmp_path / "api.csv").read_bytes()
 
     def test_missing_values_rejected(self, pool, tmp_path):
         from smoothgen.errors import SmoothgenError
@@ -540,10 +596,35 @@ def _mutated_line(entry, mutation, layout):
     return line
 
 
+def _broken_dump(data, case):
+    """The bytes of the weight dump ``data`` with fault ``case`` made."""
+    (id_len,) = struct.unpack_from("<Q", data, 8)
+    layers = 16 + id_len  # after the magic, the id length and the id
+    if case == "non_utf8_model_id":
+        return data[:16] + b"\xff" + data[17:]
+    if case == "nan_entry":
+        at = layers + 8 + 16  # after the layer count and the first layer's shape
+        return data[:at] + struct.pack("<d", math.nan) + data[at + 8:]
+    if case == "no_layers":
+        return data[:layers] + struct.pack("<Q", 0)
+    return data[:layers] + struct.pack("<QQQ", 1, 0, 3)  # one layer of no rows
+
+
+ARTIFACT_FAULTS = {  # case: the command that reads the artifact, the message
+    "non_utf8_model_id": ("baseline", "model id is not UTF-8: invalid start byte"),
+    "nan_entry": ("baseline", "layer 0: non-finite entries"),
+    "no_layers": ("baseline", "weight dump must contain at least one layer"),
+    "empty_layer": ("baseline", "layer 0: expected non-empty 2-D matrix"),
+    "non_utf8_report": ("report", "invalid UTF-8: invalid start byte"),
+    "non_utf8_experiment": ("ablate", "invalid UTF-8: invalid start byte"),
+}
+
+
 class TestMalformedLogs:
     """Every command that reads a log stops on each kind of fault in it with
     exit code 1 and the same ``error:`` line naming path:line, whether the
-    file is in the writers' layout or a spaced one."""
+    file is in the writers' layout or a spaced one; a fault in a weight dump,
+    a report or an experiment file gives an ``error:`` line naming the file."""
 
     @staticmethod
     def run(pool, tmp_path, command, mutation, layout):
@@ -591,6 +672,38 @@ class TestMalformedLogs:
             assert not (tmp_path / f"{layout}.csv").exists()
         message = LOG_MUTATIONS[mutation][command == "baseline"]
         assert errors == [f"error: <log>:2: {message}\n"] * 2
+
+    @pytest.mark.parametrize("case", sorted(ARTIFACT_FAULTS))
+    def test_malformed_artifact_exits_nonzero(self, pool, tmp_path, capsys, case):
+        out_dir, result = pool
+        command, message = ARTIFACT_FAULTS[case]
+        manifest = str(out_dir / "manifest.jsonl")
+        out = tmp_path / "out.csv"
+        where = ""  # the line of the fault, in a text file
+        if command == "baseline":
+            shutil.copytree(out_dir / "weights", tmp_path / "weights")
+            model_id = next(r.model_id for r in result.manifest if r.converged)
+            path = tmp_path / "weights" / f"{model_id}.bin"
+            path.write_bytes(_broken_dump(path.read_bytes(), case))
+            argv = ["baseline", "--scores", str(out_dir / "scores"), "--weights",
+                    str(tmp_path / "weights"), "--manifest", manifest, "--out", str(out)]
+        elif command == "ablate":
+            shutil.copy(manifest, tmp_path)
+            path = tmp_path / "experiment.json"
+            data = (out_dir / "experiment.json").read_bytes()
+            at = data.rindex(b"\n", 0, len(data) - 1) + 1  # the last line
+            path.write_bytes(data[:at] + b"\xff" + data[at:])
+            where = ":" + str(data.count(b"\n", 0, at) + 1)
+            argv = ["ablate", "--artifacts", str(tmp_path), "--kind", "n_samples",
+                    "--values", "4", "--out", str(out)]
+        else:
+            path = tmp_path / "report.json"
+            path.write_bytes(b'{"measures": {}}\n\xff\n')
+            where = ":2"
+            argv = ["report", "--input", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
+        assert not out.exists()
 
 
 class TestMainEntry:
@@ -729,6 +842,8 @@ class TestMainEntry:
             experiment_to_dict(small_experiment())["ablation"], domain_id="nowhere")}),
         ("broken.json", '{"domains": '),
         ("broken.toml", "seed = "),
+        ("deep.json", "[" * 100_000),
+        ("deep.toml", "seed = " + "[" * 100_000),
     ])
     def test_malformed_experiment_file_exits_nonzero(self, tmp_path, capsys, name, content):
         if isinstance(content, dict):  # a valid experiment with some keys replaced

@@ -70,6 +70,10 @@ SCORE_LOG = log_from_rows(
 )
 
 
+# Characters that str.strip() takes as whitespace and JSON does not.
+NON_JSON_SPACES = ["\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
@@ -105,6 +109,19 @@ class TestManifest:
         path.write_text("{not json\n")
         with pytest.raises(SchemaError, match="malformed"):
             parse_manifest(path)
+
+    def test_only_json_whitespace_is_blank(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(f" \t\r\n \t{serialize_manifest([RECORD])[:-1]}\r \n", newline="")
+        assert parse_manifest(path) == [RECORD]
+
+    @pytest.mark.parametrize("char", NON_JSON_SPACES)
+    def test_other_whitespace_is_malformed(self, tmp_path, char):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(serialize_manifest([RECORD]) + char + "\n", newline="")
+        with pytest.raises(SchemaError, match="malformed JSON") as exc:
+            parse_manifest(path)
+        assert exc.value.line == 2
 
 
 class TestPredictionLog:
@@ -216,7 +233,8 @@ class TestPredictionLogTypes:
         assert exc.value.line == 3
 
     @pytest.mark.parametrize("text", [
-        "{not json", "[1, 2]", '{"a": 1} {"b": 2}', '{"a": ' + "1" * 5000 + "}"])
+        "{not json", "[1, 2]", '{"a": 1} {"b": 2}', '{"a": ' + "1" * 5000 + "}",
+        "[" * 100_000])
     def test_malformed_line_names_path_and_line(self, tmp_path, text):
         path = tmp_path / "log.jsonl"
         write_log_lines(path, [GOOD_EXAMPLE])
@@ -487,6 +505,25 @@ def check_variant(tmp_path, parse, text, old, new):
         assert got[1:] == (path, text[:text.index(old)].count("\n") + 1)
 
 
+def whitespace_variants(header, line):
+    """(old, new) pairs that put whitespace around the ``header`` line or a
+    body ``line``: JSON's own (space, tab, CR), which a line may carry and
+    which alone makes a blank line, and whitespace that JSON does not allow."""
+    return [
+        (line, " \t" + line + " \r"),
+        (line, " \t\r\n" + line),
+        *((line, char + "\n" + line) for char in NON_JSON_SPACES),
+        (line, "\u2028" + line),
+        (line, line + "\x1c"),
+        (header, header + "\x1f"),
+    ]
+
+
+WHITESPACE_IDS = ["json_spaces", "json_blank_line",
+                  *(f"line_of_{ord(c):#x}" for c in NON_JSON_SPACES),
+                  "leading_u2028", "trailing_0x1c", "header_0x1f"]
+
+
 def check_byte_edit(tmp_path, parse, text, at, cut, insert):
     """Parsing ``text`` with ``cut`` bytes at ``at`` replaced by ``insert``
     gives the strict outcome."""
@@ -514,6 +551,7 @@ SCAN_LOG = log_from_rows(
 SCAN_TEXT = serialize_prediction_log(SCAN_LOG)
 FIRST_EXAMPLE = SCAN_TEXT.splitlines()[1]
 SCAN_HEADER = SCAN_TEXT.splitlines()[0]
+SECOND_EXAMPLE = SCAN_TEXT.splitlines()[2]
 ESCAPED_HEADER_LOG = dataclasses.replace(SCAN_LOG, model_id='a\\b"c', meta={"note": "x\ty"})
 
 
@@ -587,12 +625,14 @@ class TestPredictionLogScan:
         ("[0,1,2]", "[]"),
         ('"ex3"', '"ex[3]"'),
         ('"ex3"', '"ex,3"'),
+        *whitespace_variants(SCAN_HEADER, SECOND_EXAMPLE),
     ], ids=["spaces", "key_order", "leading_zero", "float", "boolean", "empty_token",
             "trailing_comma", "leading_comma", "escaped_id", "control_char_in_id",
             "del_in_id", "non_ascii_id", "crlf", "blank_line", "20_digits", "19_digits",
             "int64_overflow_label", "leading_zero_label", "float_num_classes",
             "boolean_num_classes", "prediction_out_of_range", "true_label_out_of_range",
-            "negative_base", "empty_neighborhood", "bracket_in_id", "comma_in_id"])
+            "negative_base", "empty_neighborhood", "bracket_in_id", "comma_in_id",
+            *WHITESPACE_IDS])
     def test_variant_gives_the_strict_outcome(self, tmp_path, old, new):
         check_variant(tmp_path, parse_prediction_log, SCAN_TEXT, old, new)
 
@@ -666,6 +706,7 @@ SCORE_SCAN_LOG = log_from_rows(
 )
 SCORE_SCAN_TEXT = serialize_score_log(SCORE_SCAN_LOG)
 SCORE_FIRST_ENTRY = SCORE_SCAN_TEXT.splitlines()[1]
+SCORE_SECOND_ENTRY = SCORE_SCAN_TEXT.splitlines()[2]
 
 # Scores at the edges of the shortest float forms: the least subnormal, the
 # switch to exponent form at both ends, and a negative zero.
@@ -731,6 +772,7 @@ class TestScoreLogScan:
         (',"predicted_label":0', ""),
         ('"split":"validation"', '"split":"train"'),
         ('"num_classes":3', '"num_classes":3.0'),
+        *whitespace_variants(SCORE_SCAN_TEXT.splitlines()[0], SCORE_SECOND_ENTRY),
     ], ids=["negative_int_zero", "int_zero", "int_one", "1e400", "minus_1e400",
             "underflow_to_minus_zero", "capital_exponent", "zero_exponent", "leading_zero",
             "no_integer_part", "no_fraction_digits", "nan", "out_of_range", "string_score",
@@ -738,7 +780,8 @@ class TestScoreLogScan:
             "control_char_in_id", "del_in_id", "non_ascii_id", "crlf", "blank_line",
             "leading_zero_label", "float_label", "boolean_label", "label_out_of_range",
             "19_digits", "int64_overflow_label", "20_digits", "negative_true_label",
-            "null_true_label", "missing_field", "bad_split", "float_num_classes"])
+            "null_true_label", "missing_field", "bad_split", "float_num_classes",
+            *WHITESPACE_IDS])
     def test_variant_gives_the_strict_outcome(self, tmp_path, old, new):
         check_variant(tmp_path, parse_score_log, SCORE_SCAN_TEXT, old, new)
 
