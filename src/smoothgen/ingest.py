@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import io
 import json
 import math
 import os
 import re
+import secrets
 import struct
 import sys
-import tempfile
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, repeat
@@ -33,7 +34,7 @@ _EPS = 1e-9
 WEIGHT_DUMP_MAGIC = b"SGWD0001"
 
 # What json.dumps gives for a str (with the default ensure_ascii), without the
-# per-call set-up of json.dumps; the log writers call it once per line.
+# per-call set-up of json.dumps; the log writers call it once per example id.
 _json_string = json.encoder.encode_basestring_ascii
 
 # Decodes one JSON value at the start of a string and returns it with its end;
@@ -47,9 +48,18 @@ def _dumps(obj) -> str:
 
 def _atomic_write(path, data: bytes) -> None:
     """Write data to path via a temp file and atomic rename; on any failure
-    the target keeps its old bytes and the temp file is removed."""
+    the target keeps its old bytes and the temp file is removed. The file
+    gets the mode ``open(path, "w")`` gives a new file, 0o666 less the umask
+    (``mkstemp`` would give 0o600)."""
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".part")
+    directory = os.path.dirname(path) or "."
+    while True:
+        tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -706,8 +716,8 @@ def _scan_prediction_log(path, data):
         return None
 
 
-def _render_csv_ints(values: np.ndarray) -> tuple[str, np.ndarray]:
-    """Render unsigned ints as one ASCII string ``"<v0>,<v1>,...,"`` and
+def _render_csv_ints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Render unsigned ints as one ASCII buffer ``"<v0>,<v1>,...,"`` and
     return it with ``ends``: value ``i`` and its comma end at ``ends[i]``."""
     # Decimal width of each value: the number of powers of ten at or below it,
     # plus one. The powers stop below the dtype's maximum, so they compare exactly.
@@ -726,13 +736,32 @@ def _render_csv_ints(values: np.ndarray) -> tuple[str, np.ndarray]:
         rest = rest // 10
         more = rest > 0
         pos, rest = pos[more] - 1, rest[more]
-    return buf.tobytes().decode("ascii"), ends
+    return buf, ends
+
+
+# The constant text of each example's line in a log, for one tuple of example
+# ids: the line's text from the id up to its first value. A run shares one
+# tuple of ids among all logs of one test set, so it holds a few of these.
+@functools.lru_cache(maxsize=4)
+def _prediction_prefixes(example_ids: tuple) -> tuple:
+    return tuple(f'"example_id":{_json_string(i)},"neighborhood_predictions":['
+                 for i in example_ids)
+
+
+@functools.lru_cache(maxsize=4)
+def _score_prefixes(example_ids: tuple) -> tuple:
+    return tuple(f'{{"example_id":{_json_string(i)},"max_confidence":' for i in example_ids)
 
 
 def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
-    """The log as JSON Lines; example lines are rendered from a fixed template
-    that gives the same bytes as sorted-key ``json.dumps``. Every prediction
-    is rendered once into one buffer, and each example takes a slice of it."""
+    """The log as JSON Lines, the same bytes as sorted-key ``json.dumps``.
+
+    Each example line is four parts: the opening with the base prediction,
+    the constant text up to the predictions (shared by every log of the same
+    example ids), the predictions, and the close with the true label. The
+    labels' parts come from one small dict per log, and the predictions are
+    all rendered into one buffer, cut at the end of each example's list.
+    """
     header = {
         "type": "prediction_log",
         "model_id": log.model_id,
@@ -741,27 +770,21 @@ def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
     }
     if log.meta:
         header["meta"] = log.meta
-    # The field of each label the log holds; an absent label (-1) renders as
-    # nothing.
     bases = log.base_predictions.tolist()
     trues = log.true_labels.tolist()
-    base_field = {c: f'"base_prediction":{c},' for c in set(bases)}
-    true_field = {c: f',"true_label":{c}' for c in set(trues)}
-    base_field[-1] = true_field[-1] = ""
-    text, ends = _render_csv_ints(log.predictions)
-    # Character bounds of each example's predictions in ``text``, the comma
-    # after its last prediction excluded.
-    bounds = np.concatenate(([0], ends))[log.offsets]
-    starts = bounds[:-1].tolist()
-    stops = (bounds[1:] - 1).tolist()
-    lines = [_dumps(header)]
-    lines.extend(
-        f'{{{base_field[base]}"example_id":{_json_string(ex_id)},'
-        f'"neighborhood_predictions":[{text[start:stop]}]'
-        f"{true_field[true]}}}"
-        for ex_id, start, stop, base, true in zip(log.example_ids, starts, stops, bases, trues)
-    )
-    return "\n".join(lines) + "\n"
+    # An absent label (-1) renders as no field.
+    opening = {c: f'{{"base_prediction":{c},' for c in set(bases)}
+    closing = {c: f'],"true_label":{c}}}\n' for c in set(trues)}
+    opening[-1], closing[-1] = "{", "]}\n"
+    buf, ends = _render_csv_ints(log.predictions)
+    # The comma after each example's last prediction becomes the cut.
+    buf[ends[log.offsets[1:] - 1] - 1] = ord("]")
+    parts = [""] * (4 * len(bases))
+    parts[0::4] = map(opening.__getitem__, bases)
+    parts[1::4] = _prediction_prefixes(tuple(log.example_ids))
+    parts[2::4] = buf.tobytes().decode("ascii").split("]")[:-1]
+    parts[3::4] = map(closing.__getitem__, trues)
+    return _dumps(header) + "\n" + "".join(parts)
 
 
 def write_prediction_log(log: NeighborhoodPredictionLog, path) -> None:
@@ -834,9 +857,11 @@ def _scan_score_log(path, data):
 
 
 def serialize_score_log(log: ScoreLog) -> str:
-    """The log as JSON Lines; entry lines are rendered from a fixed template
-    that gives the same bytes as sorted-key ``json.dumps`` (``repr`` of a
-    finite float is its JSON form)."""
+    """The log as JSON Lines, the same bytes as sorted-key ``json.dumps``
+    (``repr`` of a finite float is its JSON form). Each entry line is six
+    parts, laid out like those of ``serialize_prediction_log``: the constant
+    text up to the confidence, the confidence, the entropy's key, the
+    entropy, the predicted label and the close with the true label."""
     header = {
         "type": "score_log",
         "model_id": log.model_id,
@@ -847,20 +872,18 @@ def serialize_score_log(log: ScoreLog) -> str:
         header["num_classes"] = log.num_classes
     if log.meta:
         header["meta"] = log.meta
-    true_fields = ["" if t < 0 else f',"true_label":{t}' for t in log.true_labels.tolist()]
-    lines = [_dumps(header)]
-    lines.extend(
-        f'{{"example_id":{_json_string(ex_id)},"max_confidence":{conf!r},'
-        f'"neg_entropy":{negent!r},"predicted_label":{pred}{true}}}'
-        for ex_id, conf, negent, pred, true in zip(
-            log.example_ids,
-            log.max_confidence.tolist(),
-            log.neg_entropy.tolist(),
-            log.predicted_labels.tolist(),
-            true_fields,
-        )
-    )
-    return "\n".join(lines) + "\n"
+    predicted = log.predicted_labels.tolist()
+    trues = log.true_labels.tolist()
+    predicted_field = {c: f',"predicted_label":{c}' for c in set(predicted)}
+    closing = {c: f',"true_label":{c}}}\n' for c in set(trues)}
+    closing[-1] = "}\n"
+    parts = [',"neg_entropy":'] * (6 * len(predicted))
+    parts[0::6] = _score_prefixes(tuple(log.example_ids))
+    parts[1::6] = map(repr, log.max_confidence.tolist())
+    parts[3::6] = map(repr, log.neg_entropy.tolist())
+    parts[4::6] = map(predicted_field.__getitem__, predicted)
+    parts[5::6] = map(closing.__getitem__, trues)
+    return _dumps(header) + "\n" + "".join(parts)
 
 
 def write_score_log(log: ScoreLog, path) -> None:

@@ -129,9 +129,41 @@ def _softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray
     return e
 
 
+# A row whose top two logits are closer than this, or whose top is not finite,
+# takes its class from the softmax; see predict_classes.
+_CLASS_GAP = 1e-9
+
+
 def predict_classes(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Predicted classes: the classes ``model_predict`` gives, and nothing else."""
-    return _softmax(forward(model, np.atleast_2d(x))).argmax(axis=1)
+    """Predicted classes: the classes ``model_predict`` gives, and nothing else.
+
+    Each row's class is the column of its top logit, found with its second
+    largest logit in one column-wise pass (exact in any order, like
+    ``_row_max``). That is the class the softmax gives whenever the top is
+    finite and above the second by more than ``_CLASS_GAP``: the softmax
+    subtracts the top, so the top column gets ``exp(0) == 1`` and every other
+    column ``exp`` of an argument at most ``-_CLASS_GAP`` (the subtraction
+    rounds monotonically and the bound is a double), which is below 1 by far
+    more than ``exp``'s error. The row sum is then in [1, k], and dividing by
+    it keeps each other value below the top's by a relative 1e-9, far more
+    than the division's rounding, so the top column is the first maximum. Any
+    other row (a gap of at most the bound, a NaN or an infinity) takes
+    ``_softmax`` of its own logits, which reads only that row, so it gets the
+    bits the full batch would give it.
+    """
+    z = forward(model, np.atleast_2d(x))
+    top = z[:, 0].copy()
+    second = np.full(len(z), -np.inf)
+    classes = np.zeros(len(z), dtype=np.intp)
+    for j in range(1, z.shape[1]):
+        column = z[:, j]
+        np.maximum(second, np.minimum(top, column), out=second)
+        classes[column > top] = j
+        np.maximum(top, column, out=top)
+    rows = np.flatnonzero(~((top - second > _CLASS_GAP) & (top < np.inf)))
+    if len(rows):
+        classes[rows] = _softmax(z[rows]).argmax(axis=1)
+    return classes
 
 
 def model_predict(model: MlpModel, x: np.ndarray):

@@ -66,6 +66,14 @@ class AblationSpec:
     n_samples_max: int = 100
     size_r_values: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        for name in ("m_test", "n_samples_max"):
+            if getattr(self, name) < 1:
+                raise SchemaError(f"ablation {name} must be >= 1, got {getattr(self, name)}")
+        for r in (self.base_size_r, *self.size_r_values):
+            if not r > 0:
+                raise SchemaError(f"ablation size_r must be positive, got {r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -77,6 +85,11 @@ class ExperimentConfig:
     m_test: int = 500
     seed: int = 0
     ablation: Optional[AblationSpec] = None
+
+    def __post_init__(self):
+        for name in ("m_train", "m_val", "m_test"):
+            if getattr(self, name) < 1:
+                raise SchemaError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def training_domains(self) -> list:
         return [d for d in self.domains if not d.far_shift]

@@ -467,6 +467,7 @@ class TestAblateCommand:
         "ablation_not_an_object",
         "size_r_values_not_numbers",
         "domain_id_not_a_string",
+        "zero_size_r_value",
     ])
     def test_malformed_experiment_file_exits_nonzero(self, pool, tmp_path, capsys, case):
         out_dir, _ = pool
@@ -486,6 +487,8 @@ class TestAblateCommand:
                 obj["experiment"]["ablation"] = [1]
             elif case == "size_r_values_not_numbers":
                 ablation["size_r_values"] = ["x"]
+            elif case == "zero_size_r_value":
+                ablation["size_r_values"] = [0.5, 0]
             else:
                 ablation["domain_id"] = 7
             text = json.dumps(obj)
@@ -840,6 +843,17 @@ class TestMainEntry:
                                                  depth=1.5)]}),
         ("unknown_ablation_domain.json", {"ablation": dict(
             experiment_to_dict(small_experiment())["ablation"], domain_id="nowhere")}),
+        *((f"zero_{key}.json", {key: 0}) for key in ("m_train", "m_val", "m_test")),
+        ("negative_m_test.json", {"m_test": -3}),
+        *((f"ablation_{name}.json", {"ablation": dict(
+            experiment_to_dict(small_experiment())["ablation"], **{key: value})})
+          for name, key, value in [
+              ("zero_m_test", "m_test", 0),
+              ("zero_n_samples_max", "n_samples_max", 0),
+              ("zero_base_size_r", "base_size_r", 0),
+              ("negative_base_size_r", "base_size_r", -0.5),
+              ("zero_size_r_value", "size_r_values", [0.2, 0.0]),
+          ]),
         ("broken.json", '{"domains": '),
         ("broken.toml", "seed = "),
         ("deep.json", "[" * 100_000),

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 from unittest import mock
 
 import numpy as np
@@ -462,6 +463,87 @@ class TestPredictionLogRendererOracle:
              for i, (preds, true, base) in enumerate(examples)],
             model_id="m", test_domain="d", num_classes=k)
         assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
+
+
+def score_log_oracle(log):
+    """The score log as sorted-key json.dumps renders each line."""
+    header = {"type": "score_log", "model_id": log.model_id, "domain": log.domain,
+              "split": log.split}
+    if log.num_classes is not None:
+        header["num_classes"] = log.num_classes
+    if log.meta:
+        header["meta"] = log.meta
+    entries = [{k: v for k, v in vars(e).items() if v is not None} for e in log.entries]
+    return "".join(dumps_sorted(o) + "\n" for o in [header, *entries])
+
+
+# Ids that JSON escapes, or that are not ASCII.
+ODD_IDS = ('quote"d', "back\\slash", "tab\there", "nl\nx", "\x00", "", "café",
+           "日本", " ", "\U0001f600", "/slash", "ex0")
+
+
+def odd_prediction_log(ids, seed):
+    """A log of 12 classes over ``ids``, with ragged neighbourhoods and about a
+    third of the labels absent."""
+    lengths = np.random.default_rng(seed).integers(1, 14, size=len(ids))
+    log = random_log(12, lengths, seed=seed, first=[11, 10, 9, 0])
+    return dataclasses.replace(log, example_ids=ids)
+
+
+def odd_score_log(ids, seed):
+    rng = np.random.default_rng(seed)
+    m = len(ids)
+    labels = rng.integers(0, 12, size=(2, m))
+    labels[1][rng.random(m) < 0.3] = -1
+    return ScoreLog(model_id="m", domain="d", split="validation", example_ids=ids,
+                    predicted_labels=labels[0], max_confidence=rng.uniform(1 / 12, 1.0, m),
+                    neg_entropy=-rng.uniform(0.0, math.log(12), m), true_labels=labels[1],
+                    num_classes=12, meta={"seed": seed})
+
+
+class TestFramedWriters:
+    """Each example's constant text is rendered once per tuple of example ids
+    and shared by every log of those ids; its labels are each log's own."""
+
+    def test_prediction_logs_sharing_ids_keep_their_own_labels(self):
+        ids = tuple(f"ex{i:05d}" for i in range(40))
+        lengths = np.full(len(ids), 5)
+        first = random_log(3, lengths, seed=1)
+        first = dataclasses.replace(first, example_ids=ids,
+                                    true_labels=np.zeros(len(ids), dtype=np.int64),
+                                    base_predictions=np.ones(len(ids), dtype=np.int64))
+        second = dataclasses.replace(random_log(3, lengths, seed=2), example_ids=ids)
+        assert (second.true_labels == -1).any() and (second.base_predictions == -1).any()
+        for log in (first, second, first):
+            assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
+
+    def test_score_logs_sharing_ids_keep_their_own_labels(self):
+        ids = tuple(f"ex{i:05d}" for i in range(40))
+        first, second = odd_score_log(ids, seed=1), odd_score_log(ids, seed=2)
+        assert not np.array_equal(first.true_labels, second.true_labels)
+        for log in (first, second, first):
+            assert serialize_score_log(log) == score_log_oracle(log)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_odd_ids_ragged_lists_and_many_classes(self, seed):
+        # The same bytes from a new frame and from a reused one, for a tuple
+        # of ids that is not the one the frame was built from.
+        ids = ODD_IDS[seed:] + ODD_IDS[:seed]
+        pred, score = odd_prediction_log(ids, seed), odd_score_log(ids, seed)
+        assert (pred.lengths != pred.lengths[0]).any() and pred.predictions.max() > 9
+        ingest._prediction_prefixes.cache_clear()
+        ingest._score_prefixes.cache_clear()
+        new = serialize_prediction_log(pred), serialize_score_log(score)
+        pred_copy = dataclasses.replace(pred, example_ids=tuple(list(ids)))
+        score_copy = dataclasses.replace(score, example_ids=tuple(list(ids)))
+        reused = serialize_prediction_log(pred_copy), serialize_score_log(score_copy)
+        assert ingest._prediction_prefixes.cache_info().hits == 1
+        assert ingest._score_prefixes.cache_info().hits == 1
+        assert new == reused
+        assert new[0] == reference_serialize_prediction_log(pred)
+        assert new[1] == score_log_oracle(score)
+        objs = [json.loads(line) for line in new[0].splitlines()[1:]]
+        assert [o["example_id"] for o in objs] == list(ids)
 
 
 def strict_path():
@@ -1399,3 +1481,16 @@ class TestAtomicWrites:
         assert list(tmp_path.glob(".tmp-*.part")) == []
         WRITERS[writer](target)  # and the next write goes through
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, writer, umask, mode):
+        old = os.umask(umask)
+        try:
+            WRITERS[writer](tmp_path / "out")
+            (tmp_path / "plain").write_text("")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == mode
+        assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == mode
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "out", tmp_path / "plain"]

@@ -9,7 +9,7 @@ import pytest
 
 from smoothgen.errors import DivergenceError, SchemaError
 from smoothgen.ingest import parse_manifest
-from smoothgen.synthbench import domains
+from smoothgen.synthbench import domains, mlp
 from smoothgen.synthbench.domains import (
     ArcSpec,
     DomainSpec,
@@ -20,6 +20,7 @@ from smoothgen.synthbench.domains import (
     sample_neighborhood,
 )
 from smoothgen.synthbench.mlp import (
+    _CLASS_GAP,
     MlpModel,
     TrainConfig,
     _softmax,
@@ -355,6 +356,69 @@ class TestInferenceOracle:
         point = np.array([0.3, -0.2])
         assert predict_classes(model, point).tolist() == [model_predict(model, point)[0][0]]
         assert predict_classes(model, np.empty((0, 2))).shape == (0,)
+
+
+def constructed_logit_rows(k):
+    """Logit rows whose top two are 0, 1 ulp, just below, at and just above
+    _CLASS_GAP apart, and rows holding NaN, +inf and -inf, each with its top
+    two in several places among k columns."""
+    top = 0.1
+    seconds = [top, np.nextafter(top, -np.inf), top - 0.999e-9, top - 1.001e-9, top - 1e-6]
+    pairs = [(top, s) for s in seconds] + [(0.0, -_CLASS_GAP)]  # a gap of exactly the bound
+    specials = [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (np.inf, np.inf),
+                (-np.inf, -np.inf), (1.0, -np.inf), (np.nan, np.inf)]
+    rows = []
+    for first, second in pairs + specials:
+        for i, j in [(0, 1), (1, 0), (k - 1, 0), (k - 2, k - 1)]:
+            row = np.full(k, -2.0)
+            row[i], row[j] = first, second
+            rows.append(row)
+    rows.append(np.full(k, -np.inf))
+    rows.append(np.full(k, np.nan))
+    return np.array(rows)
+
+
+class TestClassesFromLogits:
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_constructed_rows_one_model_each(self, k):
+        # A model of one zero weight matrix gives its bias as the logits of
+        # every point.
+        x = np.random.default_rng(k).normal(size=(4, 2))
+        for row in constructed_logit_rows(k):
+            model = MlpModel(weights=[np.zeros((2, k))], biases=[row], num_classes=k)
+            with np.errstate(all="ignore"):
+                classes = predict_classes(model, x)
+                assert np.array_equal(classes, model_predict(model, x)[0]), row
+                want = reference_softmax(reference_forward(model, x)).argmax(1)
+            assert np.array_equal(classes, want), row
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_constructed_rows_in_one_batch(self, monkeypatch, k):
+        # The constructed rows among ordinary ones, so that a few rows of a
+        # batch take the softmax.
+        rng = np.random.default_rng(k)
+        logits = rng.normal(size=(500, k))
+        special = constructed_logit_rows(k)
+        at = rng.choice(len(logits), size=len(special), replace=False)
+        logits[at] = special
+        monkeypatch.setattr(mlp, "forward", lambda model, x: logits.copy())
+        model = init_model(k, default_grid()[0])
+        x = np.zeros((len(logits), 2))
+        with np.errstate(all="ignore"):
+            classes = predict_classes(model, x)
+            assert np.array_equal(classes, model_predict(model, x)[0])
+            assert np.array_equal(classes, reference_softmax(logits).argmax(1))
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_softmax_of_a_row_subset_is_that_of_the_full_batch(self, k):
+        model = random_model(default_grid()[-1], k, 1.0)
+        logits = forward(model, np.random.default_rng(7).normal(0.0, 1.5, size=(3000, 2)))
+        full = _softmax(logits)
+        rng = np.random.default_rng(k)
+        subsets = [[0], [2999], [5, 6, 7], rng.choice(3000, size=40, replace=False),
+                   np.flatnonzero(rng.random(3000) < 0.5), np.arange(3000)]
+        for rows in subsets:
+            assert _softmax(logits[rows]).tobytes() == full[rows].tobytes()
 
 
 def reference_init_model(num_classes, config):
