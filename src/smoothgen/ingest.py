@@ -17,6 +17,7 @@ import math
 import os
 import re
 import secrets
+import stat
 import struct
 import sys
 from collections.abc import Sequence
@@ -49,10 +50,14 @@ def _dumps(obj) -> str:
 def _atomic_write(path, data: bytes) -> None:
     """Write data to path via a temp file and atomic rename; on any failure
     the target keeps its old bytes and the temp file is removed. The file
-    gets the mode ``open(path, "w")`` gives a new file, 0o666 less the umask
-    (``mkstemp`` would give 0o600)."""
+    gets the mode ``open(path, "w")`` gives: an existing target's permission
+    bits, else 0o666 less the umask (``mkstemp`` would give 0o600)."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     while True:
         tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
         try:
@@ -61,6 +66,8 @@ def _atomic_write(path, data: bytes) -> None:
         except FileExistsError:
             continue
     try:
+        if mode is not None:
+            os.fchmod(fd, mode)
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
@@ -719,6 +726,10 @@ def _scan_prediction_log(path, data):
 def _render_csv_ints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Render unsigned ints as one ASCII buffer ``"<v0>,<v1>,...,"`` and
     return it with ``ends``: value ``i`` and its comma end at ``ends[i]``."""
+    if not len(values) or values.max() < 10:  # one digit each, as in most logs
+        buf = np.full(2 * len(values), ord(","), dtype=np.uint8)
+        buf[0::2] = values + ord("0")
+        return buf, np.arange(2, len(buf) + 1, 2)
     # Decimal width of each value: the number of powers of ten at or below it,
     # plus one. The powers stop below the dtype's maximum, so they compare exactly.
     powers = [10**p for p in range(1, len(str(np.iinfo(values.dtype).max)))]
@@ -787,8 +798,11 @@ def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
     return _dumps(header) + "\n" + "".join(parts)
 
 
-def write_prediction_log(log: NeighborhoodPredictionLog, path) -> None:
-    atomic_write_text(path, serialize_prediction_log(log))
+def write_prediction_log(log: NeighborhoodPredictionLog, path, *copies) -> None:
+    """Render the log once and write it to ``path`` and to each of ``copies``."""
+    text = serialize_prediction_log(log)
+    for target in (path, *copies):
+        atomic_write_text(target, text)
 
 
 def _score_header(header, path, head_line):

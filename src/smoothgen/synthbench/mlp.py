@@ -99,15 +99,20 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     The batch size is part of the output bits: BLAS chooses its matmul kernel
     by row count, so predicting the same rows in other chunks can change the
     last bits of the logits and, on a near tie, a predicted class. Callers
-    must not split or merge predict batches.
+    must not split or merge predict batches. The one subset batch is tier 2 of
+    ``predict_classes``, whose error bound shows that there the batch cannot
+    change a class.
     """
-    h = np.asarray(x, dtype=float)
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+    return _layers(model.weights, model.biases, np.asarray(x, dtype=float))
+
+
+def _layers(weights, biases, h: np.ndarray) -> np.ndarray:
+    for w, b in zip(weights[:-1], biases[:-1]):
         h = h @ w
         h += b
         np.tanh(h, out=h)
-    h = h @ model.weights[-1]
-    h += model.biases[-1]
+    h = h @ weights[-1]
+    h += biases[-1]
     return h
 
 
@@ -133,36 +138,122 @@ def _softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray
 # takes its class from the softmax; see predict_classes.
 _CLASS_GAP = 1e-9
 
+# Per precision: unit roundoff, an allowance for np.tanh's absolute error (the
+# tests check it holds with a factor of 4 to spare), an upper bound on the
+# absolute error one operation can add on underflow, and an overflow limit
+# with a factor of 2 to spare.
+_FLOAT32 = (2.0**-24, 2.0**-20, 2.0**-149, 2.0**126)
+_FLOAT64 = (2.0**-53, 2.0**-49, 2.0**-1022, 2.0**1022)
+# Widens every threshold built from the bounds: it covers the bounds' own
+# float64 roundings, the rounding of a float32 gap and the step from a gap
+# above _CLASS_GAP to one whose float64 difference rounds above it.
+_MARGIN = 1.0 + 2.0**-20
 
-def predict_classes(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Predicted classes: the classes ``model_predict`` gives, and nothing else.
 
-    Each row's class is the column of its top logit, found with its second
-    largest logit in one column-wise pass (exact in any order, like
-    ``_row_max``). That is the class the softmax gives whenever the top is
-    finite and above the second by more than ``_CLASS_GAP``: the softmax
-    subtracts the top, so the top column gets ``exp(0) == 1`` and every other
-    column ``exp`` of an argument at most ``-_CLASS_GAP`` (the subtraction
-    rounds monotonically and the bound is a double), which is below 1 by far
-    more than ``exp``'s error. The row sum is then in [1, k], and dividing by
-    it keeps each other value below the top's by a relative 1e-9, far more
-    than the division's rounding, so the top column is the first maximum. Any
-    other row (a gap of at most the bound, a NaN or an infinity) takes
-    ``_softmax`` of its own logits, which reads only that row, so it gets the
-    bits the full batch would give it.
+def _logit_error_bounds(model: MlpModel, x_max: float) -> tuple[float, float]:
+    """``(E32, E64)``: bounds on the absolute error of every logit that
+    ``_layers`` computes in float32 (parameters and inputs rounded to it) and
+    in float64, against exact arithmetic on the float64 parameters and
+    inputs, for inputs of at most ``x_max`` in magnitude; inf where a value
+    could overflow (or x_max is NaN).
+
+    A layer of fan-in K with inputs of error e and magnitude at most A is
+    off by at most e*C + gamma_{K+3}*(A*C + B) + slack, where C is the
+    largest column sum of |W| and B = max|b|: the error carried through W,
+    then the rounding of the inputs and W (2), of the K-term dot product in
+    any order (K) and of the bias and its add (1), all as relative errors of
+    the terms of |a|.|W| + |b|. The slack bounds what underflow can add. tanh
+    adds at most tau and shrinks no error, as it is 1-Lipschitz, and leaves
+    |h| <= 1 + tau.
     """
-    z = forward(model, np.atleast_2d(x))
+    layers = [(w.shape[0], float(np.abs(w).sum(axis=0).max()), float(np.abs(b).max()))
+              for w, b in zip(model.weights, model.biases)]
+    return tuple(_error_bound(layers, x_max, *precision) for precision in (_FLOAT32, _FLOAT64))
+
+
+def _error_bound(layers, x_max, u, tau, eta, limit) -> float:
+    err, a = 0.0, x_max
+    for layer, (k, c, b) in enumerate(layers):
+        gamma = (k + 3) * u / (1 - (k + 3) * u)
+        size = a * c + b
+        if not max(a, c, size) < limit:
+            return math.inf
+        err = err * c + gamma * size + 2 * eta * (k * (a + 1) + c + 1)
+        if layer < len(layers) - 1:
+            err, a = err + tau, 1.0 + tau
+    return err
+
+
+def _top_two(z: np.ndarray):
+    """Each row's top column (the first of a tie), top logit and second
+    largest logit, in one column-wise pass (exact in any order, like
+    ``_row_max``)."""
     top = z[:, 0].copy()
-    second = np.full(len(z), -np.inf)
+    second = np.full(len(z), -np.inf, dtype=z.dtype)
     classes = np.zeros(len(z), dtype=np.intp)
     for j in range(1, z.shape[1]):
         column = z[:, j]
         np.maximum(second, np.minimum(top, column), out=second)
         classes[column > top] = j
         np.maximum(top, column, out=top)
-    rows = np.flatnonzero(~((top - second > _CLASS_GAP) & (top < np.inf)))
+    return classes, top, second
+
+
+def _undecided(top, second, gap) -> np.ndarray:
+    """Rows whose top is not finite or not above the second by more than
+    ``gap``; a float64 ``gap`` compares float32 rows exactly, in float64."""
+    return np.flatnonzero(~((top - second > np.float64(gap)) & (top < np.inf)))
+
+
+def predict_classes(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Predicted classes: the classes ``model_predict`` gives, and nothing else.
+
+    Over the full batch, each row's class is the column of its top float64
+    logit whenever that top is finite and above the second by more than
+    ``_CLASS_GAP``: the softmax subtracts the top, so the top column gets
+    ``exp(0) == 1`` and every other column ``exp`` of an argument at most
+    ``-_CLASS_GAP`` (the subtraction rounds monotonically and the bound is a
+    double), which is below 1 by far more than ``exp``'s error. The row sum is
+    then in [1, k], and dividing by it keeps each other value below the top's
+    by a relative 1e-9, far more than the division's rounding, so the top
+    column is the first maximum. Any other row (a gap of at most the bound, a
+    NaN or an infinity) takes ``_softmax`` of its own logits, which reads only
+    that row, so it gets the bits the full batch would give it.
+
+    Rows are decided in up to three tiers, each giving that class:
+
+    1. A float32 pass over the whole batch. ``E32`` and ``E64`` bound every
+       logit's error in float32 and in float64, for any batch, against exact
+       arithmetic (``_logit_error_bounds``), so a float32 logit is within
+       ``E32 + E64`` of the full-batch float64 one. A row whose float32 top is
+       finite and above its second by more than ``2(E32 + E64) + _CLASS_GAP``
+       (times ``_MARGIN``) keeps the same top in float64 with a gap above
+       ``_CLASS_GAP``: it takes its float32 top column.
+    2. ``forward`` of the rows left, as their own batch. Its logits are within
+       ``2 E64`` of the full batch's, so a row whose top is finite and above
+       its second by more than ``4 E64 + _CLASS_GAP`` (times ``_MARGIN``)
+       takes its top column.
+    3. Any row still left takes the rule above from ``forward`` of the full
+       batch.
+
+    A bound that could overflow is inf and decides no row.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x_max = float(np.max(np.abs(x), initial=0.0))
+    e32, e64 = _logit_error_bounds(model, x_max)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are left undecided
+        classes, top, second = _top_two(_layers(
+            [w.astype(np.float32) for w in model.weights],
+            [b.astype(np.float32) for b in model.biases], x.astype(np.float32)))
+        rows = _undecided(top, second, _MARGIN * (2 * (e32 + e64) + _CLASS_GAP))
     if len(rows):
-        classes[rows] = _softmax(z[rows]).argmax(axis=1)
+        classes[rows], top, second = _top_two(forward(model, x[rows]))
+        rows = rows[_undecided(top, second, _MARGIN * (4 * e64 + _CLASS_GAP))]
+    if len(rows):
+        z = forward(model, x)[rows]
+        classes[rows], top, second = _top_two(z)
+        soft = _undecided(top, second, _CLASS_GAP)
+        classes[rows[soft]] = _softmax(z[soft]).argmax(axis=1)
     return classes
 
 

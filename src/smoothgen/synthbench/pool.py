@@ -3,8 +3,9 @@ and emits the manifest, prediction logs, score logs and weight dumps consumed
 by the rest of the pipeline.
 
 Each neighborhood set a model's prediction logs need is sampled once and
-shared across models. All outputs are written atomically and deterministically
-for a fixed experiment seed.
+shared across models, and predicted once per model however many logs it
+makes. All outputs are written atomically and deterministically for a fixed
+experiment seed.
 """
 
 from __future__ import annotations
@@ -394,11 +395,17 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
              NeighborhoodSpec(kind="manifold", size_r=r, n_samples=n, seed=config.seed))
             for name, key, r, n in sets
         ]
-    # Each set is sampled once, seeded by its domain and spec, for all models.
-    plan = [
-        (directory, name, key, spec,
+    # Each distinct (test set, spec) is sampled once, seeded by its domain and
+    # spec, for all models, and predicted and rendered once per model for
+    # every file of the plan it makes (the ablation's base size_r repeats a
+    # main log).
+    files = {}
+    for directory, name, key, spec in plan:
+        files.setdefault((key, spec), []).append((directory, name))
+    groups = [
+        (key, spec, names,
          _neighborhood_points(test_sets[key], domains[key[0]], spec, config.seed))
-        for directory, name, key, spec in plan
+        for (key, spec), names in files.items()
     ]
 
     # Every log of one size shares one tuple of example ids.
@@ -432,7 +439,7 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
             path = os.path.join(out_dir, "scores", f"{model_id}__{domain_id}__{split}.jsonl")
             write_score_log(log, path)
 
-        for directory, name, key, spec, samples in plan:
+        for key, spec, names, samples in groups:
             dataset = test_sets[key]
             m, n, _ = samples.shape
             log = NeighborhoodPredictionLog(
@@ -446,7 +453,8 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
                 base_predictions=base_classes[key],
                 meta={**meta_common, "neighborhood": spec.tag},
             )
-            write_prediction_log(log, os.path.join(directory, f"{model_id}__{name}.jsonl"))
+            write_prediction_log(log, *(os.path.join(directory, f"{model_id}__{name}.jsonl")
+                                        for directory, name in names))
 
         write_weight_dump(
             WeightDump(model_id=model_id, layers=tuple(np.array(w) for w in model.weights)),

@@ -439,6 +439,25 @@ class TestPredictionLogRendererOracle:
         assert log.predictions[: 2 * len(edges)].tolist() == edges + edges[::-1]
         assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
 
+    @pytest.mark.parametrize("k", [3, 10, 257, 2**63 - 1])
+    def test_one_digit_values(self, k):
+        # Every value below 10 (the renderer's one-digit path) in each dtype.
+        lengths = np.random.default_rng(k % 1000).integers(1, 30, size=60)
+        log = dataclasses.replace(random_log(min(k, 10), lengths, seed=3), num_classes=k)
+        assert log.predictions.max() == min(k, 10) - 1
+        assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
+        buf, ends = ingest._render_csv_ints(log.predictions)
+        assert buf.tobytes() == "".join(f"{v}," for v in log.predictions.tolist()).encode()
+        assert ends.tolist() == list(range(2, 2 * len(log.predictions) + 1, 2))
+
+    @pytest.mark.parametrize("wide, at", [(10, 0), (99, 77), (100, -1), (65_536, 100)])
+    def test_one_digit_values_with_one_wider(self, wide, at):
+        log = random_log(10, np.full(40, 5), seed=4)
+        predictions = log.predictions.astype(np.int64)
+        predictions[at] = wide
+        log = dataclasses.replace(log, num_classes=65_537, predictions=predictions)
+        assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
+
     @pytest.mark.parametrize("log", [PRED_LOG, RAGGED_LOG], ids=["uniform", "ragged"])
     def test_fixed_logs(self, log):
         assert serialize_prediction_log(log) == reference_serialize_prediction_log(log)
@@ -1494,3 +1513,31 @@ class TestAtomicWrites:
         assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == mode
         assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == mode
         assert sorted(tmp_path.iterdir()) == [tmp_path / "out", tmp_path / "plain"]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("mode", [0o640, 0o600, 0o755])
+    def test_existing_file_keeps_its_mode(self, tmp_path, writer, mode):
+        target = tmp_path / "out"
+        target.write_bytes(b"old bytes\n")
+        target.chmod(mode)
+        old = os.umask(0o022)
+        try:
+            WRITERS[writer](target)
+        finally:
+            os.umask(old)
+        assert target.read_bytes() != b"old bytes\n"
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_removed_file_comes_back_with_the_new_file_mode(self, tmp_path, writer):
+        target = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            WRITERS[writer](target)
+            target.chmod(0o640)
+            target.unlink()
+            WRITERS[writer](target)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -9,7 +10,7 @@ import pytest
 
 from smoothgen.errors import DivergenceError, SchemaError
 from smoothgen.ingest import parse_manifest
-from smoothgen.synthbench import domains, mlp
+from smoothgen.synthbench import domains, mlp, pool
 from smoothgen.synthbench.domains import (
     ArcSpec,
     DomainSpec,
@@ -421,6 +422,114 @@ class TestClassesFromLogits:
             assert _softmax(logits[rows]).tobytes() == full[rows].tobytes()
 
 
+def forward_row_counts(monkeypatch, model, x):
+    """predict_classes of x, and the row count of each float64 forward it ran."""
+    counts = []
+
+    def counted(model, x):
+        counts.append(len(x))
+        return forward(model, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mlp, "forward", counted)
+        classes = predict_classes(model, x)
+    return classes, counts
+
+
+def assert_oracle_classes(model, x, classes):
+    assert np.array_equal(classes, model_predict(model, x)[0])
+    assert np.array_equal(classes, reference_softmax(reference_forward(model, x)).argmax(1))
+
+
+class TestClassTiers:
+    """Rows are decided in float32 when the error bound allows, then in float64
+    on the rows left, then on the full batch."""
+
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("gap, rest, tiers", [
+        (1e-3, -2.0, 1),  # far above both bounds
+        (1e-7, -2.0, 2),  # below the float32 bound, far above the float64 one
+        (1e-8, -1e7, 3),  # above _CLASS_GAP, below the float64 bound of a bias of 1e7
+        (0.0, -2.0, 3),
+        ("ulp", -2.0, 3),
+    ])
+    def test_zero_weight_models_by_tier(self, monkeypatch, k, gap, rest, tiers):
+        # One zero weight matrix: every point's logits are the bias row.
+        x = np.random.default_rng(k).normal(size=(6, 2))
+        top = 0.1
+        second = np.nextafter(top, -np.inf) if gap == "ulp" else top - gap
+        for i, j in [(0, 1), (1, 0), (k - 1, 0), (k - 2, k - 1)]:
+            row = np.full(k, rest)
+            row[i], row[j] = top, second
+            model = MlpModel(weights=[np.zeros((2, k))], biases=[row], num_classes=k)
+            classes, counts = forward_row_counts(monkeypatch, model, x)
+            assert counts == [len(x)] * (tiers - 1), (i, j)
+            assert_oracle_classes(model, x, classes)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_float32_overflow_goes_to_float64(self, monkeypatch, k):
+        rng = np.random.default_rng(k)
+        model = MlpModel(weights=[rng.uniform(0.5, 1.5, size=(2, k)) * 1e30],
+                         biases=[np.zeros(k)], num_classes=k)
+        x = rng.normal(size=(6, 2)) * 1e9
+        e32, e64 = mlp._logit_error_bounds(model, float(np.abs(x).max()))
+        assert e32 == math.inf and e64 < 1e30
+        with np.errstate(over="ignore"):
+            assert np.isinf(mlp._layers([w.astype(np.float32) for w in model.weights],
+                                        model.biases, x.astype(np.float32))).any()
+        classes, counts = forward_row_counts(monkeypatch, model, x)
+        assert counts == [len(x)]
+        assert_oracle_classes(model, x, classes)
+
+    @pytest.mark.parametrize("arch, config", ARCHITECTURES,
+                             ids=[f"depth{d}-width{w}" for (d, w), _ in ARCHITECTURES])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_bounds_hold_on_random_models(self, arch, config, scale):
+        model = random_model(config, 10, scale)
+        x = np.random.default_rng(5).normal(0.0, 1.5, size=(3000, 2))
+        e32, e64 = mlp._logit_error_bounds(model, float(np.abs(x).max()))
+        z32 = mlp._layers([w.astype(np.float32) for w in model.weights],
+                          [b.astype(np.float32) for b in model.biases], x.astype(np.float32))
+        assert np.abs(z32 - forward(model, x)).max() <= e32 + e64
+        assert 0 < e64 < e32 < math.inf
+
+    def test_a_trained_model_decides_almost_every_row_in_float32(self, monkeypatch):
+        # Keeps the float32 tier from silently deciding nothing.
+        domain = make_domain()
+        config = dataclasses.replace(default_grid()[0], max_epochs=60)
+        model = train_model(generate_domain(domain, 300, seed=1), config)
+        points = generate_domain(domain, 500, seed=2).points
+        spec = NeighborhoodSpec("manifold", 0.5, n_samples=10)
+        x = sample_neighborhood(points, domain, spec, rng=np.random.default_rng(3))
+        x = x.reshape(-1, 2)
+        assert len(x) == 5000
+        classes, counts = forward_row_counts(monkeypatch, model, x)
+        assert sum(counts) < 0.01 * len(x)
+        assert np.array_equal(classes, model_predict(model, x)[0])
+
+    def test_tanh_error_is_carried_through_the_next_layer(self):
+        # Exact logits of 0 everywhere; only tanh's allowance, times the
+        # output layer's column sum, keeps the bounds above 0.
+        width = 8
+        model = MlpModel(weights=[np.zeros((2, width)), np.ones((width, 3))],
+                         biases=[np.zeros(width), np.zeros(3)], num_classes=3)
+        e32, e64 = mlp._logit_error_bounds(model, 0.0)
+        assert e32 >= width * mlp._FLOAT32[1] and e64 >= width * mlp._FLOAT64[1]
+
+    def test_tanh_allowances(self):
+        # Each tanh may be off by tau; np.tanh must be well inside it, in
+        # float32 against float64, and in float64 against math.tanh.
+        f32 = np.finfo(np.float32)
+        edges = [0.0, -0.0, 1e-45, -1e-45, float(f32.tiny), 1e-30, 0.5, 1.0, 9.0, 9.1, 20.0,
+                 40.0, 1e4, float(f32.max), np.inf]
+        x = np.concatenate([np.linspace(-20.0, 20.0, 400_001), edges, np.negative(edges)])
+        tau32, tau64 = mlp._FLOAT32[1], mlp._FLOAT64[1]
+        x32 = x.astype(np.float32)
+        assert np.abs(np.tanh(x32).astype(float) - np.tanh(x32.astype(float))).max() <= tau32 / 4
+        exact = np.array([math.tanh(v) for v in x.tolist()])
+        assert np.abs(np.tanh(x) - exact).max() <= tau64 / 4
+
+
 def reference_init_model(num_classes, config):
     """A fresh model as init_model made it, one array per layer."""
     rng = np.random.default_rng(config.seed)
@@ -802,14 +911,30 @@ class TestRunPool:
         # one log per converged model, domain and neighborhood spec
         assert n_pred == result.num_converged * len(config.domains)
 
-    def test_ablation_set_with_a_main_spec_repeats_its_log(self, tmp_path):
+    def test_ablation_set_with_a_main_spec_repeats_its_log(self, tmp_path, monkeypatch):
         config = tiny_config()
         config.neighborhoods = [NeighborhoodSpec("manifold", 0.5, n_samples=10, seed=0)]
         config.ablation = AblationSpec("rotB", base_size_r=0.5, m_test=30,
                                        n_samples_max=12, size_r_values=(0.2, 0.5))
+        calls = collections.Counter()
+
+        def counted(name):
+            original = getattr(pool, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        for name in ("sample_neighborhood", "predict_classes"):
+            monkeypatch.setattr(pool, name, counted(name))
         out = tmp_path / "out"
         result = run_pool(config, out)
         assert result.num_converged > 0
+        # Six logs a model from five sets: size_r 0.5 on rotB is a main log.
+        assert calls["sample_neighborhood"] == 5
+        assert calls["predict_classes"] == result.num_converged * (1 + 5)
+        assert len(list((out / "ablation").iterdir())) == 4 * result.num_converged
         for rec in result.manifest:
             if rec.converged:
                 main_log = out / "predictions" / f"{rec.model_id}__rotB__manifold-r0.5-n10.jsonl"
