@@ -855,6 +855,13 @@ class TestExperimentConfig:
         assert (default_experiment(seed=0).config_hash()
                 != default_experiment(seed=1).config_hash())
 
+    def test_default_experiment_is_pinned(self):
+        # The grid and arcs are built from module constants; their hashes
+        # pin every value those constants hold.
+        assert default_experiment(0).config_hash() == "d828281c0076"
+        assert default_experiment(0, with_ablation=False).config_hash() == "fd15126362e5"
+        assert len(default_grid()) == 36
+
 
 def tree_digest(root):
     """SHA-256 over the relative paths and contents of every file in a tree."""
