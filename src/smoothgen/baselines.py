@@ -29,7 +29,6 @@ _POWER_ITERATION_SEED = 20240613
 class AtcThreshold:
     score_kind: str
     threshold: float
-    source_domain: str
     model_id: str
 
 
@@ -61,7 +60,6 @@ def atc_fit(validation: ScoreLog, kind: str) -> AtcThreshold:
     return AtcThreshold(
         score_kind=kind,
         threshold=t,
-        source_domain=validation.domain,
         model_id=validation.model_id,
     )
 

@@ -302,18 +302,26 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
 
     A value the logs cannot take (a size beyond a log's examples, more samples
     than a neighbourhood holds, no logs for a size_r) and a value where tau is
-    undefined give a skipped row; a malformed log raises.
+    undefined give a skipped row; a malformed log, or one that some but not
+    all pool models lack, raises.
     """
+    if seed < 0:
+        raise SmoothgenError(f"--seed must be >= 0, got {seed}")
     pool, domain, ablation = _ablation_context(artifacts, test_domain)
     ab_dir = os.path.join(artifacts, "ablation")
 
     def load(name):
-        """(logs, accuracies) by model, or None when fewer than two logs exist."""
+        """(logs, accuracies) by model, or None when no model of the pool has
+        a log; a pool model without one, when others have theirs, raises a
+        SchemaError naming the first missing log."""
         paths = {m.model_id: os.path.join(ab_dir, f"{m.model_id}__{name}.jsonl")
                  for m in pool}
-        paths = {mid: p for mid, p in paths.items() if os.path.exists(p)}
-        if len(paths) < 2:
+        absent = [p for p in paths.values() if not os.path.exists(p)]
+        if len(absent) == len(paths):
             return None
+        if absent:
+            raise SchemaError(f"ablation log missing; {len(absent)} of {len(paths)} "
+                              f"pool models have none", absent[0])
         logs = {mid: parse_prediction_log(p) for mid, p in paths.items()}
         for mid, log in logs.items():
             if log.test_domain != domain:

@@ -959,18 +959,9 @@ def read_weight_dump(path) -> WeightDump:
         raise SchemaError(str(e), path=path) from None
 
 
-def compute_accuracy(log) -> float:
-    """Top-1 accuracy of the predicted labels against the true labels.
-
-    Accepts a NeighborhoodPredictionLog (base_prediction vs true_label) or a
-    ScoreLog (predicted_label vs true_label).
-    """
-    if isinstance(log, NeighborhoodPredictionLog):
-        predicted = log.base_predictions
-    elif isinstance(log, ScoreLog):
-        predicted = log.predicted_labels
-    else:
-        raise TypeError(f"unsupported log type {type(log).__name__}")
+def compute_accuracy(log: NeighborhoodPredictionLog) -> float:
+    """Top-1 accuracy of the base predictions against the true labels."""
+    predicted = log.base_predictions
     m = len(log.example_ids)
     if m == 0:
         raise SchemaError("cannot compute accuracy of an empty log")

@@ -211,15 +211,14 @@ def _mean(values: Sequence[float]) -> Optional[float]:
 
 
 def evaluate_r2_mae(
-    matrix: EvaluationMatrix, measure: str, direct: Optional[bool] = None
+    matrix: EvaluationMatrix, measure: str
 ) -> tuple[AggregateResult, AggregateResult]:
     """Average out-of-sample R^2 and MAE over all (train, test) pairs.
 
     MAE is reported in accuracy percentage points. Direct measures (accuracy
     predictors) skip the transfer fit and are compared to accuracy as-is.
     """
-    if direct is None:
-        direct = is_direct_measure(measure)
+    direct = is_direct_measure(measure)
 
     def r2_and_mae(key, xs, ys):
         if not direct:
@@ -270,20 +269,14 @@ def cross_domain_tau(
     return means, AggregateResult.of(rows, skipped)
 
 
-def build_report(
-    matrix: EvaluationMatrix,
-    measures: Optional[Sequence[str]] = None,
-    tau_variant: str = "b",
-) -> dict:
+def build_report(matrix: EvaluationMatrix, tau_variant: str = "b") -> dict:
     """Full metric table for every measure, JSON-serializable, stable order.
 
     Each measure's entry holds, for every row of ``REPORT_LAYOUT``, the
     aggregate's value, its breakdown rows and its skipped groups.
     """
-    if measures is None:
-        measures = matrix.measure_names()
     report = {"tau_variant": tau_variant, "measures": {}}
-    for measure in sorted(measures):
+    for measure in matrix.measure_names():
         r2_res, mae_res = evaluate_r2_mae(matrix, measure)
         cross_means, cross_res = cross_domain_tau(matrix, measure, tau_variant)
         results = {"r2": r2_res, "mae_pct": mae_res, "cross_domain_tau": cross_res}

@@ -10,8 +10,7 @@ mean over examples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import replace
 from itertools import compress
 from typing import Sequence
 
@@ -23,62 +22,11 @@ from .ingest import NeighborhoodPredictionLog
 VARIANTS = ("majority", "neg_entropy")
 
 
-@dataclass(frozen=True)
-class DecisionDistribution:
-    """Per-class histogram of neighborhood predictions."""
-
-    counts: tuple[int, ...]
-    n: int
-
-    @property
-    def probs(self) -> tuple[float, ...]:
-        return tuple(c / self.n for c in self.counts)
-
-
-@dataclass(frozen=True)
-class SmoothnessScore:
-    mu: float
-    dominant_label: int
-    neg_entropy: float
-
-
-def decision_distribution(predictions: Sequence[int], k: int) -> DecisionDistribution:
-    """Count predicted classes over a neighborhood sample."""
-    if len(predictions) == 0:
-        raise SchemaError("empty prediction list")
-    counts = [0] * k
-    for p in predictions:
-        if not 0 <= p < k:
-            raise SchemaError(f"prediction {p} out of range [0, {k})")
-        counts[p] += 1
-    return DecisionDistribution(counts=tuple(counts), n=len(predictions))
-
-
-def dominant_label(dist: DecisionDistribution) -> int:
-    """Most frequent class; ties break to the lowest class index."""
-    return max(range(len(dist.counts)), key=lambda j: (dist.counts[j], -j))
-
-
-def neg_entropy(dist: DecisionDistribution) -> float:
-    """Sum of p log p over the decision distribution (natural log, 0 log 0 = 0)."""
-    n = dist.n
-    return sum(
-        (c / n) * math.log(c / n) for c in dist.counts if c > 0
-    )
-
-
-def smoothness(predictions: Sequence[int], k: int) -> SmoothnessScore:
-    """Fraction of neighborhood predictions in the dominant class.
-
-    mu is formed as an exact count ratio before conversion to float, so equal
-    fractions compare equal downstream regardless of n.
-    """
-    dist = decision_distribution(predictions, k)
-    y_hat = dominant_label(dist)
-    mu = Fraction(dist.counts[y_hat], dist.n)
-    return SmoothnessScore(
-        mu=float(mu), dominant_label=y_hat, neg_entropy=neg_entropy(dist)
-    )
+def neg_entropy(counts: Sequence[int]) -> float:
+    """Sum of p log p over a per-class histogram of predictions, p = c / n with
+    n the histogram's total (natural log, 0 log 0 = 0), summed in class order."""
+    n = sum(counts)
+    return sum((c / n) * math.log(c / n) for c in counts if c > 0)
 
 
 def _distinct_rows(a: np.ndarray):
@@ -97,11 +45,11 @@ def dataset_smoothness(log: NeighborhoodPredictionLog, variant: str = "majority"
 
     One (m, k) histogram counts every example's predictions; when it would be
     large next to the predictions (many classes), only its occupied cells are
-    counted, each example's in class order. Each example's score is the one
-    ``smoothness`` gives it (negative entropy is computed by ``neg_entropy``,
-    which sums the nonzero counts in class order, once per distinct histogram
-    row), and the scores are summed left to right, so the mean is
-    bit-identical to a loop over ``smoothness``.
+    counted, each example's in class order. Each example's score is its
+    dominant class's count over its number of predictions (negative entropy
+    is computed by ``neg_entropy`` once per distinct histogram row), and the
+    scores are summed left to right, so the mean is bit-identical to a loop
+    over the per-example oracle in ``tests/test_smoothness.py``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -120,11 +68,7 @@ def dataset_smoothness(log: NeighborhoodPredictionLog, variant: str = "majority"
             per_example = hist.max(axis=1) / log.lengths
         else:
             rows, inverse = _distinct_rows(hist)
-            row_scores = [
-                neg_entropy(DecisionDistribution(counts=tuple(r), n=sum(r)))
-                for r in rows.tolist()
-            ]
-            per_example = np.array(row_scores)[inverse]
+            per_example = np.array([neg_entropy(r) for r in rows.tolist()])[inverse]
     else:
         # Classes renumbered in order among those that occur, so that no cell
         # index overflows; every example has at least one occupied cell.
@@ -136,10 +80,8 @@ def dataset_smoothness(log: NeighborhoodPredictionLog, variant: str = "majority"
         if variant == "majority":
             per_example = np.maximum.reduceat(counts, starts) / log.lengths
         else:
-            example_counts = [c.tolist() for c in np.split(counts, starts[1:])]
             per_example = np.array([
-                neg_entropy(DecisionDistribution(counts=tuple(c), n=sum(c)))
-                for c in example_counts
+                neg_entropy(c.tolist()) for c in np.split(counts, starts[1:])
             ])
     return float(np.cumsum(per_example)[-1] / m)
 

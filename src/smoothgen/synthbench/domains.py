@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -65,7 +65,7 @@ class DomainSpec:
             raise SchemaError("noise_std must be non-negative")
         if len(self.class_arcs) < 2:
             raise SchemaError("need at least two class arcs")
-        margin = self.arc_margin()
+        margin = _arc_margin(self.class_arcs)
         if margin < 2.0 * self.noise_std:
             raise SchemaError(
                 f"class arcs too close: margin {margin:.4f} < 2*noise_std "
@@ -75,10 +75,6 @@ class DomainSpec:
     @property
     def num_classes(self) -> int:
         return len(self.class_arcs)
-
-    def arc_margin(self, resolution: int = 256) -> float:
-        """Minimum distance between points of distinct class arcs at rotation 0."""
-        return _arc_margin(self.class_arcs, resolution)
 
     def rotation_matrix(self) -> np.ndarray:
         c, s = math.cos(self.rotation), math.sin(self.rotation)
@@ -92,12 +88,13 @@ class DomainSpec:
 
 
 @functools.lru_cache
-def _arc_margin(class_arcs, resolution):
-    """``DomainSpec.arc_margin``, computed once per distinct arcs and
-    resolution: an experiment's domains mostly share one set of arcs."""
+def _arc_margin(class_arcs) -> float:
+    """Minimum distance between 256 points on each of two distinct class arcs
+    at rotation 0, computed once per distinct arcs: an experiment's domains
+    mostly share one set of arcs."""
     clouds = []
     for arc in class_arcs:
-        t = arc.theta_start + arc.theta_extent * np.linspace(0, 1, resolution)
+        t = arc.theta_start + arc.theta_extent * np.linspace(0, 1, 256)
         clouds.append(arc.point_at(t))
     best = math.inf
     for a in range(len(clouds)):

@@ -326,14 +326,11 @@ def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float):
     model.params -= grads.params
 
 
-def train_model(
-    dataset: Dataset, config: TrainConfig, num_classes: Optional[int] = None
-) -> MlpModel:
+def train_model(dataset: Dataset, config: TrainConfig) -> MlpModel:
     """Mini-batch SGD until the dataset cross entropy reaches ce_stop."""
     if len(dataset.labels) == 0:
         raise ValueError("empty training dataset")
-    k = num_classes if num_classes is not None else dataset.num_classes
-    model = init_model(k, config)
+    model = init_model(dataset.num_classes, config)
     grads = _zeros_like(model)
     x, y = dataset.points, dataset.labels
     m, size = len(y), config.batch_size

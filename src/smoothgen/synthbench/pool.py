@@ -5,7 +5,7 @@ by the rest of the pipeline.
 Each neighborhood set a model's prediction logs need is sampled once and
 shared across models, and predicted once per model however many logs it
 makes. All outputs are written atomically and deterministically for a fixed
-experiment seed.
+experiment seed, the manifest last.
 """
 
 from __future__ import annotations
@@ -185,15 +185,19 @@ def _noise_floor_ce(label_noise: float, k: int) -> float:
     return -(q * math.log(q) + (k - 1) * other * math.log(other))
 
 
+# The default experiment: three class arcs 20 degrees apart, and a grid of
+# every (depth, width, weight decay, label noise) setting, each trained for at
+# most 300 epochs.
+_NUM_CLASSES = 3
+_ARC_GAP = math.radians(20)
+_DEPTHS = (1, 2, 3)
+_WIDTHS = (8, 32)
+_WEIGHT_DECAYS = (0.0, 1e-4)
+_MAX_EPOCHS = 300
+
+
 def default_grid(
-    seed: int = 0,
-    k: int = 3,
-    depths=(1, 2, 3),
-    widths=(8, 32),
-    weight_decays=(0.0, 1e-4),
-    label_noises=(0.0, 0.2, 0.4),
-    ce_margin: float = 0.05,
-    max_epochs: int = 300,
+    seed: int = 0, label_noises=(0.0, 0.2, 0.4), ce_margin: float = 0.05
 ) -> list:
     """Hyperparameter grid; ce_stop tracks the noise floor of each setting so
     label-noise runs can converge without memorizing every corrupted label."""
@@ -205,26 +209,26 @@ def default_grid(
             label_noise=noise,
             batch_size=32,
             learning_rate=0.1,
-            ce_stop=ce_margin + _noise_floor_ce(noise, k),
-            max_epochs=max_epochs,
+            ce_stop=ce_margin + _noise_floor_ce(noise, _NUM_CLASSES),
+            max_epochs=_MAX_EPOCHS,
             seed=seed,
         )
         for depth, width, wd, noise in itertools.product(
-            depths, widths, weight_decays, label_noises
+            _DEPTHS, _WIDTHS, _WEIGHT_DECAYS, label_noises
         )
     ]
 
 
-def default_arcs(k: int = 3, gap: float = math.radians(20)) -> tuple:
-    sector = 2.0 * math.pi / k
+def default_arcs() -> tuple:
+    sector = 2.0 * math.pi / _NUM_CLASSES
     return tuple(
         ArcSpec(
             center=(0.0, 0.0),
             radius=1.0,
-            theta_start=j * sector + gap / 2.0,
-            theta_extent=sector - gap,
+            theta_start=j * sector + _ARC_GAP / 2.0,
+            theta_extent=sector - _ARC_GAP,
         )
-        for j in range(k)
+        for j in range(_NUM_CLASSES)
     )
 
 
@@ -312,6 +316,11 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
     out_dir = os.fspath(out_dir)
     for sub in ("predictions", "scores", "weights", "ablation"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+    # The manifest is written last, so a run that stops early leaves none, and
+    # every command that reads the tree stops on it; a stale one goes first.
+    manifest_path = os.path.join(out_dir, "manifest.jsonl")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
 
     meta_common = {"tool_version": __version__, "config_hash": config.config_hash(),
                    "seed": config.seed}
@@ -357,7 +366,6 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
         )
         if converged:
             by_id[model_id] = (domain_id, model)
-    write_manifest(manifest, os.path.join(out_dir, "manifest.jsonl"))
 
     # Evaluation sets: a validation set per training domain, and test sets by
     # (domain, split), one per domain plus the ablation's large one.
@@ -464,4 +472,5 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
     experiment = {"meta": meta_common, "experiment": experiment_to_dict(config)}
     atomic_write_text(os.path.join(out_dir, "experiment.json"),
                       json.dumps(experiment, sort_keys=True, indent=2))
+    write_manifest(manifest, manifest_path)
     return PoolResult(out_dir=out_dir, manifest=manifest, num_converged=len(by_id))

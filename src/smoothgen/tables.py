@@ -113,7 +113,7 @@ def _finite(text, name, path, lineno) -> float:
     return value
 
 
-def write_scores_csv(rows: Iterable[ScoreRow], path, meta: Optional[dict] = None) -> None:
+def write_scores_csv(rows: Iterable[ScoreRow], path) -> None:
     ordered = sorted(rows, key=lambda r: (r.measure, r.model_id, r.test_domain))
     write_csv(
         path,
@@ -122,7 +122,6 @@ def write_scores_csv(rows: Iterable[ScoreRow], path, meta: Optional[dict] = None
             (r.model_id, r.train_domain, r.test_domain, r.measure, repr(r.value))
             for r in ordered
         ],
-        meta,
     )
 
 
@@ -133,15 +132,12 @@ def read_scores_csv(path) -> list[ScoreRow]:
     ]
 
 
-def write_accuracies_csv(
-    rows: Iterable[AccuracyRow], path, meta: Optional[dict] = None
-) -> None:
+def write_accuracies_csv(rows: Iterable[AccuracyRow], path) -> None:
     ordered = sorted(rows, key=lambda r: (r.model_id, r.test_domain))
     write_csv(
         path,
         ACCURACY_COLUMNS,
         [(r.model_id, r.test_domain, repr(r.accuracy)) for r in ordered],
-        meta,
     )
 
 

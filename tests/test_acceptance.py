@@ -22,7 +22,6 @@ from smoothgen.protocol import (
     macro_tau,
     micro_tau,
 )
-from smoothgen.smoothness import smoothness
 from smoothgen.stats import kendall_tau, ols_fit, r_squared
 from smoothgen.synthbench.mlp import _zeros_like, init_model, loss_and_grads, sgd_step
 from smoothgen.synthbench.pool import run_pool
@@ -30,7 +29,7 @@ from smoothgen.synthbench.pool import run_pool
 from conftest import record_acceptance
 from logrows import log_from_rows
 from test_protocol import MEASURE, linear_matrix, null_matrix
-from test_smoothness import naive_smoothness
+from test_smoothness import naive_smoothness, smoothness
 from test_stats import tau_pairwise
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import shutil
 import struct
 
@@ -15,6 +16,7 @@ from smoothgen.cli import (
     cmd_score,
     main,
 )
+from smoothgen import ingest
 from smoothgen.ingest import WeightDump, read_weight_dump, write_weight_dump
 from smoothgen.protocol import REPORT_LAYOUT
 from smoothgen.synthbench.domains import DomainSpec, NeighborhoodSpec
@@ -544,6 +546,30 @@ class TestAblateCommand:
             f"error: {log}: example {example['example_id']!r}: missing label, "
             f"accuracy unavailable\n")
 
+    def test_a_pool_model_without_its_log_exits_nonzero(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        models = [r for r in result.manifest if r.converged and r.train_domain != "rot030"]
+        log = artifacts / "ablation" / f"{models[1].model_id}__n_samples.jsonl"
+        log.unlink()
+        out = tmp_path / "sweep.csv"
+        rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
+                   "--values", "4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}: ablation log missing; 1 of {len(models)} pool models have none\n")
+        assert not out.exists()
+
+    def test_negative_seed_exits_nonzero(self, pool, tmp_path, capsys):
+        out_dir, _ = pool
+        out = tmp_path / "sweep.csv"
+        rc = main(["ablate", "--artifacts", str(out_dir), "--kind", "dataset_size",
+                   "--values", "10", "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["experiment_domain", "test_domain_option"])
     def test_logs_of_another_domain_exit_nonzero(self, pool, tmp_path, capsys, case):
         out_dir, _ = pool
@@ -707,6 +733,78 @@ class TestMalformedLogs:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
         assert not out.exists()
+
+
+class Interrupted(Exception):
+    pass
+
+
+def _synth(out, monkeypatch, stop_at=None):
+    """Run ``small_experiment()`` into ``out`` and return the paths of its
+    atomic writes relative to ``out``, in order. With ``stop_at``, the run
+    raises Interrupted in place of that write (counted from 1)."""
+    written = []
+    write = ingest._atomic_write
+
+    def counted(path, data):
+        if len(written) + 1 == stop_at:
+            raise Interrupted
+        write(path, data)
+        written.append(os.path.relpath(path, out))
+
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "_atomic_write", counted)
+        run_pool(small_experiment(), out)
+    return written
+
+
+class TestInterruptedSynth:
+    """A synth run that stops at any write leaves no manifest, not even a
+    stale one, and every command that reads the tree stops on it."""
+
+    @pytest.mark.parametrize("stop", ["first", "middle_prediction_log", "experiment",
+                                      "manifest"])
+    def test_commands_on_the_partial_tree_exit_nonzero(self, tmp_path, monkeypatch, capsys,
+                                                       stop):
+        complete = tmp_path / "complete"
+        order = _synth(complete, monkeypatch)
+        logs = [i for i, p in enumerate(order) if p.startswith("predictions")]
+        index = {"first": 0, "middle_prediction_log": logs[len(logs) // 2],
+                 "experiment": order.index("experiment.json"),
+                 "manifest": order.index("manifest.jsonl")}[stop]
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(complete / "manifest.jsonl", run)
+        with pytest.raises(Interrupted):
+            _synth(run, monkeypatch, stop_at=index + 1)
+        manifest = str(run / "manifest.jsonl")
+        assert not os.path.exists(manifest)
+
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        scores, accuracies = outputs / "complete_scores.csv", outputs / "complete_acc.csv"
+        assert main(["score", "--input", str(complete / "predictions"), "--manifest",
+                     str(complete / "manifest.jsonl"), "--out", str(scores),
+                     "--acc-out", str(accuracies)]) == 0
+        before = sorted(outputs.iterdir())
+        commands = {
+            "score": ["score", "--input", str(run / "predictions"), "--manifest", manifest,
+                      "--out", str(outputs / "s.csv"), "--acc-out", str(outputs / "a.csv")],
+            "baseline": ["baseline", "--scores", str(run / "scores"), "--weights",
+                         str(run / "weights"), "--manifest", manifest,
+                         "--out", str(outputs / "b.csv")],
+            "evaluate": ["evaluate", "--scores", str(scores), "--accuracies", str(accuracies),
+                         "--manifest", manifest, "--out", str(outputs / "r.json")],
+            "ablate": ["ablate", "--artifacts", str(run), "--kind", "n_samples",
+                       "--values", "4", "--out", str(outputs / "sweep.csv")],
+        }
+        capsys.readouterr()
+        for name, argv in commands.items():
+            assert main(argv) == 1, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and manifest in err, (name, err)
+            assert "Traceback" not in err
+        assert sorted(outputs.iterdir()) == before
 
 
 class TestMainEntry:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from smoothgen import ingest
+from smoothgen.baselines import atc_fit
 from smoothgen.errors import SchemaError
 from smoothgen.ingest import (
     ExampleEntry,
@@ -1088,8 +1089,8 @@ class TestScoreLogTypes:
         log = parse_score_log(path)
         assert log.true_labels.tolist() == [-1, -1]
         assert [e.true_label for e in log.entries] == [None, None]
-        with pytest.raises(SchemaError, match="missing label"):
-            compute_accuracy(log)
+        with pytest.raises(SchemaError, match="missing true_label"):
+            atc_fit(log, "max_confidence")
 
 
 PREDICTION_ROW = {"base_prediction": 1, "example_id": "ex", "neighborhood_predictions": [0, 1, 2],
@@ -1330,18 +1331,11 @@ class TestComputeAccuracy:
     def test_prediction_log(self):
         assert compute_accuracy(PRED_LOG) == 0.5
 
-    def test_score_log(self):
-        assert compute_accuracy(SCORE_LOG) == 0.5
-
     def test_missing_label_rejected(self):
         log = log_from_rows(NeighborhoodPredictionLog, (ExampleEntry("e", (0,)),),
                             model_id="m", test_domain="d", num_classes=2)
         with pytest.raises(SchemaError, match="missing label"):
             compute_accuracy(log)
-
-    def test_wrong_type(self):
-        with pytest.raises(TypeError):
-            compute_accuracy({"not": "a log"})
 
 
 JSON_SCALARS = (

@@ -241,7 +241,7 @@ class TestReport:
 
     def test_report_lists_all_measures(self):
         matrix = linear_matrix()
-        report = build_report(matrix, measures=[MEASURE])
+        report = build_report(matrix)
         assert set(report["measures"]) == {MEASURE}
 
 

@@ -1,7 +1,9 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -13,15 +15,65 @@ from smoothgen.ingest import ExampleEntry, NeighborhoodPredictionLog
 from smoothgen.smoothness import (
     VARIANTS,
     dataset_smoothness,
-    decision_distribution,
-    dominant_label,
     neg_entropy,
-    smoothness,
     subsample_examples,
     truncate_neighborhood,
 )
 
 from logrows import log_from_rows
+
+
+# The per-example oracle: the paper's measure for one test example, from its
+# list of neighbourhood predictions. ``dataset_smoothness`` must equal the
+# mean of its scores, summed left to right, bit for bit.
+@dataclass(frozen=True)
+class DecisionDistribution:
+    """Per-class histogram of neighborhood predictions."""
+
+    counts: tuple[int, ...]
+    n: int
+
+    @property
+    def probs(self) -> tuple[float, ...]:
+        return tuple(c / self.n for c in self.counts)
+
+
+@dataclass(frozen=True)
+class SmoothnessScore:
+    mu: float
+    dominant_label: int
+    neg_entropy: float
+
+
+def decision_distribution(predictions: Sequence[int], k: int) -> DecisionDistribution:
+    """Count predicted classes over a neighborhood sample."""
+    if len(predictions) == 0:
+        raise SchemaError("empty prediction list")
+    counts = [0] * k
+    for p in predictions:
+        if not 0 <= p < k:
+            raise SchemaError(f"prediction {p} out of range [0, {k})")
+        counts[p] += 1
+    return DecisionDistribution(counts=tuple(counts), n=len(predictions))
+
+
+def dominant_label(dist: DecisionDistribution) -> int:
+    """Most frequent class; ties break to the lowest class index."""
+    return max(range(len(dist.counts)), key=lambda j: (dist.counts[j], -j))
+
+
+def smoothness(predictions: Sequence[int], k: int) -> SmoothnessScore:
+    """Fraction of neighborhood predictions in the dominant class.
+
+    mu is formed as an exact count ratio before conversion to float, so equal
+    fractions compare equal downstream regardless of n.
+    """
+    dist = decision_distribution(predictions, k)
+    y_hat = dominant_label(dist)
+    mu = Fraction(dist.counts[y_hat], dist.n)
+    return SmoothnessScore(
+        mu=float(mu), dominant_label=y_hat, neg_entropy=neg_entropy(dist.counts)
+    )
 
 
 def naive_smoothness(predictions, k):
@@ -88,11 +140,11 @@ class TestSmoothness:
 
     def test_neg_entropy_uniform(self):
         dist = decision_distribution([0, 1, 2], k=3)
-        assert neg_entropy(dist) == pytest.approx(-math.log(3))
+        assert neg_entropy(dist.counts) == pytest.approx(-math.log(3))
 
     def test_neg_entropy_peaked_is_zero(self):
         dist = decision_distribution([1, 1], k=3)
-        assert neg_entropy(dist) == 0.0
+        assert neg_entropy(dist.counts) == 0.0
 
     def test_matches_naive_recount(self):
         rng = np.random.default_rng(7)

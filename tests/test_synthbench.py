@@ -121,8 +121,8 @@ class TestDomains:
         config = default_experiment()
         assert len({d.class_arcs for d in config.domains}) == 1 < len(config.domains)
         assert domains._arc_margin.cache_info().misses == 1
-        assert config.domains[0].arc_margin() == domains._arc_margin.__wrapped__(
-            default_arcs(), 256)
+        assert domains._arc_margin(config.domains[0].class_arcs) == (
+            domains._arc_margin.__wrapped__(default_arcs()))
 
     def test_arc_validation(self):
         with pytest.raises(SchemaError):

@@ -3,12 +3,14 @@ import pytest
 from smoothgen.errors import SchemaError
 from smoothgen.ingest import ModelRecord
 from smoothgen.tables import (
+    SCORE_COLUMNS,
     AccuracyRow,
     ScoreRow,
     build_matrix,
     read_accuracies_csv,
     read_scores_csv,
     write_accuracies_csv,
+    write_csv,
     write_scores_csv,
 )
 
@@ -50,10 +52,18 @@ BAD_VALUES = [
 ]
 
 
+def write_scores_with_meta(path, meta):
+    """SCORES as ``write_scores_csv`` renders them, with header ``meta``."""
+    write_csv(path, SCORE_COLUMNS,
+              [(r.model_id, r.train_domain, r.test_domain, r.measure, repr(r.value))
+               for r in SCORES],
+              meta)
+
+
 class TestCsvRoundTrip:
     def test_scores(self, tmp_path):
         path = tmp_path / "scores.csv"
-        write_scores_csv(SCORES, path, meta={"run": "t1"})
+        write_scores_with_meta(path, {"run": "t1"})
         back = read_scores_csv(path)
         assert sorted(back, key=lambda r: r.model_id) == sorted(
             SCORES, key=lambda r: r.model_id)
@@ -71,7 +81,7 @@ class TestCsvRoundTrip:
 
     def test_header_comment_present_and_skipped(self, tmp_path):
         path = tmp_path / "scores.csv"
-        write_scores_csv(SCORES, path, meta={"seed": 7})
+        write_scores_with_meta(path, {"seed": 7})
         first = path.read_text().splitlines()[0]
         assert first.startswith("# smoothgen")
         assert "seed=7" in first
