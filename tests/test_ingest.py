@@ -34,6 +34,7 @@ from smoothgen.ingest import (
     write_score_log,
     write_weight_dump,
 )
+from smoothgen.smoothness import subsample_examples, truncate_neighborhood
 from smoothgen.synthbench.pool import run_pool
 
 from logrows import log_from_rows
@@ -675,6 +676,31 @@ def test_every_log_of_a_pool_takes_the_fast_read(small_tree, parse, folders):
         outcomes = [parse_outcome(p, parse) for p in paths]
     with strict_path():
         assert outcomes == [parse_outcome(p, parse) for p in paths]
+
+
+class TestBenchCounters:
+    """The benchmark's tracer counts ``len(log.examples)`` of a prediction log
+    and ``len(log.entries)`` of a score log: each is the log's number of
+    examples, on either read path."""
+
+    @pytest.mark.parametrize("read_path", [scan_only, strict_path], ids=["fast", "strict"])
+    def test_prediction_log_examples(self, small_tree, read_path):
+        path = sorted((small_tree / "predictions").glob("*.jsonl"))[0]
+        with read_path():
+            log = parse_prediction_log(path)
+        m = len(log.example_ids)
+        assert m >= 2
+        for each in (log, subsample_examples(log, m // 2, seed=0),
+                     truncate_neighborhood(log, 1)):
+            assert len(each.examples) == len(each.example_ids)
+
+    @pytest.mark.parametrize("read_path", [scan_only, strict_path], ids=["fast", "strict"])
+    def test_score_log_entries(self, small_tree, read_path):
+        path = sorted((small_tree / "scores").glob("*.jsonl"))[0]
+        with read_path():
+            log = parse_score_log(path)
+        assert len(log.example_ids) >= 2
+        assert len(log.entries) == len(log.example_ids)
 
 
 class TestPredictionLogScan:
