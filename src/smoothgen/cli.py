@@ -224,6 +224,15 @@ def cmd_evaluate(score_csvs, accuracies_csv, manifest_path, out, breakdown_dir=N
     accuracies = [(row, accuracies_csv) for row in read_accuracies_csv(accuracies_csv)]
     matrix = _of_file(accuracies_csv, build_matrix, manifest, _unique_rows(scores),
                       _unique_rows(accuracies))
+    # A converged model whose logs were lost after the manifest was written
+    # has no accuracies, and would leave every pool one model short.
+    domains = sorted({domain for _, domain in matrix.accuracies})
+    for model in matrix.models:
+        for domain in domains:
+            if (model.model_id, domain) not in matrix.accuracies:
+                raise SchemaError(f"model {model.model_id!r} has no accuracy on test "
+                                  f"domain {domain!r}, where other models have one",
+                                  accuracies_csv)
     report = build_report(matrix, tau_variant=tau_variant)
     payload = {"meta": {"tool_version": __version__}, **report}
     atomic_write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -259,23 +268,23 @@ def _read_json_object(path, key):
     return obj[key]
 
 
-def _ablation_context(artifacts, test_domain=None):
-    """(converged models not trained on the domain, the domain, the run's
-    AblationSpec or None)."""
+def _ablation_context(artifacts):
+    """(converged models not trained on the ablation domain, the domain, the
+    run's AblationSpec), from its manifest and the ablation block of its
+    experiment.json; ``synth`` writes ablation logs only for such a block."""
+    from .synthbench.pool import ablation_from_dict
+
     manifest = parse_manifest(os.path.join(artifacts, "manifest.jsonl"))
     exp_path = os.path.join(artifacts, "experiment.json")
-    ablation = None
-    if os.path.exists(exp_path):
-        from .synthbench.pool import ablation_from_dict
-
-        experiment = _read_json_object(exp_path, "experiment")
-        try:
-            ablation = ablation_from_dict(experiment)
-        except SchemaError as e:
-            raise SchemaError(f"invalid experiment: {e}", exp_path) from e
-    domain = test_domain or (ablation.domain_id if ablation else None)
-    if domain is None:
-        raise SmoothgenError("no ablation domain configured; pass --test-domain")
+    experiment = _read_json_object(exp_path, "experiment")
+    try:
+        ablation = ablation_from_dict(experiment)
+    except SchemaError as e:
+        raise SchemaError(f"invalid experiment: {e}", exp_path) from e
+    if ablation is None:
+        raise SchemaError("no ablation in the experiment, so the run has no ablation logs",
+                          exp_path)
+    domain = ablation.domain_id
     pool = [
         m for m in manifest
         if m.converged and m.train_domain != domain
@@ -297,7 +306,7 @@ def _sweep_row(value, logs_by_model, accuracies, transform, variant, tau_variant
 
 
 def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
-               tau_variant="b", seed=0, test_domain=None):
+               tau_variant="b", seed=0):
     """Sweep CSV of (value, tau) rows for one ablation kind.
 
     A value the logs cannot take (a size beyond a log's examples, more samples
@@ -307,7 +316,7 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
     """
     if seed < 0:
         raise SmoothgenError(f"--seed must be >= 0, got {seed}")
-    pool, domain, ablation = _ablation_context(artifacts, test_domain)
+    pool, domain, ablation = _ablation_context(artifacts)
     ab_dir = os.path.join(artifacts, "ablation")
 
     def load(name):
@@ -339,7 +348,7 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
         "n_samples": (check_neighborhood_length, truncate_neighborhood),
     }
     if kind == "neighborhood_size":
-        values = values or [float(r) for r in (ablation.size_r_values if ablation else ())]
+        values = values or [float(r) for r in ablation.size_r_values]
     elif kind not in sweeps:
         raise SmoothgenError(f"unknown ablation kind {kind!r}")
     if not values:
@@ -461,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("majority", "entropy"), default="majority")
     p.add_argument("--tau", choices=("b", "a"), default="b")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-domain")
 
     p = sub.add_parser("report", help="pretty-print a report JSON")
     p.add_argument("--input", required=True)
@@ -500,8 +508,7 @@ def main(argv=None) -> int:
             values = _sweep_values(args.values, args.kind) if args.values else None
             (variant,) = CLI_VARIANTS[args.variant]
             cmd_ablate(args.artifacts, args.kind, args.out, values=values,
-                       variant=variant, tau_variant=args.tau, seed=args.seed,
-                       test_domain=args.test_domain)
+                       variant=variant, tau_variant=args.tau, seed=args.seed)
             print(f"wrote sweep to {args.out}")
         elif args.command == "report":
             cmd_report(args.input)

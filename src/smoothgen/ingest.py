@@ -20,7 +20,6 @@ import secrets
 import stat
 import struct
 import sys
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, repeat
 from operator import itemgetter
@@ -93,16 +92,6 @@ class ModelRecord:
     train_domain: str
     hyperparams: dict
     converged: bool
-
-
-@dataclass(frozen=True)
-class ExampleEntry:
-    """One example of a prediction log, as a row (labels None where absent)."""
-
-    example_id: str
-    neighborhood_predictions: tuple[int, ...]
-    true_label: Optional[int] = None
-    base_prediction: Optional[int] = None
 
 
 def _check_num_classes(k):
@@ -222,55 +211,14 @@ class NeighborhoodPredictionLog:
                 object.__setattr__(self, name, arr)
 
     @property
-    def examples(self) -> _Rows:
-        """The examples as a lazy, sized sequence of ``ExampleEntry`` rows."""
-        return _Rows(len(self.example_ids), self._example)
-
-    def _example(self, i) -> ExampleEntry:
-        start, end = self.offsets[i], self.offsets[i + 1]
-        true, base = int(self.true_labels[i]), int(self.base_predictions[i])
-        return ExampleEntry(
-            example_id=self.example_ids[i],
-            neighborhood_predictions=tuple(self.predictions[start:end].tolist()),
-            true_label=None if true == -1 else true,
-            base_prediction=None if base == -1 else base,
-        )
+    def examples(self) -> tuple[str, ...]:
+        """``example_ids``, kept only for ``bench/bench_trace.py``'s counters
+        until it counts ``example_ids`` (ROADMAP item 1b)."""
+        return self.example_ids
 
     def example_index(self) -> np.ndarray:
         """The example each prediction belongs to, aligned with ``predictions``."""
         return np.repeat(np.arange(len(self.lengths)), self.lengths)
-
-
-class _Rows(Sequence):
-    """Lazy, sized row view of a log held as arrays; ``row(i)`` builds row i."""
-
-    def __init__(self, length, row):
-        self._length = length
-        self._row = row
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        return self._row(range(len(self))[i])
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Rows, tuple, list)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-
-@dataclass(frozen=True)
-class ScoreEntry:
-    """One entry of a score log, as a row (true_label None where absent)."""
-
-    example_id: str
-    predicted_label: int
-    max_confidence: float
-    neg_entropy: float
-    true_label: Optional[int] = None
 
 
 _SCORE_ARRAYS = {
@@ -340,19 +288,10 @@ class ScoreLog:
             _raise_first("entry", self.example_ids, [_range_fault(*c) for c in columns])
 
     @property
-    def entries(self) -> _Rows:
-        """The entries as a lazy, sized sequence of ``ScoreEntry`` rows."""
-        return _Rows(len(self.example_ids), self._entry)
-
-    def _entry(self, i) -> ScoreEntry:
-        true = int(self.true_labels[i])
-        return ScoreEntry(
-            example_id=self.example_ids[i],
-            predicted_label=int(self.predicted_labels[i]),
-            max_confidence=float(self.max_confidence[i]),
-            neg_entropy=float(self.neg_entropy[i]),
-            true_label=None if true == -1 else true,
-        )
+    def entries(self) -> tuple[str, ...]:
+        """``example_ids``, kept only for ``bench/bench_trace.py``'s counters
+        until it counts ``example_ids`` (ROADMAP item 1b)."""
+        return self.example_ids
 
 
 @dataclass(frozen=True)

@@ -106,11 +106,15 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _layers(model.weights, model.biases, np.asarray(x, dtype=float))
 
 
-def _layers(weights, biases, h: np.ndarray) -> np.ndarray:
+def _layers(weights, biases, h: np.ndarray, acts: Optional[list] = None) -> np.ndarray:
+    """The logits of the layers on the rows of ``h``; each hidden layer's tanh
+    output is appended to ``acts``, if given."""
     for w, b in zip(weights[:-1], biases[:-1]):
         h = h @ w
         h += b
         np.tanh(h, out=h)
+        if acts is not None:
+            acts.append(h)
     h = h @ weights[-1]
     h += biases[-1]
     return h
@@ -287,14 +291,7 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray,
         grads = _zeros_like(model)
     x = np.asarray(x, dtype=float)
     acts = [x]
-    h = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = h @ w
-        h += b
-        np.tanh(h, out=h)
-        acts.append(h)
-    probs = h @ model.weights[-1]
-    probs += model.biases[-1]
+    probs = _layers(model.weights, model.biases, x, acts)
     _softmax(probs, out=probs)
     n = len(y)
     rows = np.arange(n)

@@ -12,7 +12,7 @@ import numpy as np
 
 from smoothgen.baselines import atc_fit, atc_predict, spectral_norm
 from smoothgen.errors import DegenerateSampleError
-from smoothgen.ingest import ScoreEntry, ScoreLog
+from smoothgen.ingest import ScoreLog
 from smoothgen.protocol import (
     EvaluationMatrix,
     build_report,
@@ -27,7 +27,7 @@ from smoothgen.synthbench.mlp import _zeros_like, init_model, loss_and_grads, sg
 from smoothgen.synthbench.pool import run_pool
 
 from conftest import record_acceptance
-from logrows import log_from_rows
+from logrows import ScoreEntry, log_from_rows
 from test_protocol import MEASURE, linear_matrix, null_matrix
 from test_smoothness import naive_smoothness, smoothness
 from test_stats import tau_pairwise
@@ -156,13 +156,13 @@ def test_05_atc_self_consistency_and_calibrated_shift():
     for kind in ("max_confidence", "neg_entropy"):
         t = atc_fit(val, kind)
         self_pred = atc_predict(val, t)
-        actual_val = sum(
-            e.predicted_label == e.true_label for e in val.entries) / 10_000
+        actual_val = np.count_nonzero(
+            val.predicted_labels == val.true_labels) / 10_000
         if self_pred != actual_val:
             ok, detail = False, f"{kind}: self-consistency broken"
             break
-        actual_test = sum(
-            e.predicted_label == e.true_label for e in test.entries) / 10_000
+        actual_test = np.count_nonzero(
+            test.predicted_labels == test.true_labels) / 10_000
         gap = abs(atc_predict(test, t) - actual_test)
         if gap > 0.03:
             ok, detail = False, f"{kind}: OOD gap {gap:.3f}"

@@ -11,9 +11,9 @@ from smoothgen.baselines import (
     spectral_norm,
 )
 from smoothgen.errors import SchemaError
-from smoothgen.ingest import ScoreEntry, ScoreLog, WeightDump
+from smoothgen.ingest import ScoreLog, WeightDump
 
-from logrows import log_from_rows
+from logrows import ScoreEntry, log_from_rows
 
 
 def score_log(scores, correct, model_id="m0", domain="d0", split="validation"):

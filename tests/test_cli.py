@@ -341,6 +341,28 @@ class TestEvaluateCommand:
         assert on_disk["measures"].keys() == report["measures"].keys()
         assert (tmp_path / "tables" / "micro_groups.csv").exists()
 
+    def test_a_model_that_lost_its_artifacts_exits_nonzero(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        assert next(r for r in result.manifest if r.model_id == "rot000-c000").converged
+        lost = sorted(artifacts.glob("*/rot000-c000*"))
+        assert lost
+        for path in lost:
+            path.unlink()
+        manifest = str(artifacts / "manifest.jsonl")
+        scores, accs, report = (tmp_path / name for name in ("s.csv", "a.csv", "report.json"))
+        assert main(["score", "--input", str(artifacts / "predictions"), "--manifest",
+                     manifest, "--out", str(scores), "--acc-out", str(accs)]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--scores", str(scores), "--accuracies", str(accs),
+                   "--manifest", manifest, "--out", str(report)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {accs}: model 'rot000-c000' has no accuracy on test domain "
+            f"'rot000', where other models have one\n")
+        assert not report.exists()
+
     def test_report_pretty_printer(self, pool, tmp_path):
         out_dir, _ = pool
         scores = tmp_path / "scores.csv"
@@ -501,6 +523,28 @@ class TestAblateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["missing", "no_ablation"])
+    def test_run_without_an_ablation_experiment_exits_nonzero(self, pool, tmp_path, capsys,
+                                                              case):
+        out_dir, _ = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        path = artifacts / "experiment.json"
+        if case == "missing":
+            path.unlink()
+            message = f"[Errno 2] No such file or directory: '{path}'"
+        else:
+            obj = json.loads(path.read_text())
+            obj["experiment"]["ablation"] = None
+            path.write_text(json.dumps(obj))
+            message = f"{path}: no ablation in the experiment, so the run has no ablation logs"
+        out = tmp_path / "sweep.csv"
+        rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
+                   "--values", "4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, log_name", [
         ("neighborhood_size", "size_r__0.5"),
         ("dataset_size", "dataset_size"),
@@ -570,22 +614,18 @@ class TestAblateCommand:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["experiment_domain", "test_domain_option"])
+    @pytest.mark.parametrize("case", ["experiment_domain"])
     def test_logs_of_another_domain_exit_nonzero(self, pool, tmp_path, capsys, case):
         out_dir, _ = pool
         artifacts = tmp_path / "run"
         shutil.copytree(out_dir, artifacts)
-        option = []
-        if case == "experiment_domain":
-            path = artifacts / "experiment.json"
-            obj = json.loads(path.read_text())
-            obj["experiment"]["ablation"]["domain_id"] = "nowhere"
-            path.write_text(json.dumps(obj))
-        else:
-            option = ["--test-domain", "rot000"]
+        path = artifacts / "experiment.json"
+        obj = json.loads(path.read_text())
+        obj["experiment"]["ablation"]["domain_id"] = "nowhere"
+        path.write_text(json.dumps(obj))
         out = tmp_path / "sweep.csv"
         rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
-                   "--values", "4", "--out", str(out), *option])
+                   "--values", "4", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {artifacts / 'ablation'}")

@@ -14,10 +14,8 @@ from smoothgen import ingest
 from smoothgen.baselines import atc_fit
 from smoothgen.errors import SchemaError
 from smoothgen.ingest import (
-    ExampleEntry,
     ModelRecord,
     NeighborhoodPredictionLog,
-    ScoreEntry,
     ScoreLog,
     WeightDump,
     compute_accuracy,
@@ -37,7 +35,7 @@ from smoothgen.ingest import (
 from smoothgen.smoothness import subsample_examples, truncate_neighborhood
 from smoothgen.synthbench.pool import run_pool
 
-from logrows import log_from_rows
+from logrows import ExampleEntry, ScoreEntry, log_from_rows, log_rows
 from test_cli import small_experiment
 
 RECORD = ModelRecord(
@@ -302,7 +300,6 @@ class TestPredictionLogTypes:
         ])
         log = parse_prediction_log(path)
         assert log.true_labels.tolist() == [-1, -1]
-        assert [ex.true_label for ex in log.examples] == [None, None]
 
 
 RAGGED_LOG = log_from_rows(
@@ -338,7 +335,7 @@ class TestPredictionLogArrays:
                                ("neighborhood_predictions", list(ex.neighborhood_predictions)),
                                ("true_label", ex.true_label),
                                ("base_prediction", ex.base_prediction)) if v is not None}
-            for ex in log.examples
+            for ex in log_rows(log)
         ]
         expected = "".join(dumps_sorted(o) + "\n" for o in [header, *examples])
         assert serialize_prediction_log(log) == expected
@@ -349,10 +346,9 @@ class TestPredictionLogArrays:
         assert RAGGED_LOG.offsets.tolist() == [0, 1, 8, 10, 13]
         assert RAGGED_LOG.true_labels.tolist() == [0, 3, -1, -1]
         assert RAGGED_LOG.base_predictions.tolist() == [3, -1, 0, -1]
-        assert RAGGED_LOG.examples[1].neighborhood_predictions == (0, 1, 2, 3, 3, 3, 1)
-        assert RAGGED_LOG.examples[-1].example_id == "ex3"
-        assert len(RAGGED_LOG.examples) == 4
-        assert RAGGED_LOG.examples[1:3] == tuple(RAGGED_LOG.examples)[1:3]
+        assert RAGGED_LOG.predictions[1:8].tolist() == [0, 1, 2, 3, 3, 3, 1]
+        assert RAGGED_LOG.example_ids[-1] == "ex3"
+        assert len(RAGGED_LOG.example_ids) == 4
 
     def test_arrays_are_read_only_copies(self):
         preds = np.array([0, 1, 1])
@@ -494,7 +490,7 @@ def score_log_oracle(log):
         header["num_classes"] = log.num_classes
     if log.meta:
         header["meta"] = log.meta
-    entries = [{k: v for k, v in vars(e).items() if v is not None} for e in log.entries]
+    entries = [{k: v for k, v in vars(e).items() if v is not None} for e in log_rows(log)]
     return "".join(dumps_sorted(o) + "\n" for o in [header, *entries])
 
 
@@ -1114,7 +1110,6 @@ class TestScoreLogTypes:
         write_score_lines(path, [entry, {**entry, "true_label": None}])
         log = parse_score_log(path)
         assert log.true_labels.tolist() == [-1, -1]
-        assert [e.true_label for e in log.entries] == [None, None]
         with pytest.raises(SchemaError, match="missing true_label"):
             atc_fit(log, "max_confidence")
 
@@ -1253,7 +1248,7 @@ class TestScoreLogArrays:
         if log.meta:
             header["meta"] = log.meta
         entries = [
-            {k: v for k, v in vars(e).items() if v is not None} for e in log.entries
+            {k: v for k, v in vars(e).items() if v is not None} for e in log_rows(log)
         ]
         expected = "".join(dumps_sorted(o) + "\n" for o in [header, *entries])
         assert serialize_score_log(log) == expected
@@ -1271,9 +1266,8 @@ class TestScoreLogArrays:
         assert log.predicted_labels.dtype == np.int64
         assert log.max_confidence.dtype == np.float64
         assert log.true_labels.tolist() == [0, 3, -1, 1]
-        assert len(log.entries) == 4
-        assert log.entries[-1] == ScoreEntry("ex3", 1, 1 / 3, -1.2345678901234567e-5, 1)
-        assert log.entries[1:3] == tuple(log.entries)[1:3]
+        assert len(log.example_ids) == 4
+        assert log_rows(log)[-1] == ScoreEntry("ex3", 1, 1 / 3, -1.2345678901234567e-5, 1)
 
     def test_arrays_are_read_only_copies(self):
         conf = np.array([0.5, 0.75])
