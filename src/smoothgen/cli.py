@@ -88,13 +88,14 @@ def _of_file(path, fn, *args):
 def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     """Smoothness measure CSV (and optionally accuracies) from prediction logs."""
     models = {m.model_id: m for m in parse_manifest(manifest_path)}
-    score_rows, acc_rows = [], []
+    score_rows, acc_rows, logged = [], [], {}
     for path in _expand_inputs(inputs):
         log = parse_prediction_log(path)
         rec = _converged(models, log.model_id, path)
         if rec is None:
             continue
         tag = log.meta.get("neighborhood", "default")
+        logged.setdefault(log.model_id, set()).add((log.test_domain, tag))
         for var in CLI_VARIANTS[variant]:
             prefix = "ms" if var == "majority" else "mse"
             score_rows.append(
@@ -111,6 +112,16 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
                 (AccuracyRow(log.model_id, log.test_domain,
                              _of_file(path, compute_accuracy, log)), path)
             )
+    # A converged model that lost some of its logs after the manifest was
+    # written would score on fewer pairs than the others; one that lost all
+    # of them has no accuracies, which evaluate catches.
+    pairs = set().union(*logged.values())
+    for model_id, have in sorted(logged.items()):
+        if have != pairs:
+            domain, tag = min(pairs - have)
+            raise SmoothgenError(f"model {model_id!r} has no prediction log of test domain "
+                                 f"{domain!r} with neighborhood {tag!r}, where other "
+                                 f"models have one")
     write_scores_csv(score_rows, out)
     if acc_out is not None:
         # one accuracy per (model, domain) regardless of neighborhood count

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,6 +63,10 @@ class MlpModel:
     # vector, out in, as views; sgd_step updates all of it at once. None for
     # a model built from loose arrays.
     params: Optional[np.ndarray] = field(default=None, repr=False)
+    # Tier 1's constants of predict_classes (_Tier1), which train_model sets
+    # once the parameters are final. None for any other model, which then
+    # gets them on each call.
+    tier1: Optional["_Tier1"] = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
         # Pickling copies each view into an array of its own, so the buffer
@@ -154,12 +158,39 @@ _FLOAT64 = (2.0**-53, 2.0**-49, 2.0**-1022, 2.0**1022)
 _MARGIN = 1.0 + 2.0**-20
 
 
+# Tier 1 of predict_classes runs in blocks of this many rows, so that one
+# block's activations (4,096 x 32 float32 is 512 KB) stay in a core's L2
+# cache and its memory does not grow with the batch.
+_BLOCK = 4096
+
+
+class _Tier1(NamedTuple):
+    """What tier 1 of ``predict_classes`` needs of a model."""
+
+    weights: tuple  # float32 (fan_out, fan_in) per layer: W transposed
+    biases: tuple  # float32 (fan_out, 1) per layer
+    layers: tuple  # (fan-in, largest column sum of |W|, max|b|) per layer
+
+
+def _tier1(model: MlpModel) -> _Tier1:
+    """The model's tier-1 constants: those train_model kept, else new ones."""
+    if model.tier1 is not None:
+        return model.tier1
+    return _Tier1(
+        tuple(np.ascontiguousarray(w.T, dtype=np.float32) for w in model.weights),
+        tuple(b.astype(np.float32)[:, None] for b in model.biases),
+        tuple((w.shape[0], float(np.abs(w).sum(axis=0).max()), float(np.abs(b).max()))
+              for w, b in zip(model.weights, model.biases)),
+    )
+
+
 def _logit_error_bounds(model: MlpModel, x_max: float) -> tuple[float, float]:
-    """``(E32, E64)``: bounds on the absolute error of every logit that
-    ``_layers`` computes in float32 (parameters and inputs rounded to it) and
-    in float64, against exact arithmetic on the float64 parameters and
-    inputs, for inputs of at most ``x_max`` in magnitude; inf where a value
-    could overflow (or x_max is NaN).
+    """``(E32, E64)``: bounds on the absolute error of every logit of the
+    model's layers computed in float32 (parameters and inputs rounded to it)
+    and in float64, in any layout (``_layers``, tier 1 of
+    ``predict_classes``), against exact arithmetic on the float64 parameters
+    and inputs, for inputs of at most ``x_max`` in magnitude; inf where a
+    value could overflow (or x_max is NaN).
 
     A layer of fan-in K with inputs of error e and magnitude at most A is
     off by at most e*C + gamma_{K+3}*(A*C + B) + slack, where C is the
@@ -170,8 +201,7 @@ def _logit_error_bounds(model: MlpModel, x_max: float) -> tuple[float, float]:
     adds at most tau and shrinks no error, as it is 1-Lipschitz, and leaves
     |h| <= 1 + tau.
     """
-    layers = [(w.shape[0], float(np.abs(w).sum(axis=0).max()), float(np.abs(b).max()))
-              for w, b in zip(model.weights, model.biases)]
+    layers = _tier1(model).layers
     return tuple(_error_bound(layers, x_max, *precision) for precision in (_FLOAT32, _FLOAT64))
 
 
@@ -188,18 +218,20 @@ def _error_bound(layers, x_max, u, tau, eta, limit) -> float:
     return err
 
 
-def _top_two(z: np.ndarray):
-    """Each row's top column (the first of a tie), top logit and second
-    largest logit, in one column-wise pass (exact in any order, like
-    ``_row_max``)."""
-    top = z[:, 0].copy()
-    second = np.full(len(z), -np.inf, dtype=z.dtype)
-    classes = np.zeros(len(z), dtype=np.intp)
-    for j in range(1, z.shape[1]):
-        column = z[:, j]
-        np.maximum(second, np.minimum(top, column), out=second)
-        classes[column > top] = j
-        np.maximum(top, column, out=top)
+def _top_two(z: np.ndarray, out=None):
+    """The top row (the first of a tie), top value and second largest value
+    of each column of ``z``, logits with one row per class, in one pass over
+    the rows (exact in any order, like ``_row_max``); written into the three
+    arrays of ``out``, if given."""
+    n = z.shape[1]
+    classes, top, second = out or (np.empty(n, np.intp), np.empty(n, z.dtype),
+                                   np.empty(n, z.dtype))
+    classes[...], top[...], second[...] = 0, z[0], -np.inf
+    for j in range(1, len(z)):
+        row = z[j]
+        np.maximum(second, np.minimum(top, row), out=second)
+        classes[row > top] = j
+        np.maximum(top, row, out=top)
     return classes, top, second
 
 
@@ -226,8 +258,10 @@ def predict_classes(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
     Rows are decided in up to three tiers, each giving that class:
 
-    1. A float32 pass over the whole batch. ``E32`` and ``E64`` bound every
-       logit's error in float32 and in float64, for any batch, against exact
+    1. A float32 pass in blocks of ``_BLOCK`` rows, each computed
+       feature-major (``h = W^T @ h`` on a (features, rows) array).
+       ``E32`` and ``E64`` bound every logit's error in float32 and in
+       float64, for any batch, kernel and order of each sum, against exact
        arithmetic (``_logit_error_bounds``), so a float32 logit is within
        ``E32 + E64`` of the full-batch float64 one. A row whose float32 top is
        finite and above its second by more than ``2(E32 + E64) + _CLASS_GAP``
@@ -243,19 +277,30 @@ def predict_classes(model: MlpModel, x: np.ndarray) -> np.ndarray:
     A bound that could overflow is inf and decides no row.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    x_max = float(np.max(np.abs(x), initial=0.0))
+    # max|x| with no |x| array; a NaN gives NaN, as in np.abs(x).max().
+    x_max = float(np.maximum(x.max(initial=0.0), -x.min(initial=0.0)))
     e32, e64 = _logit_error_bounds(model, x_max)
+    tier1 = _tier1(model)
+    n = len(x)
+    classes, top, second = np.empty(n, np.intp), np.empty(n, np.float32), np.empty(n, np.float32)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are left undecided
-        classes, top, second = _top_two(_layers(
-            [w.astype(np.float32) for w in model.weights],
-            [b.astype(np.float32) for b in model.biases], x.astype(np.float32)))
+        for start in range(0, n, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            h = x[block].T.astype(np.float32)
+            for w, b in zip(tier1.weights[:-1], tier1.biases[:-1]):
+                h = w @ h
+                h += b
+                np.tanh(h, out=h)
+            h = tier1.weights[-1] @ h
+            h += tier1.biases[-1]
+            _top_two(h, (classes[block], top[block], second[block]))
         rows = _undecided(top, second, _MARGIN * (2 * (e32 + e64) + _CLASS_GAP))
     if len(rows):
-        classes[rows], top, second = _top_two(forward(model, x[rows]))
+        classes[rows], top, second = _top_two(forward(model, x[rows]).T)
         rows = rows[_undecided(top, second, _MARGIN * (4 * e64 + _CLASS_GAP))]
     if len(rows):
         z = forward(model, x)[rows]
-        classes[rows], top, second = _top_two(z)
+        classes[rows], top, second = _top_two(z.T)
         soft = _undecided(top, second, _CLASS_GAP)
         classes[rows[soft]] = _softmax(z[soft]).argmax(axis=1)
     return classes
@@ -355,4 +400,5 @@ def train_model(dataset: Dataset, config: TrainConfig) -> MlpModel:
     # The last epoch's ce is that of the final weights.
     model.final_ce = cross_entropy(model, x, y) if ce is None else ce
     model.epochs_run = epoch
+    model.tier1 = _tier1(model)
     return model

@@ -70,6 +70,17 @@ def pool(tmp_path_factory):
     return out, result
 
 
+@pytest.fixture(scope="module")
+def two_neighborhood_pool(tmp_path_factory):
+    """The small pool, without the ablation, with an isotropic neighborhood
+    beside the manifold one."""
+    config = small_experiment()
+    config.ablation = None
+    config.neighborhoods.append(NeighborhoodSpec("isotropic", 0.3, n_samples=5, seed=0))
+    out = tmp_path_factory.mktemp("cli-pool-two")
+    return out, run_pool(config, out), config.neighborhoods[1].tag
+
+
 class TestScoreCommand:
     def test_writes_scores_and_accuracies(self, pool, tmp_path):
         out_dir, result = pool
@@ -129,6 +140,30 @@ class TestScoreCommand:
         assert capsys.readouterr().err == (
             f"error: {log}: example {example['example_id']!r}: missing label, "
             f"accuracy unavailable\n")
+
+    @pytest.mark.parametrize("lost", ["isotropic", "one_domain"])
+    def test_a_model_that_lost_some_logs_exits_nonzero(self, two_neighborhood_pool, tmp_path,
+                                                       capsys, lost):
+        out_dir, result, isotropic = two_neighborhood_pool
+        logs = tmp_path / "predictions"
+        shutil.copytree(out_dir / "predictions", logs)
+        assert next(r for r in result.manifest if r.model_id == "rot000-c000").converged
+        pattern = f"rot000-c000__*__{isotropic}.jsonl" if lost == "isotropic" else (
+            "rot000-c000__rot030__*.jsonl")
+        gone = sorted(logs.glob(pattern))
+        assert len(gone) == (3 if lost == "isotropic" else 2)
+        for path in gone:
+            path.unlink()
+        # The first missing (test domain, neighborhood) is named.
+        domain = "rot000" if lost == "isotropic" else "rot030"
+        scores = tmp_path / "s.csv"
+        rc = main(["score", "--input", str(logs), "--manifest",
+                   str(out_dir / "manifest.jsonl"), "--out", str(scores)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: model 'rot000-c000' has no prediction log of test domain {domain!r} "
+            f"with neighborhood {isotropic!r}, where other models have one\n")
+        assert not scores.exists()
 
     def test_log_of_no_examples_names_the_log(self, pool, tmp_path, capsys):
         out_dir, result = pool

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,6 +529,50 @@ class TestClassTiers:
         assert np.abs(np.tanh(x32).astype(float) - np.tanh(x32.astype(float))).max() <= tau32 / 4
         exact = np.array([math.tanh(v) for v in x.tolist()])
         assert np.abs(np.tanh(x) - exact).max() <= tau64 / 4
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                             ids=["1", "block-1", "block", "block+1", "3block+7"])
+    @pytest.mark.parametrize("tier", [2, 3])
+    def test_rows_of_every_tier_at_block_edges(self, monkeypatch, blocks, extra, tier):
+        # Logits (x0, x1, 0): ordinary rows have a gap of 0.5 (tier 1). A row
+        # whose top two are 1e-8 apart ties in float32 (0.5 - 1e-8 rounds to
+        # 0.5), so tier 2 decides it; an exact tie or a gap of one float64
+        # ulp needs tier 3. Such rows sit on both sides of every block edge.
+        block = mlp._BLOCK
+        n = blocks * block + extra
+        model = MlpModel(weights=[np.eye(2, 3)], biases=[np.zeros(3)], num_classes=3)
+        rng = np.random.default_rng(n)
+        x = np.array([(0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)])[rng.integers(0, 3, size=n)]
+        near = 0.5 - 1e-8 if tier == 2 else np.nextafter(0.5, 0.0)
+        special = [(0.5, near), (near, 0.5)] + ([(0.5, 0.5)] if tier == 3 else [])
+        at = sorted({0, n - 1} | {e + d for e in range(block, n, block) for d in (-1, 0)})
+        x[at] = [special[i % len(special)] for i in range(len(at))]
+        classes, counts = forward_row_counts(monkeypatch, model, x)
+        assert counts == [len(at)] + [n] * (tier == 3)
+        assert np.array_equal(classes, model_predict(model, x)[0])
+
+    def test_a_trained_model_keeps_the_constants_of_its_final_parameters(self):
+        domain = make_domain()
+        model = train_model(generate_domain(domain, 100, seed=1), default_grid()[0])
+        kept = model.tier1
+        fresh = mlp._tier1(dataclasses.replace(model))  # a copy has none kept
+        assert kept is not None and kept.layers == fresh.layers
+        for got, want in zip(kept.weights + kept.biases, fresh.weights + fresh.biases):
+            assert got.dtype == np.float32 and np.array_equal(got, want)
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        # Tier 1 holds one block of activations at a time; over the whole
+        # batch of 200,000 rows a depth-3, width-32 model would take 51 MB.
+        config = dataclasses.replace(default_grid()[0], depth=3, width=32)
+        model = random_model(config, 3, 1.0)
+        x = np.random.default_rng(0).normal(0.0, 1.5, size=(200_000, 2))
+        tracemalloc.start()
+        try:
+            predict_classes(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 def reference_init_model(num_classes, config):
