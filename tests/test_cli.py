@@ -272,25 +272,38 @@ def _ood_score_row(lines):
     return next(row for row in (line.split(",") for line in lines[2:]) if row[1] != row[2])
 
 
-def _conflicting_score_row(scores, accuracies, extra):
+# Each mutation edits the lines of the tables ``evaluate`` reads, in place,
+# and returns its whole error message, the tables' paths as fields
+# {scores}, {acc}, {extra} and {manifest}; or None when the report must equal
+# the unmutated run's.
+
+def _conflicting_score_row(scores, accuracies, extra, manifest):
     model, train, test, measure, value = _ood_score_row(scores)
     extra.append(f"{model},{train},{test},{measure},{float(value) + 1.0!r}")
+    return (f"measure {measure!r} of model {model!r} on {test!r} differs: "
+            f"{float(value)!r} in {{scores}}, {float(value) + 1.0!r} in {{extra}}")
 
 
-def _conflicting_accuracy_row(scores, accuracies, extra):
+def _conflicting_accuracy_row(scores, accuracies, extra, manifest):
     model, test, accuracy = accuracies[2].split(",")
-    accuracies.append(f"{model},{test},{'0.0' if float(accuracy) else '1.0'}")
+    other = "0.0" if float(accuracy) else "1.0"
+    accuracies.append(f"{model},{test},{other}")
+    return (f"accuracy of model {model!r} on {test!r} differs: "
+            f"{float(accuracy)!r} in {{acc}}, {other} in {{acc}}")
 
 
 def _accuracy(text):
-    def mutate(scores, accuracies, extra):
+    def mutate(scores, accuracies, extra, manifest):
         accuracies[2] = accuracies[2].rsplit(",", 1)[0] + "," + text
+        return f"{{acc}}:3: accuracy {text!r} is outside [0, 1]"
     return mutate
 
 
-def _foreign_train_domain(scores, accuracies, extra):
+def _foreign_train_domain(scores, accuracies, extra, manifest):
     row = _ood_score_row(scores)
     scores[scores.index(",".join(row))] = ",".join([row[0], row[2], *row[2:]])
+    return (f"{{scores}}: model {row[0]!r} has train_domain {row[2]!r}, "
+            f"but the manifest says {row[1]!r}")
 
 
 def _invalid_byte(table, row):
@@ -298,67 +311,126 @@ def _invalid_byte(table, row):
     scores, 1 the accuracies), written as the surrogate that stands for it."""
     def mutate(*tables):
         tables[table][row] = tables[table][row][:3] + "\udcff" + tables[table][row][3:]
+        return f"{{{('scores', 'acc')[table]}}}:{row + 1}: invalid UTF-8: invalid start byte"
     return mutate
 
 
-def _missing_accuracy(scores, accuracies, extra):
-    del accuracies[2]
+def _missing_accuracy(scores, accuracies, extra, manifest):
+    model, test, _ = accuracies.pop(2).split(",")
+    return f"{{acc}}: missing accuracies for scored pairs: {model}/{test}"
 
 
-def _equal_duplicate_rows(scores, accuracies, extra):
+def _four_fields(scores, accuracies, extra, manifest):
+    scores[2] = scores[2].rsplit(",", 1)[0]
+    return "{scores}:3: expected 5 fields, got 4"
+
+
+def _not_a_number(scores, accuracies, extra, manifest):
+    scores[2] = scores[2].rsplit(",", 1)[0] + ",abc"
+    return "{scores}:3: value 'abc' is not a finite number"
+
+
+def _unscored_missing_accuracy(scores, accuracies, extra, manifest):
+    """One accuracy row removed, with the score rows of its pair."""
+    model, test, _ = accuracies.pop(2).split(",")
+    scores[2:] = [line for line in scores[2:]
+                  if (line.split(",")[0], line.split(",")[2]) != (model, test)]
+    return (f"{{acc}}: model {model!r} has no accuracy on test domain {test!r}, "
+            f"where other models have one")
+
+
+def _missing_manifest(scores, accuracies, extra, manifest):
+    manifest.clear()
+    return "[Errno 2] No such file or directory: '{manifest}'"
+
+
+def _converged_yes(scores, accuracies, extra, manifest):
+    record = json.loads(manifest[1])
+    record["converged"] = "yes"
+    manifest[1] = json.dumps(record)
+    return "{manifest}:2: field 'converged' has wrong type"
+
+
+def _duplicate_manifest_id(scores, accuracies, extra, manifest):
+    manifest.append(manifest[0])
+    model = json.loads(manifest[0])["model_id"]
+    return f"{{manifest}}:{len(manifest)}: duplicate model_id {model!r}"
+
+
+def _foreign_model_rows(scores, accuracies, extra, manifest):
+    """One model's score and accuracy rows again, under a model id the
+    manifest lacks."""
+    model = accuracies[2].split(",")[0]
+    for table, lines in ((extra, scores), (accuracies, accuracies)):
+        table.extend("ghost," + line.split(",", 1)[1] for line in lines[2:]
+                     if line.split(",")[0] == model)
+    return None
+
+
+def _equal_duplicate_rows(scores, accuracies, extra, manifest):
     extra.append(",".join(_ood_score_row(scores)))
     accuracies.append(accuracies[2])
 
 
 class TestEvaluateTables:
-    """``evaluate`` on a scores CSV, a second scores CSV of no rows and an
-    accuracies CSV, each mutation applied to their lines."""
+    """``evaluate`` on a scores CSV, a second scores CSV of no rows, an
+    accuracies CSV and a copy of the manifest, each mutation applied to their
+    lines; a table that a mutation empties is not written."""
 
     def run(self, pool, tmp_path, mutate):
         out_dir, _ = pool
-        manifest = str(out_dir / "manifest.jsonl")
-        paths = [tmp_path / "scores.csv", tmp_path / "acc.csv", tmp_path / "extra.csv"]
-        cmd_score([str(out_dir / "predictions")], manifest, paths[0], acc_out=paths[1])
-        tables = [paths[0].read_text().splitlines(), paths[1].read_text().splitlines()]
+        names = ("scores", "acc", "extra", "manifest")
+        paths = dict(zip(names, (tmp_path / "scores.csv", tmp_path / "acc.csv",
+                                 tmp_path / "extra.csv", tmp_path / "manifest.jsonl")))
+        cmd_score([str(out_dir / "predictions")], str(out_dir / "manifest.jsonl"),
+                  paths["scores"], acc_out=paths["acc"])
+        tables = [paths["scores"].read_text().splitlines(),
+                  paths["acc"].read_text().splitlines()]
         tables.append(tables[0][:2])  # comment and columns, then no rows
-        mutate(*tables)
-        for path, lines in zip(paths, tables):
-            path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        tables.append((out_dir / "manifest.jsonl").read_text().splitlines())
+        expected = mutate(*tables)
+        for path, lines in zip(paths.values(), tables):
+            path.unlink(missing_ok=True)
+            if lines:
+                path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         report = tmp_path / "report.json"
-        rc = main(["evaluate", "--scores", str(paths[0]), str(paths[2]),
-                   "--accuracies", str(paths[1]), "--manifest", manifest,
+        rc = main(["evaluate", "--scores", str(paths["scores"]), str(paths["extra"]),
+                   "--accuracies", str(paths["acc"]), "--manifest", str(paths["manifest"]),
                    "--out", str(report)])
-        return rc, report
+        if expected is not None:
+            expected = expected.format(**{name: str(p) for name, p in paths.items()})
+        return rc, report, expected
 
-    @pytest.mark.parametrize("mutate, names", [
-        (_conflicting_score_row, ["scores.csv", "extra.csv"]),
-        (_conflicting_accuracy_row, ["acc.csv"]),
-        (_accuracy("7.5"), ["acc.csv:3"]),
-        (_accuracy("-0.1"), ["acc.csv:3"]),
-        (_foreign_train_domain, ["scores.csv"]),
-        (_invalid_byte(0, 4), ["scores.csv:5: invalid UTF-8: invalid start byte"]),
-        (_invalid_byte(1, 2), ["acc.csv:3: invalid UTF-8: invalid start byte"]),
-        (_invalid_byte(1, 0), ["acc.csv:1: invalid UTF-8: invalid start byte"]),
-        (_missing_accuracy, ["acc.csv: missing accuracies for scored pairs"]),
+    @pytest.mark.parametrize("mutate", [
+        _conflicting_score_row, _conflicting_accuracy_row, _accuracy("7.5"), _accuracy("-0.1"),
+        _foreign_train_domain, _invalid_byte(0, 4), _invalid_byte(1, 2), _invalid_byte(1, 0),
+        _missing_accuracy, _four_fields, _not_a_number, _unscored_missing_accuracy,
+        _missing_manifest, _converged_yes, _duplicate_manifest_id,
     ], ids=["conflicting_score", "conflicting_accuracy", "accuracy_7.5", "accuracy_-0.1",
             "foreign_train_domain", "invalid_utf8_score_row", "invalid_utf8_accuracy_row",
-            "invalid_utf8_comment", "missing_accuracy"])
-    def test_malformed_table_exits_nonzero(self, pool, tmp_path, capsys, mutate, names):
-        rc, report = self.run(pool, tmp_path, mutate)
+            "invalid_utf8_comment", "missing_accuracy", "four_fields", "not_a_number",
+            "unscored_missing_accuracy", "missing_manifest", "converged_yes",
+            "duplicate_manifest_id"])
+    def test_malformed_table_exits_nonzero(self, pool, tmp_path, capsys, mutate):
+        rc, report, expected = self.run(pool, tmp_path, mutate)
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert all(str(tmp_path / name) in err for name in names)
+        assert capsys.readouterr().err == f"error: {expected}\n"
         assert not report.exists()
 
-    def test_equal_duplicate_rows_leave_the_report_unchanged(self, pool, tmp_path):
+    def assert_report_unchanged(self, pool, tmp_path, mutate):
         (tmp_path / "plain").mkdir()
-        (tmp_path / "duplicated").mkdir()
-        rc, plain = self.run(pool, tmp_path / "plain", lambda *tables: None)
+        (tmp_path / "mutated").mkdir()
+        rc, plain, _ = self.run(pool, tmp_path / "plain", lambda *tables: None)
         assert rc == 0
-        rc, duplicated = self.run(pool, tmp_path / "duplicated", _equal_duplicate_rows)
+        rc, mutated, _ = self.run(pool, tmp_path / "mutated", mutate)
         assert rc == 0
-        assert duplicated.read_bytes() == plain.read_bytes()
+        assert mutated.read_bytes() == plain.read_bytes()
+
+    def test_equal_duplicate_rows_leave_the_report_unchanged(self, pool, tmp_path):
+        self.assert_report_unchanged(pool, tmp_path, _equal_duplicate_rows)
+
+    def test_foreign_model_rows_leave_the_report_unchanged(self, pool, tmp_path):
+        self.assert_report_unchanged(pool, tmp_path, _foreign_model_rows)
 
 
 class TestEvaluateCommand:
