@@ -44,6 +44,7 @@ from .tables import (
     read_accuracies_csv,
     read_scores_csv,
     read_text,
+    unique_rows,
     write_accuracies_csv,
     write_csv,
     write_scores_csv,
@@ -125,28 +126,8 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     write_scores_csv(score_rows, out)
     if acc_out is not None:
         # one accuracy per (model, domain) regardless of neighborhood count
-        write_accuracies_csv(_unique_rows(acc_rows), acc_out)
+        write_accuracies_csv(unique_rows(acc_rows), acc_out)
     return len(score_rows)
-
-
-def _unique_rows(pairs):
-    """One row per key from (row, source) pairs, the first of each: an
-    accuracy row's key is its model and test domain, a score row's also its
-    measure. Rows of one key must hold equal values."""
-    uniq = {}
-    for row, source in pairs:
-        if isinstance(row, AccuracyRow):
-            name, value = "accuracy", row.accuracy
-        else:
-            name, value = f"measure {row.measure!r}", row.value
-        _, first_value, first_source = uniq.setdefault(
-            (name, row.model_id, row.test_domain), (row, value, source))
-        if first_value != value:
-            raise SmoothgenError(
-                f"{name} of model {row.model_id!r} on {row.test_domain!r} differs: "
-                f"{first_value!r} in {first_source}, {value!r} in {source}"
-            )
-    return [row for row, _, _ in uniq.values()]
 
 
 def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
@@ -220,30 +201,9 @@ def cmd_evaluate(score_csvs, accuracies_csv, manifest_path, out, breakdown_dir=N
                  tau_variant="b"):
     """Joined metric report (JSON) plus optional breakdown CSVs."""
     manifest = parse_manifest(manifest_path)
-    train_domains = {m.model_id: m.train_domain for m in manifest}
-    scores = []
-    for path in score_csvs:
-        for row in read_scores_csv(path):
-            # A model the manifest lacks stays out of the join, unchecked.
-            expected = train_domains.get(row.model_id, row.train_domain)
-            if row.train_domain != expected:
-                raise SmoothgenError(
-                    f"{path}: model {row.model_id!r} has train_domain "
-                    f"{row.train_domain!r}, but the manifest says {expected!r}"
-                )
-            scores.append((row, path))
-    accuracies = [(row, accuracies_csv) for row in read_accuracies_csv(accuracies_csv)]
-    matrix = _of_file(accuracies_csv, build_matrix, manifest, _unique_rows(scores),
-                      _unique_rows(accuracies))
-    # A converged model whose logs were lost after the manifest was written
-    # has no accuracies, and would leave every pool one model short.
-    domains = sorted({domain for _, domain in matrix.accuracies})
-    for model in matrix.models:
-        for domain in domains:
-            if (model.model_id, domain) not in matrix.accuracies:
-                raise SchemaError(f"model {model.model_id!r} has no accuracy on test "
-                                  f"domain {domain!r}, where other models have one",
-                                  accuracies_csv)
+    scores = [(path, read_scores_csv(path)) for path in score_csvs]
+    accuracies = (accuracies_csv, read_accuracies_csv(accuracies_csv))
+    matrix = build_matrix(manifest, scores, accuracies)
     report = build_report(matrix, tau_variant=tau_variant)
     payload = {"meta": {"tool_version": __version__}, **report}
     atomic_write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -29,17 +29,10 @@ class SkipPair(DegenerateSampleError):
 
 
 @dataclass(frozen=True)
-class DomainInfo:
-    domain_id: str
-    is_training: bool
-
-
-@dataclass(frozen=True)
 class EvaluationMatrix:
     measures: dict[MeasureKey, float]
     accuracies: dict[AccuracyKey, float]
     models: tuple[ModelRecord, ...]
-    domains: tuple[DomainInfo, ...]
 
     def __post_init__(self):
         ids = [m.model_id for m in self.models]
@@ -47,19 +40,10 @@ class EvaluationMatrix:
             raise SchemaError("duplicate model_id in evaluation matrix")
         if any(not m.converged for m in self.models):
             raise SchemaError("unconverged models must be excluded from the matrix")
-        domain_ids = {d.domain_id for d in self.domains}
-        for m in self.models:
-            if m.train_domain not in domain_ids:
-                raise SchemaError(
-                    f"model {m.model_id!r}: train_domain {m.train_domain!r} "
-                    "not in domain list"
-                )
         known = set(ids)
         for model_id, domain, measure in self.measures:
             if model_id not in known:
                 raise SchemaError(f"measure for unknown model {model_id!r}")
-            if domain not in domain_ids:
-                raise SchemaError(f"measure for unknown domain {domain!r}")
             if (model_id, domain) not in self.accuracies:
                 raise SchemaError(
                     f"missing accuracy for ({model_id!r}, {domain!r}) "
@@ -68,11 +52,14 @@ class EvaluationMatrix:
 
     @property
     def training_domains(self) -> list[str]:
-        return [d.domain_id for d in self.domains if d.is_training]
+        """The models' training domains, sorted."""
+        return sorted({m.train_domain for m in self.models})
 
     @property
     def all_domains(self) -> list[str]:
-        return [d.domain_id for d in self.domains]
+        """The training domains and every domain with an accuracy, sorted."""
+        return sorted({m.train_domain for m in self.models}
+                      | {domain for _, domain in self.accuracies})
 
     @property
     def archs(self) -> list[str]:

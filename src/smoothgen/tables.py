@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from .errors import SchemaError
+from .errors import SchemaError, SmoothgenError
 from .ingest import ModelRecord, atomic_write_text
-from .protocol import DomainInfo, EvaluationMatrix
+from .protocol import EvaluationMatrix
 
 SCORE_COLUMNS = ("model_id", "train_domain", "test_domain", "measure", "value")
 ACCURACY_COLUMNS = ("model_id", "test_domain", "accuracy")
@@ -156,42 +156,64 @@ def read_accuracies_csv(path) -> list[AccuracyRow]:
     ]
 
 
-def build_matrix(
-    manifest: Sequence[ModelRecord],
-    scores: Sequence[ScoreRow],
-    accuracies: Sequence[AccuracyRow],
-) -> EvaluationMatrix:
-    """Join CSV rows into an evaluation matrix over converged models only."""
+def unique_rows(pairs):
+    """One row per key from (row, source) pairs, the first of each: an
+    accuracy row's key is its model and test domain, a score row's also its
+    measure. Rows of one key must hold equal values."""
+    uniq = {}
+    for row, source in pairs:
+        if isinstance(row, AccuracyRow):
+            name, value = "accuracy", row.accuracy
+        else:
+            name, value = f"measure {row.measure!r}", row.value
+        _, first_value, first_source = uniq.setdefault(
+            (name, row.model_id, row.test_domain), (row, value, source))
+        if first_value != value:
+            raise SmoothgenError(
+                f"{name} of model {row.model_id!r} on {row.test_domain!r} differs: "
+                f"{first_value!r} in {first_source}, {value!r} in {source}"
+            )
+    return [row for row, _, _ in uniq.values()]
+
+
+def build_matrix(manifest: Sequence[ModelRecord], scores: Sequence[tuple],
+                 accuracies: tuple) -> EvaluationMatrix:
+    """Join the rows of scores CSVs and an accuracies CSV, each given as
+    (path, rows), into an evaluation matrix over the converged models. The
+    rules, in the order they apply; each error names its file:
+
+    1. a scores row has its model's train_domain in the manifest;
+    2. rows of one key hold one value, in the scores, then the accuracies;
+    3. a scored pair has an accuracy;
+    4. a converged model has an accuracy on every test domain that another
+       converged model has one on.
+    """
+    train_domains = {m.model_id: m.train_domain for m in manifest}
+    for path, rows in scores:
+        for r in rows:
+            # A model the manifest lacks stays out of the join, unchecked.
+            expected = train_domains.get(r.model_id, r.train_domain)
+            if r.train_domain != expected:
+                raise SchemaError(f"model {r.model_id!r} has train_domain {r.train_domain!r}, "
+                                  f"but the manifest says {expected!r}", path)
+    acc_path, acc_rows = accuracies
+    score_rows = unique_rows([(r, path) for path, rows in scores for r in rows])
+    acc_rows = unique_rows([(r, acc_path) for r in acc_rows])
     converged = [m for m in manifest if m.converged]
-    known = {m.model_id for m in converged}
-    train_domains = {m.train_domain for m in converged}
-    measures = {}
-    for r in scores:
-        if r.model_id not in known:
-            continue  # unconverged or foreign model: excluded from pools
-        measures[(r.model_id, r.test_domain, r.measure)] = r.value
-    acc = {
-        (r.model_id, r.test_domain): r.accuracy
-        for r in accuracies
-        if r.model_id in known
-    }
-    missing = sorted(
-        {(mid, dom) for (mid, dom, _) in measures} - set(acc)
-    )
+    known = {m.model_id for m in converged}  # unconverged and foreign rows stay out
+    measures = {(r.model_id, r.test_domain, r.measure): r.value
+                for r in score_rows if r.model_id in known}
+    acc = {(r.model_id, r.test_domain): r.accuracy for r in acc_rows if r.model_id in known}
+    missing = sorted({(mid, dom) for (mid, dom, _) in measures} - set(acc))
     if missing:
-        raise SchemaError(
-            "missing accuracies for scored pairs: "
-            + ", ".join(f"{m}/{d}" for m, d in missing)
-        )
-    domain_ids = sorted(
-        train_domains | {d for (_, d) in acc} | {d for (_, d, _) in measures}
-    )
-    domains = tuple(
-        DomainInfo(domain_id=d, is_training=d in train_domains) for d in domain_ids
-    )
-    return EvaluationMatrix(
-        measures=measures,
-        accuracies=acc,
-        models=tuple(converged),
-        domains=domains,
-    )
+        raise SchemaError("missing accuracies for scored pairs: "
+                          + ", ".join(f"{m}/{d}" for m, d in missing), acc_path)
+    # A converged model whose logs were lost after the manifest was written
+    # has no accuracies, and would leave every pool one model short.
+    domains = sorted({domain for _, domain in acc})
+    for model in converged:
+        for domain in domains:
+            if (model.model_id, domain) not in acc:
+                raise SchemaError(f"model {model.model_id!r} has no accuracy on test domain "
+                                  f"{domain!r}, where other models have one", acc_path)
+    return EvaluationMatrix(measures=measures, accuracies=acc, models=tuple(converged))

@@ -197,8 +197,7 @@ def test_06_protocol_on_constructed_matrices():
         for key, value in jittered.measures.items()
     }
     refit = fit_transfer_model(
-        EvaluationMatrix(tampered, jittered.accuracies, jittered.models,
-                         jittered.domains),
+        EvaluationMatrix(tampered, jittered.accuracies, jittered.models),
         MEASURE, "d0", "d1")
     exclusion_ok = fit.a == refit.a and fit.b == refit.b
 

@@ -470,6 +470,30 @@ class TestEvaluateCommand:
             f"'rot000', where other models have one\n")
         assert not report.exists()
 
+    def test_tables_are_read_and_joined_through_the_cli_namespace(self, pool, tmp_path,
+                                                                  monkeypatch):
+        """The benchmark's tracer times the reads and the join by wrapping
+        these three names in ``smoothgen.cli``: each CSV is read once by one
+        call, and the join is one call."""
+        import smoothgen.cli as cli
+
+        out_dir, _ = pool
+        scores, accs = tmp_path / "scores.csv", tmp_path / "acc.csv"
+        cmd_score([str(out_dir / "predictions")], out_dir / "manifest.jsonl", scores,
+                  variant="majority", acc_out=accs)
+        other = tmp_path / "entropy.csv"
+        cmd_score([str(out_dir / "predictions")], out_dir / "manifest.jsonl", other,
+                  variant="entropy")
+        calls = {}
+        for name in ("read_scores_csv", "read_accuracies_csv", "build_matrix"):
+            def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        cmd_evaluate([scores, other], accs, out_dir / "manifest.jsonl",
+                     tmp_path / "report.json")
+        assert calls == {"read_scores_csv": 2, "read_accuracies_csv": 1, "build_matrix": 1}
+
     def test_report_pretty_printer(self, pool, tmp_path):
         out_dir, _ = pool
         scores = tmp_path / "scores.csv"

@@ -8,7 +8,6 @@ from smoothgen.errors import DegenerateSampleError, SchemaError
 from smoothgen.ingest import ModelRecord
 from smoothgen.protocol import (
     AggregateResult,
-    DomainInfo,
     EvaluationMatrix,
     SkipPair,
     arch_tau,
@@ -45,8 +44,7 @@ def linear_matrix(a=0.4, b=0.5, n_domains=4, per_domain=5, arch="mlp",
                     acc = float(np.clip(acc + rng.normal(0, jitter), 0, 1))
                 measures[(mid, od, MEASURE)] = mu
                 accuracies[(mid, od)] = acc
-    domains = tuple(DomainInfo(d, True) for d in domain_ids)
-    return EvaluationMatrix(measures, accuracies, tuple(models), domains)
+    return EvaluationMatrix(measures, accuracies, tuple(models))
 
 
 def null_matrix(seed=0, per_domain=40):
@@ -61,8 +59,7 @@ def null_matrix(seed=0, per_domain=40):
             for od in domain_ids:
                 measures[(mid, od, MEASURE)] = float(rng.uniform(0, 1))
                 accuracies[(mid, od)] = float(rng.uniform(0, 1))
-    domains = tuple(DomainInfo(d, True) for d in domain_ids)
-    return EvaluationMatrix(measures, accuracies, tuple(models), domains)
+    return EvaluationMatrix(measures, accuracies, tuple(models))
 
 
 
@@ -79,30 +76,22 @@ def two_arch_matrix():
         measures[(mid + "x", dom, meas)] = v
     for (mid, dom), v in m2.accuracies.items():
         accuracies[(mid + "x", dom)] = v
-    return EvaluationMatrix(measures, accuracies, models, m1.domains)
+    return EvaluationMatrix(measures, accuracies, models)
 
 class TestMatrixValidation:
     def test_unconverged_models_rejected(self):
         with pytest.raises(SchemaError, match="unconverged"):
-            EvaluationMatrix(
-                {}, {}, (ModelRecord("m", "mlp", "d0", {}, False),),
-                (DomainInfo("d0", True),))
+            EvaluationMatrix({}, {}, (ModelRecord("m", "mlp", "d0", {}, False),))
 
     def test_duplicate_model_rejected(self):
         rec = ModelRecord("m", "mlp", "d0", {}, True)
         with pytest.raises(SchemaError, match="duplicate"):
-            EvaluationMatrix({}, {}, (rec, rec), (DomainInfo("d0", True),))
+            EvaluationMatrix({}, {}, (rec, rec))
 
     def test_measure_requires_accuracy(self):
         rec = ModelRecord("m", "mlp", "d0", {}, True)
         with pytest.raises(SchemaError, match="missing accuracy"):
-            EvaluationMatrix(
-                {("m", "d0", MEASURE): 0.5}, {}, (rec,), (DomainInfo("d0", True),))
-
-    def test_unknown_train_domain_rejected(self):
-        rec = ModelRecord("m", "mlp", "dX", {}, True)
-        with pytest.raises(SchemaError, match="train_domain"):
-            EvaluationMatrix({}, {}, (rec,), (DomainInfo("d0", True),))
+            EvaluationMatrix({("m", "d0", MEASURE): 0.5}, {}, (rec,))
 
 
 class TestTransferFit:
@@ -121,7 +110,7 @@ class TestTransferFit:
             if mid.startswith(("d0-", "d1-")):
                 tampered[(mid, dom, meas)] = 123.456
         matrix2 = EvaluationMatrix(
-            tampered, matrix.accuracies, matrix.models, matrix.domains)
+            tampered, matrix.accuracies, matrix.models)
         fit2 = fit_transfer_model(matrix2, MEASURE, "d0", "d1")
         assert fit.a == fit2.a and fit.b == fit2.b
 
@@ -179,7 +168,7 @@ class TestAggregates:
         matrix = linear_matrix()
         tied = {k: 0.5 for k in matrix.measures}
         matrix2 = EvaluationMatrix(
-            tied, matrix.accuracies, matrix.models, matrix.domains)
+            tied, matrix.accuracies, matrix.models)
         res = micro_tau(matrix2, MEASURE)
         assert res.value is None
         assert res.breakdown == []
@@ -193,8 +182,7 @@ class TestAggregates:
         # holds one of them.
         measures[("d0-m0", "d0", MEASURE)] = math.nan
         measures[("d0-m0", "d1", MEASURE)] = math.nan
-        matrix = EvaluationMatrix(measures, matrix.accuracies, matrix.models,
-                                  matrix.domains)
+        matrix = EvaluationMatrix(measures, matrix.accuracies, matrix.models)
         with pytest.raises(ValueError, match="non-finite"):
             aggregate(matrix, MEASURE)
 
@@ -214,7 +202,7 @@ class TestDirectMeasures:
             for (mid, dom, _) in matrix.measures
         }
         matrix2 = EvaluationMatrix(
-            direct, matrix.accuracies, matrix.models, matrix.domains)
+            direct, matrix.accuracies, matrix.models)
         r2_res, mae_res = evaluate_r2_mae(matrix2, "atc_mc")
         assert r2_res.value == pytest.approx(1.0)
         assert mae_res.value == pytest.approx(0.0, abs=1e-9)
@@ -226,7 +214,7 @@ class TestDirectMeasures:
             for (mid, dom, _) in matrix.measures
         }
         matrix2 = EvaluationMatrix(
-            direct, matrix.accuracies, matrix.models, matrix.domains)
+            direct, matrix.accuracies, matrix.models)
         _, mae_res = evaluate_r2_mae(matrix2, "atc_mc")
         # MAE is reported in percentage points
         assert mae_res.value == pytest.approx(5.0, abs=1e-9)
@@ -256,7 +244,7 @@ def sparse_matrix(seed=3):
     model, some models have fewer than two OOD cells and some groups tie."""
     rng = np.random.default_rng(seed)
     training = ["d0", "d1", "d2"]
-    domains = tuple(DomainInfo(d, True) for d in training) + (DomainInfo("far", False),)
+    domains = training + ["far"]
     sizes = {"d0": 4, "d1": 3, "d2": 1}
     models, measures, accuracies = [], {}, {}
     for dom in training:
@@ -264,14 +252,14 @@ def sparse_matrix(seed=3):
             mid = f"{dom}-m{j}"
             models.append(ModelRecord(mid, ("mlp", "cnn")[j % 2], dom, {}, True))
             for d in domains:
-                if rng.uniform() < 0.35 or (dom, d.domain_id) == ("d2", "far"):
+                if rng.uniform() < 0.35 or (dom, d) == ("d2", "far"):
                     continue  # pair (d2, far) has no scored model
-                accuracies[(mid, d.domain_id)] = float(rng.choice([0.5, 0.6, 0.7, 0.9]))
+                accuracies[(mid, d)] = float(rng.choice([0.5, 0.6, 0.7, 0.9]))
                 for measure in (MEASURE, "atc_mc"):
                     if rng.uniform() < 0.85:
                         value = float(rng.choice([0.2, 0.4, 0.6, 0.8]))
-                        measures[(mid, d.domain_id, measure)] = value
-    return EvaluationMatrix(measures, accuracies, tuple(models), domains)
+                        measures[(mid, d, measure)] = value
+    return EvaluationMatrix(measures, accuracies, tuple(models))
 
 
 def ref_scored_models(matrix, measure, domain, train_domains=None, archs=None):
@@ -485,7 +473,7 @@ def ref_report(matrix, tau_variant="b"):
 def tied_matrix():
     matrix = linear_matrix()
     return EvaluationMatrix({k: 0.5 for k in matrix.measures}, matrix.accuracies,
-                            matrix.models, matrix.domains)
+                            matrix.models)
 
 
 class TestEngineOracle:
@@ -503,7 +491,8 @@ class TestEngineOracle:
 
     def test_sparse_matrix_reaches_every_skip(self):
         matrix = sparse_matrix()
-        assert not all(d.is_training for d in matrix.domains)
+        assert matrix.all_domains == ["d0", "d1", "d2", "far"]
+        assert matrix.training_domains == ["d0", "d1", "d2"]
         assert len(matrix.archs) == 2
         entry = ref_report(matrix)["measures"][MEASURE]
         listed = {(i, o) for i, o, _ in entry["skipped"]["r2_mae"]}

@@ -121,31 +121,36 @@ class TestCsvRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+def join(scores, accuracies):
+    return build_matrix(MANIFEST, [("scores.csv", scores)], ("acc.csv", accuracies))
+
+
 class TestBuildMatrix:
     def test_join(self):
-        matrix = build_matrix(MANIFEST, SCORES, ACCURACIES)
+        matrix = join(SCORES, ACCURACIES)
         assert {m.model_id for m in matrix.models} == {"d0-m0", "d0-m1", "d1-m0"}
         assert ("d1-m1", "d1", "ms_x") not in matrix.measures
         assert matrix.measures[("d0-m0", "d1", "ms_x")] == 0.25
         assert matrix.accuracies[("d0-m1", "d1")] == 0.8
 
     def test_domain_flags(self):
-        matrix = build_matrix(MANIFEST, SCORES, ACCURACIES)
-        flags = {d.domain_id: d.is_training for d in matrix.domains}
-        assert flags == {"d0": True, "d1": True}
+        matrix = join(SCORES, ACCURACIES)
+        assert matrix.training_domains == ["d0", "d1"]
+        assert matrix.all_domains == ["d0", "d1"]
 
     def test_test_only_domain_not_marked_training(self):
         scores = SCORES + [ScoreRow("d0-m0", "d0", "far", "ms_x", 0.1)]
-        accs = ACCURACIES + [AccuracyRow("d0-m0", "far", 0.2)]
-        matrix = build_matrix(MANIFEST, scores, accs)
-        flags = {d.domain_id: d.is_training for d in matrix.domains}
-        assert flags["far"] is False
+        accs = ACCURACIES + [AccuracyRow(model_id, "far", 0.2)
+                             for model_id in ("d0-m0", "d0-m1", "d1-m0")]
+        matrix = join(scores, accs)
+        assert "far" in matrix.all_domains
+        assert "far" not in matrix.training_domains
 
     def test_missing_accuracy_lists_offenders(self):
         with pytest.raises(SchemaError, match="d0-m1/d1"):
-            build_matrix(MANIFEST, SCORES, ACCURACIES[:1])
+            join(SCORES, ACCURACIES[:1])
 
     def test_foreign_model_scores_ignored(self):
         scores = SCORES + [ScoreRow("ghost", "d9", "d1", "ms_x", 0.4)]
-        matrix = build_matrix(MANIFEST, scores, ACCURACIES)
+        matrix = join(scores, ACCURACIES)
         assert all(mid != "ghost" for mid, _, _ in matrix.measures)
