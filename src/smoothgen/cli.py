@@ -41,6 +41,7 @@ from .tables import (
     AccuracyRow,
     ScoreRow,
     build_matrix,
+    first_missing,
     read_accuracies_csv,
     read_scores_csv,
     read_text,
@@ -96,6 +97,8 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
         if rec is None:
             continue
         tag = log.meta.get("neighborhood", "default")
+        if not isinstance(tag, str):
+            raise SchemaError("meta field 'neighborhood' must be a string", path, 1)
         logged.setdefault(log.model_id, set()).add((log.test_domain, tag))
         for var in CLI_VARIANTS[variant]:
             prefix = "ms" if var == "majority" else "mse"
@@ -116,13 +119,12 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     # A converged model that lost some of its logs after the manifest was
     # written would score on fewer pairs than the others; one that lost all
     # of them has no accuracies, which evaluate catches.
-    pairs = set().union(*logged.values())
-    for model_id, have in sorted(logged.items()):
-        if have != pairs:
-            domain, tag = min(pairs - have)
-            raise SmoothgenError(f"model {model_id!r} has no prediction log of test domain "
-                                 f"{domain!r} with neighborhood {tag!r}, where other "
-                                 f"models have one")
+    lost = first_missing(logged)
+    if lost is not None:
+        model_id, (domain, tag) = lost
+        raise SmoothgenError(f"model {model_id!r} has no prediction log of test domain "
+                             f"{domain!r} with neighborhood {tag!r}, where other "
+                             f"models have one")
     write_scores_csv(score_rows, out)
     if acc_out is not None:
         # one accuracy per (model, domain) regardless of neighborhood count
@@ -148,6 +150,18 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
             validation[log.model_id] = log, path
         else:
             tests.append((log, rec, path))
+    # A converged model that lost some or all of its score logs after the
+    # manifest was written would be left out of pools. Each model's
+    # validation log is of its own training domain, and the threshold fit
+    # requires it of a model with test logs.
+    logged = {model_id: set() for model_id, rec in models.items() if rec.converged}
+    for log, _, _ in tests:
+        logged[log.model_id].add((log.split, log.domain))
+    lost = first_missing(logged)
+    if lost is not None:
+        model_id, (split, domain) = lost
+        raise SmoothgenError(f"model {model_id!r} has no score log of split {split!r} on "
+                             f"domain {domain!r}, where other models have one")
     rows, thresholds = [], {}
     for log, rec, path in tests:
         if log.model_id not in thresholds:
@@ -164,14 +178,13 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
                              _of_file(path, atc_predict, log, threshold))
                     for name, threshold in thresholds[log.model_id])
     if weight_inputs:
-        domains_by_model = {}
-        for log, _, _ in tests:
-            domains_by_model.setdefault(log.model_id, []).append(log.domain)
+        dumped = {model_id: set() for model_id in logged}
         for path in _expand_inputs(weight_inputs, pattern="*.bin"):
             dump = read_weight_dump(path)
             rec = _converged(models, dump.model_id, path)
             if rec is None:
                 continue
+            dumped[dump.model_id].add("weight dump")
             norms = norm_measures(dump)
             for name, value in (
                 ("norm_spectral", norms.spectral),
@@ -183,16 +196,12 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
                     print(f"warning: model {dump.model_id!r}: {name} is {value!r}, "
                           f"not finite; its rows are left out", file=sys.stderr)
                     continue
-                for domain in domains_by_model.get(dump.model_id, []):
-                    rows.append(
-                        ScoreRow(
-                            model_id=dump.model_id,
-                            train_domain=rec.train_domain,
-                            test_domain=domain,
-                            measure=name,
-                            value=value,
-                        )
-                    )
+                rows.extend(ScoreRow(dump.model_id, rec.train_domain, domain, name, value)
+                            for _, domain in logged[dump.model_id])
+        lost = first_missing(dumped)
+        if lost is not None:
+            raise SmoothgenError(f"model {lost[0]!r} has no weight dump, where other "
+                                 f"models have one")
     write_scores_csv(rows, out)
     return len(rows)
 

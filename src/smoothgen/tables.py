@@ -156,6 +156,17 @@ def read_accuracies_csv(path) -> list[AccuracyRow]:
     ]
 
 
+def first_missing(have: dict):
+    """(model id, key) of the first model, by id, that lacks a key another
+    model has, with its first missing key, or None; ``have`` maps each model
+    id to its set of keys."""
+    every = set().union(*have.values())
+    for model_id in sorted(have):
+        if have[model_id] != every:
+            return model_id, min(every - have[model_id])
+    return None
+
+
 def unique_rows(pairs):
     """One row per key from (row, source) pairs, the first of each: an
     accuracy row's key is its model and test domain, a score row's also its
@@ -210,10 +221,11 @@ def build_matrix(manifest: Sequence[ModelRecord], scores: Sequence[tuple],
                           + ", ".join(f"{m}/{d}" for m, d in missing), acc_path)
     # A converged model whose logs were lost after the manifest was written
     # has no accuracies, and would leave every pool one model short.
-    domains = sorted({domain for _, domain in acc})
-    for model in converged:
-        for domain in domains:
-            if (model.model_id, domain) not in acc:
-                raise SchemaError(f"model {model.model_id!r} has no accuracy on test domain "
-                                  f"{domain!r}, where other models have one", acc_path)
+    have = {model_id: set() for model_id in known}
+    for model_id, domain in acc:
+        have[model_id].add(domain)
+    lost = first_missing(have)
+    if lost is not None:
+        raise SchemaError(f"model {lost[0]!r} has no accuracy on test domain {lost[1]!r}, "
+                          f"where other models have one", acc_path)
     return EvaluationMatrix(measures=measures, accuracies=acc, models=tuple(converged))

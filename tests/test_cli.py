@@ -165,6 +165,25 @@ class TestScoreCommand:
             f"with neighborhood {isotropic!r}, where other models have one\n")
         assert not scores.exists()
 
+    @pytest.mark.parametrize("tag", [["manifold"], 5], ids=["list", "number"])
+    def test_neighborhood_tag_that_is_not_a_string_names_the_log(self, pool, tmp_path,
+                                                                 capsys, tag):
+        out_dir, _ = pool
+        logs = tmp_path / "predictions"
+        shutil.copytree(out_dir / "predictions", logs)
+        log = sorted(logs.glob("*.jsonl"))[0]
+        header, *rest = log.read_text().splitlines()
+        header = json.loads(header)
+        header["meta"]["neighborhood"] = tag
+        log.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+        scores = tmp_path / "s.csv"
+        rc = main(["score", "--input", str(logs), "--manifest",
+                   str(out_dir / "manifest.jsonl"), "--out", str(scores)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}:1: meta field 'neighborhood' must be a string\n")
+        assert not scores.exists()
+
     def test_log_of_no_examples_names_the_log(self, pool, tmp_path, capsys):
         out_dir, result = pool
         logs = tmp_path / "predictions"
@@ -211,6 +230,33 @@ class TestBaselineCommand:
         assert err.startswith(f"error: {ghost}: model 'ghost' not in manifest")
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("lost, message", [
+        (["scores/rot000-c000__rot060__test.jsonl", "weights/rot000-c000.bin"],
+         "no score log of split 'test' on domain 'rot060'"),
+        (["scores/rot000-c000__*.jsonl", "weights/rot000-c000.bin"],
+         "no score log of split 'test' on domain 'rot000'"),
+        (["weights/rot000-c000.bin"], "no weight dump"),
+    ], ids=["one_test_log_and_weights", "every_score_log_and_weights", "weights"])
+    def test_a_model_that_lost_artifacts_exits_nonzero(self, pool, tmp_path, capsys, lost,
+                                                       message):
+        out_dir, result = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        assert next(r for r in result.manifest if r.model_id == "rot000-c000").converged
+        for pattern in lost:
+            gone = sorted(artifacts.glob(pattern))
+            assert gone
+            for path in gone:
+                path.unlink()
+        out = tmp_path / "baselines.csv"
+        rc = main(["baseline", "--scores", str(artifacts / "scores"), "--weights",
+                   str(artifacts / "weights"), "--manifest", str(artifacts / "manifest.jsonl"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: model 'rot000-c000' has {message}, where other models have one\n")
+        assert not out.exists()
 
     @staticmethod
     def validation_log(result, scores):

@@ -7,6 +7,7 @@ from smoothgen.tables import (
     AccuracyRow,
     ScoreRow,
     build_matrix,
+    first_missing,
     read_accuracies_csv,
     read_scores_csv,
     write_accuracies_csv,
@@ -154,3 +155,14 @@ class TestBuildMatrix:
         scores = SCORES + [ScoreRow("ghost", "d9", "d1", "ms_x", 0.4)]
         matrix = join(scores, ACCURACIES)
         assert all(mid != "ghost" for mid, _, _ in matrix.measures)
+
+
+class TestFirstMissing:
+    def test_first_model_by_id_with_its_first_missing_key(self):
+        have = {"m2": {"a"}, "m1": {"b", "c"}, "m0": {"a", "b", "c"}}
+        assert first_missing(have) == ("m1", "a")
+
+    def test_none_when_every_model_has_every_key(self):
+        assert first_missing({"m0": {"a"}, "m1": {"a"}}) is None
+        assert first_missing({"m0": set(), "m1": set()}) is None
+        assert first_missing({}) is None
