@@ -97,8 +97,6 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
         if rec is None:
             continue
         tag = log.meta.get("neighborhood", "default")
-        if not isinstance(tag, str):
-            raise SchemaError("meta field 'neighborhood' must be a string", path, 1)
         logged.setdefault(log.model_id, set()).add((log.test_domain, tag))
         for var in CLI_VARIANTS[variant]:
             prefix = "ms" if var == "majority" else "mse"

@@ -373,8 +373,12 @@ def _check_header(header, path, head_line, log_type):
 
 def _prediction_header(header, path, head_line):
     """(model_id, test_domain, num_classes, meta) of a prediction log's
-    header: two strings, an integer (not a boolean) and an object."""
+    header: two strings, an integer (not a boolean) and an object, whose
+    ``neighborhood`` tag, when present, is a string."""
     meta = _check_header(header, path, head_line, "prediction_log")
+    if not isinstance(meta.get("neighborhood", ""), str):
+        raise SchemaError("meta field 'neighborhood' must be a string", path=path,
+                          line=head_line)
     return (
         _require(header, "model_id", str, path, head_line),
         _require(header, "test_domain", str, path, head_line),

@@ -165,9 +165,10 @@ class TestScoreCommand:
             f"with neighborhood {isotropic!r}, where other models have one\n")
         assert not scores.exists()
 
-    @pytest.mark.parametrize("tag", [["manifold"], 5], ids=["list", "number"])
-    def test_neighborhood_tag_that_is_not_a_string_names_the_log(self, pool, tmp_path,
-                                                                 capsys, tag):
+    @pytest.mark.parametrize("tag, blank_lines", [(["manifold"], 0), (5, 0), (5, 1)],
+                             ids=["list", "number", "number_after_a_blank_line"])
+    def test_neighborhood_tag_that_is_not_a_string_names_the_log(self, pool, tmp_path, capsys,
+                                                                 tag, blank_lines):
         out_dir, _ = pool
         logs = tmp_path / "predictions"
         shutil.copytree(out_dir / "predictions", logs)
@@ -175,13 +176,13 @@ class TestScoreCommand:
         header, *rest = log.read_text().splitlines()
         header = json.loads(header)
         header["meta"]["neighborhood"] = tag
-        log.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+        log.write_text("\n" * blank_lines + "\n".join([json.dumps(header), *rest]) + "\n")
         scores = tmp_path / "s.csv"
         rc = main(["score", "--input", str(logs), "--manifest",
                    str(out_dir / "manifest.jsonl"), "--out", str(scores)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: {log}:1: meta field 'neighborhood' must be a string\n")
+            f"error: {log}:{1 + blank_lines}: meta field 'neighborhood' must be a string\n")
         assert not scores.exists()
 
     def test_log_of_no_examples_names_the_log(self, pool, tmp_path, capsys):
