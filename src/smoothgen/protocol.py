@@ -10,6 +10,7 @@ statistic is undefined are skipped, recorded, and excluded from averages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DegenerateSampleError, SchemaError
@@ -50,16 +51,16 @@ class EvaluationMatrix:
                     f"required by measure {measure!r}"
                 )
 
-    @property
+    # Derived once per matrix: the report reads them for every group and fit.
+    @cached_property
     def training_domains(self) -> list[str]:
         """The models' training domains, sorted."""
         return sorted({m.train_domain for m in self.models})
 
-    @property
+    @cached_property
     def all_domains(self) -> list[str]:
         """The training domains and every domain with an accuracy, sorted."""
-        return sorted({m.train_domain for m in self.models}
-                      | {domain for _, domain in self.accuracies})
+        return sorted({*self.training_domains, *(domain for _, domain in self.accuracies)})
 
     @property
     def archs(self) -> list[str]:
