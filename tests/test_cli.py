@@ -227,8 +227,7 @@ class TestBaselineCommand:
         rc = main(["baseline", "--scores", str(out_dir / "scores"), "--weights", str(weights),
                    "--manifest", str(out_dir / "manifest.jsonl"), "--out", str(out)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {ghost}: model 'ghost' not in manifest")
+        assert capsys.readouterr().err == f"error: {ghost}: model 'ghost' not in manifest\n"
         assert not out.exists()
 
 
@@ -311,6 +310,53 @@ class TestBaselineCommand:
         assert capsys.readouterr().err == (
             f"error: {log}: entry {entry['example_id']!r}: missing true_label\n")
         assert not out.exists()
+
+
+class TestPoolReader:
+    """What ``score`` and ``baseline`` share in reading a pool's artifacts."""
+
+    @pytest.mark.parametrize("kind", ["predictions", "scores"])
+    def test_log_of_a_model_not_in_the_manifest_exits_nonzero(self, pool, tmp_path, capsys,
+                                                              kind):
+        out_dir, _ = pool
+        logs = tmp_path / kind
+        shutil.copytree(out_dir / kind, logs)
+        source = sorted(logs.glob("*.jsonl"))[0]
+        header, *rest = source.read_text().splitlines()
+        header = json.loads(header)
+        header["model_id"] = "ghost"
+        ghost = logs / ("ghost__" + source.name.split("__", 1)[1])
+        ghost.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+        command = ["score", "--input"] if kind == "predictions" else ["baseline", "--scores"]
+        out = tmp_path / "out.csv"
+        rc = main([*command, str(logs), "--manifest", str(out_dir / "manifest.jsonl"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {ghost}: model 'ghost' not in manifest\n"
+        assert not out.exists()
+
+    def test_artifacts_are_read_through_the_cli_namespace(self, pool, tmp_path, monkeypatch):
+        """The benchmark's tracer counts parses by wrapping these three names
+        in ``smoothgen.cli``: each file is read once, by one call."""
+        import smoothgen.cli as cli
+
+        out_dir, _ = pool
+        calls = {}
+        for name in ("parse_prediction_log", "parse_score_log", "read_weight_dump"):
+            def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        manifest = out_dir / "manifest.jsonl"
+        cmd_score([str(out_dir / "predictions")], manifest, tmp_path / "s.csv",
+                  acc_out=tmp_path / "a.csv")
+        cmd_baseline([str(out_dir / "scores")], [str(out_dir / "weights")], manifest,
+                     tmp_path / "b.csv")
+        assert calls == {
+            "parse_prediction_log": len(list((out_dir / "predictions").glob("*.jsonl"))),
+            "parse_score_log": len(list((out_dir / "scores").glob("*.jsonl"))),
+            "read_weight_dump": len(list((out_dir / "weights").glob("*.bin"))),
+        }
 
 
 def _ood_score_row(lines):
