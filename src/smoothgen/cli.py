@@ -41,10 +41,10 @@ from .tables import (
     AccuracyRow,
     ScoreRow,
     build_matrix,
-    first_missing,
     read_accuracies_csv,
     read_scores_csv,
     read_text,
+    require_complete,
     unique_rows,
     write_accuracies_csv,
     write_csv,
@@ -56,26 +56,24 @@ from .tables import (
 CLI_VARIANTS = {"majority": ("majority",), "entropy": ("neg_entropy",), "both": VARIANTS}
 
 
-def _expand_inputs(paths, pattern="*.jsonl"):
-    files = []
-    for p in paths:
-        if os.path.isdir(p):
-            files.extend(sorted(glob.glob(os.path.join(p, pattern))))
-        else:
-            files.append(p)
+def _converged_artifacts(paths, read, models, pattern="*.jsonl"):
+    """(artifact, manifest record, path) of each file of ``paths``, a
+    directory giving its files that match ``pattern``, whose artifact,
+    ``read(path)``, is of a converged model; an artifact of a model the
+    manifest lacks raises a SmoothgenError naming the file. ``models`` maps
+    ids to records. Each command passes its reader from its own body, so the
+    benchmark's tracer sees every read through this module's names."""
+    files = [f for p in paths
+             for f in (sorted(glob.glob(os.path.join(p, pattern))) if os.path.isdir(p) else [p])]
     if not files:
         raise SmoothgenError(f"no input files found in {paths!r}")
-    return files
-
-
-def _converged(models, model_id, path):
-    """The manifest record of the model whose artifact is file ``path`` if it
-    converged, None if it did not; a model the manifest lacks raises a
-    SmoothgenError naming the file. ``models`` maps ids to records."""
-    rec = models.get(model_id)
-    if rec is None:
-        raise SmoothgenError(f"{path}: model {model_id!r} not in manifest")
-    return rec if rec.converged else None
+    for path in files:
+        artifact = read(path)
+        rec = models.get(artifact.model_id)
+        if rec is None:
+            raise SmoothgenError(f"{path}: model {artifact.model_id!r} not in manifest")
+        if rec.converged:
+            yield artifact, rec, path
 
 
 def _of_file(path, fn, *args):
@@ -91,11 +89,7 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     """Smoothness measure CSV (and optionally accuracies) from prediction logs."""
     models = {m.model_id: m for m in parse_manifest(manifest_path)}
     score_rows, acc_rows, logged = [], [], {}
-    for path in _expand_inputs(inputs):
-        log = parse_prediction_log(path)
-        rec = _converged(models, log.model_id, path)
-        if rec is None:
-            continue
+    for log, rec, path in _converged_artifacts(inputs, parse_prediction_log, models):
         tag = log.meta.get("neighborhood", "default")
         logged.setdefault(log.model_id, set()).add((log.test_domain, tag))
         for var in CLI_VARIANTS[variant]:
@@ -117,12 +111,8 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     # A converged model that lost some of its logs after the manifest was
     # written would score on fewer pairs than the others; one that lost all
     # of them has no accuracies, which evaluate catches.
-    lost = first_missing(logged)
-    if lost is not None:
-        model_id, (domain, tag) = lost
-        raise SmoothgenError(f"model {model_id!r} has no prediction log of test domain "
-                             f"{domain!r} with neighborhood {tag!r}, where other "
-                             f"models have one")
+    require_complete(logged, lambda key: f"no prediction log of test domain {key[0]!r} "
+                                         f"with neighborhood {key[1]!r}")
     write_scores_csv(score_rows, out)
     if acc_out is not None:
         # one accuracy per (model, domain) regardless of neighborhood count
@@ -134,11 +124,7 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
     """ATC accuracy predictions and weight-norm measures as a scores CSV."""
     models = {m.model_id: m for m in parse_manifest(manifest_path)}
     validation, tests = {}, []
-    for path in _expand_inputs(score_inputs):
-        log = parse_score_log(path)
-        rec = _converged(models, log.model_id, path)
-        if rec is None:
-            continue
+    for log, rec, path in _converged_artifacts(score_inputs, parse_score_log, models):
         if log.split == "validation":
             if log.model_id in validation:
                 raise SmoothgenError(
@@ -155,11 +141,8 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
     logged = {model_id: set() for model_id, rec in models.items() if rec.converged}
     for log, _, _ in tests:
         logged[log.model_id].add((log.split, log.domain))
-    lost = first_missing(logged)
-    if lost is not None:
-        model_id, (split, domain) = lost
-        raise SmoothgenError(f"model {model_id!r} has no score log of split {split!r} on "
-                             f"domain {domain!r}, where other models have one")
+    require_complete(logged, lambda key: f"no score log of split {key[0]!r} on domain "
+                                         f"{key[1]!r}")
     rows, thresholds = [], {}
     for log, rec, path in tests:
         if log.model_id not in thresholds:
@@ -177,11 +160,8 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
                     for name, threshold in thresholds[log.model_id])
     if weight_inputs:
         dumped = {model_id: set() for model_id in logged}
-        for path in _expand_inputs(weight_inputs, pattern="*.bin"):
-            dump = read_weight_dump(path)
-            rec = _converged(models, dump.model_id, path)
-            if rec is None:
-                continue
+        for dump, rec, _ in _converged_artifacts(weight_inputs, read_weight_dump, models,
+                                                 pattern="*.bin"):
             dumped[dump.model_id].add("weight dump")
             norms = norm_measures(dump)
             for name, value in (
@@ -196,10 +176,7 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
                     continue
                 rows.extend(ScoreRow(dump.model_id, rec.train_domain, domain, name, value)
                             for _, domain in logged[dump.model_id])
-        lost = first_missing(dumped)
-        if lost is not None:
-            raise SmoothgenError(f"model {lost[0]!r} has no weight dump, where other "
-                                 f"models have one")
+        require_complete(dumped, lambda _: "no weight dump")
     write_scores_csv(rows, out)
     return len(rows)
 

@@ -156,15 +156,16 @@ def read_accuracies_csv(path) -> list[AccuracyRow]:
     ]
 
 
-def first_missing(have: dict):
-    """(model id, key) of the first model, by id, that lacks a key another
-    model has, with its first missing key, or None; ``have`` maps each model
-    id to its set of keys."""
+def require_complete(have: dict, what, path=None) -> None:
+    """Raise a SchemaError, naming file ``path`` if given, for the first
+    model, by id, that lacks a key another model has: the model "has
+    ``what(key)``" of its first missing key. ``have`` maps each model id to
+    its set of keys."""
     every = set().union(*have.values())
     for model_id in sorted(have):
         if have[model_id] != every:
-            return model_id, min(every - have[model_id])
-    return None
+            raise SchemaError(f"model {model_id!r} has {what(min(every - have[model_id]))}, "
+                              f"where other models have one", path)
 
 
 def unique_rows(pairs):
@@ -224,8 +225,5 @@ def build_matrix(manifest: Sequence[ModelRecord], scores: Sequence[tuple],
     have = {model_id: set() for model_id in known}
     for model_id, domain in acc:
         have[model_id].add(domain)
-    lost = first_missing(have)
-    if lost is not None:
-        raise SchemaError(f"model {lost[0]!r} has no accuracy on test domain {lost[1]!r}, "
-                          f"where other models have one", acc_path)
+    require_complete(have, lambda domain: f"no accuracy on test domain {domain!r}", acc_path)
     return EvaluationMatrix(measures=measures, accuracies=acc, models=tuple(converged))

@@ -7,9 +7,9 @@ from smoothgen.tables import (
     AccuracyRow,
     ScoreRow,
     build_matrix,
-    first_missing,
     read_accuracies_csv,
     read_scores_csv,
+    require_complete,
     write_accuracies_csv,
     write_csv,
     write_scores_csv,
@@ -157,12 +157,17 @@ class TestBuildMatrix:
         assert all(mid != "ghost" for mid, _, _ in matrix.measures)
 
 
-class TestFirstMissing:
+class TestRequireComplete:
     def test_first_model_by_id_with_its_first_missing_key(self):
         have = {"m2": {"a"}, "m1": {"b", "c"}, "m0": {"a", "b", "c"}}
-        assert first_missing(have) == ("m1", "a")
+        with pytest.raises(SchemaError) as exc:
+            require_complete(have, lambda key: f"no log {key!r}", "t.csv")
+        assert str(exc.value) == "t.csv: model 'm1' has no log 'a', where other models have one"
+        assert exc.value.path == "t.csv"
+        with pytest.raises(SchemaError) as exc:
+            require_complete(have, lambda key: f"no log {key!r}")
+        assert str(exc.value) == "model 'm1' has no log 'a', where other models have one"
 
-    def test_none_when_every_model_has_every_key(self):
-        assert first_missing({"m0": {"a"}, "m1": {"a"}}) is None
-        assert first_missing({"m0": set(), "m1": set()}) is None
-        assert first_missing({}) is None
+    def test_no_error_when_every_model_has_every_key(self):
+        for have in ({"m0": {"a"}, "m1": {"a"}}, {"m0": set(), "m1": set()}, {}):
+            require_complete(have, repr, "t.csv")
