@@ -126,6 +126,9 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
     validation, tests = {}, []
     for log, rec, path in _converged_artifacts(score_inputs, parse_score_log, models):
         if log.split == "validation":
+            if log.domain != rec.train_domain:
+                raise SchemaError(f"validation score log of domain {log.domain!r}, but model "
+                                  f"{log.model_id!r} trained on {rec.train_domain!r}", path)
             if log.model_id in validation:
                 raise SmoothgenError(
                     f"model {log.model_id!r}: two validation score logs, "
@@ -135,9 +138,8 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
         else:
             tests.append((log, rec, path))
     # A converged model that lost some or all of its score logs after the
-    # manifest was written would be left out of pools. Each model's
-    # validation log is of its own training domain, and the threshold fit
-    # requires it of a model with test logs.
+    # manifest was written would be left out of pools. Validation logs are
+    # left to the threshold fit, which requires one of a model with test logs.
     logged = {model_id: set() for model_id, rec in models.items() if rec.converged}
     for log, _, _ in tests:
         logged[log.model_id].add((log.split, log.domain))
@@ -288,6 +290,9 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
                               f"pool models have none", absent[0])
         logs = {mid: parse_prediction_log(p) for mid, p in paths.items()}
         for mid, log in logs.items():
+            if log.model_id != mid:
+                raise SchemaError(f"ablation log of model {log.model_id!r}, but its file is "
+                                  f"named for {mid!r}", paths[mid])
             if log.test_domain != domain:
                 raise SchemaError(f"ablation log of test domain {log.test_domain!r}, "
                                   f"but the sweep's domain is {domain!r}", paths[mid])

@@ -158,8 +158,10 @@ def ablation_from_dict(obj: dict) -> Optional[AblationSpec]:
 
 
 def load_experiment(path) -> ExperimentConfig:
-    """The experiment in a .json or .toml file; a file that does not parse or
-    does not describe an experiment raises a SchemaError naming it."""
+    """The experiment in a .json or .toml file, or in a run's own record,
+    ``experiment.json``, whose meta must hold the experiment's hash; a file
+    that does not parse or does not describe an experiment raises a
+    SchemaError naming it."""
     path = os.fspath(path)
     try:
         with open(path, "rb") as f:
@@ -169,6 +171,13 @@ def load_experiment(path) -> ExperimentConfig:
                 obj = tomllib.load(f)
             else:
                 obj = json.load(f)
+        if type(obj) is dict and obj.keys() == {"meta", "experiment"}:  # a run's record
+            config = experiment_from_dict(obj["experiment"])
+            recorded = obj["meta"].get("config_hash") if type(obj["meta"]) is dict else None
+            if recorded != config.config_hash():
+                raise SchemaError(f"meta.config_hash {recorded!r} is not the experiment's "
+                                  f"hash {config.config_hash()!r}")
+            return config
         return experiment_from_dict(obj)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e.msg}", path, e.lineno) from e

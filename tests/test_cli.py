@@ -280,6 +280,26 @@ class TestBaselineCommand:
             f"error: model {model_id!r}: two validation score logs, {first} and {second}\n")
         assert not out.exists()
 
+    def test_validation_log_of_another_domain_exits_nonzero(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        scores = tmp_path / "scores"
+        shutil.copytree(out_dir / "scores", scores)
+        log = self.validation_log(result, scores)
+        model = next(r for r in result.manifest if r.model_id == log.name.split("__")[0])
+        header, *rest = log.read_text().splitlines()
+        header = json.loads(header)
+        assert header["domain"] == model.train_domain != "rot060"
+        header["domain"] = "rot060"
+        log.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+        out = tmp_path / "baselines.csv"
+        rc = main(["baseline", "--scores", str(scores), "--manifest",
+                   str(out_dir / "manifest.jsonl"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}: validation score log of domain 'rot060', but model "
+            f"{model.model_id!r} trained on {model.train_domain!r}\n")
+        assert not out.exists()
+
     def test_test_log_of_no_entries_names_the_log(self, pool, tmp_path, capsys):
         out_dir, result = pool
         scores = tmp_path / "scores"
@@ -827,6 +847,24 @@ class TestAblateCommand:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: {log}: ablation log missing; 1 of {len(models)} pool models have none\n")
+        assert not out.exists()
+
+    def test_log_of_another_model_exits_nonzero(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        pool_ids = {r.model_id for r in result.manifest
+                    if r.converged and r.train_domain != "rot030"}
+        assert {"rot000-c000", "rot000-c001"} <= pool_ids
+        log = artifacts / "ablation" / "rot000-c000__n_samples.jsonl"
+        shutil.copy(artifacts / "ablation" / "rot000-c001__n_samples.jsonl", log)
+        out = tmp_path / "sweep.csv"
+        rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
+                   "--values", "2,4,8", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}: ablation log of model 'rot000-c001', but its file is named "
+            f"for 'rot000-c000'\n")
         assert not out.exists()
 
     def test_negative_seed_exits_nonzero(self, pool, tmp_path, capsys):

@@ -952,6 +952,30 @@ class TestRunPool:
         assert tree_digest(tmp_path / "parallel") == tree_digest(tmp_path / "out")
         assert capsys.readouterr().err.splitlines() == warnings
 
+    def test_a_run_replays_from_its_own_record(self, tmp_path, capsys):
+        from smoothgen.cli import main
+
+        run_pool(tiny_config(), tmp_path / "run")
+        record = tmp_path / "run" / "experiment.json"
+        assert main(["synth", "--config", str(record), "--out", str(tmp_path / "replay")]) == 0
+        assert tree_digest(tmp_path / "replay") == tree_digest(tmp_path / "run")
+
+    def test_a_record_whose_hash_does_not_match_is_rejected(self, tmp_path, capsys):
+        from smoothgen.cli import main
+
+        config = tiny_config()
+        record = {"meta": {"config_hash": config.config_hash()},
+                  "experiment": dict(experiment_to_dict(config), m_test=26)}
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(record))
+        edited = dataclasses.replace(config, m_test=26).config_hash()
+        rc = main(["synth", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid experiment: meta.config_hash "
+            f"{config.config_hash()!r} is not the experiment's hash {edited!r}\n")
+        assert not (tmp_path / "run").exists()
+
     def test_artifact_layout(self, tmp_path):
         config = tiny_config()
         result = run_pool(config, tmp_path / "out")
