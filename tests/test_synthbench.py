@@ -952,7 +952,7 @@ class TestRunPool:
         assert tree_digest(tmp_path / "parallel") == tree_digest(tmp_path / "out")
         assert capsys.readouterr().err.splitlines() == warnings
 
-    def test_a_run_replays_from_its_own_record(self, tmp_path, capsys):
+    def test_a_run_replays_from_its_own_record(self, tmp_path):
         from smoothgen.cli import main
 
         run_pool(tiny_config(), tmp_path / "run")
