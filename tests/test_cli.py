@@ -876,6 +876,39 @@ class TestAblateCommand:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_sweeps_read_and_score_through_the_cli_namespace(self, pool, tmp_path,
+                                                             monkeypatch):
+        """The benchmark's tracer times the sweeps by wrapping these names in
+        ``smoothgen.cli``: each sweep reads the manifest once and each of its
+        logs once, scores a log once per value, and computes tau once per
+        value."""
+        import smoothgen.cli as cli
+
+        out_dir, result = pool
+        n = sum(r.converged and r.train_domain != "rot030" for r in result.manifest)
+        calls = {}
+        for name in ("parse_manifest", "parse_prediction_log", "compute_accuracy",
+                     "dataset_smoothness", "subsample_examples", "truncate_neighborhood",
+                     "kendall_tau"):
+            def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        cmd_ablate(str(out_dir), "neighborhood_size", tmp_path / "r.csv")
+        cmd_ablate(str(out_dir), "dataset_size", tmp_path / "d.csv", values=[10, 60])
+        cmd_ablate(str(out_dir), "n_samples", tmp_path / "n.csv", values=[4, 8])
+        assert n >= 2
+        assert calls == {
+            "parse_manifest": 3,
+            # two size_r logs a model, then one dataset_size and one n_samples log
+            "parse_prediction_log": 4 * n,
+            "compute_accuracy": 4 * n,
+            "dataset_smoothness": 6 * n,
+            "subsample_examples": 2 * n,
+            "truncate_neighborhood": 2 * n,
+            "kendall_tau": 6,
+        }
+
     @pytest.mark.parametrize("case", ["experiment_domain"])
     def test_logs_of_another_domain_exit_nonzero(self, pool, tmp_path, capsys, case):
         out_dir, _ = pool
