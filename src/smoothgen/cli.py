@@ -25,6 +25,7 @@ from .ingest import (
     parse_manifest,
     parse_prediction_log,
     parse_score_log,
+    read_text,
     read_weight_dump,
 )
 from .protocol import REPORT_LAYOUT, build_report
@@ -43,7 +44,6 @@ from .tables import (
     build_matrix,
     read_accuracies_csv,
     read_scores_csv,
-    read_text,
     require_complete,
     unique_rows,
     write_accuracies_csv,
@@ -227,17 +227,14 @@ def _read_json_object(path, key):
 
 def _ablation_context(artifacts):
     """(converged models not trained on the ablation domain, the domain, the
-    run's AblationSpec), from its manifest and the ablation block of its
-    experiment.json; ``synth`` writes ablation logs only for such a block."""
-    from .synthbench.pool import ablation_from_dict
+    run's AblationSpec), from its manifest and its record, experiment.json,
+    read as ``synth --config`` reads it; ``synth`` writes ablation logs only
+    for a record with an ablation."""
+    from .synthbench.pool import load_experiment
 
     manifest = parse_manifest(os.path.join(artifacts, "manifest.jsonl"))
     exp_path = os.path.join(artifacts, "experiment.json")
-    experiment = _read_json_object(exp_path, "experiment")
-    try:
-        ablation = ablation_from_dict(experiment)
-    except SchemaError as e:
-        raise SchemaError(f"invalid experiment: {e}", exp_path) from e
+    ablation = load_experiment(exp_path).ablation
     if ablation is None:
         raise SchemaError("no ablation in the experiment, so the run has no ablation logs",
                           exp_path)

@@ -85,6 +85,21 @@ def atomic_write_bytes(path, data: bytes) -> None:
     _atomic_write(path, data)
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``; the first byte that is not
+    UTF-8 raises a SchemaError naming path:line (a line ends at LF, CR or
+    CRLF, as in the CSV reader)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # The text before the byte, with "x" standing in for it: its last line
+        # is the byte's.
+        line = len(io.StringIO(data[:e.start].decode("utf-8") + "x", newline="").readlines())
+        raise SchemaError(f"invalid UTF-8: {e.reason}", path=path, line=line) from None
+
+
 @dataclass(frozen=True)
 class ModelRecord:
     model_id: str

@@ -33,6 +33,7 @@ from ..ingest import (
     ScoreLog,
     WeightDump,
     atomic_write_text,
+    read_text,
     write_manifest,
     write_prediction_log,
     write_score_log,
@@ -107,6 +108,10 @@ def experiment_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+# Field types by dataclass, resolved once: most of the time an uncached decode takes.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _decode(tp, value, where):
     """``value`` from an experiment file as type ``tp``: a dataclass from an
     object of its fields, a list or tuple from an array, an Optional, or a
@@ -116,7 +121,7 @@ def _decode(tp, value, where):
     if dataclasses.is_dataclass(tp):
         if type(value) is not dict:
             raise SchemaError(f"{where} must be an object")
-        hints = typing.get_type_hints(tp)
+        hints = _type_hints(tp)
         fields = {f.name: f for f in dataclasses.fields(tp)}
         unknown = sorted(value.keys() - fields)
         if unknown:
@@ -151,26 +156,20 @@ def experiment_from_dict(obj: dict) -> ExperimentConfig:
     return config
 
 
-def ablation_from_dict(obj: dict) -> Optional[AblationSpec]:
-    """The experiment's ablation, checked without building (and so checking the
-    arc margins of) its domains, which takes milliseconds and megabytes each."""
-    return _decode(Optional[AblationSpec], obj.get("ablation"), "experiment.ablation")
-
-
 def load_experiment(path) -> ExperimentConfig:
     """The experiment in a .json or .toml file, or in a run's own record,
     ``experiment.json``, whose meta must hold the experiment's hash; a file
-    that does not parse or does not describe an experiment raises a
-    SchemaError naming it."""
+    that is not UTF-8, does not parse or does not describe an experiment
+    raises a SchemaError naming it, and the line of a bad byte or JSON."""
     path = os.fspath(path)
+    text = read_text(path)
     try:
-        with open(path, "rb") as f:
-            if path.endswith(".toml"):
-                import tomllib
+        if path.endswith(".toml"):
+            import tomllib
 
-                obj = tomllib.load(f)
-            else:
-                obj = json.load(f)
+            obj = tomllib.loads(text)
+        else:
+            obj = json.loads(text)
         if type(obj) is dict and obj.keys() == {"meta", "experiment"}:  # a run's record
             config = experiment_from_dict(obj["experiment"])
             recorded = obj["meta"].get("config_hash") if type(obj["meta"]) is dict else None

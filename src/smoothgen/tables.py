@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .errors import SchemaError, SmoothgenError
-from .ingest import ModelRecord, atomic_write_text
+from .ingest import ModelRecord, atomic_write_text, read_text
 from .protocol import EvaluationMatrix
 
 SCORE_COLUMNS = ("model_id", "train_domain", "test_domain", "measure", "value")
@@ -57,21 +57,6 @@ def write_csv(path, columns, rows, meta: Optional[dict] = None) -> None:
     for row in rows:
         writer.writerow(row)
     atomic_write_text(path, buf.getvalue())
-
-
-def read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``; the first byte that is not
-    UTF-8 raises a SchemaError naming path:line (a line ends at LF, CR or
-    CRLF, as in the CSV reader)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        # The text before the byte, with "x" standing in for it: its last line
-        # is the byte's.
-        line = len(io.StringIO(data[:e.start].decode("utf-8") + "x", newline="").readlines())
-        raise SchemaError(f"invalid UTF-8: {e.reason}", path=path, line=line) from None
 
 
 def _read_csv(path, columns):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -79,6 +81,16 @@ def two_neighborhood_pool(tmp_path_factory):
     config.neighborhoods.append(NeighborhoodSpec("isotropic", 0.3, n_samples=5, seed=0))
     out = tmp_path_factory.mktemp("cli-pool-two")
     return out, run_pool(config, out), config.neighborhoods[1].tag
+
+
+def _write_record(path, obj):
+    """Write run record ``obj`` to ``path``, its meta holding the hash of its
+    experiment as edited, as ``ExperimentConfig.config_hash`` computes it."""
+    experiment = {k: v for k, v in obj["experiment"].items()
+                  if not (k == "ablation" and v is None)}
+    blob = json.dumps(experiment, sort_keys=True).encode()
+    obj["meta"]["config_hash"] = hashlib.sha256(blob).hexdigest()[:12]
+    path.write_text(json.dumps(obj))
 
 
 class TestScoreCommand:
@@ -780,7 +792,7 @@ class TestAblateCommand:
         else:
             obj = json.loads(path.read_text())
             obj["experiment"]["ablation"] = None
-            path.write_text(json.dumps(obj))
+            _write_record(path, obj)
             message = f"{path}: no ablation in the experiment, so the run has no ablation logs"
         out = tmp_path / "sweep.csv"
         rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
@@ -909,6 +921,45 @@ class TestAblateCommand:
             "kendall_tau": 6,
         }
 
+    def test_an_edited_record_exits_nonzero(self, pool, tmp_path, capsys):
+        """A record edited without its hash stops the sweep, as it stops
+        ``synth --config``."""
+        out_dir, _ = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        path = artifacts / "experiment.json"
+        obj = json.loads(path.read_text())
+        obj["experiment"]["ablation"]["size_r_values"] = [0.5]
+        path.write_text(json.dumps(obj))
+        config = small_experiment()
+        recorded = config.config_hash()
+        config.ablation = dataclasses.replace(config.ablation, size_r_values=(0.5,))
+        out = tmp_path / "sweep.csv"
+        rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "neighborhood_size",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid experiment: meta.config_hash {recorded!r} is not the "
+            f"experiment's hash {config.config_hash()!r}\n")
+        assert not out.exists()
+
+    def test_an_ablation_domain_that_names_no_domain_exits_nonzero(self, pool, tmp_path,
+                                                                   capsys):
+        out_dir, _ = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        path = artifacts / "experiment.json"
+        obj = json.loads(path.read_text())
+        obj["experiment"]["ablation"]["domain_id"] = "nowhere"
+        _write_record(path, obj)
+        out = tmp_path / "sweep.csv"
+        rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
+                   "--values", "4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid experiment: ablation domain 'nowhere' names no domain\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["experiment_domain"])
     def test_logs_of_another_domain_exit_nonzero(self, pool, tmp_path, capsys, case):
         out_dir, _ = pool
@@ -916,8 +967,8 @@ class TestAblateCommand:
         shutil.copytree(out_dir, artifacts)
         path = artifacts / "experiment.json"
         obj = json.loads(path.read_text())
-        obj["experiment"]["ablation"]["domain_id"] = "nowhere"
-        path.write_text(json.dumps(obj))
+        obj["experiment"]["ablation"]["domain_id"] = "rot000"
+        _write_record(path, obj)
         out = tmp_path / "sweep.csv"
         rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
                    "--values", "4", "--out", str(out)])
@@ -1301,6 +1352,27 @@ class TestMainEntry:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("encoding, line, message", [
+        ("bad_byte", None, "invalid UTF-8: invalid start byte"),
+        ("utf-8-sig", 1, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ("utf-16", 1, "invalid UTF-8: invalid start byte"),
+    ])
+    def test_experiment_file_not_in_utf8_names_its_line(self, tmp_path, capsys, encoding,
+                                                        line, message):
+        text = json.dumps(experiment_to_dict(small_experiment()), indent=2)
+        if encoding == "bad_byte":
+            at = text.index('"rot030"')
+            line = text[:at].count("\n") + 1
+            data = text[:at].encode() + b"\xff" + text[at:].encode()
+        else:
+            data = text.encode(encoding)
+        path = tmp_path / "experiment.json"
+        path.write_bytes(data)
+        rc = main(["synth", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("kind, values", [
