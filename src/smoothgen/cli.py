@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic benchmark pool")
     p.add_argument("--config", help="experiment file (.json or .toml); omit for the default experiment")
     p.add_argument("--out", required=True, help="output artifact directory")
-    p.add_argument("--seed", type=int, default=None, help="override the experiment seed")
+    p.add_argument("--seed", type=int, default=None, help="set every seed of the experiment")
     p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("score", help="smoothness scores from prediction logs")
@@ -442,7 +442,7 @@ def main(argv=None) -> int:
             if args.config:
                 config = load_experiment(args.config)
                 if args.seed is not None:
-                    config.seed = args.seed
+                    config = config.with_seed(args.seed)
             else:
                 config = default_experiment(seed=args.seed or 0)
             result = run_pool(config, args.out, threads=args.threads)

@@ -58,6 +58,16 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
+def _require_distinct(what, names):
+    """Each of ``names`` goes into a file name, where two equal ones would
+    overwrite each other's files."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise SchemaError(f"two {what} named {name!r}")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class AblationSpec:
     """Extra logs for the sweep analyses, produced on a single test domain."""
@@ -75,6 +85,7 @@ class AblationSpec:
         for r in (self.base_size_r, *self.size_r_values):
             if not r > 0:
                 raise SchemaError(f"ablation size_r must be positive, got {r}")
+        _require_distinct("ablation size_r_values", [f"{r:g}" for r in self.size_r_values])
 
 
 @dataclass
@@ -92,6 +103,19 @@ class ExperimentConfig:
         for name in ("m_train", "m_val", "m_test"):
             if getattr(self, name) < 1:
                 raise SchemaError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _require_distinct("domains", [d.domain_id for d in self.domains])
+        _require_distinct("neighborhoods", [s.tag for s in self.neighborhoods])
+        ablation = self.ablation
+        if ablation is not None and ablation.domain_id not in {d.domain_id for d in self.domains}:
+            raise SchemaError(f"ablation domain {ablation.domain_id!r} names no domain")
+
+    def with_seed(self, seed: int) -> ExperimentConfig:
+        """The experiment with every seed it holds set to ``seed``: its own,
+        each grid config's and each neighborhood's, as in
+        ``default_experiment(seed)``."""
+        return dataclasses.replace(
+            self, seed=seed, grid=[dataclasses.replace(c, seed=seed) for c in self.grid],
+            neighborhoods=[dataclasses.replace(s, seed=seed) for s in self.neighborhoods])
 
     def training_domains(self) -> list:
         return [d for d in self.domains if not d.far_shift]
@@ -149,11 +173,7 @@ def _decode(tp, value, where):
 
 
 def experiment_from_dict(obj: dict) -> ExperimentConfig:
-    config = _decode(ExperimentConfig, obj, "experiment")
-    ablation = config.ablation
-    if ablation is not None and ablation.domain_id not in {d.domain_id for d in config.domains}:
-        raise SchemaError(f"ablation domain {ablation.domain_id!r} names no domain")
-    return config
+    return _decode(ExperimentConfig, obj, "experiment")
 
 
 def load_experiment(path) -> ExperimentConfig:

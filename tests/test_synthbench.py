@@ -1,13 +1,19 @@
 import collections
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import pickle
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothgen.errors import DivergenceError, SchemaError
 from smoothgen.ingest import parse_manifest
@@ -38,6 +44,7 @@ from smoothgen.synthbench.mlp import (
 )
 from smoothgen.synthbench.pool import (
     AblationSpec,
+    ExperimentConfig,
     _noise_floor_ce,
     default_arcs,
     default_experiment,
@@ -900,6 +907,40 @@ class TestExperimentConfig:
         assert (default_experiment(seed=0).config_hash()
                 != default_experiment(seed=1).config_hash())
 
+    @pytest.mark.parametrize("case, message", [
+        ("domains", "two domains named 'rotA'"),
+        ("neighborhoods", "two neighborhoods named 'manifold-r0.5-n4'"),
+        ("size_r_values", "two ablation size_r_values named '0.5'"),
+    ])
+    def test_names_that_share_a_file_name_are_rejected(self, tmp_path, capsys, case,
+                                                       message):
+        """Domain ids, neighborhood tags and size_r values name the run's
+        files; two of one name would overwrite each other's logs."""
+        from smoothgen.cli import main
+
+        obj = experiment_to_dict(tiny_config())
+        if case == "domains":
+            obj["domains"][1]["domain_id"] = "rotA"
+        elif case == "neighborhoods":  # the seed is not part of the tag
+            obj["neighborhoods"].append(dict(obj["neighborhoods"][0], seed=1))
+        else:
+            obj["ablation"] = {"domain_id": "rotB", "base_size_r": 0.5,
+                               "size_r_values": [0.2, 0.5, 0.5000001]}
+        with pytest.raises(SchemaError, match=message):
+            experiment_from_dict(obj)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["synth", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: invalid experiment: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_with_seed_sets_every_seed(self):
+        assert (experiment_to_dict(tiny_config().with_seed(5))
+                == experiment_to_dict(tiny_config(5)))
+        assert (experiment_to_dict(default_experiment(0).with_seed(3))
+                == experiment_to_dict(default_experiment(3)))
+
     def test_default_experiment_is_pinned(self):
         # The grid and arcs are built from module constants; their hashes
         # pin every value those constants hold.
@@ -959,6 +1000,16 @@ class TestRunPool:
         record = tmp_path / "run" / "experiment.json"
         assert main(["synth", "--config", str(record), "--out", str(tmp_path / "replay")]) == 0
         assert tree_digest(tmp_path / "replay") == tree_digest(tmp_path / "run")
+
+    def test_a_record_replayed_with_a_seed_is_the_run_of_that_seed(self, tmp_path):
+        from smoothgen.cli import main
+
+        run_pool(tiny_config(), tmp_path / "run")
+        run_pool(tiny_config(5), tmp_path / "seed5")
+        record = tmp_path / "run" / "experiment.json"
+        assert main(["synth", "--config", str(record), "--seed", "5",
+                     "--out", str(tmp_path / "replay")]) == 0
+        assert tree_digest(tmp_path / "replay") == tree_digest(tmp_path / "seed5")
 
     def test_a_record_whose_hash_does_not_match_is_rejected(self, tmp_path, capsys):
         from smoothgen.cli import main
@@ -1024,3 +1075,98 @@ class TestRunPool:
         config.domains = config.domains[:1]
         with pytest.raises(SchemaError):
             run_pool(config, tmp_path / "out")
+
+
+@st.composite
+def experiments(draw):
+    """Small valid experiments: 2 to 12 classes on arcs a third of a sector
+    apart, two training domains and maybe a far-shift one, uneven split
+    sizes, 1 to 3 neighborhoods of distinct tags, a grid of one or two tiny
+    configs (a ce_stop of 3, above log k, converges in one epoch) and an
+    ablation block or none."""
+    k = draw(st.integers(2, 12))
+    sector = 2 * math.pi / k
+    arcs = tuple(ArcSpec((0.0, 0.0), 1.0, (j + 1 / 6) * sector, sector * 2 / 3)
+                 for j in range(k))
+    far = draw(st.booleans())
+    domains = [DomainSpec(f"d{i}", math.radians(draw(st.integers(0, 359))), (0.0, 0.0),
+                          0.03, arcs, far_shift=i == 2)
+               for i in range(3 if far else 2)]
+    grid = draw(st.lists(st.builds(
+        TrainConfig, depth=st.integers(1, 2), width=st.sampled_from([4, 8]),
+        weight_decay=st.just(0.0), label_noise=st.sampled_from([0.0, 0.2]),
+        batch_size=st.sampled_from([8, 16]), learning_rate=st.just(0.1),
+        ce_stop=st.sampled_from([1.0, 3.0]), max_epochs=st.integers(1, 10),
+        seed=st.just(0)), min_size=1, max_size=2))
+    neighborhoods = draw(st.lists(st.builds(
+        NeighborhoodSpec, kind=st.sampled_from(["manifold", "isotropic"]),
+        size_r=st.sampled_from([0.1, 0.3, 0.5]), n_samples=st.integers(1, 5)),
+        min_size=1, max_size=3, unique_by=lambda spec: spec.tag))
+    ablation = draw(st.none() | st.builds(
+        AblationSpec, domain_id=st.sampled_from([d.domain_id for d in domains]),
+        base_size_r=st.sampled_from([0.2, 0.5]), m_test=st.integers(5, 30),
+        n_samples_max=st.integers(1, 6),
+        size_r_values=st.lists(st.sampled_from([0.1, 0.2, 0.5, 1.0]), max_size=3,
+                               unique=True).map(tuple)))
+    return ExperimentConfig(domains, grid, neighborhoods, m_train=draw(st.integers(10, 40)),
+                            m_val=draw(st.integers(3, 15)), m_test=draw(st.integers(3, 15)),
+                            ablation=ablation)
+
+
+def readme_commands(run, config_path):
+    """Every command of the README's quick start, on an experiment file."""
+    manifest = str(run / "manifest.jsonl")
+    return [
+        ["synth", "--config", str(config_path), "--out", str(run)],
+        ["score", "--input", str(run / "predictions"), "--manifest", manifest,
+         "--out", str(run / "scores.csv"), "--acc-out", str(run / "accuracies.csv")],
+        ["baseline", "--scores", str(run / "scores"), "--weights", str(run / "weights"),
+         "--manifest", manifest, "--out", str(run / "baselines.csv")],
+        ["evaluate", "--scores", str(run / "scores.csv"), str(run / "baselines.csv"),
+         "--accuracies", str(run / "accuracies.csv"), "--manifest", manifest,
+         "--out", str(run / "report.json"), "--breakdown-dir", str(run / "tables")],
+        ["report", "--input", str(run / "report.json")],
+        *(["ablate", "--artifacts", str(run), "--kind", kind, *values,
+           "--out", str(run / f"sw_{kind}.csv")]
+          for kind, values in [("dataset_size", ["--values", "10,50,250,2000"]),
+                               ("n_samples", ["--values", "1,2,5,10,100"]),
+                               ("neighborhood_size", [])]),
+    ]
+
+
+class TestAnyExperiment:
+    """Any valid experiment runs end to end (ROADMAP item 11)."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(config=experiments())
+    def test_every_command_exits_zero_or_with_one_error_line(self, config):
+        from smoothgen.cli import main
+
+        with tempfile.TemporaryDirectory() as tmp:
+            run, config_path = Path(tmp) / "run", Path(tmp) / "exp.json"
+            config_path.write_text(json.dumps(experiment_to_dict(config)))
+            for i, argv in enumerate(readme_commands(run, config_path)):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = main(argv)
+                errors = [ln for ln in err.getvalue().splitlines()
+                          if not ln.startswith("warning: ")]
+                assert (rc, len(errors)) in ((0, 0), (1, 1)), (argv[0], err.getvalue())
+                assert all(ln.startswith("error: ") for ln in errors)
+                if i == 0:
+                    assert rc == 0
+                    converged = sum(r.converged for r in parse_manifest(run / "manifest.jsonl"))
+                    logs = len(list((run / "predictions").iterdir()))
+                    assert logs == converged * len(config.domains) * len(config.neighborhoods)
+                    ablation_logs = len(list((run / "ablation").iterdir()))
+                    names = 2 + len(config.ablation.size_r_values) if config.ablation else 0
+                    assert ablation_logs == converged * names
+
+    @settings(max_examples=1, deadline=None, derandomize=True)
+    @given(config=experiments())
+    def test_parallel_training_gives_the_serial_tree(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            serial, parallel = Path(tmp) / "serial", Path(tmp) / "parallel"
+            run_pool(config, serial)
+            run_pool(config, parallel, threads=2)
+            assert tree_digest(parallel) == tree_digest(serial)
