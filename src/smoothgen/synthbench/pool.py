@@ -103,11 +103,11 @@ class ExperimentConfig:
         for name in ("m_train", "m_val", "m_test"):
             if getattr(self, name) < 1:
                 raise SchemaError(f"{name} must be >= 1, got {getattr(self, name)}")
-        _require_distinct("domains", [d.domain_id for d in self.domains])
+        domain_ids = [d.domain_id for d in self.domains]
+        _require_distinct("domains", domain_ids)
         _require_distinct("neighborhoods", [s.tag for s in self.neighborhoods])
-        ablation = self.ablation
-        if ablation is not None and ablation.domain_id not in {d.domain_id for d in self.domains}:
-            raise SchemaError(f"ablation domain {ablation.domain_id!r} names no domain")
+        if self.ablation is not None and self.ablation.domain_id not in domain_ids:
+            raise SchemaError(f"ablation domain {self.ablation.domain_id!r} names no domain")
 
     def with_seed(self, seed: int) -> ExperimentConfig:
         """The experiment with every seed it holds set to ``seed``: its own,

@@ -1165,8 +1165,13 @@ class TestAnyExperiment:
     @settings(max_examples=1, deadline=None, derandomize=True)
     @given(config=experiments())
     def test_parallel_training_gives_the_serial_tree(self, config):
+        from smoothgen.cli import main
+
         with tempfile.TemporaryDirectory() as tmp:
-            serial, parallel = Path(tmp) / "serial", Path(tmp) / "parallel"
-            run_pool(config, serial)
-            run_pool(config, parallel, threads=2)
-            assert tree_digest(parallel) == tree_digest(serial)
+            config_path = Path(tmp) / "exp.json"
+            config_path.write_text(json.dumps(experiment_to_dict(config)))
+            for name, threads in (("serial", "1"), ("parallel", "2")):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["synth", "--config", str(config_path), "--threads", threads,
+                                 "--out", str(Path(tmp) / name)]) == 0
+            assert tree_digest(Path(tmp) / "parallel") == tree_digest(Path(tmp) / "serial")
