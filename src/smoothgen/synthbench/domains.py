@@ -90,8 +90,8 @@ class DomainSpec:
 @functools.lru_cache
 def _arc_margin(class_arcs) -> float:
     """Minimum distance between 256 points on each of two distinct class arcs
-    at rotation 0, one point's row of distances at a time, computed once per
-    distinct arcs: an experiment's domains mostly share one set of arcs."""
+    at rotation 0, computed once per distinct arcs: an experiment's domains
+    mostly share one set of arcs."""
     clouds = []
     for arc in class_arcs:
         t = arc.theta_start + arc.theta_extent * np.linspace(0, 1, 256)
@@ -99,9 +99,8 @@ def _arc_margin(class_arcs) -> float:
     best = math.inf
     for a in range(len(clouds)):
         for b in range(a + 1, len(clouds)):
-            for point in clouds[a]:
-                diff = point - clouds[b]
-                best = min(best, float(np.sqrt((diff**2).sum(-1)).min()))
+            diff = clouds[a][:, None, :] - clouds[b][None, :, :]
+            best = min(best, float(np.sqrt((diff**2).sum(-1)).min()))
     return best
 
 

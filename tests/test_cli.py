@@ -27,6 +27,7 @@ from smoothgen.synthbench.pool import (
     AblationSpec,
     ExperimentConfig,
     default_arcs,
+    experiment_from_dict,
     experiment_to_dict,
     run_pool,
 )
@@ -85,11 +86,8 @@ def two_neighborhood_pool(tmp_path_factory):
 
 def _write_record(path, obj):
     """Write run record ``obj`` to ``path``, its meta holding the hash of its
-    experiment as edited, as ``ExperimentConfig.config_hash`` computes it."""
-    experiment = {k: v for k, v in obj["experiment"].items()
-                  if not (k == "ablation" and v is None)}
-    blob = json.dumps(experiment, sort_keys=True).encode()
-    obj["meta"]["config_hash"] = hashlib.sha256(blob).hexdigest()[:12]
+    experiment as edited."""
+    obj["meta"]["config_hash"] = experiment_from_dict(obj["experiment"]).config_hash()
     path.write_text(json.dumps(obj))
 
 
@@ -951,7 +949,12 @@ class TestAblateCommand:
         path = artifacts / "experiment.json"
         obj = json.loads(path.read_text())
         obj["experiment"]["ablation"]["domain_id"] = "nowhere"
-        _write_record(path, obj)
+        # This experiment no longer decodes, so its hash is taken here by the
+        # rule of ExperimentConfig.config_hash, leaving the domain the record's
+        # only fault.
+        blob = json.dumps(obj["experiment"], sort_keys=True).encode()
+        obj["meta"]["config_hash"] = hashlib.sha256(blob).hexdigest()[:12]
+        path.write_text(json.dumps(obj))
         out = tmp_path / "sweep.csv"
         rc = main(["ablate", "--artifacts", str(artifacts), "--kind", "n_samples",
                    "--values", "4", "--out", str(out)])
