@@ -56,6 +56,15 @@ from .tables import (
 CLI_VARIANTS = {"majority": ("majority",), "entropy": ("neg_entropy",), "both": VARIANTS}
 
 
+def _manifest_models(manifest_path):
+    """The manifest's records by model id; a manifest with no converged model,
+    whose run wrote no logs to read, raises a SmoothgenError naming it."""
+    models = {m.model_id: m for m in parse_manifest(manifest_path)}
+    if not any(m.converged for m in models.values()):
+        raise SmoothgenError(f"{manifest_path}: no model converged, so there are no logs")
+    return models
+
+
 def _converged_artifacts(paths, read, models, pattern="*.jsonl"):
     """(artifact, manifest record, path) of each file of ``paths``, a
     directory giving its files that match ``pattern``, whose artifact,
@@ -87,7 +96,7 @@ def _of_file(path, fn, *args):
 
 def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     """Smoothness measure CSV (and optionally accuracies) from prediction logs."""
-    models = {m.model_id: m for m in parse_manifest(manifest_path)}
+    models = _manifest_models(manifest_path)
     score_rows, acc_rows, logged = [], [], {}
     for log, rec, path in _converged_artifacts(inputs, parse_prediction_log, models):
         tag = log.meta.get("neighborhood", "default")
@@ -122,7 +131,7 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
 
 def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
     """ATC accuracy predictions and weight-norm measures as a scores CSV."""
-    models = {m.model_id: m for m in parse_manifest(manifest_path)}
+    models = _manifest_models(manifest_path)
     validation, tests = {}, []
     for log, rec, path in _converged_artifacts(score_inputs, parse_score_log, models):
         if log.split == "validation":

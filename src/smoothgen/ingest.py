@@ -597,11 +597,16 @@ def _scan(path, data, line, read_header):
     if not header:
         return None
     fields = read_header(header[0][1], path, 1)
+    # No canonical body line holds a raw \r (_ID excludes control
+    # characters), so a body with CRLF endings anywhere is declined before
+    # the pattern pass; a failed match on such a line would backtrack.
+    if data.find(b"\r", nl + 1) >= 0:
+        return None
     try:
         body = data[nl + 1:].decode("utf-8")
     except UnicodeDecodeError:
         return None
-    # A file of another layout throughout (spaces, CRLF) fails on its first
+    # A file of another layout throughout (spaces, say) fails on its first
     # line, so it is declined before a pass over its whole body.
     if body and not line.match(body):
         return None

@@ -4,11 +4,16 @@ Training early-stops once the full-dataset cross entropy drops to the
 configured threshold; models that never get there within the epoch budget are
 flagged unconverged. Everything is deterministic given the config seed.
 
-A training step works in place on one parameter buffer and one gradient
-buffer, and every bit it computes is what the per-array version kept in the
-tests computes: each reduction keeps its order and operands, and only buffers
-and the number of numpy calls change (``x.mean()``, for one, is
-``add.reduce(x) / n`` without numpy's Python-level wrapper).
+``train_model`` builds a model's training step once per batch size (at most
+two: the full batch and a short last one) and its SGD update once. A step
+owns its buffers and writes every product into one with
+``ndarray.dot(..., out=)``, the same BLAS call as ``@`` at about half the
+call cost on these small shapes; every elementwise op runs in place, and the
+update works on one parameter buffer and one gradient buffer. Every bit a
+step computes is what the per-array version kept in the tests computes: each
+reduction keeps its order and operands, and only buffers and the number of
+numpy calls change (``x.mean()``, for one, is ``add.reduce(x) / n`` without
+numpy's Python-level wrapper).
 """
 
 from __future__ import annotations
@@ -110,36 +115,43 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _layers(model.weights, model.biases, np.asarray(x, dtype=float))
 
 
-def _layers(weights, biases, h: np.ndarray, acts: Optional[list] = None) -> np.ndarray:
-    """The logits of the layers on the rows of ``h``; each hidden layer's tanh
-    output is appended to ``acts``, if given."""
+def _layers(weights, biases, h: np.ndarray) -> np.ndarray:
+    """The logits of the layers on the rows of ``h``."""
     for w, b in zip(weights[:-1], biases[:-1]):
         h = h @ w
         h += b
         np.tanh(h, out=h)
-        if acts is not None:
-            acts.append(h)
     h = h @ weights[-1]
     h += biases[-1]
     return h
 
 
-def _row_max(logits: np.ndarray) -> np.ndarray:
-    # A column-wise running max is exact in any order and much faster than a
-    # row reduce over a handful of classes.
-    row_max = logits[:, 0].copy()
-    for j in range(1, logits.shape[1]):
-        np.maximum(row_max, logits[:, j], out=row_max)
-    return row_max[:, None]
+def _row_max(columns, out: np.ndarray) -> np.ndarray:
+    """Each row's max of the logits whose column views are ``columns``,
+    written into ``out``. A column-wise running max is exact in any order and
+    much faster than a row reduce over a handful of classes."""
+    np.copyto(out, columns[0])
+    for column in columns[1:]:
+        np.maximum(out, column, out=out)
+    return out
 
 
-def _softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # The row sum stays a reduce: its pairwise order matches column-wise adds
-    # only below 8 classes. ``out=logits`` computes it in place.
-    e = np.subtract(logits, _row_max(logits), out=out)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=1, keepdims=True)
-    return e
+def _softmax_in_place(z: np.ndarray, columns, per_row: np.ndarray) -> np.ndarray:
+    """The softmax of logits ``z``, computed in ``z``; ``columns`` are its
+    column views and ``per_row`` an (n, 1) buffer for the row max and then
+    the row sum. The row sum stays a reduce: its pairwise order matches
+    column-wise adds only below 8 classes."""
+    _row_max(columns, per_row[:, 0])
+    np.subtract(z, per_row, out=z)
+    np.exp(z, out=z)
+    np.add.reduce(z, axis=1, keepdims=True, out=per_row)
+    np.divide(z, per_row, out=z)
+    return z
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits.copy()
+    return _softmax_in_place(z, list(z.T), np.empty((len(z), 1)))
 
 
 # A row whose top two logits are closer than this, or whose top is not finite,
@@ -318,13 +330,97 @@ def model_predict(model: MlpModel, x: np.ndarray):
 
 def cross_entropy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     z = forward(model, x)
-    z -= _row_max(z)
+    z -= _row_max(list(z.T), np.empty(len(z)))[:, None]
     picked = z[np.arange(len(y)), y]
     np.exp(z, out=z)
     log_sum = np.add.reduce(z, axis=1)
     np.log(log_sum, out=log_sum)
     picked -= log_sum
     return -float(np.add.reduce(picked)) / len(y)
+
+
+def _require_labels(y: np.ndarray, k: int) -> None:
+    """A step reads each label's probability at its flat position in the
+    logits, so a label outside ``[0, k)`` would read another row's."""
+    if len(y) and not (y.min() >= 0 and y.max() < k):
+        raise ValueError(f"labels must be in [0, {k})")
+
+
+def _step(model: MlpModel, grads: MlpModel, n: int):
+    """The training step of ``model`` on batches of ``n`` rows: a function of
+    a batch ``(x, y)``, labels in ``[0, k)``, that writes the gradient of its
+    mean cross entropy into ``grads`` and returns that cross entropy.
+
+    The step owns its buffers: each hidden layer's activations and
+    back-propagated delta, the logits (which become the softmax and then the
+    output layer's delta), the labels' flat positions in them and one column
+    for the row max and then the row sum. Every product is written into its
+    buffer by ``ndarray.dot(..., out=)`` and every elementwise op runs in
+    place, so a step allocates next to nothing.
+    """
+    weights, biases, k = model.weights, model.biases, model.num_classes
+    hidden = [np.empty((n, w.shape[1])) for w in weights[:-1]]
+    logits = np.empty((n, k))
+    flat_logits, columns = logits.reshape(-1), list(logits.T)
+    per_row = np.empty((n, 1))
+    row_starts = np.arange(n) * k
+    picks = np.empty(n, np.intp)
+    forward_layers = list(zip(weights[:-1], biases[:-1], hidden))
+    # Layers L-1 down to 1, each with its input, the input's transpose, its
+    # gradients, its transposed weights and the delta of the layer below.
+    backward_layers = [(a, a.T, grads.weights[layer], grads.biases[layer], weights[layer].T,
+                        np.empty_like(a))
+                       for layer, a in reversed(list(enumerate(hidden, 1)))]
+
+    # The step writes the buffers it closes over with ufuncs and out=: an
+    # augmented assignment such as ``logits += b`` would make the name local.
+    def step(x: np.ndarray, y: np.ndarray) -> float:
+        h = x
+        for w, b, out in forward_layers:
+            h.dot(w, out=out)
+            out += b
+            np.tanh(out, out=out)
+            h = out
+        h.dot(weights[-1], out=logits)
+        np.add(logits, biases[-1], out=logits)
+        _softmax_in_place(logits, columns, per_row)
+        np.add(row_starts, y, out=picks)
+        picked = flat_logits[picks]
+        np.log(picked, out=picked)
+        loss = -float(np.add.reduce(picked)) / n
+        flat_logits[picks] -= 1.0
+        np.divide(logits, n, out=logits)
+        delta = logits  # the output layer's error
+        for a, a_t, grad_w, grad_b, w_t, below in backward_layers:
+            a_t.dot(delta, out=grad_w)
+            np.add.reduce(delta, axis=0, out=grad_b)
+            delta.dot(w_t, out=below)
+            np.square(a, out=a)  # 1 - a**2, the derivative of tanh
+            np.subtract(1.0, a, out=a)
+            below *= a
+            delta = below
+        x.T.dot(delta, out=grads.weights[0])
+        np.add.reduce(delta, axis=0, out=grads.biases[0])
+        return loss
+
+    return step
+
+
+def _update(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float):
+    """The SGD update of ``model`` by ``grads``: a function of no arguments
+    that shrinks the weight matrices by the decay (skipped when its factor is
+    exactly 1.0), scales ``grads`` by ``lr`` in place and subtracts them."""
+    params, gradient = model.params, grads.params
+    weights = params[: params.size - sum(b.size for b in model.biases)]
+    decay = 1.0 - lr * weight_decay
+
+    def update():
+        if decay != 1.0:
+            np.multiply(weights, decay, out=weights)
+        np.multiply(gradient, lr, out=gradient)
+        np.subtract(params, gradient, out=params)
+
+    return update
 
 
 def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray,
@@ -334,61 +430,46 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray,
     Returns ``(loss, grads)``."""
     if grads is None:
         grads = _zeros_like(model)
-    x = np.asarray(x, dtype=float)
-    acts = [x]
-    probs = _layers(model.weights, model.biases, x, acts)
-    _softmax(probs, out=probs)
-    n = len(y)
-    rows = np.arange(n)
-    picked = probs[rows, y]
-    np.log(picked, out=picked)
-    loss = -float(np.add.reduce(picked)) / n
-    delta = probs  # the output layer's error, in place
-    delta[rows, y] -= 1.0
-    delta /= n
-    for layer in range(len(model.weights) - 1, -1, -1):
-        np.matmul(acts[layer].T, delta, out=grads.weights[layer])
-        np.add.reduce(delta, axis=0, out=grads.biases[layer])
-        if layer > 0:
-            a = acts[layer]  # 1 - a**2, the derivative of tanh
-            np.square(a, out=a)
-            np.subtract(1.0, a, out=a)
-            delta = delta @ model.weights[layer].T
-            delta *= a
-    return loss, grads
+    x, y = np.asarray(x, dtype=float), np.asarray(y)
+    _require_labels(y, model.num_classes)
+    return _step(model, grads, len(x))(x, y), grads
 
 
 def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float):
     """One SGD update over the parameter buffer; weight decay shrinks the
     weight matrices multiplicatively. Scales ``grads`` by ``lr`` in place."""
-    decay = 1.0 - lr * weight_decay
-    if decay != 1.0:
-        model.params[: model.params.size - sum(b.size for b in model.biases)] *= decay
-    grads.params *= lr
-    model.params -= grads.params
+    _update(model, grads, lr, weight_decay)()
 
 
 def train_model(dataset: Dataset, config: TrainConfig) -> MlpModel:
     """Mini-batch SGD until the dataset cross entropy reaches ce_stop."""
     if len(dataset.labels) == 0:
         raise ValueError("empty training dataset")
+    _require_labels(dataset.labels, dataset.num_classes)
     model = init_model(dataset.num_classes, config)
     grads = _zeros_like(model)
+    update = _update(model, grads, config.learning_rate, config.weight_decay)
     x, y = dataset.points, dataset.labels
     m, size = len(y), config.batch_size
+    # Each epoch gathers the shuffled points and labels into xs and ys; a
+    # batch is a slice of them, run by the step of its size: every batch but
+    # the last has ``size`` rows, and the last (m - 1) % size + 1.
+    xs, ys = np.empty(x.shape, x.dtype), np.empty(y.shape, y.dtype)
+    steps = {n: _step(model, grads, n) for n in {min(size, m), (m - 1) % size + 1}}
+    batches = [(xs[i : i + size], ys[i : i + size], steps[min(size, m - i)])
+               for i in range(0, m, size)]
     shuffle_rng = np.random.default_rng([config.seed, 1])
     epoch, ce = 0, None
     for epoch in range(1, config.max_epochs + 1):
         perm = shuffle_rng.permutation(m)
-        xs, ys = x[perm], y[perm]
-        for start in range(0, m, size):
-            stop = start + size
-            loss, _ = loss_and_grads(model, xs[start:stop], ys[start:stop], grads)
-            if not math.isfinite(loss):
+        np.take(x, perm, axis=0, out=xs)
+        np.take(y, perm, out=ys)
+        for x_batch, y_batch, step in batches:
+            if not math.isfinite(step(x_batch, y_batch)):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}", epoch=epoch
                 )
-            sgd_step(model, grads, config.learning_rate, config.weight_decay)
+            update()
         ce = cross_entropy(model, x, y)
         if not math.isfinite(ce):
             raise DivergenceError(

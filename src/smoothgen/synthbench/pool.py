@@ -58,11 +58,14 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-def _require_distinct(what, names):
-    """Each of ``names`` goes into a file name, where two equal ones would
-    overwrite each other's files."""
+def _require_file_names(what, names):
+    """Each of ``names`` goes into a file name, so it must be one plain
+    file-name component (not empty, ``.`` or ``..``, and holding no ``/`` or
+    NUL), and two equal ones would overwrite each other's files."""
     seen = set()
     for name in names:
+        if name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise SchemaError(f"{what}: {name!r} is not a plain file name")
         if name in seen:
             raise SchemaError(f"two {what} named {name!r}")
         seen.add(name)
@@ -85,7 +88,7 @@ class AblationSpec:
         for r in (self.base_size_r, *self.size_r_values):
             if not r > 0:
                 raise SchemaError(f"ablation size_r must be positive, got {r}")
-        _require_distinct("ablation size_r_values", [f"{r:g}" for r in self.size_r_values])
+        _require_file_names("ablation size_r_values", [f"{r:g}" for r in self.size_r_values])
 
 
 @dataclass
@@ -104,8 +107,8 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise SchemaError(f"{name} must be >= 1, got {getattr(self, name)}")
         domain_ids = [d.domain_id for d in self.domains]
-        _require_distinct("domains", domain_ids)
-        _require_distinct("neighborhoods", [s.tag for s in self.neighborhoods])
+        _require_file_names("domains", domain_ids)
+        _require_file_names("neighborhoods", [s.tag for s in self.neighborhoods])
         if self.ablation is not None and self.ablation.domain_id not in domain_ids:
             raise SchemaError(f"ablation domain {self.ablation.domain_id!r} names no domain")
 

@@ -365,6 +365,24 @@ class TestPoolReader:
         assert capsys.readouterr().err == f"error: {ghost}: model 'ghost' not in manifest\n"
         assert not out.exists()
 
+    def test_a_pool_with_no_converged_model_is_named_as_such(self, tmp_path, capsys):
+        config = small_experiment()
+        config.grid = [dataclasses.replace(c, max_epochs=0) for c in config.grid]
+        path, run = tmp_path / "exp.json", tmp_path / "run"
+        path.write_text(json.dumps(experiment_to_dict(config)))
+        assert main(["synth", "--config", str(path), "--out", str(run)]) == 0
+        assert "0 converged" in capsys.readouterr().out
+        manifest = run / "manifest.jsonl"
+        out = tmp_path / "out.csv"
+        for command in (["score", "--input", str(run / "predictions")],
+                        ["baseline", "--scores", str(run / "scores"), "--weights",
+                         str(run / "weights")]):
+            rc = main([*command, "--manifest", str(manifest), "--out", str(out)])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                f"error: {manifest}: no model converged, so there are no logs\n")
+            assert not out.exists()
+
     def test_artifacts_are_read_through_the_cli_namespace(self, pool, tmp_path, monkeypatch):
         """The benchmark's tracer counts parses by wrapping these three names
         in ``smoothgen.cli``: each file is read once, by one call."""

@@ -654,6 +654,13 @@ SECOND_EXAMPLE = SCAN_TEXT.splitlines()[2]
 ESCAPED_HEADER_LOG = dataclasses.replace(SCAN_LOG, model_id='a\\b"c', meta={"note": "x\ty"})
 
 
+def mixed_endings(text):
+    """``text`` with its header and first body line ending in LF and every
+    later line in CRLF: the first line matches the pattern, the rest do not."""
+    header, first, rest = text.split("\n", 2)
+    return f"{header}\n{first}\n" + rest.replace("\n", "\r\n")
+
+
 @pytest.fixture(scope="module")
 def small_tree(tmp_path_factory):
     out = tmp_path_factory.mktemp("scan-pool")
@@ -770,8 +777,9 @@ class TestPredictionLogScan:
     @pytest.mark.parametrize("text", [
         SCAN_TEXT.replace(",", ", "),
         SCAN_TEXT.replace("\n", "\r\n"),
+        mixed_endings(SCAN_TEXT),
         SCAN_TEXT.replace('"ex1"', '"\\u0065x1"'),
-    ], ids=["spaced", "crlf", "escaped_id"])
+    ], ids=["spaced", "crlf", "lf_then_crlf", "escaped_id"])
     def test_other_layouts_take_the_strict_decode(self, tmp_path, text):
         path = tmp_path / "log.jsonl"
         path.write_text(text, newline="")
@@ -912,8 +920,9 @@ class TestScoreLogScan:
     @pytest.mark.parametrize("text", [
         SCORE_SCAN_TEXT.replace(",", ", "),
         SCORE_SCAN_TEXT.replace("\n", "\r\n"),
+        mixed_endings(SCORE_SCAN_TEXT),
         SCORE_SCAN_TEXT.replace('"ex1"', '"\\u0065x1"'),
-    ], ids=["spaced", "crlf", "escaped_id"])
+    ], ids=["spaced", "crlf", "lf_then_crlf", "escaped_id"])
     def test_other_layouts_take_the_strict_decode(self, tmp_path, text):
         path = tmp_path / "scores.jsonl"
         path.write_text(text, newline="")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pickle
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -670,10 +671,32 @@ TRAIN_GRID = [dataclasses.replace(c, seed=i) for i, c in enumerate(
     default_grid() + default_grid(ce_margin=0.02, label_noises=(0.0,)))]
 
 
-def oracle_dataset(config, m=50):
-    """A small training set whose last batch of 32 is short, with the
-    config's label noise applied."""
-    ds = generate_domain(make_domain(), m, seed=config.seed)
+# Shapes where ndarray.dot and @ could take different BLAS paths (a product
+# with one row or one column may be a matrix-vector call), each as (config,
+# training points, classes): a last batch of one row, batches of one row, a
+# width of one, and 2 and 10 classes.
+_EDGE = TrainConfig(depth=2, width=8, weight_decay=1e-4, label_noise=0.0, batch_size=32,
+                    learning_rate=0.1, ce_stop=0.05, max_epochs=40, seed=7)
+EDGE_SHAPES = [
+    pytest.param(dataclasses.replace(_EDGE, depth=3, width=32), 33, 3, id="last_batch_of_1"),
+    pytest.param(dataclasses.replace(_EDGE, batch_size=1, max_epochs=5), 20, 3,
+                 id="batch_size_1"),
+    pytest.param(dataclasses.replace(_EDGE, width=1), 50, 3, id="width_1"),
+    pytest.param(dataclasses.replace(_EDGE, depth=1, width=1), 50, 2, id="depth_1_width_1_k2"),
+    pytest.param(_EDGE, 50, 2, id="k2"),
+    pytest.param(_EDGE, 50, 10, id="k10"),
+]
+
+
+def oracle_dataset(config, m=50, k=3):
+    """A small training set of ``k`` classes (whose last batch of 32 is short
+    for the default ``m``), with the config's label noise applied."""
+    domain = make_domain()
+    if k != 3:
+        sector = 2 * math.pi / k
+        domain = DomainSpec("d0", 0.0, (0.0, 0.0), 0.03, tuple(
+            ArcSpec((0.0, 0.0), 1.0, (j + 1 / 6) * sector, sector * 2 / 3) for j in range(k)))
+    ds = generate_domain(domain, m, seed=config.seed)
     return apply_label_noise(ds, config.label_noise, seed=config.seed)
 
 
@@ -707,11 +730,14 @@ class TestTrainingOracle:
         assert_same_training(model, want)
         assert cross_entropy(model, x, y).hex() == reference_cross_entropy(want, x, y).hex()
 
-    @pytest.mark.parametrize("config", TRAIN_GRID, ids=lambda c: (
+    @pytest.mark.parametrize("config, m, k", [pytest.param(c, 50, 3, id=(
         f"d{c.depth}w{c.width}-wd{c.weight_decay}-noise{c.label_noise}-stop{c.ce_stop:.3f}"))
-    def test_training_equals_reference(self, config):
-        ds = oracle_dataset(config)
-        assert len(ds.labels) % config.batch_size
+        for c in TRAIN_GRID] + EDGE_SHAPES)
+    def test_training_equals_reference(self, config, m, k):
+        ds = oracle_dataset(config, m, k)
+        assert ds.num_classes == k
+        # Every batch size but 1 leaves a short last batch.
+        assert config.batch_size == 1 or len(ds.labels) % config.batch_size
         assert_same_training(train_model(ds, config), reference_train_model(ds, config))
 
     @pytest.mark.parametrize("learning_rate, epoch, check", [
@@ -737,6 +763,15 @@ class TestTrainingOracle:
 
 
 class TestMlp:
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_a_label_out_of_range_is_rejected(self, label):
+        config = default_grid()[0]
+        x, y = np.zeros((4, 2)), np.array([0, 1, label, 2])
+        with pytest.raises(ValueError, match=r"labels must be in \[0, 3\)"):
+            loss_and_grads(init_model(3, config), x, y)
+        with pytest.raises(ValueError, match=r"labels must be in \[0, 3\)"):
+            train_model(domains.Dataset(x, y, 3), config)
+
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         cfg = TrainConfig(depth=2, width=5, weight_decay=0.0, label_noise=0.0,
@@ -911,11 +946,18 @@ class TestExperimentConfig:
         ("domains", "two domains named 'rotA'"),
         ("neighborhoods", "two neighborhoods named 'manifold-r0.5-n4'"),
         ("size_r_values", "two ablation size_r_values named '0.5'"),
+        pytest.param("a/b", "domains: 'a/b' is not a plain file name", id="slash"),
+        pytest.param("..", "domains: '..' is not a plain file name", id="dotdot"),
+        pytest.param(".", "domains: '.' is not a plain file name", id="dot"),
+        pytest.param("", "domains: '' is not a plain file name", id="empty"),
+        pytest.param("a\0b", "domains: 'a\\x00b' is not a plain file name", id="nul"),
     ])
     def test_names_that_share_a_file_name_are_rejected(self, tmp_path, capsys, case,
                                                        message):
         """Domain ids, neighborhood tags and size_r values name the run's
-        files; two of one name would overwrite each other's logs."""
+        files; two of one name would overwrite each other's logs, and a
+        domain id that is not one plain file-name component would put them
+        elsewhere, or nowhere, after every model is trained."""
         from smoothgen.cli import main
 
         obj = experiment_to_dict(tiny_config())
@@ -923,10 +965,12 @@ class TestExperimentConfig:
             obj["domains"][1]["domain_id"] = "rotA"
         elif case == "neighborhoods":  # the seed is not part of the tag
             obj["neighborhoods"].append(dict(obj["neighborhoods"][0], seed=1))
-        else:
+        elif case == "size_r_values":
             obj["ablation"] = {"domain_id": "rotB", "base_size_r": 0.5,
                                "size_r_values": [0.2, 0.5, 0.5000001]}
-        with pytest.raises(SchemaError, match=message):
+        else:  # the domain id itself
+            obj["domains"][1]["domain_id"] = case
+        with pytest.raises(SchemaError, match=re.escape(message)):
             experiment_from_dict(obj)
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(obj))
