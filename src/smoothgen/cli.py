@@ -100,7 +100,11 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     score_rows, acc_rows, logged = [], [], {}
     for log, rec, path in _converged_artifacts(inputs, parse_prediction_log, models):
         tag = log.meta.get("neighborhood", "default")
-        logged.setdefault(log.model_id, set()).add((log.test_domain, tag))
+        first = logged.setdefault(log.model_id, {}).setdefault((log.test_domain, tag), path)
+        if first != path:  # a log whose header names another model, say
+            raise SmoothgenError(f"model {log.model_id!r}: two prediction logs of test domain "
+                                 f"{log.test_domain!r} with neighborhood {tag!r}, "
+                                 f"{first} and {path}")
         for var in CLI_VARIANTS[variant]:
             prefix = "ms" if var == "majority" else "mse"
             score_rows.append(
@@ -120,8 +124,9 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     # A converged model that lost some of its logs after the manifest was
     # written would score on fewer pairs than the others; one that lost all
     # of them has no accuracies, which evaluate catches.
-    require_complete(logged, lambda key: f"no prediction log of test domain {key[0]!r} "
-                                         f"with neighborhood {key[1]!r}")
+    require_complete({model_id: set(keys) for model_id, keys in logged.items()},
+                     lambda key: f"no prediction log of test domain {key[0]!r} "
+                                 f"with neighborhood {key[1]!r}")
     write_scores_csv(score_rows, out)
     if acc_out is not None:
         # one accuracy per (model, domain) regardless of neighborhood count
@@ -154,7 +159,7 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
         logged[log.model_id].add((log.split, log.domain))
     require_complete(logged, lambda key: f"no score log of split {key[0]!r} on domain "
                                          f"{key[1]!r}")
-    rows, thresholds = [], {}
+    rows, thresholds, omitted = [], {}, []
     for log, rec, path in tests:
         if log.model_id not in thresholds:
             if log.model_id not in validation:
@@ -180,15 +185,17 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
                 ("norm_frobenius", norms.frobenius),
             ):
                 # A norm too large for a float saturates to inf, which no
-                # scores CSV may hold; the measure is left out for the model.
+                # scores CSV may hold; the measure is left out for the model,
+                # and the CSV declares it so evaluate does not stop on it.
                 if not math.isfinite(value):
                     print(f"warning: model {dump.model_id!r}: {name} is {value!r}, "
                           f"not finite; its rows are left out", file=sys.stderr)
+                    omitted.append((dump.model_id, name))
                     continue
                 rows.extend(ScoreRow(dump.model_id, rec.train_domain, domain, name, value)
                             for _, domain in logged[dump.model_id])
         require_complete(dumped, lambda _: "no weight dump")
-    write_scores_csv(rows, out)
+    write_scores_csv(rows, out, omitted)
     return len(rows)
 
 
@@ -196,7 +203,7 @@ def cmd_evaluate(score_csvs, accuracies_csv, manifest_path, out, breakdown_dir=N
                  tau_variant="b"):
     """Joined metric report (JSON) plus optional breakdown CSVs."""
     manifest = parse_manifest(manifest_path)
-    scores = [(path, read_scores_csv(path)) for path in score_csvs]
+    scores = [(path, *read_scores_csv(path)) for path in score_csvs]
     accuracies = (accuracies_csv, read_accuracies_csv(accuracies_csv))
     matrix = build_matrix(manifest, scores, accuracies)
     report = build_report(matrix, tau_variant=tau_variant)

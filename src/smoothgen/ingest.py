@@ -520,8 +520,9 @@ def parse_prediction_log(path) -> NeighborhoodPredictionLog:
     """Parse a neighborhood prediction log (header line + one example per line)
     straight into the log's arrays; an error names path:line of the first
     faulty line. A file in the form ``serialize_prediction_log`` writes is
-    read by one line pattern (``_scan_prediction_log``), any other by a JSON
-    decode of each line."""
+    read as one byte matrix when its lines have one length and its values one
+    digit, else by one line pattern (``_scan_prediction_log``); any other
+    file by a JSON decode of each line."""
     with open(path, "rb") as f:
         data = f.read()
     log = _scan_prediction_log(path, data)
@@ -571,24 +572,36 @@ _SCORE_LINE = re.compile(
     rf'"predicted_label":{_INT}(?:,"true_label":{_INT})?\}}$', re.M)
 
 
-def _scan(path, data, line, read_header):
+def _scan(path, data, read_header):
     """What ``read_header`` gives for the header of the log in the file bytes
-    ``data``, with the groups the pattern ``line`` captures from its body
-    lines, one tuple per group ("" where a group took no part); None unless
-    the file is UTF-8, ends in a newline and every line after the first
-    matches ``line``. A header the strict parse rejects raises its error.
+    ``data``, with the bytes of its body (the lines after the first); None
+    unless the file ends in a newline and its body holds no raw \\r. A header
+    the strict parse rejects raises its error.
 
-    Soundness: every line the pattern matches is a JSON object the strict
-    decode accepts, and each group holds the text of one of its values: a
-    string whose text is its value, an integer or a float that JSON decodes
-    exactly as ``int`` or ``float`` of the text. The pattern is anchored at
-    both ends of a line and no group holds a newline, so each line matches at
-    most once, and a match count equal to the body's newline count means
-    every line matched (a blank line, which the strict decode skips, does
-    not). The header is read by the strict decode itself. So a log built
-    from the groups is the log the strict parse builds, and a value the log's
-    constructor rejects sends the file to the strict parse, which stays the
-    only source of errors.
+    The body is then read by ``_scan_lines`` or, for a prediction log, by
+    ``_stride_columns`` first. Soundness of the line pattern: every line the
+    pattern matches is a JSON object the strict decode accepts, and each
+    group holds the text of one of its values: a string whose text is its
+    value, an integer or a float that JSON decodes exactly as ``int`` or
+    ``float`` of the text. The pattern is anchored at both ends of a line and
+    no group holds a newline, so each line matches at most once, and a match
+    count equal to the body's newline count means every line matched (a
+    blank line, which the strict decode skips, does not). The header is read
+    by the strict decode itself. So a log built from the groups is the log
+    the strict parse builds, and a value the log's constructor rejects sends
+    the file to the strict parse, which stays the only source of errors.
+
+    Soundness of the fixed-stride read: its first line is ASCII and matches
+    the pattern, the body is a whole number of lines of the first line's
+    length, and every other line equals the first at each byte that is not a
+    digit and holds a digit wherever the first holds one. The pattern's keys
+    and punctuation hold no digit, so every digit of the first line is in its
+    id or in one of its integers, and each integer is one digit. A digit in
+    an id, or a one-digit integer, may be any digit, so every line is ASCII
+    and matches the pattern with its groups at the first line's columns; the
+    newline, a byte that is not a digit, ends each line at the same column
+    and nowhere before it. So the columns hold the values the pattern pass
+    would capture, and the log is the one the pattern pass builds.
     """
     nl = data.find(b"\n")
     if nl < 0 or data[-1:] != b"\n":
@@ -599,21 +612,28 @@ def _scan(path, data, line, read_header):
     fields = read_header(header[0][1], path, 1)
     # No canonical body line holds a raw \r (_ID excludes control
     # characters), so a body with CRLF endings anywhere is declined before
-    # the pattern pass; a failed match on such a line would backtrack.
+    # either read; a failed match on such a line would backtrack.
     if data.find(b"\r", nl + 1) >= 0:
         return None
+    return fields, data[nl + 1:]
+
+
+def _scan_lines(body, line):
+    """The groups the pattern ``line`` captures from the lines of ``body``,
+    one tuple per group ("" where a group took no part); None unless the body
+    is UTF-8 and every line matches ``line``. See ``_scan``."""
     try:
-        body = data[nl + 1:].decode("utf-8")
+        text = body.decode("utf-8")
     except UnicodeDecodeError:
         return None
     # A file of another layout throughout (spaces, say) fails on its first
     # line, so it is declined before a pass over its whole body.
-    if body and not line.match(body):
+    if text and not line.match(text):
         return None
-    matches = line.findall(body)
-    if len(matches) != data.count(b"\n") - 1:
+    matches = line.findall(text)
+    if len(matches) != body.count(b"\n"):
         return None
-    return fields, list(zip(*matches)) or [()] * line.groups
+    return list(zip(*matches)) or [()] * line.groups
 
 
 def _labels(texts):
@@ -653,35 +673,77 @@ def _predictions(rows):
     unless every comma-separated token is an integer as JSON writes it, of at
     most 19 digits."""
     # The rows joined, each closed by "]": every prediction ends at a comma
-    # or at the "]". When each is one digit, the digits sit at the even places
-    # and the ends at the odd ones; reading them so takes about a fifth of the
-    # time of the digit runs and builds no index arrays.
+    # or at the "]".
     region = np.frombuffer("]".join((*rows, "")).encode("ascii"), dtype=np.uint8)
-    is_end = (region == ord(",")) | (region == ord("]"))
-    if not len(region) % 2 and is_end[1::2].all() and not is_end[::2].any():
-        return region[::2] - 48, np.fromiter(map(len, rows), np.int64, len(rows)) // 2 + 1
-    stops = np.flatnonzero(is_end)
-    predictions = _decimal_fields(region, np.concatenate(([0], stops[:-1] + 1)), stops)
+    stops = np.flatnonzero((region == ord(",")) | (region == ord("]")))
+    # Each prediction starts after the end before it (an empty region has none).
+    predictions = _decimal_fields(region, np.concatenate(([0], stops + 1))[:-1], stops)
     if predictions is None:
         return None
     return predictions, np.diff(np.flatnonzero(region[stops] == ord("]")), prepend=-1)
 
 
+# Every digit to "0" and every other byte to itself: two lines are equal under
+# it when they differ only where both hold digits.
+_DIGITS_TO_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
+_ONE_DIGIT_LIST = re.compile(r"[0-9](?:,[0-9])*")
+
+
+def _stride_columns(body):
+    """(ids, predictions, lengths, true labels, base labels) of a prediction
+    log body whose lines all have its first line's length, when the first
+    line is ASCII, matches ``_PREDICTION_LINE`` and writes each integer in one
+    digit, and every other line equals it at each byte that is not a digit
+    and holds a digit wherever it holds one; else None. The lines are read as
+    one (lines, line length) byte matrix, each value a fixed column of it.
+    See ``_scan``."""
+    width = body.find(b"\n") + 1
+    if not width or len(body) % width or not body[:width].isascii():
+        return None
+    first = _PREDICTION_LINE.fullmatch(body[:width - 1].decode("ascii"))
+    if (first is None or not _ONE_DIGIT_LIST.fullmatch(first[3])
+            or any(len(first[g] or "") > 1 for g in (1, 4))):
+        return None
+    m = len(body) // width
+    if body.translate(_DIGITS_TO_ZERO) != body[:width].translate(_DIGITS_TO_ZERO) * m:
+        return None
+    lines = np.frombuffer(body, dtype=np.uint8).reshape(m, width)
+
+    def label(group):  # -1 where the first line, so every line, has none
+        col = first.start(group)
+        return lines[:, col].astype(np.int64) - 48 if col >= 0 else np.full(m, -1)
+
+    # Each id with its closing quote, which no id holds: the quotes cut them.
+    start, stop = first.span(2)
+    ids = tuple(lines[:, start:stop + 1].tobytes().decode("ascii").split('"')[:-1])
+    start, stop = first.span(3)
+    lengths = np.full(m, (stop - start + 1) // 2, dtype=np.int64)
+    return ids, (lines[:, start:stop:2] - 48).ravel(), lengths, label(4), label(1)
+
+
 def _scan_prediction_log(path, data):
     """The prediction log held in the file bytes ``data`` when each line after
     the header is in the form ``serialize_prediction_log`` writes, else None;
-    a header the strict parse rejects raises its error. See ``_scan``."""
-    scanned = _scan(path, data, _PREDICTION_LINE, _prediction_header)
+    a header the strict parse rejects raises its error. A body of one line
+    length with one-digit values is read as a byte matrix
+    (``_stride_columns``), any other by the line pattern. See ``_scan``."""
+    scanned = _scan(path, data, _prediction_header)
     if scanned is None:
         return None
-    (model_id, test_domain, k, meta), (bases, ids, rows, trues) = scanned
-    decoded = _predictions(rows), _labels(trues), _labels(bases)
-    if any(part is None for part in decoded):
-        return None
-    (predictions, lengths), true, base = decoded
+    (model_id, test_domain, k, meta), body = scanned
+    columns = _stride_columns(body)
+    if columns is None:
+        groups = _scan_lines(body, _PREDICTION_LINE)
+        if groups is None:
+            return None
+        bases, ids, rows, trues = groups
+        decoded = _predictions(rows), _labels(trues), _labels(bases)
+        if any(part is None for part in decoded):
+            return None
+        (predictions, lengths), true, base = decoded
+        columns = ids, predictions, lengths, true, base
     try:
-        return NeighborhoodPredictionLog(
-            model_id, test_domain, k, ids, predictions, lengths, true, base, meta=meta)
+        return NeighborhoodPredictionLog(model_id, test_domain, k, *columns, meta=meta)
     except SchemaError:
         return None
 
@@ -818,10 +880,14 @@ def _scan_score_log(path, data):
     """The score log held in the file bytes ``data`` when each line after the
     header is in the form ``serialize_score_log`` writes, else None; a header
     the strict parse rejects raises its error. See ``_scan``."""
-    scanned = _scan(path, data, _SCORE_LINE, _score_header)
+    scanned = _scan(path, data, _score_header)
     if scanned is None:
         return None
-    (model_id, domain, split, k, meta), (ids, conf, negent, predicted, true) = scanned
+    (model_id, domain, split, k, meta), body = scanned
+    groups = _scan_lines(body, _SCORE_LINE)
+    if groups is None:
+        return None
+    ids, conf, negent, predicted, true = groups
     labels = _labels(predicted), _labels(true)
     if any(part is None for part in labels):
         return None

@@ -4,13 +4,15 @@ Scores:     model_id, train_domain, test_domain, measure, value
 Accuracies: model_id, test_domain, accuracy
 
 Every file starts with '#'-prefixed header comments recording tool version and
-run provenance; readers skip them.
+run provenance; readers skip them, except for a scores CSV's ``omitted=``
+declaration (see ``write_scores_csv``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -60,10 +62,12 @@ def write_csv(path, columns, rows, meta: Optional[dict] = None) -> None:
 
 
 def _read_csv(path, columns):
-    """The data rows of a table with their line numbers in the file; each row
-    has one field per column."""
+    """The data rows of a table with their line numbers in the file, each row
+    one field per column, and the (line number, text) of its comment lines."""
     f = io.StringIO(read_text(path), newline="")
-    numbered = [(n, ln) for n, ln in enumerate(f, start=1) if not ln.startswith("#")]
+    numbered, comments = [], []
+    for n, ln in enumerate(f, start=1):
+        (comments if ln.startswith("#") else numbered).append((n, ln))
     if not numbered:
         raise SchemaError("empty CSV", path=path)
     linenos, lines = zip(*numbered)
@@ -84,7 +88,7 @@ def _read_csv(path, columns):
                 f"expected {len(columns)} fields, got {len(row)}", path=path, line=lineno
             )
         rows.append((lineno, row))
-    return rows
+    return rows, comments
 
 
 def _finite(text, name, path, lineno) -> float:
@@ -98,8 +102,12 @@ def _finite(text, name, path, lineno) -> float:
     return value
 
 
-def write_scores_csv(rows: Iterable[ScoreRow], path) -> None:
+def write_scores_csv(rows: Iterable[ScoreRow], path, omitted=()) -> None:
+    """The rows, and in the header comment the (model_id, measure) pairs of
+    ``omitted``, whose rows were left out on purpose, as ``omitted=`` and a
+    JSON list; a table with none has no such key."""
     ordered = sorted(rows, key=lambda r: (r.measure, r.model_id, r.test_domain))
+    meta = {"omitted": json.dumps(sorted(omitted), separators=(",", ":"))} if omitted else None
     write_csv(
         path,
         SCORE_COLUMNS,
@@ -107,14 +115,37 @@ def write_scores_csv(rows: Iterable[ScoreRow], path) -> None:
             (r.model_id, r.train_domain, r.test_domain, r.measure, repr(r.value))
             for r in ordered
         ],
+        meta,
     )
 
 
-def read_scores_csv(path) -> list[ScoreRow]:
+def _omitted(comments, path) -> frozenset:
+    """The (model_id, measure) pairs that the ``omitted=`` key of the
+    ``# smoothgen`` header comment, the last key of its line, declares."""
+    for lineno, line in comments:
+        head, key, text = line.rstrip("\r\n").partition(" omitted=")
+        if key and head.startswith("# smoothgen "):
+            try:
+                pairs = json.loads(text)
+            except ValueError:
+                pairs = None
+            if not (isinstance(pairs, list) and all(
+                    isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+                    for p in pairs)):
+                raise SchemaError("omitted= must be a JSON list of [model_id, measure] pairs",
+                                  path=path, line=lineno)
+            return frozenset(map(tuple, pairs))
+    return frozenset()
+
+
+def read_scores_csv(path) -> tuple[list[ScoreRow], frozenset]:
+    """The rows of a scores CSV, and the (model_id, measure) pairs its header
+    comment declares left out."""
+    rows, comments = _read_csv(path, SCORE_COLUMNS)
     return [
         ScoreRow(m, td, o, measure, _finite(v, "value", path, lineno))
-        for lineno, (m, td, o, measure, v) in _read_csv(path, SCORE_COLUMNS)
-    ]
+        for lineno, (m, td, o, measure, v) in rows
+    ], _omitted(comments, path)
 
 
 def write_accuracies_csv(rows: Iterable[AccuracyRow], path) -> None:
@@ -137,7 +168,7 @@ def _accuracy(text, path, lineno) -> float:
 def read_accuracies_csv(path) -> list[AccuracyRow]:
     return [
         AccuracyRow(m, o, _accuracy(a, path, lineno))
-        for lineno, (m, o, a) in _read_csv(path, ACCURACY_COLUMNS)
+        for lineno, (m, o, a) in _read_csv(path, ACCURACY_COLUMNS)[0]
     ]
 
 
@@ -175,29 +206,36 @@ def unique_rows(pairs):
 
 def build_matrix(manifest: Sequence[ModelRecord], scores: Sequence[tuple],
                  accuracies: tuple) -> EvaluationMatrix:
-    """Join the rows of scores CSVs and an accuracies CSV, each given as
-    (path, rows), into an evaluation matrix over the converged models. The
-    rules, in the order they apply; each error names its file:
+    """Join the rows of scores CSVs, each given as (path, rows, omitted) as
+    ``read_scores_csv`` reads it, and an accuracies CSV, given as (path,
+    rows), into an evaluation matrix over the converged models. The rules,
+    in the order they apply; each error names its file:
 
     1. a scores row has its model's train_domain in the manifest;
     2. rows of one key hold one value, in the scores, then the accuracies;
     3. a scored pair has an accuracy;
     4. a converged model has an accuracy on every test domain that another
-       converged model has one on.
+       converged model has one on;
+    5. a converged model has a row of a measure on every test domain that
+       another converged model has one on, unless a scores CSV declares the
+       model's rows of that measure omitted.
     """
     train_domains = {m.model_id: m.train_domain for m in manifest}
-    for path, rows in scores:
+    converged = [m for m in manifest if m.converged]
+    known = {m.model_id for m in converged}  # unconverged and foreign rows stay out
+    source = {}  # each measure's first file, for rule 5
+    for path, rows, _ in scores:
         for r in rows:
             # A model the manifest lacks stays out of the join, unchecked.
             expected = train_domains.get(r.model_id, r.train_domain)
             if r.train_domain != expected:
                 raise SchemaError(f"model {r.model_id!r} has train_domain {r.train_domain!r}, "
                                   f"but the manifest says {expected!r}", path)
+            if r.model_id in known:
+                source.setdefault(r.measure, path)
     acc_path, acc_rows = accuracies
-    score_rows = unique_rows([(r, path) for path, rows in scores for r in rows])
+    score_rows = unique_rows([(r, path) for path, rows, _ in scores for r in rows])
     acc_rows = unique_rows([(r, acc_path) for r in acc_rows])
-    converged = [m for m in manifest if m.converged]
-    known = {m.model_id for m in converged}  # unconverged and foreign rows stay out
     measures = {(r.model_id, r.test_domain, r.measure): r.value
                 for r in score_rows if r.model_id in known}
     acc = {(r.model_id, r.test_domain): r.accuracy for r in acc_rows if r.model_id in known}
@@ -211,4 +249,16 @@ def build_matrix(manifest: Sequence[ModelRecord], scores: Sequence[tuple],
     for model_id, domain in acc:
         have[model_id].add(domain)
     require_complete(have, lambda domain: f"no accuracy on test domain {domain!r}", acc_path)
+    # A scores CSV that lost some of a model's rows would leave that
+    # measure's pools one model short.
+    domains = {}
+    for model_id, domain, measure in measures:
+        domains.setdefault(measure, {}).setdefault(model_id, set()).add(domain)
+    declared = set().union(*(omitted for _, _, omitted in scores))
+    for measure in sorted(domains):
+        require_complete(
+            {model_id: domains[measure].get(model_id, set()) for model_id in known
+             if (model_id, measure) not in declared},
+            lambda domain: f"no row of measure {measure!r} on test domain {domain!r}",
+            source[measure])
     return EvaluationMatrix(measures=measures, accuracies=acc, models=tuple(converged))

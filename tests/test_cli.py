@@ -98,7 +98,7 @@ class TestScoreCommand:
         accs = tmp_path / "acc.csv"
         n = cmd_score([str(out_dir / "predictions")],
                       out_dir / "manifest.jsonl", scores, acc_out=accs)
-        rows = read_scores_csv(scores)
+        rows, _ = read_scores_csv(scores)
         assert len(rows) == n
         # both variants for every converged (model, domain) pair
         assert n == 2 * result.num_converged * 3
@@ -111,28 +111,28 @@ class TestScoreCommand:
         scores = tmp_path / "scores.csv"
         cmd_score([str(out_dir / "predictions")], out_dir / "manifest.jsonl",
                   scores, variant="majority")
-        assert {r.measure for r in read_scores_csv(scores)} == {
+        assert {r.measure for r in read_scores_csv(scores)[0]} == {
             "ms_manifold-r0.5-n5"}
 
 
-    def test_disagreeing_accuracies_rejected(self, pool, tmp_path):
+    def test_disagreeing_accuracies_rejected(self, two_neighborhood_pool, tmp_path):
         from smoothgen.errors import SmoothgenError
 
-        out_dir, _ = pool
+        out_dir, _, isotropic = two_neighborhood_pool
         logs = tmp_path / "predictions"
         shutil.copytree(out_dir / "predictions", logs)
-        source = sorted(logs.glob("*.jsonl"))[0]
-        # a second log for the same (model, domain) with one label changed
-        header, first, *rest = source.read_text().splitlines()
+        # the isotropic log of a (model, domain) with one label changed, so
+        # its accuracy differs from the manifold log's
+        tampered = sorted(logs.glob(f"*__{isotropic}.jsonl"))[0]
+        source = tampered.with_name(tampered.name.replace(isotropic, "manifold-r0.5-n5"))
+        header, first, *rest = tampered.read_text().splitlines()
         example = json.loads(first)
         example["true_label"] = (example["true_label"] + 1) % 3
-        tampered = logs / ("tampered__" + source.name)
         tampered.write_text("\n".join([header, json.dumps(example), *rest]) + "\n")
         with pytest.raises(SmoothgenError, match="differs") as exc:
             cmd_score([str(logs)], out_dir / "manifest.jsonl", tmp_path / "s.csv",
                       acc_out=tmp_path / "a.csv")
         assert str(source) in str(exc.value) and str(tampered) in str(exc.value)
-
 
     def test_missing_label_names_the_log(self, pool, tmp_path, capsys):
         out_dir, result = pool
@@ -214,7 +214,7 @@ class TestBaselineCommand:
         out = tmp_path / "baseline.csv"
         cmd_baseline([str(out_dir / "scores")], [str(out_dir / "weights")],
                      out_dir / "manifest.jsonl", out)
-        rows = read_scores_csv(out)
+        rows, _ = read_scores_csv(out)
         by_measure = {}
         for r in rows:
             by_measure.setdefault(r.measure, []).append(r)
@@ -480,6 +480,15 @@ def _unscored_missing_accuracy(scores, accuracies, extra, manifest):
             f"where other models have one")
 
 
+def _lost_measure_rows(scores, accuracies, extra, manifest):
+    """A model's rows of one measure removed, its accuracies kept."""
+    model, _, test, measure, _ = scores[2].split(",")
+    scores[2:] = [line for line in scores[2:]
+                  if (line.split(",")[0], line.split(",")[3]) != (model, measure)]
+    return (f"{{scores}}: model {model!r} has no row of measure {measure!r} on test domain "
+            f"{test!r}, where other models have one")
+
+
 def _missing_manifest(scores, accuracies, extra, manifest):
     manifest.clear()
     return "[Errno 2] No such file or directory: '{manifest}'"
@@ -546,12 +555,12 @@ class TestEvaluateTables:
         _conflicting_score_row, _conflicting_accuracy_row, _accuracy("7.5"), _accuracy("-0.1"),
         _foreign_train_domain, _invalid_byte(0, 4), _invalid_byte(1, 2), _invalid_byte(1, 0),
         _missing_accuracy, _four_fields, _not_a_number, _unscored_missing_accuracy,
-        _missing_manifest, _converged_yes, _duplicate_manifest_id,
+        _lost_measure_rows, _missing_manifest, _converged_yes, _duplicate_manifest_id,
     ], ids=["conflicting_score", "conflicting_accuracy", "accuracy_7.5", "accuracy_-0.1",
             "foreign_train_domain", "invalid_utf8_score_row", "invalid_utf8_accuracy_row",
             "invalid_utf8_comment", "missing_accuracy", "four_fields", "not_a_number",
-            "unscored_missing_accuracy", "missing_manifest", "converged_yes",
-            "duplicate_manifest_id"])
+            "unscored_missing_accuracy", "lost_measure_rows", "missing_manifest",
+            "converged_yes", "duplicate_manifest_id"])
     def test_malformed_table_exits_nonzero(self, pool, tmp_path, capsys, mutate):
         rc, report, expected = self.run(pool, tmp_path, mutate)
         assert rc == 1
@@ -609,6 +618,31 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == (
             f"error: {accs}: model 'rot000-c000' has no accuracy on test domain "
             f"'rot000', where other models have one\n")
+        assert not report.exists()
+
+    def test_a_baselines_csv_that_lost_a_models_rows_exits_nonzero(self, pool, tmp_path,
+                                                                    capsys):
+        out_dir, result = pool
+        manifest = str(out_dir / "manifest.jsonl")
+        scores, accs, baselines, report = (
+            tmp_path / name for name in ("s.csv", "a.csv", "b.csv", "report.json"))
+        assert main(["score", "--input", str(out_dir / "predictions"), "--manifest", manifest,
+                     "--out", str(scores), "--acc-out", str(accs)]) == 0
+        assert main(["baseline", "--scores", str(out_dir / "scores"), "--weights",
+                     str(out_dir / "weights"), "--manifest", manifest,
+                     "--out", str(baselines)]) == 0
+        capsys.readouterr()
+        model = min(r.model_id for r in result.manifest if r.converged)
+        lines = baselines.read_text().splitlines()
+        kept = [line for line in lines if line.split(",")[::3] != [model, "atc_mc"]]
+        assert len(lines) - len(kept) == 3  # one row per test domain
+        baselines.write_text("\n".join(kept) + "\n")
+        rc = main(["evaluate", "--scores", str(scores), str(baselines), "--accuracies",
+                   str(accs), "--manifest", manifest, "--out", str(report)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {baselines}: model {model!r} has no row of measure 'atc_mc' on test "
+            f"domain 'rot000', where other models have one\n")
         assert not report.exists()
 
     def test_tables_are_read_and_joined_through_the_cli_namespace(self, pool, tmp_path,
@@ -1142,6 +1176,102 @@ class TestMalformedLogs:
         assert not out.exists()
 
 
+def _fault_in_a_later_line(text, case):
+    """The text of a prediction log with fault ``case`` made in its middle
+    body line, with that line's number and example id."""
+    lines = text.splitlines(keepends=True)
+    n = len(lines) // 2
+    line, example_id = lines[n], json.loads(lines[n])["example_id"]
+    at = line.index('"neighborhood_predictions":[') + len('"neighborhood_predictions":[')
+    if case == "truncated":
+        lines[n:] = [line[:at + 2]]  # the file ends after the first prediction's comma
+    else:
+        lines[n] = line[:at] + ('"1"' if case == "quoted_prediction" else "3") + line[at + 1:]
+    return "".join(lines), n + 1, example_id
+
+
+PREDICTION_LOG_FAULTS = {  # case: the error after path:line, {id} the line's example id
+    "truncated": "malformed JSON: Expecting value",
+    "quoted_prediction": "example {id!r}: prediction '1' is not an integer",
+    "prediction_equal_to_num_classes": "example {id!r}: prediction 3 out of range [0, 3)",
+}
+
+
+class TestPredictionLogFaults:
+    """A fault in a prediction log that synth wrote, whose lines all have one
+    length so that it is read as a byte matrix, stops ``score`` and
+    ``ablate`` with exit code 1 and one ``error:`` line naming the log and
+    the faulty line. The faults sit in a later line, past the first line,
+    which the read checks by itself; the same faults in the first entry are
+    ``TestMalformedLogs``'s. A removed log is pinned by
+    ``TestScoreCommand::test_a_model_that_lost_some_logs_exits_nonzero`` and
+    ``TestAblateCommand::test_a_pool_model_without_its_log_exits_nonzero``,
+    and an ablation log with another model's header by
+    ``TestAblateCommand::test_log_of_another_model_exits_nonzero``."""
+
+    @staticmethod
+    def run(pool, tmp_path, command, edit):
+        """(exit code, stderr, the output path) of ``command`` on a copy of
+        the pool after ``edit(logs)``, ``logs`` the sorted logs ``command``
+        reads (of the ablation pool's models, for ``ablate``)."""
+        out_dir, result = pool
+        run = tmp_path / "run"
+        shutil.copytree(out_dir, run)
+        out = tmp_path / "out.csv"
+        if command == "score":
+            logs = sorted((run / "predictions").glob("*.jsonl"))
+            args = ["score", "--input", str(run / "predictions"), "--manifest",
+                    str(run / "manifest.jsonl")]
+        else:
+            pool_ids = {r.model_id for r in result.manifest
+                        if r.converged and r.train_domain != "rot030"}
+            logs = [p for p in sorted((run / "ablation").glob("*__n_samples.jsonl"))
+                    if p.name.split("__")[0] in pool_ids]
+            args = ["ablate", "--artifacts", str(run), "--kind", "n_samples", "--values", "4"]
+        edit(logs)
+        return main([*args, "--out", str(out)]), out
+
+    @pytest.mark.parametrize("case", sorted(PREDICTION_LOG_FAULTS))
+    @pytest.mark.parametrize("command", ["score", "ablate"])
+    def test_fault_in_a_later_line_names_it(self, pool, tmp_path, capsys, command, case):
+        where = {}
+
+        def edit(logs):
+            log = logs[0]
+            lines = log.read_text().splitlines()[1:]
+            assert len(lines) > 2 and len(set(map(len, lines))) == 1  # one line length
+            text, line, example_id = _fault_in_a_later_line(log.read_text(), case)
+            log.write_text(text)
+            where.update(log=log, line=line, id=example_id)
+
+        rc, out = self.run(pool, tmp_path, command, edit)
+        message = PREDICTION_LOG_FAULTS[case].format(id=where["id"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {where['log']}:{where['line']}: {message}\n"
+        assert not out.exists()
+
+    def test_a_log_with_another_models_header_names_both_logs(self, pool, tmp_path, capsys):
+        """``score`` reads the file as a second log of the other model."""
+        names = {}
+
+        def edit(logs):
+            # Two models' logs of one test domain and neighbourhood.
+            log, other = [p for p in logs
+                          if p.name.split("__", 1)[1] == logs[0].name.split("__", 1)[1]][:2]
+            header = other.read_text().splitlines()[0]
+            log.write_text(header + "\n" + log.read_text().split("\n", 1)[1])
+            names.update(log=log, other=other, header=json.loads(header))
+
+        rc, out = self.run(pool, tmp_path, "score", edit)
+        header = names["header"]
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: model {header['model_id']!r}: two prediction logs of test domain "
+            f"{header['test_domain']!r} with neighborhood {header['meta']['neighborhood']!r}, "
+            f"{names['log']} and {names['other']}\n")
+        assert not out.exists()
+
+
 class Interrupted(Exception):
     pass
 
@@ -1321,8 +1451,10 @@ class TestMainEntry:
         assert len(err) == 2
         assert all(huge_id in line for line in err)
         assert "norm_spectral" in err[0] and "norm_frobenius" in err[1]
-        norm_rows = [r for r in read_scores_csv(baselines) if r.measure.startswith("norm_")]
+        rows, omitted = read_scores_csv(baselines)
+        norm_rows = [r for r in rows if r.measure.startswith("norm_")]
         assert {r.model_id for r in norm_rows} == set(converged) - {huge_id}
+        assert omitted == {(huge_id, "norm_spectral"), (huge_id, "norm_frobenius")}
         assert main(["evaluate", "--scores", str(scores), str(baselines),
                      "--accuracies", str(accs), "--manifest", manifest,
                      "--out", str(tmp_path / "report.json")]) == 0

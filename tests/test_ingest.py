@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -648,10 +649,26 @@ SCAN_LOG = log_from_rows(
     meta={"neighborhood": "manifold-r0.5-n10"},
 )
 SCAN_TEXT = serialize_prediction_log(SCAN_LOG)
-FIRST_EXAMPLE = SCAN_TEXT.splitlines()[1]
 SCAN_HEADER = SCAN_TEXT.splitlines()[0]
-SECOND_EXAMPLE = SCAN_TEXT.splitlines()[2]
 ESCAPED_HEADER_LOG = dataclasses.replace(SCAN_LOG, model_id='a\\b"c', meta={"note": "x\ty"})
+
+# A log as synth writes one: every line of one length (ids of one width, one
+# neighbourhood size, one-digit classes and both labels). Its header and
+# first example are SCAN_TEXT's.
+STRIDE_LOG = log_from_rows(
+    NeighborhoodPredictionLog,
+    model_id="m",
+    test_domain="d",
+    num_classes=3,
+    rows=(
+        ExampleEntry("ex0", (0, 1, 2), true_label=0, base_prediction=1),
+        ExampleEntry("ex1", (2, 2, 1), true_label=2, base_prediction=2),
+        ExampleEntry("ex2", (1, 1, 0), true_label=1, base_prediction=0),
+        ExampleEntry("ex3", (0, 2, 2), true_label=2, base_prediction=2),
+    ),
+    meta={"neighborhood": "manifold-r0.5-n10"},
+)
+STRIDE_TEXT = serialize_prediction_log(STRIDE_LOG)
 
 
 def mixed_endings(text):
@@ -659,6 +676,26 @@ def mixed_endings(text):
     later line in CRLF: the first line matches the pattern, the rest do not."""
     header, first, rest = text.split("\n", 2)
     return f"{header}\n{first}\n" + rest.replace("\n", "\r\n")
+
+
+class _NoFindall:
+    """A compiled pattern whose ``findall``, the line pattern's pass over a
+    whole body, fails the test."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+
+    def __getattr__(self, name):
+        return getattr(self.pattern, name)
+
+    def findall(self, *args):
+        raise AssertionError("the line pattern's findall")
+
+
+def matrix_only():
+    """A patch under which a prediction log that the fixed-stride read
+    declines fails the test."""
+    return mock.patch.object(ingest, "_PREDICTION_LINE", _NoFindall(ingest._PREDICTION_LINE))
 
 
 @pytest.fixture(scope="module")
@@ -675,7 +712,9 @@ def small_tree(tmp_path_factory):
 def test_every_log_of_a_pool_takes_the_fast_read(small_tree, parse, folders):
     paths = [p for folder in folders for p in sorted((small_tree / folder).glob("*.jsonl"))]
     assert len(paths) > 20
-    with scan_only():
+    # Every prediction log of a pool has one line length and one-digit
+    # values, so it is read as a byte matrix.
+    with scan_only(), matrix_only() if parse is parse_prediction_log else nullcontext():
         outcomes = [parse_outcome(p, parse) for p in paths]
     with strict_path():
         assert outcomes == [parse_outcome(p, parse) for p in paths]
@@ -706,9 +745,64 @@ class TestBenchCounters:
         assert len(log.entries) == len(log.example_ids)
 
 
+def prediction_variants(text):
+    """(old, new) edits of the prediction log ``text``, which has SCAN_TEXT's
+    header and first example: each a layout the line pattern does not take, a
+    value the log does not hold or, in a later line, an edit that keeps or
+    breaks the fixed stride."""
+    header, first, second = text.splitlines()[:3]
+    return [
+        ("[0,1,2]", "[0, 1, 2]"),
+        (first, '{"example_id":"ex0","base_prediction":1,'
+                '"neighborhood_predictions":[0,1,2],"true_label":0}'),
+        ("[0,1,2]", "[0,01,2]"),
+        ("[0,1,2]", "[0,1.0,2]"),
+        ("[0,1,2]", "[0,true,2]"),
+        ("[0,1,2]", "[0,,2]"),
+        ("[0,1,2]", "[0,1,2,]"),
+        ("[0,1,2]", "[,0,1,2]"),
+        ('"ex1"', '"\\u0065x1"'),
+        ('"ex1"', '"ex\t1"'),
+        ('"ex1"', '"ex\x7f1"'),
+        ('"ex1"', '"ex\u00e91"'),
+        ("\n", "\r\n"),
+        (first + "\n", first + "\n\n"),
+        ("[0,1,2]", "[0,12345678901234567890,2]"),
+        ("[0,1,2]", "[0,1234567890123456789,2]"),
+        ('"true_label":0', '"true_label":9999999999999999999'),
+        ('"true_label":0', '"true_label":00'),
+        ('"num_classes":3', '"num_classes":3.0'),
+        ('"num_classes":3', '"num_classes":true'),
+        ("[0,1,2]", "[0,3,2]"),
+        ('"true_label":0', '"true_label":3'),
+        ('"base_prediction":1', '"base_prediction":-1'),
+        ("[0,1,2]", "[]"),
+        ('"ex3"', '"ex[3]"'),
+        ('"ex3"', '"ex,3"'),
+        ('"ex1"', '"ex7"'),
+        ('"ex1"', '"exq"'),
+        ('"ex1"', '"ex11"'),
+        ("[0,2,2", "[0,222"),
+        *whitespace_variants(header, second),
+    ]
+
+
+PREDICTION_VARIANT_IDS = [
+    "spaces", "key_order", "leading_zero", "float", "boolean", "empty_token",
+    "trailing_comma", "leading_comma", "escaped_id", "control_char_in_id",
+    "del_in_id", "non_ascii_id", "crlf", "blank_line", "20_digits", "19_digits",
+    "int64_overflow_label", "leading_zero_label", "float_num_classes",
+    "boolean_num_classes", "prediction_out_of_range", "true_label_out_of_range",
+    "negative_base", "empty_neighborhood", "bracket_in_id", "comma_in_id",
+    "digit_in_id", "letter_for_id_digit", "longer_id", "merged_predictions",
+    *WHITESPACE_IDS,
+]
+
+
 class TestPredictionLogScan:
-    """A canonical log is read by the line pattern; every other file gives
-    what the JSON decode of each line gives, a log or its SchemaError."""
+    """A canonical log is read as a byte matrix or by the line pattern; every
+    other file gives what the JSON decode of each line gives, a log or its
+    SchemaError."""
 
     def test_canonical_log_takes_the_scan(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -728,44 +822,14 @@ class TestPredictionLogScan:
         with scan_only():
             assert parse_prediction_log(path) == log
 
-    @pytest.mark.parametrize("old, new", [
-        ("[0,1,2]", "[0, 1, 2]"),
-        (FIRST_EXAMPLE, '{"example_id":"ex0","base_prediction":1,'
-                        '"neighborhood_predictions":[0,1,2],"true_label":0}'),
-        ("[0,1,2]", "[0,01,2]"),
-        ("[0,1,2]", "[0,1.0,2]"),
-        ("[0,1,2]", "[0,true,2]"),
-        ("[0,1,2]", "[0,,2]"),
-        ("[0,1,2]", "[0,1,2,]"),
-        ("[0,1,2]", "[,0,1,2]"),
-        ('"ex1"', '"\\u0065x1"'),
-        ('"ex1"', '"ex\t1"'),
-        ('"ex1"', '"ex\x7f1"'),
-        ('"ex1"', '"ex\u00e91"'),
-        ("\n", "\r\n"),
-        (FIRST_EXAMPLE + "\n", FIRST_EXAMPLE + "\n\n"),
-        ("[0,1,2]", "[0,12345678901234567890,2]"),
-        ("[0,1,2]", "[0,1234567890123456789,2]"),
-        ('"true_label":0', '"true_label":9999999999999999999'),
-        ('"true_label":0', '"true_label":00'),
-        ('"num_classes":3', '"num_classes":3.0'),
-        ('"num_classes":3', '"num_classes":true'),
-        ("[0,1,2]", "[0,3,2]"),
-        ('"true_label":0', '"true_label":3'),
-        ('"base_prediction":1', '"base_prediction":-1'),
-        ("[0,1,2]", "[]"),
-        ('"ex3"', '"ex[3]"'),
-        ('"ex3"', '"ex,3"'),
-        *whitespace_variants(SCAN_HEADER, SECOND_EXAMPLE),
-    ], ids=["spaces", "key_order", "leading_zero", "float", "boolean", "empty_token",
-            "trailing_comma", "leading_comma", "escaped_id", "control_char_in_id",
-            "del_in_id", "non_ascii_id", "crlf", "blank_line", "20_digits", "19_digits",
-            "int64_overflow_label", "leading_zero_label", "float_num_classes",
-            "boolean_num_classes", "prediction_out_of_range", "true_label_out_of_range",
-            "negative_base", "empty_neighborhood", "bracket_in_id", "comma_in_id",
-            *WHITESPACE_IDS])
-    def test_variant_gives_the_strict_outcome(self, tmp_path, old, new):
-        check_variant(tmp_path, parse_prediction_log, SCAN_TEXT, old, new)
+    @pytest.mark.parametrize("text, old, new", [
+        pytest.param(text, old, new, id=case + suffix)
+        for text, suffix in ((SCAN_TEXT, ""), (STRIDE_TEXT, "-fixed_stride"))
+        for case, (old, new) in zip(PREDICTION_VARIANT_IDS, prediction_variants(text),
+                                    strict=True)
+    ])
+    def test_variant_gives_the_strict_outcome(self, tmp_path, text, old, new):
+        check_variant(tmp_path, parse_prediction_log, text, old, new)
 
     @pytest.mark.parametrize("new", ["[0,,,2]", "[,]", "[,,,]"])
     def test_empty_tokens_give_the_strict_outcome_with_many_classes(self, tmp_path, new):
@@ -793,11 +857,59 @@ class TestPredictionLogScan:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(at=st.integers(0, len(SCAN_TEXT)), cut=st.integers(0, 2),
+    @given(at=st.integers(0, 10**6), cut=st.integers(0, 2),
            insert=st.sampled_from([b"", b"0", b"1", b"9", b",", b"[", b"]", b"{", b"}", b'"',
                                    b"\\", b"\n", b" ", b"x", b"-", b"\xff"]))
-    def test_changed_bytes_give_the_strict_outcome(self, tmp_path, at, cut, insert):
-        check_byte_edit(tmp_path, parse_prediction_log, SCAN_TEXT, at, cut, insert)
+    @pytest.mark.parametrize("text", [SCAN_TEXT, STRIDE_TEXT], ids=["ragged", "fixed_stride"])
+    def test_changed_bytes_give_the_strict_outcome(self, tmp_path, text, at, cut, insert):
+        check_byte_edit(tmp_path, parse_prediction_log, text, at % (len(text) + 1), cut, insert)
+
+    @pytest.mark.parametrize("log", [
+        STRIDE_LOG,
+        dataclasses.replace(STRIDE_LOG, example_ids=("",) * 4),
+        dataclasses.replace(STRIDE_LOG, example_ids=("x1", "x9", "x0", "x1"), num_classes=300),
+        dataclasses.replace(STRIDE_LOG, true_labels=np.full(4, -1)),
+        dataclasses.replace(STRIDE_LOG, true_labels=np.full(4, -1),
+                            base_predictions=np.full(4, -1)),
+        log_from_rows(NeighborhoodPredictionLog, [ExampleEntry("x", (9,))], model_id="m",
+                      test_domain="d", num_classes=10),
+    ], ids=["synth_form", "empty_ids", "uint16_predictions", "no_true_labels", "no_labels",
+            "one_line"])
+    def test_fixed_stride_log_is_read_without_the_pattern_pass(self, tmp_path, log):
+        path = tmp_path / "log.jsonl"
+        write_prediction_log(log, path)
+        with scan_only(), matrix_only():
+            assert parse_prediction_log(path) == log
+
+    def test_a_ragged_log_takes_the_pattern_pass(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text(SCAN_TEXT)
+        with matrix_only(), pytest.raises(AssertionError, match="findall"):
+            parse_prediction_log(path)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), k=st.sampled_from([2, 3, 10, 300]), m=st.integers(1, 12),
+           n=st.integers(1, 6), prefix=st.text("abz-_ .", max_size=3),
+           id_digits=st.integers(0, 3), labels=st.booleans())
+    def test_fixed_stride_round_trip(self, tmp_path, data, k, m, n, prefix, id_digits, labels):
+        # Ids of one width that differ only in their digits, as synth's do.
+        ids = [prefix + "".join(map(str, d)) for d in data.draw(st.lists(
+            st.lists(st.integers(0, 9), min_size=id_digits, max_size=id_digits),
+            min_size=m, max_size=m))]
+        digit = st.integers(0, min(k, 10) - 1)
+        label = digit if labels else st.none()
+        rows = data.draw(st.lists(st.tuples(st.lists(digit, min_size=n, max_size=n), label,
+                                            label), min_size=m, max_size=m))
+        log = log_from_rows(
+            NeighborhoodPredictionLog,
+            [ExampleEntry(i, tuple(preds), true_label=true, base_prediction=base)
+             for i, (preds, true, base) in zip(ids, rows)],
+            model_id="m", test_domain="d", num_classes=k)
+        path = tmp_path / "log.jsonl"
+        write_prediction_log(log, path)
+        with scan_only(), matrix_only():
+            assert parse_prediction_log(path) == log
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -65,14 +65,15 @@ class TestCsvRoundTrip:
     def test_scores(self, tmp_path):
         path = tmp_path / "scores.csv"
         write_scores_with_meta(path, {"run": "t1"})
-        back = read_scores_csv(path)
+        back, omitted = read_scores_csv(path)
+        assert omitted == frozenset()
         assert sorted(back, key=lambda r: r.model_id) == sorted(
             SCORES, key=lambda r: r.model_id)
 
     def test_float_values_survive_exactly(self, tmp_path):
         path = tmp_path / "scores.csv"
         write_scores_csv(SCORES, path)
-        back = {r.model_id: r.value for r in read_scores_csv(path)}
+        back = {r.model_id: r.value for r in read_scores_csv(path)[0]}
         assert back["d1-m0"] == 1.0 / 3.0  # repr round-trip, no decimal loss
 
     def test_accuracies(self, tmp_path):
@@ -115,6 +116,24 @@ class TestCsvRoundTrip:
             reader(path)
         assert (exc.value.path, exc.value.line) == (path, 4)
 
+    def test_omitted_pairs_round_trip_in_the_header_comment(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        omitted = [("d1-m0", "norm_spectral"), ("a b,\"c", "norm_frobenius")]
+        write_scores_csv(SCORES, path, omitted)
+        assert path.read_text().splitlines()[0] == (
+            '# smoothgen tool_version=0.1.0 omitted=[["a b,\\"c","norm_frobenius"],'
+            '["d1-m0","norm_spectral"]]')
+        assert read_scores_csv(path)[1] == frozenset(omitted)
+
+    @pytest.mark.parametrize("text", ["[", '["m","x"]', '[["m"]]', '[["m",1]]', "{}"])
+    def test_malformed_omitted_declaration_names_path_and_line(self, tmp_path, text):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(SCORES, path)
+        path.write_text(path.read_text().replace("\n", f" omitted={text}\n", 1))
+        with pytest.raises(SchemaError, match="omitted= must be") as exc:
+            read_scores_csv(path)
+        assert (exc.value.path, exc.value.line) == (path, 1)
+
     def test_rows_sorted_deterministically(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_scores_csv(SCORES, a)
@@ -122,8 +141,8 @@ class TestCsvRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
-def join(scores, accuracies):
-    return build_matrix(MANIFEST, [("scores.csv", scores)], ("acc.csv", accuracies))
+def join(scores, accuracies, omitted=frozenset()):
+    return build_matrix(MANIFEST, [("scores.csv", scores, omitted)], ("acc.csv", accuracies))
 
 
 class TestBuildMatrix:
@@ -140,9 +159,9 @@ class TestBuildMatrix:
         assert matrix.all_domains == ["d0", "d1"]
 
     def test_test_only_domain_not_marked_training(self):
-        scores = SCORES + [ScoreRow("d0-m0", "d0", "far", "ms_x", 0.1)]
-        accs = ACCURACIES + [AccuracyRow(model_id, "far", 0.2)
-                             for model_id in ("d0-m0", "d0-m1", "d1-m0")]
+        models = (("d0-m0", "d0"), ("d0-m1", "d0"), ("d1-m0", "d1"))
+        scores = SCORES + [ScoreRow(m, train, "far", "ms_x", 0.1) for m, train in models]
+        accs = ACCURACIES + [AccuracyRow(m, "far", 0.2) for m, _ in models]
         matrix = join(scores, accs)
         assert "far" in matrix.all_domains
         assert "far" not in matrix.training_domains
@@ -150,6 +169,19 @@ class TestBuildMatrix:
     def test_missing_accuracy_lists_offenders(self):
         with pytest.raises(SchemaError, match="d0-m1/d1"):
             join(SCORES, ACCURACIES[:1])
+
+    def test_a_model_without_a_measure_row_names_the_csv_model_and_measure(self):
+        scores = SCORES + [ScoreRow(m, m[:2], "d1", "norm_x", 1.0) for m in ("d0-m0", "d1-m0")]
+        with pytest.raises(SchemaError) as exc:
+            join(scores, ACCURACIES)
+        assert str(exc.value) == ("scores.csv: model 'd0-m1' has no row of measure 'norm_x' "
+                                  "on test domain 'd1', where other models have one")
+
+    def test_a_declared_omission_passes(self):
+        scores = SCORES + [ScoreRow(m, m[:2], "d1", "norm_x", 1.0) for m in ("d0-m0", "d1-m0")]
+        matrix = join(scores, ACCURACIES, frozenset({("d0-m1", "norm_x")}))
+        assert ("d0-m1", "d1", "norm_x") not in matrix.measures
+        assert matrix.measures[("d1-m0", "d1", "norm_x")] == 1.0
 
     def test_foreign_model_scores_ignored(self):
         scores = SCORES + [ScoreRow("ghost", "d9", "d1", "ms_x", 0.4)]
