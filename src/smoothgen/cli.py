@@ -135,45 +135,53 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
 
 
 def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
-    """ATC accuracy predictions and weight-norm measures as a scores CSV."""
+    """ATC accuracy predictions and weight-norm measures as a scores CSV.
+
+    Score logs are read one at a time and not kept: a model's two ATC
+    thresholds are fit when its validation log is read, and a test log gives
+    its two ATC values. A test log read before its model's validation log
+    waits for it; in sorted file order that is at most one model's test logs.
+    """
     models = _manifest_models(manifest_path)
-    validation, tests = {}, []
+    logged = {model_id: set() for model_id, rec in models.items() if rec.converged}
+    fitted, waiting, rows, omitted = {}, {}, [], []
+
+    def atc_rows(log, rec, path, thresholds):
+        rows.extend(ScoreRow(log.model_id, rec.train_domain, log.domain, name,
+                             _of_file(path, atc_predict, log, threshold))
+                    for name, threshold in thresholds)
+
     for log, rec, path in _converged_artifacts(score_inputs, parse_score_log, models):
         if log.split == "validation":
             if log.domain != rec.train_domain:
                 raise SchemaError(f"validation score log of domain {log.domain!r}, but model "
                                   f"{log.model_id!r} trained on {rec.train_domain!r}", path)
-            if log.model_id in validation:
+            if log.model_id in fitted:
                 raise SmoothgenError(
                     f"model {log.model_id!r}: two validation score logs, "
-                    f"{validation[log.model_id][1]} and {path}"
+                    f"{fitted[log.model_id][0]} and {path}"
                 )
-            validation[log.model_id] = log, path
+            thresholds = [
+                (name, _of_file(path, atc_fit, log, kind))
+                for kind, name in (("max_confidence", "atc_mc"), ("neg_entropy", "atc_ne"))
+            ]
+            fitted[log.model_id] = path, thresholds
+            for test in waiting.pop(log.model_id, ()):
+                atc_rows(*test, thresholds)
         else:
-            tests.append((log, rec, path))
+            logged[log.model_id].add((log.split, log.domain))
+            if log.model_id in fitted:
+                atc_rows(log, rec, path, fitted[log.model_id][1])
+            else:
+                waiting.setdefault(log.model_id, []).append((log, rec, path))
     # A converged model that lost some or all of its score logs after the
     # manifest was written would be left out of pools. Validation logs are
     # left to the threshold fit, which requires one of a model with test logs.
-    logged = {model_id: set() for model_id, rec in models.items() if rec.converged}
-    for log, _, _ in tests:
-        logged[log.model_id].add((log.split, log.domain))
     require_complete(logged, lambda key: f"no score log of split {key[0]!r} on domain "
                                          f"{key[1]!r}")
-    rows, thresholds, omitted = [], {}, []
-    for log, rec, path in tests:
-        if log.model_id not in thresholds:
-            if log.model_id not in validation:
-                raise SmoothgenError(
-                    f"model {log.model_id!r}: no validation score log for threshold fitting"
-                )
-            val, val_path = validation[log.model_id]
-            thresholds[log.model_id] = [
-                (name, _of_file(val_path, atc_fit, val, kind))
-                for kind, name in (("max_confidence", "atc_mc"), ("neg_entropy", "atc_ne"))
-            ]
-        rows.extend(ScoreRow(log.model_id, rec.train_domain, log.domain, name,
-                             _of_file(path, atc_predict, log, threshold))
-                    for name, threshold in thresholds[log.model_id])
+    if waiting:
+        raise SmoothgenError(f"model {next(iter(waiting))!r}: no validation score log for "
+                             f"threshold fitting")
     if weight_inputs:
         dumped = {model_id: set() for model_id in logged}
         for dump, rec, _ in _converged_artifacts(weight_inputs, read_weight_dump, models,
@@ -264,11 +272,9 @@ def _ablation_context(artifacts):
     return pool, domain, ablation
 
 
-def _sweep_row(value, logs_by_model, accuracies, transform, variant, tau_variant):
-    """(value, tau, "ok", models), or a skipped row when tau is undefined."""
-    xs = [dataset_smoothness(transform(log, value), variant)
-          for log in logs_by_model.values()]
-    ys = [accuracies[model_id] for model_id in logs_by_model]
+def _sweep_row(value, xs, ys, tau_variant):
+    """(value, tau, "ok", models) of smoothness values ``xs`` against
+    accuracies ``ys``, or a skipped row when tau is undefined."""
     try:
         return (value, repr(kendall_tau(xs, ys, variant=tau_variant)), "ok", len(xs))
     except DegenerateSampleError as e:
@@ -282,17 +288,20 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
     A value the logs cannot take (a size beyond a log's examples, more samples
     than a neighbourhood holds, no logs for a size_r) and a value where tau is
     undefined give a skipped row; a malformed log, or one that some but not
-    all pool models lack, raises.
+    all pool models lack, raises. The pool's logs are read one at a time, and
+    each keeps only its accuracy and its smoothness at each value.
     """
     if seed < 0:
         raise SmoothgenError(f"--seed must be >= 0, got {seed}")
     pool, domain, ablation = _ablation_context(artifacts)
     ab_dir = os.path.join(artifacts, "ablation")
 
-    def load(name):
-        """(logs, accuracies) by model, or None when no model of the pool has
-        a log; a pool model without one, when others have theirs, raises a
-        SchemaError naming the first missing log."""
+    def sweep(name, values, check, transform):
+        """The rows of ``values`` over each pool model's log ``name``, or None
+        when no model of the pool has one; a pool model without one, when
+        others have theirs, raises a SchemaError naming the first missing log.
+        A value that some log fails ``check`` at gives a skipped row with the
+        first such log's fault."""
         paths = {m.model_id: os.path.join(ab_dir, f"{m.model_id}__{name}.jsonl")
                  for m in pool}
         absent = [p for p in paths.values() if not os.path.exists(p)]
@@ -301,16 +310,27 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
         if absent:
             raise SchemaError(f"ablation log missing; {len(absent)} of {len(paths)} "
                               f"pool models have none", absent[0])
-        logs = {mid: parse_prediction_log(p) for mid, p in paths.items()}
-        for mid, log in logs.items():
+        xs, faults, ys = [[] for _ in values], [None] * len(values), []
+        for mid, path in paths.items():
+            log = parse_prediction_log(path)
             if log.model_id != mid:
                 raise SchemaError(f"ablation log of model {log.model_id!r}, but its file is "
-                                  f"named for {mid!r}", paths[mid])
+                                  f"named for {mid!r}", path)
             if log.test_domain != domain:
                 raise SchemaError(f"ablation log of test domain {log.test_domain!r}, "
-                                  f"but the sweep's domain is {domain!r}", paths[mid])
-        return logs, {mid: _of_file(paths[mid], compute_accuracy, log)
-                      for mid, log in logs.items()}
+                                  f"but the sweep's domain is {domain!r}", path)
+            ys.append(_of_file(path, compute_accuracy, log))
+            for i, v in enumerate(values):
+                if faults[i] is None:
+                    try:
+                        check(log, v)
+                    except ValueError as e:
+                        faults[i] = e
+                    else:
+                        xs[i].append(dataset_smoothness(transform(log, v), variant))
+        return [(v, "", f"skipped: {fault}", 0) if fault is not None
+                else _sweep_row(v, x, ys, tau_variant)
+                for v, x, fault in zip(values, xs, faults)]
 
     def missing(name):
         return f"missing ablation logs {name!r} under {ab_dir}"
@@ -321,34 +341,23 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
         "n_samples": (check_neighborhood_length, truncate_neighborhood),
     }
     if kind == "neighborhood_size":
-        values = values or [float(r) for r in ablation.size_r_values]
+        if values is None:
+            values = [float(r) for r in ablation.size_r_values]
     elif kind not in sweeps:
         raise SmoothgenError(f"unknown ablation kind {kind!r}")
     if not values:
         raise SmoothgenError(f"{kind} sweep needs --values")
-    rows = []
     if kind == "neighborhood_size":
+        rows = []
         for v in values:
             name = f"size_r__{v:g}"
-            loaded = load(name)
-            if loaded is None:
-                rows.append((v, "", f"skipped: {missing(name)}", 0))
-            else:
-                rows.append(_sweep_row(v, *loaded, lambda log, _: log, variant, tau_variant))
+            swept = sweep(name, [v], lambda log, _: None, lambda log, _: log)
+            rows.extend(swept or [(v, "", f"skipped: {missing(name)}", 0)])
     else:
-        # the same logs at every value, so they are read and scored for accuracy once
-        loaded = load(kind)
-        if loaded is None:
+        # the same logs at every value, so each is read and scored for accuracy once
+        rows = sweep(kind, values, *sweeps[kind])
+        if rows is None:
             raise SmoothgenError(missing(kind))
-        check, transform = sweeps[kind]
-        for v in values:
-            try:
-                for log in loaded[0].values():
-                    check(log, v)
-            except ValueError as e:
-                rows.append((v, "", f"skipped: {e}", 0))
-            else:
-                rows.append(_sweep_row(v, *loaded, transform, variant, tau_variant))
 
     write_csv(out, ("value", "tau", "status", "num_models"), rows,
               {"kind": kind, "test_domain": domain, "seed": seed})
@@ -478,7 +487,7 @@ def main(argv=None) -> int:
                          breakdown_dir=args.breakdown_dir, tau_variant=args.tau)
             print(f"wrote report to {args.out}")
         elif args.command == "ablate":
-            values = _sweep_values(args.values, args.kind) if args.values else None
+            values = None if args.values is None else _sweep_values(args.values, args.kind)
             (variant,) = CLI_VARIANTS[args.variant]
             cmd_ablate(args.artifacts, args.kind, args.out, values=values,
                        variant=variant, tau_variant=args.tau, seed=args.seed)

@@ -215,8 +215,7 @@ class NeighborhoodPredictionLog:
             ])
 
         # Predictions are stored in the narrowest type that holds every class
-        # (uint8 for up to 256 classes): a sweep keeps all of its logs in
-        # memory at once.
+        # (uint8 for up to 256 classes), a log's largest array by far.
         for name in _LOG_ARRAYS:
             arr = getattr(self, name)
             dtype = np.min_scalar_type(k - 1) if name == "predictions" else np.int64

@@ -6,6 +6,7 @@ import math
 import os
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,17 @@ from smoothgen.cli import (
     main,
 )
 from smoothgen import ingest
-from smoothgen.ingest import WeightDump, read_weight_dump, write_weight_dump
+from smoothgen.ingest import (
+    ModelRecord,
+    NeighborhoodPredictionLog,
+    ScoreLog,
+    WeightDump,
+    read_weight_dump,
+    write_manifest,
+    write_prediction_log,
+    write_score_log,
+    write_weight_dump,
+)
 from smoothgen.protocol import REPORT_LAYOUT
 from smoothgen.synthbench.domains import DomainSpec, NeighborhoodSpec
 from smoothgen.synthbench.mlp import TrainConfig
@@ -340,6 +351,42 @@ class TestBaselineCommand:
         assert capsys.readouterr().err == (
             f"error: {log}: entry {entry['example_id']!r}: missing true_label\n")
         assert not out.exists()
+
+    def test_a_model_without_a_validation_log_exits_nonzero(self, pool, tmp_path, capsys):
+        out_dir, result = pool
+        scores = tmp_path / "scores"
+        shutil.copytree(out_dir / "scores", scores)
+        log = self.validation_log(result, scores)
+        log.unlink()
+        out = tmp_path / "baselines.csv"
+        rc = main(["baseline", "--scores", str(scores), "--manifest",
+                   str(out_dir / "manifest.jsonl"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: model {log.name.split('__')[0]!r}: no validation score log for "
+            f"threshold fitting\n")
+        assert not out.exists()
+
+    def test_validation_logs_before_or_after_the_test_logs_give_the_same_values(self, pool,
+                                                                               tmp_path):
+        """A test log read before its model's validation log waits for the
+        thresholds; read after it, it is predicted at once. Either way each
+        test log gets the same ATC values."""
+        out_dir, _ = pool
+        manifest = out_dir / "manifest.jsonl"
+        files = sorted(str(p) for p in (out_dir / "scores").glob("*.jsonl"))
+        validation = [f for f in files if f.endswith("__validation.jsonl")]
+        tests = [f for f in files if f not in validation]
+        assert validation and tests
+        outs = []
+        for name, inputs in (("after", tests + validation), ("before", validation + tests),
+                             ("sorted", [str(out_dir / "scores")])):
+            outs.append(tmp_path / f"{name}.csv")
+            cmd_baseline(inputs, [], manifest, outs[-1])
+        rows, _ = read_scores_csv(outs[0])
+        assert {r.measure for r in rows} == {"atc_mc", "atc_ne"}
+        assert len(rows) == 2 * len(tests)
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 class TestPoolReader:
@@ -790,6 +837,27 @@ class TestAblateCommand:
         assert rows[0][2] == "ok"
         missing = f"missing ablation logs 'size_r__0.3' under {out_dir / 'ablation'}"
         assert rows[1] == (0.3, "", f"skipped: {missing}", 0)
+
+    def test_a_value_some_logs_cannot_take_gives_the_first_such_logs_fault(self, pool,
+                                                                         tmp_path):
+        """The pool's logs are read one at a time; a value that a later log
+        cannot take is skipped with the fault of the first such log in pool
+        order, and the other values keep their rows."""
+        out_dir, result = pool
+        artifacts = tmp_path / "run"
+        shutil.copytree(out_dir, artifacts)
+        pool_ids = [r.model_id for r in result.manifest
+                    if r.converged and r.train_domain != "rot030"]
+        assert len(pool_ids) >= 3
+        for model_id, kept in zip(pool_ids[1:3], (30, 20)):
+            log = artifacts / "ablation" / f"{model_id}__dataset_size.jsonl"
+            lines = log.read_text().splitlines(keepends=True)
+            log.write_text("".join(lines[:1 + kept]))
+        rows = cmd_ablate(str(artifacts), "dataset_size", tmp_path / "s.csv",
+                          values=[10, 45, 25])
+        assert rows[0][2] == "ok" and rows[0][3] == len(pool_ids)
+        assert rows[1] == (45, "", "skipped: size must be in [1, 30], got 45", 0)
+        assert rows[2] == (25, "", "skipped: size must be in [1, 20], got 25", 0)
 
     @pytest.mark.parametrize("case", [
         "truncated",
@@ -1272,6 +1340,74 @@ class TestPredictionLogFaults:
         assert not out.exists()
 
 
+class TestAnalysisMemory:
+    """``baseline`` and ``ablate`` read one log at a time, so their peak
+    memory does not grow with the number of logs in the pool: with every log
+    held, 32 models' logs take about five times the peak of 4 models'."""
+
+    @staticmethod
+    def manifest(tree, n):
+        records = [ModelRecord(f"m{i:03d}", "mlp", "rot000", {}, True) for i in range(n)]
+        write_manifest(records, tree / "manifest.jsonl")
+        return records
+
+    def score_tree(self, tree, n, m=1000):
+        """A validation and a test score log of ``m`` entries for each of
+        ``n`` models."""
+        rng = np.random.default_rng(0)
+        ids = tuple(f"ex{j:05d}" for j in range(m))
+        (tree / "scores").mkdir(parents=True)
+        for rec in self.manifest(tree, n):
+            for domain, split in (("rot000", "validation"), ("rot030", "test")):
+                log = ScoreLog(rec.model_id, domain, split, ids, rng.integers(0, 3, m),
+                               rng.uniform(0.4, 1.0, m), -rng.uniform(0.0, 1.0, m),
+                               rng.integers(0, 3, m), num_classes=3)
+                write_score_log(log, tree / "scores" / f"{rec.model_id}__{domain}__{split}.jsonl")
+
+    def ablation_tree(self, tree, n, m=500, k=20):
+        """The small experiment's record and an ``n_samples`` ablation log of
+        ``m`` examples, ``k`` predictions each, for each of ``n`` models."""
+        rng = np.random.default_rng(0)
+        ids = tuple(f"ex{j:05d}" for j in range(m))
+        (tree / "ablation").mkdir(parents=True)
+        _write_record(tree / "experiment.json",
+                      {"meta": {}, "experiment": experiment_to_dict(small_experiment())})
+        for rec in self.manifest(tree, n):
+            log = NeighborhoodPredictionLog(rec.model_id, "rot030", 3, ids,
+                                            rng.integers(0, 3, m * k), np.full(m, k),
+                                            rng.integers(0, 3, m), rng.integers(0, 3, m))
+            write_prediction_log(log, tree / "ablation" / f"{rec.model_id}__n_samples.jsonl")
+
+    @staticmethod
+    def peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_baseline_memory_does_not_grow_with_the_logs(self, tmp_path):
+        peaks = []
+        for n in (4, 32):
+            tree = tmp_path / f"run{n}"
+            self.score_tree(tree, n)
+            peaks.append(self.peak(cmd_baseline, [str(tree / "scores")], [],
+                                   tree / "manifest.jsonl", tree / "baselines.csv"))
+        assert peaks[1] < 1.5 * peaks[0]
+
+    def test_ablate_memory_does_not_grow_with_the_logs(self, tmp_path):
+        peaks = []
+        for n in (4, 32):
+            tree = tmp_path / f"run{n}"
+            self.ablation_tree(tree, n)
+            # the first sweep of a process also decodes the record's class arcs
+            cmd_ablate(str(tree), "n_samples", tree / "warm.csv", values=[5])
+            peaks.append(self.peak(cmd_ablate, str(tree), "n_samples", tree / "sweep.csv",
+                                   values=[5, 10]))
+        assert peaks[1] < 1.5 * peaks[0]
+
+
 class Interrupted(Exception):
     pass
 
@@ -1542,6 +1678,19 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: --values {values!r}") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [",", ""])
+    @pytest.mark.parametrize("kind", ["dataset_size", "n_samples", "neighborhood_size"])
+    def test_empty_sweep_values_exit_nonzero(self, pool, tmp_path, capsys, kind, values):
+        """An explicitly empty --values is an error for every kind; only an
+        absent one gives neighborhood_size the experiment's size_r values."""
+        out_dir, _ = pool
+        out = tmp_path / "sweep.csv"
+        rc = main(["ablate", "--artifacts", str(out_dir), "--kind", kind,
+                   "--values", values, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {kind} sweep needs --values\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["score_manifest", "report_input", "evaluate_scores"])
