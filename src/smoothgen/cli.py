@@ -9,7 +9,6 @@ report). All outputs are machine-readable and deterministic for fixed seeds.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import math
 import os
@@ -22,6 +21,7 @@ from .errors import DegenerateSampleError, SchemaError, SmoothgenError
 from .ingest import (
     atomic_write_text,
     compute_accuracy,
+    list_files,
     parse_manifest,
     parse_prediction_log,
     parse_score_log,
@@ -72,8 +72,7 @@ def _converged_artifacts(paths, read, models, pattern="*.jsonl"):
     manifest lacks raises a SmoothgenError naming the file. ``models`` maps
     ids to records. Each command passes its reader from its own body, so the
     benchmark's tracer sees every read through this module's names."""
-    files = [f for p in paths
-             for f in (sorted(glob.glob(os.path.join(p, pattern))) if os.path.isdir(p) else [p])]
+    files = [f for p in paths for f in (list_files(p, pattern) if os.path.isdir(p) else [p])]
     if not files:
         raise SmoothgenError(f"no input files found in {paths!r}")
     for path in files:
@@ -127,10 +126,10 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     require_complete({model_id: set(keys) for model_id, keys in logged.items()},
                      lambda key: f"no prediction log of test domain {key[0]!r} "
                                  f"with neighborhood {key[1]!r}")
+    acc_rows = unique_rows(acc_rows)  # one per (model, domain), checked before any write
     write_scores_csv(score_rows, out)
     if acc_out is not None:
-        # one accuracy per (model, domain) regardless of neighborhood count
-        write_accuracies_csv(unique_rows(acc_rows), acc_out)
+        write_accuracies_csv(acc_rows, acc_out)
     return len(score_rows)
 
 
@@ -251,25 +250,23 @@ def _read_json_object(path, key):
 
 def _ablation_context(artifacts):
     """(converged models not trained on the ablation domain, the domain, the
-    run's AblationSpec), from its manifest and its record, experiment.json,
-    read as ``synth --config`` reads it; ``synth`` writes ablation logs only
-    for a record with an ablation."""
-    from .synthbench.pool import load_experiment
+    AblationSpec, and the plan ``run_files`` of a pool model) from a run's
+    manifest and record, experiment.json, read as ``synth --config`` reads
+    it; ``synth`` writes ablation logs only for a record with an ablation."""
+    from .synthbench.pool import load_experiment, run_files
 
     manifest = parse_manifest(os.path.join(artifacts, "manifest.jsonl"))
     exp_path = os.path.join(artifacts, "experiment.json")
-    ablation = load_experiment(exp_path).ablation
-    if ablation is None:
+    config = load_experiment(exp_path)
+    if config.ablation is None:
         raise SchemaError("no ablation in the experiment, so the run has no ablation logs",
                           exp_path)
-    domain = ablation.domain_id
-    pool = [
-        m for m in manifest
-        if m.converged and m.train_domain != domain
-    ]
+    domain = config.ablation.domain_id
+    pool = [m for m in manifest if m.converged and m.train_domain != domain]
     if len(pool) < 2:
         raise SmoothgenError(f"ablation pool too small: {len(pool)} models")
-    return pool, domain, ablation
+    return (pool, domain, config.ablation,
+            lambda m, size_rs: run_files(config, m.model_id, m.train_domain, size_rs))
 
 
 def _sweep_row(value, xs, ys, tau_variant):
@@ -283,7 +280,9 @@ def _sweep_row(value, xs, ys, tau_variant):
 
 def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
                tau_variant="b", seed=0):
-    """Sweep CSV of (value, tau) rows for one ablation kind.
+    """Sweep CSV of (value, tau) rows for one ablation kind, over the pool's
+    logs as ``run_files``, the plan ``synth`` writes by, names them in the
+    run's record (the swept size_r values standing in for the record's).
 
     A value the logs cannot take (a size beyond a log's examples, more samples
     than a neighbourhood holds, no logs for a size_r) and a value where tau is
@@ -293,17 +292,16 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
     """
     if seed < 0:
         raise SmoothgenError(f"--seed must be >= 0, got {seed}")
-    pool, domain, ablation = _ablation_context(artifacts)
+    pool, domain, ablation, plan = _ablation_context(artifacts)
     ab_dir = os.path.join(artifacts, "ablation")
 
-    def sweep(name, values, check, transform):
-        """The rows of ``values`` over each pool model's log ``name``, or None
-        when no model of the pool has one; a pool model without one, when
-        others have theirs, raises a SchemaError naming the first missing log.
-        A value that some log fails ``check`` at gives a skipped row with the
-        first such log's fault."""
-        paths = {m.model_id: os.path.join(ab_dir, f"{m.model_id}__{name}.jsonl")
-                 for m in pool}
+    def sweep(logs, values, check, transform):
+        """The rows of ``values`` over ``logs``, the pool models' RunFiles of
+        one log, or None when no model of the pool has one; a pool model
+        without one, when others have theirs, raises a SchemaError naming the
+        first missing log. A value that some log fails ``check`` at gives a
+        skipped row with the first such log's fault."""
+        paths = {m.model_id: os.path.join(artifacts, f.path) for m, f in zip(pool, logs)}
         absent = [p for p in paths.values() if not os.path.exists(p)]
         if len(absent) == len(paths):
             return None
@@ -332,8 +330,8 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
                 else _sweep_row(v, x, ys, tau_variant)
                 for v, x, fault in zip(values, xs, faults)]
 
-    def missing(name):
-        return f"missing ablation logs {name!r} under {ab_dir}"
+    def missing(logs):
+        return f"missing ablation logs {logs[0].name!r} under {ab_dir}"
 
     sweeps = {  # kind: (check that a value fits a log, the log at that value)
         "dataset_size": (check_subsample_size,
@@ -347,17 +345,18 @@ def cmd_ablate(artifacts, kind, out, values=None, variant="majority",
         raise SmoothgenError(f"unknown ablation kind {kind!r}")
     if not values:
         raise SmoothgenError(f"{kind} sweep needs --values")
+    size_rs = values if kind == "neighborhood_size" else ()
+    steps = list(zip(*([f for f in plan(m, size_rs) if f.sweep == kind] for m in pool)))
     if kind == "neighborhood_size":
         rows = []
-        for v in values:
-            name = f"size_r__{v:g}"
-            swept = sweep(name, [v], lambda log, _: None, lambda log, _: log)
-            rows.extend(swept or [(v, "", f"skipped: {missing(name)}", 0)])
+        for v, logs in zip(values, steps):
+            swept = sweep(logs, [v], lambda log, _: None, lambda log, _: log)
+            rows.extend(swept or [(v, "", f"skipped: {missing(logs)}", 0)])
     else:
         # the same logs at every value, so each is read and scored for accuracy once
-        rows = sweep(kind, values, *sweeps[kind])
+        rows = sweep(steps[0], values, *sweeps[kind])
         if rows is None:
-            raise SmoothgenError(missing(kind))
+            raise SmoothgenError(missing(steps[0]))
 
     write_csv(out, ("value", "tau", "status", "num_models"), rows,
               {"kind": kind, "test_domain": domain, "seed": seed})

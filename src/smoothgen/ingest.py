@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
+import glob
 import io
 import json
 import math
@@ -98,6 +99,13 @@ def read_text(path) -> str:
         # is the byte's.
         line = len(io.StringIO(data[:e.start].decode("utf-8") + "x", newline="").readlines())
         raise SchemaError(f"invalid UTF-8: {e.reason}", path=path, line=line) from None
+
+
+def list_files(directory, pattern="*") -> list:
+    """The sorted paths in ``directory`` matching ``pattern``, hidden ones (the
+    ``.tmp-*.part`` of a write cut short) left out; ``directory`` is a literal
+    path, even where it holds ``[`` or ``*``."""
+    return sorted(glob.glob(os.path.join(glob.escape(directory), pattern)))
 
 
 @dataclass(frozen=True)

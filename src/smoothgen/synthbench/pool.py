@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import typing
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +34,7 @@ from ..ingest import (
     ScoreLog,
     WeightDump,
     atomic_write_text,
+    list_files,
     read_text,
     write_manifest,
     write_prediction_log,
@@ -41,7 +43,6 @@ from ..ingest import (
 )
 from .domains import (
     ArcSpec,
-    Dataset,
     DomainSpec,
     NeighborhoodSpec,
     apply_label_noise,
@@ -56,6 +57,10 @@ def derive_seed(*parts) -> int:
     text = "|".join(str(p) for p in parts)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") >> 1
+
+
+# The name of a size_r in its sweep log's file name.
+_size_r_name = "{:g}".format
 
 
 def _require_file_names(what, names):
@@ -88,7 +93,7 @@ class AblationSpec:
         for r in (self.base_size_r, *self.size_r_values):
             if not r > 0:
                 raise SchemaError(f"ablation size_r must be positive, got {r}")
-        _require_file_names("ablation size_r_values", [f"{r:g}" for r in self.size_r_values])
+        _require_file_names("ablation size_r_values", map(_size_r_name, self.size_r_values))
 
 
 @dataclass
@@ -327,31 +332,49 @@ class PoolResult:
     num_converged: int
 
 
-def _neighborhood_points(test_set: Dataset, domain: DomainSpec, spec: NeighborhoodSpec,
-                         base_seed: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        derive_seed(base_seed, "nbr", domain.domain_id, spec.tag, spec.seed)
-    )
-    return sample_neighborhood(test_set.points, domain, spec, rng=rng)
-
-
 def _example_ids(m: int) -> tuple:
     return tuple(f"ex{idx:05d}" for idx in range(m))
 
 
+# A file of a model's run: its path in the run, what follows the model id in its name,
+# and for a log its test set (domain, split), a prediction log's spec and its sweep kind.
+RunFile = namedtuple("RunFile", "path name key spec sweep", defaults=(None,) * 4)
+
+
+def run_files(config: ExperimentConfig, model_id: str, train_domain: str,
+              size_rs=None) -> list:
+    """The one rule of a run's file names: every file the run of ``config`` writes for
+    converged model ``model_id`` trained on ``train_domain``. ``size_rs`` stands in for
+    the ablation's ``size_r_values``; a size_r no spec can take names a log of none."""
+    def log(directory, name, key, spec=None, sweep=None):
+        return RunFile(f"{directory}/{model_id}__{name}.jsonl", name, key, spec, sweep)
+
+    tests = [(d.domain_id, "test") for d in config.domains]
+    files = [log("scores", f"{domain}__{split}", (domain, split))
+             for domain, split in [(train_domain, "validation"), *tests]]
+    files += [log("predictions", f"{key[0]}__{spec.tag}", key, spec)
+              for key in tests for spec in config.neighborhoods]
+    ab = config.ablation
+    if ab is not None:
+        sets = [("dataset_size", "dataset_size", "ablation_test", ab.base_size_r, 10),
+                ("n_samples", "n_samples", "test", ab.base_size_r, ab.n_samples_max)]
+        sets += [("neighborhood_size", f"size_r__{_size_r_name(r)}", "test", r, 10)
+                 for r in (ab.size_r_values if size_rs is None else size_rs)]
+        files += [log("ablation", name, (ab.domain_id, split),
+                      NeighborhoodSpec("manifold", r, n, config.seed) if r > 0 else None, sweep)
+                  for sweep, name, split, r, n in sets]
+    files.append(RunFile(f"weights/{model_id}.bin"))
+    return files
+
+
 def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
-    """Train the grid on every training domain and emit all pipeline inputs."""
+    """Train the grid on every training domain and emit all pipeline inputs;
+    a file in the run's subdirectories that ``run_files`` does not name (a
+    log of another experiment, say) stops it before training."""
     training = config.training_domains()
     if len(training) < 2:
         raise SchemaError("need at least 2 training domains")
     out_dir = os.fspath(out_dir)
-    for sub in ("predictions", "scores", "weights", "ablation"):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-    # The manifest is written last, so a run that stops early leaves none, and
-    # every command that reads the tree stops on it; a stale one goes first.
-    manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    if os.path.exists(manifest_path):
-        os.remove(manifest_path)
 
     meta_common = {"tool_version": __version__, "config_hash": config.config_hash(),
                    "seed": config.seed}
@@ -372,6 +395,21 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
                 derive_seed(config.seed, "label_noise", domain.domain_id, idx),
             )
             jobs.append((domain.domain_id, f"{domain.domain_id}-c{idx:03d}", noisy, cfg))
+
+    planned = {f.path for domain, model_id, _, _ in jobs
+               for f in run_files(config, model_id, domain)}
+    subdirs = ("predictions", "scores", "weights", "ablation")
+    for path in (p for sub in subdirs for p in list_files(os.path.join(out_dir, sub))):
+        if os.path.relpath(path, out_dir) not in planned:
+            raise SchemaError("not a file of this experiment's run, and synth deletes "
+                              "nothing; give it an --out without such files", path)
+    for sub in subdirs:
+        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+    # The manifest is written last, so a run that stops early leaves none, and
+    # every command that reads the tree stops on it; a stale one goes first.
+    manifest_path = os.path.join(out_dir, "manifest.jsonl")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
 
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -411,60 +449,41 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
         )
         for d in config.domains
     }
-
-    # Every prediction log a model gets, main and ablation alike, as (directory,
-    # name, test set, spec). The ablation adds a large test set, a deep-sample
-    # neighborhood and a size_r sweep, all on one designated domain.
-    pred_dir, ab_dir = os.path.join(out_dir, "predictions"), os.path.join(out_dir, "ablation")
-    plan = [
-        (pred_dir, f"{d.domain_id}__{spec.tag}", (d.domain_id, "test"), spec)
-        for d in config.domains
-        for spec in config.neighborhoods
-    ]
     ab = config.ablation
     if ab is not None:
-        big, small = (ab.domain_id, "ablation_test"), (ab.domain_id, "test")
-        test_sets[big] = generate_domain(domains[ab.domain_id], ab.m_test,
-                                         derive_seed(config.seed, "ablation_test", ab.domain_id))
-        sets = [("dataset_size", big, ab.base_size_r, 10),
-                ("n_samples", small, ab.base_size_r, ab.n_samples_max)]
-        sets += [(f"size_r__{r:g}", small, r, 10) for r in ab.size_r_values]
-        plan += [
-            (ab_dir, name, key,
-             NeighborhoodSpec(kind="manifold", size_r=r, n_samples=n, seed=config.seed))
-            for name, key, r, n in sets
-        ]
-    # Each distinct (test set, spec) is sampled once, seeded by its domain and
-    # spec, for all models, and predicted and rendered once per model for
-    # every file of the plan it makes (the ablation's base size_r repeats a
-    # main log).
-    files = {}
-    for directory, name, key, spec in plan:
-        files.setdefault((key, spec), []).append((directory, name))
-    groups = [
-        (key, spec, names,
-         _neighborhood_points(test_sets[key], domains[key[0]], spec, config.seed))
-        for (key, spec), names in files.items()
-    ]
+        test_sets[ab.domain_id, "ablation_test"] = generate_domain(
+            domains[ab.domain_id], ab.m_test,
+            derive_seed(config.seed, "ablation_test", ab.domain_id))
+
+    @functools.cache
+    def points(key, spec):
+        """Test set ``key``'s neighborhoods, sampled once for all models."""
+        rng = np.random.default_rng(derive_seed(config.seed, "nbr", key[0], spec.tag, spec.seed))
+        return sample_neighborhood(test_sets[key].points, domains[key[0]], spec, rng=rng)
 
     # Every log of one size shares one tuple of example ids.
     example_ids = functools.cache(_example_ids)
     for model_id, (train_domain, model) in sorted(by_id.items()):
+        # The paths of each (test set, spec) of the plan: a score log has no spec, the weight
+        # dump neither spec nor test set, and the ablation's base size_r repeats a main log.
+        paths = {}
+        for f in run_files(config, model_id, train_domain):
+            paths.setdefault((f.key, f.spec), []).append(os.path.join(out_dir, f.path))
         # Score logs on the model's validation set (threshold fitting) and on
-        # each test set; a test set's classes are its base classes.
+        # each test set the plan names one of; its classes are its base classes.
         base_classes = {}
-        for (domain_id, split), dataset in [
+        for key, dataset in [
             ((train_domain, "validation"), val_sets[train_domain]), *test_sets.items()
         ]:
-            if split == "ablation_test":
-                base_classes[domain_id, split] = predict_classes(model, dataset.points)
+            if (key, None) not in paths:
+                base_classes[key] = predict_classes(model, dataset.points)
                 continue
             classes, conf, negent = model_predict(model, dataset.points)
-            base_classes[domain_id, split] = classes
+            base_classes[key] = classes
             log = ScoreLog(
                 model_id=model_id,
-                domain=domain_id,
-                split=split,
+                domain=key[0],
+                split=key[1],
                 example_ids=example_ids(len(classes)),
                 predicted_labels=classes,
                 max_confidence=conf,
@@ -475,11 +494,12 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
                 num_classes=dataset.num_classes,
                 meta=meta_common,
             )
-            path = os.path.join(out_dir, "scores", f"{model_id}__{domain_id}__{split}.jsonl")
-            write_score_log(log, path)
+            write_score_log(log, *paths[key, None])
 
-        for key, spec, names, samples in groups:
-            dataset = test_sets[key]
+        for (key, spec), copies in paths.items():
+            if spec is None:
+                continue
+            dataset, samples = test_sets[key], points(key, spec)
             m, n, _ = samples.shape
             log = NeighborhoodPredictionLog(
                 model_id=model_id,
@@ -492,12 +512,11 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
                 base_predictions=base_classes[key],
                 meta={**meta_common, "neighborhood": spec.tag},
             )
-            write_prediction_log(log, *(os.path.join(directory, f"{model_id}__{name}.jsonl")
-                                        for directory, name in names))
+            write_prediction_log(log, *copies)
 
         write_weight_dump(
             WeightDump(model_id=model_id, layers=tuple(np.array(w) for w in model.weights)),
-            os.path.join(out_dir, "weights", f"{model_id}.bin"),
+            *paths[None, None],
         )
 
     experiment = {"meta": meta_common, "experiment": experiment_to_dict(config)}

@@ -145,6 +145,39 @@ class TestScoreCommand:
                       acc_out=tmp_path / "a.csv")
         assert str(source) in str(exc.value) and str(tampered) in str(exc.value)
 
+    def test_a_directory_named_like_a_glob_pattern_is_read_as_named(self, pool, tmp_path):
+        out_dir, _ = pool
+        logs = tmp_path / "run[1]" / "predictions"
+        shutil.copytree(out_dir / "predictions", logs)
+        manifest = out_dir / "manifest.jsonl"
+        cmd_score([str(out_dir / "predictions")], manifest, tmp_path / "plain.csv")
+        cmd_score([str(logs)], manifest, tmp_path / "pattern.csv")
+        assert (tmp_path / "pattern.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    @pytest.mark.parametrize("existing", [None, b"model_id,old scores\n"])
+    def test_disagreeing_accuracies_leave_out_as_it_was(self, two_neighborhood_pool,
+                                                        tmp_path, capsys, existing):
+        """Both tables' rows are built, each accuracy checked, before either
+        is written: a conflict creates no --out and keeps an old one's bytes."""
+        out_dir, _, isotropic = two_neighborhood_pool
+        logs = tmp_path / "predictions"
+        shutil.copytree(out_dir / "predictions", logs)
+        tampered = sorted(logs.glob(f"*__{isotropic}.jsonl"))[0]
+        header, first, *rest = tampered.read_text().splitlines()
+        example = json.loads(first)
+        example["true_label"] = (example["true_label"] + 1) % 3
+        tampered.write_text("\n".join([header, json.dumps(example), *rest]) + "\n")
+        out, acc_out = tmp_path / "s.csv", tmp_path / "a.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        rc = main(["score", "--input", str(logs), "--manifest", str(out_dir / "manifest.jsonl"),
+                   "--out", str(out), "--acc-out", str(acc_out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: accuracy of model ") and "differs" in err
+        assert (out.read_bytes() if out.exists() else None) == existing
+        assert not acc_out.exists()
+
     def test_missing_label_names_the_log(self, pool, tmp_path, capsys):
         out_dir, result = pool
         logs = tmp_path / "predictions"

@@ -1121,6 +1121,80 @@ class TestRunPool:
             run_pool(config, tmp_path / "out")
 
 
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+STRAY = ("not a file of this experiment's run, and synth deletes nothing; "
+         "give it an --out without such files")
+
+
+class TestRunPlan:
+    """``run_files`` is the plan of a run's tree: ``run_pool`` writes exactly
+    its files, and a second run into one ``--out`` stops on any other."""
+
+    def test_a_second_experiment_into_one_out_stops_before_training(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        from smoothgen.cli import main
+
+        first = tiny_config(0)
+        first.neighborhoods.append(NeighborhoodSpec("isotropic", 0.3, n_samples=4, seed=0))
+        run = tmp_path / "run"
+        run_pool(first, run)
+        before = tree_bytes(run)
+        stale = sorted((run / "predictions").glob("*__isotropic-r0.3-n4.jsonl"))
+        assert stale
+        trained = []
+        monkeypatch.setattr(pool, "train_model", lambda *a: trained.append(a))
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(experiment_to_dict(tiny_config(0))))
+        assert main(["synth", "--config", str(config_path), "--out", str(run)]) == 1
+        assert capsys.readouterr().err == f"error: {stale[0]}: {STRAY}\n"
+        assert trained == []
+        assert tree_bytes(run) == before
+
+    @pytest.mark.parametrize("run", ["run", "run[1]"])
+    @pytest.mark.parametrize("sub", ["predictions", "scores", "weights", "ablation"])
+    def test_a_file_the_plan_does_not_name_stops_the_run(self, tmp_path, sub, run):
+        """Also in an --out whose name a glob pattern would read otherwise."""
+        out = tmp_path / run
+        stray = out / sub / "other.jsonl"
+        stray.parent.mkdir(parents=True)
+        stray.write_bytes(b"kept")
+        with pytest.raises(SchemaError) as exc:
+            run_pool(tiny_config(), out)
+        assert str(exc.value) == f"{stray}: {STRAY}"
+        assert stray.read_bytes() == b"kept"
+        assert {str(p.relative_to(out)) for p in out.rglob("*")} == {sub, f"{sub}/other.jsonl"}
+
+    def test_the_tree_is_the_plan_of_the_converged_models(self, tmp_path):
+        from smoothgen.cli import main
+
+        config = tiny_config()
+        config.neighborhoods.append(NeighborhoodSpec("isotropic", 0.3, n_samples=4, seed=0))
+        config.ablation = AblationSpec("rotB", base_size_r=0.5, m_test=30, n_samples_max=6,
+                                       size_r_values=(0.2, 0.5))
+        run = tmp_path / "run"
+        result = run_pool(config, run)
+        assert result.num_converged > 0
+        subdirs = ("predictions", "scores", "weights", "ablation")
+        written = {str(p.relative_to(run)) for sub in subdirs for p in (run / sub).iterdir()}
+        planned = [f.path for rec in result.manifest if rec.converged
+                   for f in pool.run_files(config, rec.model_id, rec.train_domain)]
+        assert len(planned) == len(set(planned))
+        assert written == set(planned)
+        # The run's record replays into its own tree, and a temporary file a
+        # cut write left behind is not a stray.
+        digest = tree_digest(run)
+        record = str(run / "experiment.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--config", record, "--out", str(run)]) == 0
+            assert tree_digest(run) == digest
+            (run / "predictions" / ".tmp-x.part").write_bytes(b"partial")
+            assert main(["synth", "--config", record, "--out", str(run)]) == 0
+        assert (run / "predictions" / ".tmp-x.part").read_bytes() == b"partial"
+
+
 @st.composite
 def experiments(draw):
     """Small valid experiments: 2 to 12 classes on arcs a third of a sector
