@@ -101,20 +101,22 @@ def spectral_norm(
     if scale == 0.0:
         return 0.0
     ws = w / scale  # guards w^T w against overflow for large entries
+    ws_t = ws.T
+    # math.sqrt(x.dot(x)) is np.linalg.norm(x) of a 1-D float64 x, bit for bit.
     rng = np.random.default_rng(_POWER_ITERATION_SEED)
     v = rng.standard_normal(ws.shape[1])
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
     sigma = 0.0
     for _ in range(max_iters):
-        u = ws @ v
-        sigma_new = float(np.linalg.norm(u))
+        u = ws.dot(v)
+        sigma_new = math.sqrt(u.dot(u))
         if sigma_new == 0.0:
             # v landed in the null space; restart from a fresh direction
             v = rng.standard_normal(ws.shape[1])
-            v /= np.linalg.norm(v)
+            v /= math.sqrt(v.dot(v))
             continue
-        v = ws.T @ u
-        v /= np.linalg.norm(v)
+        v = ws_t.dot(u)
+        v /= math.sqrt(v.dot(v))
         gap = abs(sigma_new - sigma)
         if gap <= tol * max(sigma_new, 1e-300):
             return sigma_new * scale

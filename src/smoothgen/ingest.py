@@ -139,6 +139,14 @@ def _range_fault(name, values, lo, hi, suffix=""):
     return None
 
 
+def _duplicate_fault(ids):
+    """(index, message) of the first id equal to an earlier one, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen = set()
+    return next(i for i, x in enumerate(ids) if x in seen or seen.add(x)), "duplicate example_id"
+
+
 def _raise_first(noun, ids, faults):
     """Raise a SchemaError naming the row's id for the lowest row among the
     (row, message) ``faults`` (None where a check found nothing); of faults in
@@ -257,10 +265,10 @@ class ScoreLog:
 
     Entry ``i`` is ``example_ids[i]`` with ``predicted_labels[i]``,
     ``max_confidence[i]``, ``neg_entropy[i]`` and ``true_labels[i]`` (-1 where
-    the entry has no true label). Scores are finite and in range for
-    ``num_classes`` classes, when it is known. The arrays are read-only:
-    labels int64, scores float64. Inputs of another type, or writeable ones,
-    are copied.
+    the entry has no true label); no two entries share an id. Scores are
+    finite and in range for ``num_classes`` classes, when it is known. The
+    arrays are read-only: labels int64, scores float64. Inputs of another
+    type, or writeable ones, are copied.
     """
 
     model_id: str
@@ -306,8 +314,10 @@ class ScoreLog:
             ("predicted_label", self.predicted_labels, 0, top, suffix),
             ("true_label", self.true_labels, -1, top, suffix),
         ]
-        if not all(_within(values, lo, hi) for _, values, lo, hi, _ in columns):
-            _raise_first("entry", self.example_ids, [_range_fault(*c) for c in columns])
+        duplicate = _duplicate_fault(self.example_ids)
+        if duplicate or not all(_within(values, lo, hi) for _, values, lo, hi, _ in columns):
+            _raise_first("entry", self.example_ids,
+                         [*(_range_fault(*c) for c in columns), duplicate])
 
     @property
     def entries(self) -> tuple[str, ...]:
@@ -601,11 +611,14 @@ def _scan(path, data, read_header):
     Soundness of the fixed-stride read: its first line is ASCII and matches
     the pattern, the body is a whole number of lines of the first line's
     length, and every other line equals the first at each byte that is not a
-    digit and holds a digit wherever the first holds one. The pattern's keys
-    and punctuation hold no digit, so every digit of the first line is in its
-    id or in one of its integers, and each integer is one digit. A digit in
-    an id, or a one-digit integer, may be any digit, so every line is ASCII
-    and matches the pattern with its groups at the first line's columns; the
+    digit and holds a digit wherever the first holds one. That holds when the
+    rows of the byte matrix are equal under the map of each digit to 0 and
+    each other byte b to b - 48 (mod 256), which is one-to-one on bytes that
+    are not digits and sends none of them to 0. The pattern's keys and
+    punctuation hold no digit, so every digit of the first line is in its id
+    or in one of its integers, and each integer is one digit. A digit in an
+    id, or a one-digit integer, may be any digit, so every line is ASCII and
+    matches the pattern with its groups at the first line's columns; the
     newline, a byte that is not a digit, ends each line at the same column
     and nowhere before it. So the columns hold the values the pattern pass
     would capture, and the log is the one the pattern pass builds.
@@ -643,11 +656,20 @@ def _scan_lines(body, line):
     return list(zip(*matches)) or [()] * line.groups
 
 
+def read_only(arr):
+    """``arr``, made read-only: a log keeps such an array of its type uncopied."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _labels(texts):
-    """The labels written as ``texts`` (decimal, "" where absent) as int64,
-    -1 where absent; None when one is beyond int64."""
+    """The labels written as ``texts`` (decimal, "" where absent) as a
+    read-only int64 array, -1 where absent; None when one is beyond int64.
+    A column of one-digit labels is read as one byte buffer."""
+    if "" not in texts and len(joined := "".join(texts)) == len(texts):
+        return read_only((np.frombuffer(joined.encode("ascii"), np.uint8) - 48).astype(np.int64))
     try:
-        return np.array([t or "-1" for t in texts] if "" in texts else texts, dtype=np.int64)
+        return read_only(np.array([t or "-1" for t in texts], dtype=np.int64))
     except OverflowError:
         return None
 
@@ -690,19 +712,17 @@ def _predictions(rows):
     return predictions, np.diff(np.flatnonzero(region[stops] == ord("]")), prepend=-1)
 
 
-# Every digit to "0" and every other byte to itself: two lines are equal under
-# it when they differ only where both hold digits.
-_DIGITS_TO_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
 _ONE_DIGIT_LIST = re.compile(r"[0-9](?:,[0-9])*")
 
 
-def _stride_columns(body):
+def _stride_columns(body, k):
     """(ids, predictions, lengths, true labels, base labels) of a prediction
-    log body whose lines all have its first line's length, when the first
-    line is ASCII, matches ``_PREDICTION_LINE`` and writes each integer in one
-    digit, and every other line equals it at each byte that is not a digit
-    and holds a digit wherever it holds one; else None. The lines are read as
-    one (lines, line length) byte matrix, each value a fixed column of it.
+    log body of ``k`` classes whose lines all have its first line's length,
+    when the first line is ASCII, matches ``_PREDICTION_LINE`` and writes
+    each integer in one digit, and every other line equals it at each byte
+    that is not a digit and holds a digit wherever it holds one; else None.
+    The lines are read as one (lines, line length) byte matrix, each value a
+    fixed column of it, and the arrays are read-only, of the log's types.
     See ``_scan``."""
     width = body.find(b"\n") + 1
     if not width or len(body) % width or not body[:width].isascii():
@@ -712,20 +732,24 @@ def _stride_columns(body):
             or any(len(first[g] or "") > 1 for g in (1, 4))):
         return None
     m = len(body) // width
-    if body.translate(_DIGITS_TO_ZERO) != body[:width].translate(_DIGITS_TO_ZERO) * m:
-        return None
     lines = np.frombuffer(body, dtype=np.uint8).reshape(m, width)
+    # Digits to 0 and any other byte b to b - 48 (mod 256); see _scan.
+    template = lines - 48
+    template *= template >= 10
+    if not (template == template[0]).all():
+        return None
 
     def label(group):  # -1 where the first line, so every line, has none
         col = first.start(group)
-        return lines[:, col].astype(np.int64) - 48 if col >= 0 else np.full(m, -1)
+        return read_only(lines[:, col].astype(np.int64) - 48 if col >= 0 else np.full(m, -1))
 
     # Each id with its closing quote, which no id holds: the quotes cut them.
     start, stop = first.span(2)
     ids = tuple(lines[:, start:stop + 1].tobytes().decode("ascii").split('"')[:-1])
     start, stop = first.span(3)
-    lengths = np.full(m, (stop - start + 1) // 2, dtype=np.int64)
-    return ids, (lines[:, start:stop:2] - 48).ravel(), lengths, label(4), label(1)
+    lengths = read_only(np.full(m, (stop - start + 1) // 2, dtype=np.int64))
+    predictions = (lines[:, start:stop:2] - 48).astype(np.min_scalar_type(k - 1), copy=False)
+    return ids, read_only(predictions.ravel()), lengths, label(4), label(1)
 
 
 def _scan_prediction_log(path, data):
@@ -738,7 +762,7 @@ def _scan_prediction_log(path, data):
     if scanned is None:
         return None
     (model_id, test_domain, k, meta), body = scanned
-    columns = _stride_columns(body)
+    columns = _stride_columns(body, k)
     if columns is None:
         groups = _scan_lines(body, _PREDICTION_LINE)
         if groups is None:
@@ -898,7 +922,8 @@ def _scan_score_log(path, data):
     labels = _labels(predicted), _labels(true)
     if any(part is None for part in labels):
         return None
-    scores = [np.array(list(map(float, texts))) for texts in (conf, negent)]
+    scores = [read_only(np.fromiter(map(float, texts), np.float64, len(texts)))
+              for texts in (conf, negent)]
     try:
         return ScoreLog(model_id, domain, split, ids, labels[0], *scores, labels[1],
                         num_classes=k, meta=meta)

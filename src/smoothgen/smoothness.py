@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SchemaError
-from .ingest import NeighborhoodPredictionLog
+from .ingest import NeighborhoodPredictionLog, read_only
 
 VARIANTS = ("majority", "neg_entropy")
 
@@ -109,10 +109,10 @@ def subsample_examples(
     return replace(
         log,
         example_ids=tuple(compress(log.example_ids, keep)),
-        predictions=log.predictions[np.repeat(keep, log.lengths)],
-        lengths=log.lengths[keep],
-        true_labels=log.true_labels[keep],
-        base_predictions=log.base_predictions[keep],
+        predictions=read_only(log.predictions[np.repeat(keep, log.lengths)]),
+        lengths=read_only(log.lengths[keep]),
+        true_labels=read_only(log.true_labels[keep]),
+        base_predictions=read_only(log.base_predictions[keep]),
     )
 
 
@@ -135,6 +135,7 @@ def truncate_neighborhood(
     check_neighborhood_length(log, n_keep)
     return replace(
         log,
-        predictions=log.predictions[(log.offsets[:-1, None] + np.arange(n_keep)).ravel()],
-        lengths=np.full(len(log.lengths), n_keep),
+        predictions=read_only(
+            log.predictions[(log.offsets[:-1, None] + np.arange(n_keep)).ravel()]),
+        lengths=read_only(np.full(len(log.lengths), n_keep, dtype=np.int64)),
     )

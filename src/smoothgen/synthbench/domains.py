@@ -91,7 +91,8 @@ class DomainSpec:
 def _arc_margin(class_arcs) -> float:
     """Minimum distance between 256 points on each of two distinct class arcs
     at rotation 0, computed once per distinct arcs: an experiment's domains
-    mostly share one set of arcs."""
+    mostly share one set of arcs. Taken 16 rows at a time, the distances are
+    those of one 256 x 256 array, at a sixteenth of its memory."""
     clouds = []
     for arc in class_arcs:
         t = arc.theta_start + arc.theta_extent * np.linspace(0, 1, 256)
@@ -99,8 +100,9 @@ def _arc_margin(class_arcs) -> float:
     best = math.inf
     for a in range(len(clouds)):
         for b in range(a + 1, len(clouds)):
-            diff = clouds[a][:, None, :] - clouds[b][None, :, :]
-            best = min(best, float(np.sqrt((diff**2).sum(-1)).min()))
+            for rows in np.split(clouds[a], 16):
+                diff = rows[:, None, :] - clouds[b][None, :, :]
+                best = min(best, float(np.sqrt((diff**2).sum(-1)).min()))
     return best
 
 

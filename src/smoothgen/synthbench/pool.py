@@ -20,7 +20,6 @@ import os
 import sys
 import typing
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -412,6 +411,8 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
         os.remove(manifest_path)
 
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow; a serial run needs none
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             trained = list(pool.map(_train_job, jobs, chunksize=4))
     else:

@@ -3,15 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smoothgen import baselines
 from smoothgen.baselines import (
     atc_fit,
     atc_predict,
     norm_measures,
     spectral_norm,
 )
-from smoothgen.errors import SchemaError
+from smoothgen.errors import ConvergenceError, SchemaError
 from smoothgen.ingest import ScoreLog, WeightDump
+from smoothgen.synthbench.mlp import init_model
+from smoothgen.synthbench.pool import default_grid
 
 from logrows import ScoreEntry, log_from_rows
 
@@ -120,6 +125,99 @@ class TestSpectralNorm:
             spectral_norm(np.array([[np.inf, 1.0]]))
         with pytest.raises(ValueError):
             spectral_norm(np.ones((2, 2)), tol=0.0)
+
+
+def reference_spectral_norm(matrix, tol=baselines.POWER_ITERATION_TOL,
+                            max_iters=baselines.POWER_ITERATION_MAX_ITERS):
+    """The power iteration as first written, with ``np.linalg.norm`` and ``@``:
+    the oracle that ``spectral_norm`` must equal bit for bit."""
+    w = np.asarray(matrix, dtype=float)
+    scale = np.max(np.abs(w))
+    if scale == 0.0:
+        return 0.0
+    ws = w / scale
+    rng = np.random.default_rng(baselines._POWER_ITERATION_SEED)
+    v = rng.standard_normal(ws.shape[1])
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(max_iters):
+        u = ws @ v
+        sigma_new = float(np.linalg.norm(u))
+        if sigma_new == 0.0:
+            v = rng.standard_normal(ws.shape[1])
+            v /= np.linalg.norm(v)
+            continue
+        v = ws.T @ u
+        v /= np.linalg.norm(v)
+        gap = abs(sigma_new - sigma)
+        if gap <= tol * max(sigma_new, 1e-300):
+            return sigma_new * scale
+        sigma = sigma_new
+    raise ConvergenceError(f"power iteration did not converge in {max_iters} iterations",
+                           gap=gap)
+
+
+_default_rng = np.random.default_rng
+
+
+class _FirstDrawIsBasisVector:
+    """A generator whose first ``standard_normal`` draw is the unit vector on
+    axis ``axis``, and every later one that of a generator of the same seed."""
+
+    def __init__(self, seed, axis):
+        self.rng = _default_rng(seed)
+        self.axis = axis
+        self.draws = 0
+
+    def standard_normal(self, n):
+        self.draws += 1
+        return np.eye(n)[self.axis] if self.draws == 1 else self.rng.standard_normal(n)
+
+
+class TestSpectralNormOracle:
+    """``spectral_norm`` equals the first power iteration bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_random_matrices(self, rows, cols, seed, scale):
+        w = np.random.default_rng(seed).normal(0.0, scale, size=(rows, cols))
+        assert spectral_norm(w) == reference_spectral_norm(w)
+
+    @pytest.mark.parametrize("rows, cols, axis", [(1, 2, 0), (3, 4, 2), (5, 3, 1), (7, 7, 6)])
+    def test_null_space_restart(self, monkeypatch, rows, cols, axis):
+        # The start vector is a unit vector on a column of zeros, so the
+        # first product is exactly zero and both restart from a fresh draw.
+        w = np.random.default_rng(rows * cols).normal(size=(rows, cols))
+        w[:, axis] = 0.0
+        generators = []
+
+        def default_rng(seed):
+            generators.append(_FirstDrawIsBasisVector(seed, axis))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        values = [norm(w) for norm in (spectral_norm, reference_spectral_norm)]
+        assert values[0] == values[1]
+        assert [g.draws for g in generators] == [2, 2]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_every_layer_shape_of_the_default_grid(self, scale):
+        shapes = set()
+        for config in default_grid():
+            for w in init_model(3, config).weights:
+                shapes.add(w.shape)
+                assert spectral_norm(w * scale) == reference_spectral_norm(w * scale)
+        assert {(2, 8), (32, 32), (32, 3)} <= shapes
+
+    def test_non_convergence_reports_the_same_gap(self):
+        w = np.random.default_rng(5).normal(size=(6, 4))
+        gaps = []
+        for norm in (spectral_norm, reference_spectral_norm):
+            with pytest.raises(ConvergenceError) as e:
+                norm(w, max_iters=3)
+            gaps.append(e.value.gap)
+        assert gaps[0] == gaps[1]
 
 
 class TestNormMeasures:

@@ -1373,6 +1373,70 @@ class TestPredictionLogFaults:
         assert not out.exists()
 
 
+def _score_log_fault(text, case):
+    """The text of a score log with fault ``case`` made at its middle entry
+    line (its last line, for ``truncated_last_line``), with the number of the
+    line the error names and that line's example id."""
+    lines = text.splitlines(keepends=True)
+    n = len(lines) - 1 if case == "truncated_last_line" else len(lines) // 2
+    entry = json.loads(lines[n])
+    if case == "truncated_last_line":
+        lines[n] = lines[n][:lines[n].index(entry["example_id"]) + 3]  # inside the id
+    elif case in ("duplicate_id", "conflicting_duplicate"):
+        twin = dict(entry, predicted_label=(entry["predicted_label"] + 1) % 3,
+                    max_confidence=0.5) if case == "conflicting_duplicate" else entry
+        lines.insert(n + 1, _render_entry(twin))
+        n += 1
+    else:
+        if case == "quoted_confidence":
+            entry["max_confidence"] = str(entry["max_confidence"])
+        elif case == "label_equal_to_num_classes":
+            entry["predicted_label"] = 3
+        else:
+            del entry["neg_entropy"]
+        lines[n] = _render_entry(entry)
+    return "".join(lines), n + 1, entry["example_id"]
+
+
+def _render_entry(entry):
+    return json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+SCORE_LOG_FAULTS = {  # case: the error after path:line, {id} the line's example id
+    "truncated_last_line": "malformed JSON: Unterminated string starting at",
+    "quoted_confidence": "field 'max_confidence' has wrong type",
+    "duplicate_id": "entry {id!r}: duplicate example_id",
+    "conflicting_duplicate": "entry {id!r}: duplicate example_id",
+    "label_equal_to_num_classes": "entry {id!r}: predicted_label 3 out of range [0, 3)",
+    "missing_neg_entropy": "missing required field 'neg_entropy'",
+}
+
+
+class TestScoreLogFaults:
+    """A fault in a later line of a score log that synth wrote stops
+    ``baseline`` with exit code 1 and one ``error:`` line naming the log and
+    the faulty line, and writes no ``--out``. A confidence of 1.5, and a
+    truncated, mistyped, non-UTF-8 or id-less first entry, are
+    ``TestMalformedLogs``'s cases; a lost log, a second validation log and a
+    log of no entries are ``TestBaselineCommand``'s."""
+
+    @pytest.mark.parametrize("case", sorted(SCORE_LOG_FAULTS))
+    def test_fault_in_a_later_line_names_it(self, pool, tmp_path, capsys, case):
+        out_dir, _ = pool
+        scores = tmp_path / "scores"
+        shutil.copytree(out_dir / "scores", scores)
+        log = sorted(scores.glob("*.jsonl"))[0]
+        text, line, example_id = _score_log_fault(log.read_text(), case)
+        log.write_text(text)
+        out = tmp_path / "baselines.csv"
+        rc = main(["baseline", "--scores", str(scores), "--manifest",
+                   str(out_dir / "manifest.jsonl"), "--out", str(out)])
+        message = SCORE_LOG_FAULTS[case].format(id=example_id)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {log}:{line}: {message}\n"
+        assert not out.exists()
+
+
 class TestAnalysisMemory:
     """``baseline`` and ``ablate`` read one log at a time, so their peak
     memory does not grow with the number of logs in the pool: with every log

@@ -361,6 +361,13 @@ class TestPredictionLogArrays:
         with pytest.raises(ValueError):
             log.predictions[0] = 1
 
+    def test_read_only_arrays_of_the_final_types_are_kept(self):
+        arrays = [ingest.read_only(np.array(values, dtype=dtype)) for values, dtype in (
+            ([0, 1, 1, 0], np.uint8), ([3, 1], np.int64), ([1, -1], np.int64),
+            ([-1, 0], np.int64))]
+        log = NeighborhoodPredictionLog("m", "d", 2, ("a", "b"), *arrays)
+        assert all(getattr(log, name) is arr for name, arr in zip(ingest._LOG_ARRAYS, arrays))
+
     @pytest.mark.parametrize("change, message", [
         ({"predictions": [0.0, 1.0, 1.0]}, "integer array"),
         ({"lengths": [2]}, "sum to the number of predictions"),
@@ -720,6 +727,39 @@ def test_every_log_of_a_pool_takes_the_fast_read(small_tree, parse, folders):
         assert outcomes == [parse_outcome(p, parse) for p in paths]
 
 
+def assert_read_only(log):
+    """Every array of ``log`` is read-only and of the log's type for it."""
+    if isinstance(log, ScoreLog):
+        types = ingest._SCORE_ARRAYS
+    else:
+        types = {name: np.int64 for name in ingest._LOG_ARRAYS}
+        types["predictions"] = np.min_scalar_type(log.num_classes - 1)
+        types["offsets"] = np.int64
+    for name, dtype in types.items():
+        arr = getattr(log, name)
+        assert not arr.flags.writeable and arr.dtype == dtype, name
+
+
+@pytest.mark.parametrize("read_path", [nullcontext, strict_path], ids=["fast", "strict"])
+def test_every_parsed_log_is_read_only(small_tree, tmp_path, read_path):
+    ragged = tmp_path / "ragged.jsonl"  # a log the line pattern reads
+    ragged.write_text(SCAN_TEXT)
+    wide = tmp_path / "wide.jsonl"  # a fixed-stride log of uint16 predictions
+    write_prediction_log(dataclasses.replace(STRIDE_LOG, num_classes=300), wide)
+    paths = [(parse_prediction_log, ragged), (parse_prediction_log, wide), *(
+        (parse, p) for parse, folder in ((parse_prediction_log, "predictions"),
+                                         (parse_prediction_log, "ablation"),
+                                         (parse_score_log, "scores"))
+        for p in sorted((small_tree / folder).glob("*.jsonl")))]
+    with read_path():
+        logs = [parse(p) for parse, p in paths]
+    for log in logs:
+        assert_read_only(log)
+        if isinstance(log, NeighborhoodPredictionLog):
+            assert_read_only(subsample_examples(log, 2, seed=0))
+            assert_read_only(truncate_neighborhood(log, 1))
+
+
 class TestBenchCounters:
     """The benchmark's tracer counts ``len(log.examples)`` of a prediction log
     and ``len(log.entries)`` of a score log: each is the log's number of
@@ -783,6 +823,11 @@ def prediction_variants(text):
         ('"ex1"', '"exq"'),
         ('"ex1"', '"ex11"'),
         ("[0,2,2", "[0,222"),
+        *(('"base_prediction":2,"example_id":"ex1"', new) for new in (
+            '"base_prediction":/,"example_id":"ex1"', '"base_prediction"::,"example_id":"ex1"',
+            '"base_prediction":27"example_id":"ex1"')),
+        ('"ex1"', '"ex/"'),
+        ('"ex1"', '"ex:"'),
         *whitespace_variants(header, second),
     ]
 
@@ -795,7 +840,8 @@ PREDICTION_VARIANT_IDS = [
     "boolean_num_classes", "prediction_out_of_range", "true_label_out_of_range",
     "negative_base", "empty_neighborhood", "bracket_in_id", "comma_in_id",
     "digit_in_id", "letter_for_id_digit", "longer_id", "merged_predictions",
-    *WHITESPACE_IDS,
+    "slash_for_label_digit", "colon_for_label_digit", "digit_for_comma",
+    "slash_for_id_digit", "colon_for_id_digit", *WHITESPACE_IDS,
 ]
 
 
@@ -837,6 +883,13 @@ class TestPredictionLogScan:
         # than 252 classes.
         text = SCAN_TEXT.replace('"num_classes":3', '"num_classes":300')
         check_variant(tmp_path, parse_prediction_log, text, "[0,1,2]", new)
+
+    @pytest.mark.parametrize("new", ["[2,/,1]", "[2,:,1]", "[2,221]", "[2,2,1 "])
+    def test_boundary_bytes_give_the_strict_outcome_with_many_classes(self, tmp_path, new):
+        # With 300 classes a ":" read as a digit would be class 10, and "[2,221]"
+        # read at the first line's columns would be [2, 2, 1].
+        text = STRIDE_TEXT.replace('"num_classes":3', '"num_classes":300')
+        check_variant(tmp_path, parse_prediction_log, text, "[2,2,1]", new)
 
     @pytest.mark.parametrize("text", [
         SCAN_TEXT.replace(",", ", "),
@@ -1029,6 +1082,23 @@ class TestScoreLogScan:
     def test_variant_gives_the_strict_outcome(self, tmp_path, old, new):
         check_variant(tmp_path, parse_score_log, SCORE_SCAN_TEXT, old, new)
 
+    @pytest.mark.parametrize("log", [
+        dataclasses.replace(SCORE_SCAN_LOG, true_labels=np.full(3, -1)),
+        log_from_rows(ScoreLog, (
+            ScoreEntry("ex0", 10, 0.5, -1.0, true_label=11),
+            ScoreEntry("ex1", 11, 0.25, -2.0, true_label=10),
+            ScoreEntry("ex2", 3, 0.75, -0.5),
+        ), model_id="m", domain="d", split="test", num_classes=12),
+    ], ids=["no_true_labels", "labels_10_and_11"])
+    def test_label_columns_give_the_strict_log(self, tmp_path, log):
+        path = tmp_path / "scores.jsonl"
+        write_score_log(log, path)
+        with scan_only():
+            got = parse_outcome(path, parse_score_log)
+        with strict_path():
+            assert got == parse_outcome(path, parse_score_log)
+        assert got[0] == log
+
     @pytest.mark.parametrize("text", [
         SCORE_SCAN_TEXT.replace(",", ", "),
         SCORE_SCAN_TEXT.replace("\n", "\r\n"),
@@ -1059,7 +1129,7 @@ class TestScoreLogScan:
         label = st.one_of(st.none(), st.integers(0, 2**63 - 1)) if labelled else st.none()
         entries = data.draw(st.lists(st.tuples(
             st.text("abcxyz019-_ ,.:", max_size=8), st.integers(0, 2**63 - 1), conf, negent,
-            label), max_size=12))
+            label), max_size=12, unique_by=lambda entry: entry[0]))
         log = log_from_rows(ScoreLog, [ScoreEntry(*entry) for entry in entries],
                             model_id="m", domain="d", split="test")
         path = tmp_path / "scores.jsonl"
@@ -1067,6 +1137,37 @@ class TestScoreLogScan:
         with scan_only():
             got = parse_outcome(path, parse_score_log)
         assert got == (log, [log.max_confidence.tobytes(), log.neg_entropy.tobytes()])
+
+
+class TestLabelColumns:
+    """``_labels`` reads a column of one-digit labels as one byte buffer and
+    any other column text by text; both give each label, -1 where absent."""
+
+    @pytest.mark.parametrize("texts, labels", [
+        (("", "12"), [-1, 12]),  # its joined length equals its count
+        (("12", ""), [12, -1]),
+        (("0", "9", "5", "1"), [0, 9, 5, 1]),
+        (("0", "10", "3"), [0, 10, 3]),
+        (("", "", ""), [-1, -1, -1]),
+        ((), []),
+        (("9223372036854775807", "0"), [2**63 - 1, 0]),
+    ], ids=["absent_then_two_digits", "two_digits_then_absent", "one_digit", "mixed_widths",
+            "all_absent", "empty", "int64_max"])
+    def test_labels(self, texts, labels):
+        got = ingest._labels(texts)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == labels
+
+    @pytest.mark.parametrize("texts", [("1", "12345678901234567890"), ("9223372036854775808",)],
+                             ids=["20_digits", "int64_max_plus_one"])
+    def test_labels_beyond_int64_give_none(self, texts):
+        assert ingest._labels(texts) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(""), st.integers(0, 9).map(str),
+                              st.integers(0, 2**63 - 1).map(str)), max_size=8))
+    def test_any_column(self, texts):
+        assert ingest._labels(tuple(texts)).tolist() == [int(t) if t else -1 for t in texts]
 
 
 class TestScoreLog:
@@ -1148,7 +1249,8 @@ class TestScoreLogTypes:
     ])
     def test_bad_value_names_path_and_line(self, tmp_path, field, value, message):
         path = tmp_path / "scores.jsonl"
-        write_score_lines(path, [GOOD_ENTRY, GOOD_ENTRY, {**GOOD_ENTRY, field: value}])
+        write_score_lines(path, [GOOD_ENTRY, {**GOOD_ENTRY, "example_id": "ex1"},
+                                 {**GOOD_ENTRY, "example_id": "ex2", field: value}])
         with pytest.raises(SchemaError, match=message) as exc:
             parse_score_log(path)
         assert (exc.value.path, exc.value.line) == (path, 4)
@@ -1228,7 +1330,7 @@ class TestScoreLogTypes:
     def test_absent_and_null_true_labels_are_missing(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         entry = {k: v for k, v in GOOD_ENTRY.items() if k != "true_label"}
-        write_score_lines(path, [entry, {**entry, "true_label": None}])
+        write_score_lines(path, [entry, {**entry, "example_id": "ex1", "true_label": None}])
         log = parse_score_log(path)
         assert log.true_labels.tolist() == [-1, -1]
         with pytest.raises(SchemaError, match="missing true_label"):
@@ -1401,6 +1503,14 @@ class TestScoreLogArrays:
         with pytest.raises(ValueError):
             log.max_confidence[0] = 0.9
 
+    def test_read_only_arrays_of_the_final_types_are_kept(self):
+        arrays = [ingest.read_only(np.array(values, dtype=dtype)) for values, dtype in (
+            ([0, 1], np.int64), ([0.5, 0.75], np.float64), ([-0.5, -0.25], np.float64),
+            ([1, -1], np.int64))]
+        log = ScoreLog("m", "d", "test", ("a", "b"), *arrays, num_classes=2)
+        assert all(getattr(log, name) is arr
+                   for name, arr in zip(ingest._SCORE_ARRAYS, arrays))
+
     @pytest.mark.parametrize("change, message", [
         ({"predicted_labels": [0.0, 1.0]}, "predicted_labels must be"),
         ({"true_labels": [1]}, "true_labels must be"),
@@ -1409,6 +1519,9 @@ class TestScoreLogArrays:
         ({"predicted_labels": [0, 2]}, "entry 'b': predicted_label 2 out of range"),
         ({"neg_entropy": [np.nan, -0.5]}, "entry 'a': neg_entropy nan out of range"),
         ({"example_ids": ("a", 2)}, "strings"),
+        ({"example_ids": ("a", "a")}, "entry 'a': duplicate example_id"),
+        ({"example_ids": ("a", "a"), "predicted_labels": [0, 2]},
+         "entry 'a': predicted_label 2 out of range"),
     ])
     def test_array_validation(self, change, message):
         fields = dict(model_id="m", domain="d", split="test", example_ids=("a", "b"),

@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -132,6 +135,38 @@ class TestDomains:
         assert domains._arc_margin.cache_info().misses == 1
         assert domains._arc_margin(config.domains[0].class_arcs) == (
             domains._arc_margin.__wrapped__(default_arcs()))
+
+    def test_arc_margin_of_the_default_arcs_is_pinned(self):
+        # The value of one 256 x 256 distance array's minimum, which the
+        # blocked computation must give bit for bit.
+        assert domains._arc_margin.__wrapped__(default_arcs()) == 0.3472963553338605
+
+    def test_loading_a_run_record_takes_no_large_transient(self, tmp_path):
+        # ablate loads the run's record; the arc margin, computed afresh,
+        # once held its 256 x 256 x 2 difference arrays at once (2.7 MB).
+        config = default_experiment(0)
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps({"meta": {"config_hash": config.config_hash()},
+                                    "experiment": experiment_to_dict(config)},
+                                   sort_keys=True, indent=2))
+        load_experiment(path)  # imports and caches of the decoder
+        domains._arc_margin.cache_clear()
+        tracemalloc.start()
+        try:
+            load_experiment(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert domains._arc_margin.cache_info().misses == 1
+        assert peak < 1e6
+
+    def test_no_process_pool_is_imported_for_a_serial_run(self):
+        code = ("import sys, smoothgen.cli, smoothgen.synthbench.pool; "
+                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        src = str(Path(pool.__file__).parents[2])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "[]\n"
 
     def test_arc_validation(self):
         with pytest.raises(SchemaError):
