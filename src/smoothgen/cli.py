@@ -84,6 +84,15 @@ def _converged_artifacts(paths, read, models, pattern="*.jsonl"):
             yield artifact, rec, path
 
 
+def _record(seen, model_id, key, path, what):
+    """Record file ``path`` as model ``model_id``'s artifact ``key`` in
+    ``seen``; a second file of the key raises a SmoothgenError naming both,
+    ``what`` the noun of the two."""
+    first = seen.setdefault(model_id, {}).setdefault(key, path)
+    if first != path:  # a copy, or a file whose content names another model
+        raise SmoothgenError(f"model {model_id!r}: two {what}, {first} and {path}")
+
+
 def _of_file(path, fn, *args):
     """``fn(*args)``; a SchemaError it raises is raised again naming file
     ``path``, the log ``args`` were read from."""
@@ -99,11 +108,8 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     score_rows, acc_rows, logged = [], [], {}
     for log, rec, path in _converged_artifacts(inputs, parse_prediction_log, models):
         tag = log.meta.get("neighborhood", "default")
-        first = logged.setdefault(log.model_id, {}).setdefault((log.test_domain, tag), path)
-        if first != path:  # a log whose header names another model, say
-            raise SmoothgenError(f"model {log.model_id!r}: two prediction logs of test domain "
-                                 f"{log.test_domain!r} with neighborhood {tag!r}, "
-                                 f"{first} and {path}")
+        _record(logged, log.model_id, (log.test_domain, tag), path,
+                f"prediction logs of test domain {log.test_domain!r} with neighborhood {tag!r}")
         for var in CLI_VARIANTS[variant]:
             prefix = "ms" if var == "majority" else "mse"
             score_rows.append(
@@ -123,9 +129,8 @@ def cmd_score(inputs, manifest_path, out, variant="both", acc_out=None):
     # A converged model that lost some of its logs after the manifest was
     # written would score on fewer pairs than the others; one that lost all
     # of them has no accuracies, which evaluate catches.
-    require_complete({model_id: set(keys) for model_id, keys in logged.items()},
-                     lambda key: f"no prediction log of test domain {key[0]!r} "
-                                 f"with neighborhood {key[1]!r}")
+    require_complete(logged, lambda key: f"no prediction log of test domain {key[0]!r} "
+                                         f"with neighborhood {key[1]!r}")
     acc_rows = unique_rows(acc_rows)  # one per (model, domain), checked before any write
     write_scores_csv(score_rows, out)
     if acc_out is not None:
@@ -140,9 +145,11 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
     thresholds are fit when its validation log is read, and a test log gives
     its two ATC values. A test log read before its model's validation log
     waits for it; in sorted file order that is at most one model's test logs.
+    A model's second validation log, test log of one domain or weight dump
+    raises, naming both files, before anything is written.
     """
     models = _manifest_models(manifest_path)
-    logged = {model_id: set() for model_id, rec in models.items() if rec.converged}
+    logged = {model_id: {} for model_id, rec in models.items() if rec.converged}
     fitted, waiting, rows, omitted = {}, {}, [], []
 
     def atc_rows(log, rec, path, thresholds):
@@ -168,7 +175,8 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
             for test in waiting.pop(log.model_id, ()):
                 atc_rows(*test, thresholds)
         else:
-            logged[log.model_id].add((log.split, log.domain))
+            _record(logged, log.model_id, (log.split, log.domain), path,
+                    f"test score logs of domain {log.domain!r}")
             if log.model_id in fitted:
                 atc_rows(log, rec, path, fitted[log.model_id][1])
             else:
@@ -182,10 +190,10 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
         raise SmoothgenError(f"model {next(iter(waiting))!r}: no validation score log for "
                              f"threshold fitting")
     if weight_inputs:
-        dumped = {model_id: set() for model_id in logged}
-        for dump, rec, _ in _converged_artifacts(weight_inputs, read_weight_dump, models,
-                                                 pattern="*.bin"):
-            dumped[dump.model_id].add("weight dump")
+        dumped = {model_id: {} for model_id in logged}
+        for dump, rec, path in _converged_artifacts(weight_inputs, read_weight_dump, models,
+                                                    pattern="*.bin"):
+            _record(dumped, dump.model_id, "weight dump", path, "weight dumps")
             norms = norm_measures(dump)
             for name, value in (
                 ("norm_spectral", norms.spectral),
@@ -224,11 +232,11 @@ def cmd_evaluate(score_csvs, accuracies_csv, manifest_path, out, breakdown_dir=N
 
 def _write_breakdowns(report, breakdown_dir):
     measures = report["measures"]
-    for _, table, key_cols, _ in REPORT_LAYOUT:
+    for agg in REPORT_LAYOUT:
         rows = [(measure, *row) for measure in sorted(measures)
-                for row in measures[measure]["breakdown"][table]]
-        write_csv(os.path.join(breakdown_dir, f"{table}.csv"),
-                  ("measure",) + key_cols + ("value",), rows)
+                for row in measures[measure]["breakdown"][agg.table]]
+        write_csv(os.path.join(breakdown_dir, f"{agg.table}.csv"),
+                  ("measure", *agg.keys, "value"), rows)
 
 
 def _read_json_object(path, key):
@@ -370,7 +378,7 @@ def cmd_report(report_path, stream=None):
     stream = stream or sys.stdout
     measures = _read_json_object(report_path, "measures")
     name_w = max([len("measure")] + [len(m) for m in measures])
-    agg_w = max(len(value_key) for value_key, *_ in REPORT_LAYOUT)
+    agg_w = max(len(agg.value) for agg in REPORT_LAYOUT)
     print(f"{'measure':<{name_w}} {'aggregate':<{agg_w}} {'mean':>10} {'median':>10} "
           f"{'groups':>6} {'skipped':>7}", file=stream)
 
@@ -379,18 +387,18 @@ def cmd_report(report_path, stream=None):
 
     for measure in sorted(measures):
         entry = measures[measure]
-        for value_key, table, _, skip_list in REPORT_LAYOUT:
+        for agg in REPORT_LAYOUT:
             try:
-                values = [row[-1] for row in entry["breakdown"][table]]
-                skipped = len(entry["skipped"][skip_list])
+                values = [row[-1] for row in entry["breakdown"][agg.table]]
+                skipped = len(entry["skipped"][agg.skipped])
                 median = statistics.median(values) if values else None
-                line = (f"{measure:<{name_w}} {value_key:<{agg_w}} "
-                        f"{number(entry.get(value_key))} {number(median)} "
+                line = (f"{measure:<{name_w}} {agg.value:<{agg_w}} "
+                        f"{number(entry.get(agg.value))} {number(median)} "
                         f"{len(values):>6} {skipped:>7}")
             except (KeyError, IndexError, TypeError, ValueError):
                 raise SchemaError(
-                    f"measure {measure!r}: no valid {value_key!r} mean, "
-                    f"{table!r} breakdown or {skip_list!r} skipped list", report_path
+                    f"measure {measure!r}: no valid {agg.value!r} mean, "
+                    f"{agg.table!r} breakdown or {agg.skipped!r} skipped list", report_path
                 ) from None
             print(line, file=stream)
 

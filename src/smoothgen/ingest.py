@@ -177,9 +177,10 @@ class NeighborhoodPredictionLog:
     Example ``i`` is ``example_ids[i]`` with the ``lengths[i]`` predictions
     ``predictions[offsets[i]:offsets[i + 1]]``; neighborhoods may differ in
     length. ``true_labels`` and ``base_predictions`` hold -1 where an example
-    has no such field. The arrays are read-only: ``predictions`` of the
-    narrowest unsigned type that holds ``num_classes - 1``, the others int64.
-    Inputs of another type, or writeable ones, are copied.
+    has no such field; no two examples share an id. The arrays are
+    read-only: ``predictions`` of the narrowest unsigned type that holds
+    ``num_classes - 1``, the others int64. Inputs of another type, or
+    writeable ones, are copied.
     """
 
     model_id: str
@@ -217,8 +218,9 @@ class NeighborhoodPredictionLog:
 
         suffix = f" [0, {k})"
         labels = {"true_label": self.true_labels, "base_prediction": self.base_predictions}
-        if not (self.lengths.all() and _within(self.predictions, 0, k - 1)
-                and all(_within(a, -1, k - 1) for a in labels.values())):
+        duplicate = _duplicate_fault(self.example_ids)
+        if duplicate or not (self.lengths.all() and _within(self.predictions, 0, k - 1)
+                             and all(_within(a, -1, k - 1) for a in labels.values())):
             empty = self.lengths == 0
             prediction = _range_fault("prediction", self.predictions, 0, k - 1, suffix)
             if prediction is not None:  # the example of the first bad prediction
@@ -228,6 +230,7 @@ class NeighborhoodPredictionLog:
                 (int(empty.argmax()), "empty neighborhood_predictions") if empty.any() else None,
                 prediction,
                 *(_range_fault(name, a, -1, k - 1, suffix) for name, a in labels.items()),
+                duplicate,
             ])
 
         # Predictions are stored in the narrowest type that holds every class

@@ -9,6 +9,7 @@ statistic is undefined are skipped, recorded, and excluded from averages.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -74,18 +75,23 @@ def is_direct_measure(name: str) -> bool:
     return name.startswith(DIRECT_MEASURE_PREFIXES)
 
 
-# The report's layout, one row per aggregate: its value key, its breakdown
-# table with that table's key columns, and its list of skipped groups. R^2 and
-# MAE are computed on the same pairs and share one skipped list. The order is
-# the column order of ``smoothgen report``.
+# The report's layout, one row per aggregate, in the column order of
+# ``smoothgen report``: its value key in a measure's entry, its group kind in
+# ``_groups``, its breakdown table with that table's key columns, and its list
+# of skipped groups. R^2 and MAE, the two values of each transfer-fit row, come
+# from one pass over the pairs and share one skipped list.
+Aggregate = namedtuple("Aggregate", "value kind table keys skipped")
+FIT_VALUES = ("r2", "mae_pct")
+PAIR_KEYS = ("train_domain", "test_domain")
 REPORT_LAYOUT = (
-    ("r2", "r2_pairs", ("train_domain", "test_domain"), "r2_mae"),
-    ("mae_pct", "mae_pairs", ("train_domain", "test_domain"), "r2_mae"),
-    ("macro_tau", "macro_pairs", ("train_domain", "test_domain"), "macro"),
-    ("micro_tau", "micro_groups", ("arch", "test_domain"), "micro"),
-    ("id_tau", "id_domains", ("domain",), "id"),
-    ("arch_tau", "arch_domains", ("test_domain",), "arch"),
-    ("cross_domain_tau", "cross_domain_models", ("model_id", "arch"), "cross_domain"),
+    Aggregate("r2", "pair", "r2_pairs", PAIR_KEYS, "r2_mae"),
+    Aggregate("mae_pct", "pair", "mae_pairs", PAIR_KEYS, "r2_mae"),
+    Aggregate("macro_tau", "pair", "macro_pairs", PAIR_KEYS, "macro"),
+    Aggregate("micro_tau", "micro", "micro_groups", ("arch", "test_domain"), "micro"),
+    Aggregate("id_tau", "id", "id_domains", ("domain",), "id"),
+    Aggregate("arch_tau", "arch", "arch_domains", ("test_domain",), "arch"),
+    Aggregate("cross_domain_tau", "cross", "cross_domain_models", ("model_id", "arch"),
+              "cross_domain"),
 )
 
 
@@ -157,11 +163,6 @@ def _aggregate(matrix: EvaluationMatrix, measure: str, kind: str, stat):
     return rows, skipped
 
 
-def _tau(variant: str):
-    # kendall_tau is looked up at call time, so a wrapper set on this module applies
-    return lambda key, xs, ys: kendall_tau(xs, ys, variant=variant)
-
-
 def fit_transfer_model(
     matrix: EvaluationMatrix, measure: str, train_domain: str, test_domain: str
 ) -> LinearFit:
@@ -198,83 +199,50 @@ def _mean(values: Sequence[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
 
-def evaluate_r2_mae(
-    matrix: EvaluationMatrix, measure: str
-) -> tuple[AggregateResult, AggregateResult]:
-    """Average out-of-sample R^2 and MAE over all (train, test) pairs.
-
-    MAE is reported in accuracy percentage points. Direct measures (accuracy
-    predictors) skip the transfer fit and are compared to accuracy as-is.
-    """
-    direct = is_direct_measure(measure)
-
-    def r2_and_mae(key, xs, ys):
-        if not direct:
-            fit = fit_transfer_model(matrix, measure, *key)
-            xs = [fit.predict(x) for x in xs]
-        return r_squared(xs, ys), 100.0 * mae(xs, ys)
-
-    rows, skipped = _aggregate(matrix, measure, "pair", r2_and_mae)
-    r2_res = AggregateResult.of([(i, o, r2) for i, o, (r2, _) in rows], skipped)
-    return r2_res, AggregateResult.of([(i, o, err) for i, o, (_, err) in rows], list(skipped))
-
-
-def id_tau(matrix: EvaluationMatrix, measure: str, variant: str = "b") -> AggregateResult:
-    """Correlation with in-domain accuracy, averaged over training domains."""
-    return AggregateResult.of(*_aggregate(matrix, measure, "id", _tau(variant)))
-
-
-def macro_tau(matrix: EvaluationMatrix, measure: str, variant: str = "b") -> AggregateResult:
-    """Per-(train, test)-pair correlation, averaged over all pairs."""
-    return AggregateResult.of(*_aggregate(matrix, measure, "pair", _tau(variant)))
-
-
-def micro_tau(matrix: EvaluationMatrix, measure: str, variant: str = "b") -> AggregateResult:
-    """Per-test-domain correlation pooling models from all other training
-    domains, one architecture at a time; averaged over (arch, domain) groups."""
-    return AggregateResult.of(*_aggregate(matrix, measure, "micro", _tau(variant)))
-
-
-def arch_tau(matrix: EvaluationMatrix, measure: str, variant: str = "b") -> AggregateResult:
-    """Micro-style correlation with pools spanning all architectures.
-
-    Absent (value None, empty breakdown) for single-architecture matrices.
-    """
-    if len(matrix.archs) < 2:
-        return AggregateResult(None, [], [("*", "single architecture")])
-    return AggregateResult.of(*_aggregate(matrix, measure, "arch", _tau(variant)))
-
-
-def cross_domain_tau(
-    matrix: EvaluationMatrix, measure: str, variant: str = "b"
-) -> tuple[dict[str, float], AggregateResult]:
-    """Per-model correlation across its OOD test domains, averaged per arch."""
-    arch_of = {m.model_id: m.arch for m in matrix.models}
-    taus, skipped = _aggregate(matrix, measure, "cross", _tau(variant))
-    rows = [(model_id, arch_of[model_id], tau) for model_id, tau in taus]
-    means = {arch: _mean([tau for _, a, tau in rows if a == arch])
-             for arch in sorted({arch for _, arch, _ in rows})}
-    return means, AggregateResult.of(rows, skipped)
-
-
 def build_report(matrix: EvaluationMatrix, tau_variant: str = "b") -> dict:
     """Full metric table for every measure, JSON-serializable, stable order.
 
-    Each measure's entry holds, for every row of ``REPORT_LAYOUT``, the
-    aggregate's value, its breakdown rows and its skipped groups.
+    Each measure's entry holds, for every row of ``REPORT_LAYOUT``, the mean
+    of its groups' values, its breakdown rows and its skipped groups. R^2 and
+    MAE (in accuracy percentage points) compare each pair's accuracies with
+    the transfer fit's predictions, or with a direct measure's values as
+    they are. ``arch_tau`` is absent (None, no groups) for a matrix of one
+    architecture. The cross-domain rows carry each model's architecture, and
+    ``cross_domain_tau_per_arch`` averages them per architecture.
     """
+    arch_of = {m.model_id: m.arch for m in matrix.models}
+
+    def tau(key, xs, ys):
+        # kendall_tau is looked up at call time, so a wrapper set on this module applies
+        return kendall_tau(xs, ys, variant=tau_variant)
+
     report = {"tau_variant": tau_variant, "measures": {}}
     for measure in matrix.measure_names():
-        r2_res, mae_res = evaluate_r2_mae(matrix, measure)
-        cross_means, cross_res = cross_domain_tau(matrix, measure, tau_variant)
-        results = {"r2": r2_res, "mae_pct": mae_res, "cross_domain_tau": cross_res}
-        for agg in (macro_tau, micro_tau, id_tau, arch_tau):  # named as their value keys
-            results[agg.__name__] = agg(matrix, measure, tau_variant)
-        entry = {"cross_domain_tau_per_arch": cross_means, "breakdown": {}, "skipped": {}}
-        for value_key, table, _, skip_list in REPORT_LAYOUT:
-            res = results[value_key]
-            entry[value_key] = res.value
-            entry["breakdown"][table] = [list(r) for r in res.breakdown]
-            entry["skipped"][skip_list] = [list(r) for r in res.skipped]
+        direct = is_direct_measure(measure)
+
+        def r2_and_mae(key, xs, ys):
+            if not direct:
+                fit = fit_transfer_model(matrix, measure, *key)
+                xs = [fit.predict(x) for x in xs]
+            return r_squared(xs, ys), 100.0 * mae(xs, ys)
+
+        fits, fit_skipped = _aggregate(matrix, measure, "pair", r2_and_mae)
+        entry = {"breakdown": {}, "skipped": {}}
+        for agg in REPORT_LAYOUT:
+            if agg.value in FIT_VALUES:
+                column = FIT_VALUES.index(agg.value)
+                rows, skipped = [(i, o, fit[column]) for i, o, fit in fits], fit_skipped
+            elif agg.kind == "arch" and len(matrix.archs) < 2:
+                rows, skipped = [], [("*", "single architecture")]
+            else:
+                rows, skipped = _aggregate(matrix, measure, agg.kind, tau)
+            if agg.kind == "cross":
+                rows = [(model_id, arch_of[model_id], t) for model_id, t in rows]
+                entry["cross_domain_tau_per_arch"] = {
+                    arch: _mean([t for _, a, t in rows if a == arch])
+                    for arch in sorted({arch for _, arch, _ in rows})}
+            entry[agg.value] = _mean([r[-1] for r in rows])
+            entry["breakdown"][agg.table] = [list(r) for r in rows]
+            entry["skipped"][agg.skipped] = [list(r) for r in skipped]
         report["measures"][measure] = entry
     return report

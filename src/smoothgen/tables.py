@@ -176,11 +176,12 @@ def require_complete(have: dict, what, path=None) -> None:
     """Raise a SchemaError, naming file ``path`` if given, for the first
     model, by id, that lacks a key another model has: the model "has
     ``what(key)``" of its first missing key. ``have`` maps each model id to
-    its set of keys."""
+    its keys: a set, or a dict keyed by them."""
     every = set().union(*have.values())
     for model_id in sorted(have):
-        if have[model_id] != every:
-            raise SchemaError(f"model {model_id!r} has {what(min(every - have[model_id]))}, "
+        missing = every.difference(have[model_id])
+        if missing:
+            raise SchemaError(f"model {model_id!r} has {what(min(missing))}, "
                               f"where other models have one", path)
 
 

@@ -13,15 +13,7 @@ import numpy as np
 from smoothgen.baselines import atc_fit, atc_predict, spectral_norm
 from smoothgen.errors import DegenerateSampleError
 from smoothgen.ingest import ScoreLog
-from smoothgen.protocol import (
-    EvaluationMatrix,
-    build_report,
-    evaluate_r2_mae,
-    fit_transfer_model,
-    id_tau,
-    macro_tau,
-    micro_tau,
-)
+from smoothgen.protocol import EvaluationMatrix, build_report, fit_transfer_model
 from smoothgen.stats import kendall_tau, ols_fit, r_squared
 from smoothgen.synthbench.mlp import _zeros_like, init_model, loss_and_grads, sgd_step
 from smoothgen.synthbench.pool import run_pool
@@ -181,13 +173,12 @@ def test_06_protocol_on_constructed_matrices():
                 for k in ("macro_tau", "micro_tau", "id_tau", "cross_domain_tau"))
     )
 
-    null = null_matrix(seed=106)
-    r2_res, _ = evaluate_r2_mae(null, MEASURE)
+    null = build_report(null_matrix(seed=106))["measures"][MEASURE]
     null_ok = (
-        abs(micro_tau(null, MEASURE).value) < 0.1
-        and abs(macro_tau(null, MEASURE).value) < 0.1
-        and abs(id_tau(null, MEASURE).value) < 0.1
-        and r2_res.value < 0.1
+        abs(null["micro_tau"]) < 0.1
+        and abs(null["macro_tau"]) < 0.1
+        and abs(null["id_tau"]) < 0.1
+        and null["r2"] < 0.1
     )
 
     jittered = linear_matrix(jitter=0.02)

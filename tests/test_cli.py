@@ -312,6 +312,44 @@ class TestBaselineCommand:
             f"error: model 'rot000-c000' has {message}, where other models have one\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("conflicting", [False, True], ids=["copy", "conflicting_copy"])
+    @pytest.mark.parametrize("kind", ["test_score_log", "weight_dump"])
+    def test_a_second_copy_of_an_artifact_exits_nonzero(self, pool, tmp_path, capsys, kind,
+                                                        conflicting):
+        out_dir, result = pool
+        assert next(r for r in result.manifest if r.model_id == "rot000-c000").converged
+        copies = tmp_path / "copies"
+        copies.mkdir()
+        if kind == "test_score_log":
+            first = out_dir / "scores" / "rot000-c000__rot000__test.jsonl"
+            second = copies / first.name
+            shutil.copy(first, second)
+            if conflicting:
+                header, *entries = map(json.loads, first.read_text().splitlines())
+                entries = [{**entry, "max_confidence": 0.34} for entry in entries]
+                second.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *entries)))
+            inputs = ["--scores", str(out_dir / "scores"), str(copies), "--weights",
+                      str(out_dir / "weights")]
+            what = "test score logs of domain 'rot000'"
+        else:
+            first = out_dir / "weights" / "rot000-c000.bin"
+            second = copies / first.name
+            shutil.copy(first, second)
+            if conflicting:
+                dump = read_weight_dump(first)
+                write_weight_dump(WeightDump(dump.model_id, tuple(2 * w for w in dump.layers)),
+                                  second)
+            inputs = ["--scores", str(out_dir / "scores"), "--weights",
+                      str(out_dir / "weights"), str(copies)]
+            what = "weight dumps"
+        out = tmp_path / "baselines.csv"
+        rc = main(["baseline", *inputs, "--manifest", str(out_dir / "manifest.jsonl"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: model 'rot000-c000': two {what}, {first} and {second}\n")
+        assert not out.exists()
+
     @staticmethod
     def validation_log(result, scores):
         """The validation score log of the first converged model under ``scores``."""
@@ -776,10 +814,10 @@ class TestEvaluateCommand:
     def constructed_report():
         """One measure whose R^2 mean (-334.333) is far from its median (-2)."""
         entry = {"breakdown": {}, "skipped": {}}
-        for value_key, table, _, skip_list in REPORT_LAYOUT:
-            entry[value_key] = None
-            entry["breakdown"][table] = []
-            entry["skipped"].setdefault(skip_list, [])
+        for agg in REPORT_LAYOUT:
+            entry[agg.value] = None
+            entry["breakdown"][agg.table] = []
+            entry["skipped"].setdefault(agg.skipped, [])
         entry["r2"] = (-1000.0 - 2.0 - 1.0) / 3
         entry["breakdown"]["r2_pairs"] = [["a", "b", -1000.0], ["a", "c", -2.0],
                                           ["b", "a", -1.0]]
@@ -796,7 +834,7 @@ class TestEvaluateCommand:
         rows = {line.split()[1]: line.split()[2:] for line in buf.getvalue().splitlines()[1:]}
         assert buf.getvalue().split("\n")[0].split() == [
             "measure", "aggregate", "mean", "median", "groups", "skipped"]
-        assert list(rows) == [value_key for value_key, *_ in REPORT_LAYOUT]
+        assert list(rows) == [agg.value for agg in REPORT_LAYOUT]
         assert rows["r2"] == ["-334.333", "-2.000", "3", "1"]
         assert rows["mae_pct"] == ["--", "--", "0", "1"]  # shares the r2 skip list
         assert rows["id_tau"] == ["0.500", "0.500", "2", "0"]
@@ -1142,6 +1180,9 @@ LOG_MUTATIONS = {  # name: the message it gives, for prediction logs and for sco
                      "entry 'ex00000': max_confidence 1.5 out of range"),
     "invalid_utf8": ("invalid UTF-8: invalid start byte",) * 2,
     "missing_field": ("missing required field 'example_id'",) * 2,
+    # the second entry's line, which repeats the first entry's id
+    "duplicate_id": ("example 'ex00000': duplicate example_id",
+                     "entry 'ex00000': duplicate example_id"),
 }
 
 
@@ -1178,6 +1219,12 @@ def _broken_dump(data, case):
         return data[:at] + struct.pack("<d", math.nan) + data[at + 8:]
     if case == "no_layers":
         return data[:layers] + struct.pack("<Q", 0)
+    if case == "bad_magic":
+        return b"X" + data[1:]
+    if case == "truncated":  # inside the first layer's entries
+        return data[:layers + 8 + 16 + 8]
+    if case == "trailing_bytes":
+        return data + b"\0"
     return data[:layers] + struct.pack("<QQQ", 1, 0, 3)  # one layer of no rows
 
 
@@ -1186,6 +1233,9 @@ ARTIFACT_FAULTS = {  # case: the command that reads the artifact, the message
     "nan_entry": ("baseline", "layer 0: non-finite entries"),
     "no_layers": ("baseline", "weight dump must contain at least one layer"),
     "empty_layer": ("baseline", "layer 0: expected non-empty 2-D matrix"),
+    "bad_magic": ("baseline", "bad magic bytes in weight dump"),
+    "truncated": ("baseline", "truncated weight dump"),
+    "trailing_bytes": ("baseline", "trailing bytes in weight dump"),
     "non_utf8_report": ("report", "invalid UTF-8: invalid start byte"),
     "non_utf8_experiment": ("ablate", "invalid UTF-8: invalid start byte"),
 }
@@ -1201,7 +1251,7 @@ class TestMalformedLogs:
     def run(pool, tmp_path, command, mutation, layout):
         """(exit code, stderr, the mutated log) of ``command`` on a copy of
         the pool whose first log of the kind it reads has ``mutation`` in its
-        first entry, every line in ``layout``."""
+        first entry (a duplicate_id in its second), every line in ``layout``."""
         out_dir, result = pool
         run = tmp_path / layout
         run.mkdir()
@@ -1221,6 +1271,8 @@ class TestMalformedLogs:
         log = next(p for p in sorted((run / folder).glob(pattern))
                    if p.name.split("__")[0] in pool_ids)
         header, entry, *rest = map(json.loads, log.read_text().splitlines())
+        if mutation == "duplicate_id":
+            rest[0]["example_id"] = entry["example_id"]
         separators = (",", ":") if layout == "canonical" else (", ", ": ")
         lines = [json.dumps(obj, sort_keys=True, separators=separators).encode()
                  for obj in (header, entry, *rest)]
@@ -1242,7 +1294,8 @@ class TestMalformedLogs:
             errors.append(err.replace(str(log), "<log>"))
             assert not (tmp_path / f"{layout}.csv").exists()
         message = LOG_MUTATIONS[mutation][command == "baseline"]
-        assert errors == [f"error: <log>:2: {message}\n"] * 2
+        line = 3 if mutation == "duplicate_id" else 2
+        assert errors == [f"error: <log>:{line}: {message}\n"] * 2
 
     @pytest.mark.parametrize("case", sorted(ARTIFACT_FAULTS))
     def test_malformed_artifact_exits_nonzero(self, pool, tmp_path, capsys, case):

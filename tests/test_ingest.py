@@ -219,7 +219,8 @@ class TestPredictionLogTypes:
     ])
     def test_bad_value_names_path_and_line(self, tmp_path, field, value, message):
         path = tmp_path / "log.jsonl"
-        write_log_lines(path, [GOOD_EXAMPLE, GOOD_EXAMPLE, {**GOOD_EXAMPLE, field: value}])
+        write_log_lines(path, [GOOD_EXAMPLE, {**GOOD_EXAMPLE, "example_id": "ex1"},
+                               {**GOOD_EXAMPLE, "example_id": "ex2", field: value}])
         with pytest.raises(SchemaError, match=message) as exc:
             parse_prediction_log(path)
         assert (exc.value.path, exc.value.line) == (path, 4)
@@ -318,6 +319,10 @@ RAGGED_LOG = log_from_rows(
 )
 
 
+TWO_EXAMPLES_OF_ONE_ID = {"example_ids": ("a", "a"), "lengths": [2, 1], "true_labels": [1, 1],
+                          "base_predictions": [-1, -1]}
+
+
 class TestPredictionLogArrays:
     def test_ragged_log_with_missing_labels_round_trips_byte_identical(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -374,6 +379,9 @@ class TestPredictionLogArrays:
         ({"true_labels": [1, 1]}, "one entry per example"),
         ({"base_predictions": [-2]}, "base_prediction -2 out of range"),
         ({"predictions": [0, 2, 1]}, "prediction 2 out of range"),
+        (TWO_EXAMPLES_OF_ONE_ID, "example 'a': duplicate example_id"),
+        ({**TWO_EXAMPLES_OF_ONE_ID, "predictions": [0, 1, 2]},
+         "example 'a': prediction 2 out of range"),
     ])
     def test_array_validation(self, change, message):
         fields = dict(model_id="m", test_domain="d", num_classes=2, example_ids=("a",),
@@ -919,8 +927,9 @@ class TestPredictionLogScan:
 
     @pytest.mark.parametrize("log", [
         STRIDE_LOG,
-        dataclasses.replace(STRIDE_LOG, example_ids=("",) * 4),
-        dataclasses.replace(STRIDE_LOG, example_ids=("x1", "x9", "x0", "x1"), num_classes=300),
+        log_from_rows(NeighborhoodPredictionLog, [ExampleEntry("", (0, 1, 2), true_label=0)],
+                      model_id="m", test_domain="d", num_classes=3),
+        dataclasses.replace(STRIDE_LOG, example_ids=("x1", "x9", "x0", "x2"), num_classes=300),
         dataclasses.replace(STRIDE_LOG, true_labels=np.full(4, -1)),
         dataclasses.replace(STRIDE_LOG, true_labels=np.full(4, -1),
                             base_predictions=np.full(4, -1)),
@@ -946,10 +955,11 @@ class TestPredictionLogScan:
            n=st.integers(1, 6), prefix=st.text("abz-_ .", max_size=3),
            id_digits=st.integers(0, 3), labels=st.booleans())
     def test_fixed_stride_round_trip(self, tmp_path, data, k, m, n, prefix, id_digits, labels):
-        # Ids of one width that differ only in their digits, as synth's do.
+        # Distinct ids of one width that differ only in their digits, as synth's do.
+        m = min(m, 10**id_digits)
         ids = [prefix + "".join(map(str, d)) for d in data.draw(st.lists(
             st.lists(st.integers(0, 9), min_size=id_digits, max_size=id_digits),
-            min_size=m, max_size=m))]
+            min_size=m, max_size=m, unique_by=tuple))]
         digit = st.integers(0, min(k, 10) - 1)
         label = digit if labels else st.none()
         rows = data.draw(st.lists(st.tuples(st.lists(digit, min_size=n, max_size=n), label,
@@ -976,7 +986,7 @@ class TestPredictionLogScan:
         ex_id = st.text("abcxyz019-_ ,.:", max_size=8)
         examples = data.draw(st.lists(
             st.tuples(ex_id, st.lists(value, min_size=1, max_size=15), label, label),
-            max_size=12))
+            max_size=12, unique_by=lambda example: example[0]))
         log = log_from_rows(
             NeighborhoodPredictionLog,
             [ExampleEntry(i, tuple(preds), true_label=true, base_prediction=base)

@@ -3,22 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothgen.errors import DegenerateSampleError, SchemaError
 from smoothgen.ingest import ModelRecord
 from smoothgen.protocol import (
+    REPORT_LAYOUT,
     AggregateResult,
     EvaluationMatrix,
     SkipPair,
-    arch_tau,
     build_report,
-    cross_domain_tau,
-    evaluate_r2_mae,
     fit_transfer_model,
-    id_tau,
     is_direct_measure,
-    macro_tau,
-    micro_tau,
 )
 from smoothgen.stats import kendall_tau, mae, ols_fit, r_squared
 
@@ -78,6 +75,16 @@ def two_arch_matrix():
         accuracies[(mid + "x", dom)] = v
     return EvaluationMatrix(measures, accuracies, models)
 
+
+def aggregate(matrix, value_key, measure=MEASURE):
+    """The aggregate of ``REPORT_LAYOUT`` row ``value_key`` in the report of
+    ``matrix``: its value, its breakdown rows and its skipped rows."""
+    (agg,) = (a for a in REPORT_LAYOUT if a.value == value_key)
+    entry = build_report(matrix)["measures"][measure]
+    return AggregateResult(entry[agg.value], entry["breakdown"][agg.table],
+                           entry["skipped"][agg.skipped])
+
+
 class TestMatrixValidation:
     def test_unconverged_models_rejected(self):
         with pytest.raises(SchemaError, match="unconverged"):
@@ -131,35 +138,36 @@ class TestAggregates:
 
     def test_null_matrix_has_no_signal(self):
         matrix = null_matrix(seed=5)
-        r2_res, _ = evaluate_r2_mae(matrix, MEASURE)
-        assert abs(micro_tau(matrix, MEASURE).value) < 0.1
-        assert abs(macro_tau(matrix, MEASURE).value) < 0.15
-        assert r2_res.value < 0.1
+        assert abs(aggregate(matrix, "micro_tau").value) < 0.1
+        assert abs(aggregate(matrix, "macro_tau").value) < 0.15
+        assert aggregate(matrix, "r2").value < 0.1
 
     def test_id_tau_uses_own_domain_only(self):
         matrix = linear_matrix()
-        res = id_tau(matrix, MEASURE)
+        res = aggregate(matrix, "id_tau")
         assert res.value == pytest.approx(1.0)
         assert len(res.breakdown) == 4
 
     def test_micro_tau_groups_by_arch_and_domain(self):
         matrix = linear_matrix()
-        res = micro_tau(matrix, MEASURE)
+        res = aggregate(matrix, "micro_tau")
         assert {(arch, dom) for arch, dom, _ in res.breakdown} == {
             ("mlp", f"d{i}") for i in range(4)}
 
     def test_arch_tau_absent_for_single_arch(self):
-        res = arch_tau(linear_matrix(), MEASURE)
+        res = aggregate(linear_matrix(), "arch_tau")
         assert res.value is None
         assert res.breakdown == []
+        assert res.skipped == [["*", "single architecture"]]
 
     def test_arch_tau_pools_across_archs(self):
-        res = arch_tau(two_arch_matrix(), MEASURE)
+        res = aggregate(two_arch_matrix(), "arch_tau")
         assert res.value == pytest.approx(1.0)
 
     def test_cross_domain_tau_per_model(self):
         matrix = linear_matrix()
-        per_arch, res = cross_domain_tau(matrix, MEASURE)
+        res = aggregate(matrix, "cross_domain_tau")
+        per_arch = build_report(matrix)["measures"][MEASURE]["cross_domain_tau_per_arch"]
         assert res.value == pytest.approx(1.0)
         assert per_arch == {"mlp": pytest.approx(1.0)}
         assert len(res.breakdown) == 20
@@ -169,22 +177,23 @@ class TestAggregates:
         tied = {k: 0.5 for k in matrix.measures}
         matrix2 = EvaluationMatrix(
             tied, matrix.accuracies, matrix.models)
-        res = micro_tau(matrix2, MEASURE)
+        res = aggregate(matrix2, "micro_tau")
         assert res.value is None
         assert res.breakdown == []
         assert all("tied" in reason for _, _, reason in res.skipped)
 
-    @pytest.mark.parametrize("aggregate", [id_tau, macro_tau, micro_tau, cross_domain_tau])
-    def test_non_finite_measure_raises_instead_of_skipping(self, aggregate):
+    @pytest.mark.parametrize("value_key", ["id_tau", "macro_tau", "micro_tau",
+                                           "cross_domain_tau"])
+    def test_non_finite_measure_raises_instead_of_skipping(self, value_key):
         matrix = linear_matrix()
         measures = dict(matrix.measures)
-        # One in-domain and one out-of-domain NaN: a group of every aggregate
-        # holds one of them.
-        measures[("d0-m0", "d0", MEASURE)] = math.nan
-        measures[("d0-m0", "d1", MEASURE)] = math.nan
+        # An in-domain cell is in a group of id_tau alone; an out-of-domain
+        # one is in a group of each other aggregate.
+        cell = ("d0-m0", "d0" if value_key == "id_tau" else "d1", MEASURE)
+        measures[cell] = math.nan
         matrix = EvaluationMatrix(measures, matrix.accuracies, matrix.models)
         with pytest.raises(ValueError, match="non-finite"):
-            aggregate(matrix, MEASURE)
+            aggregate(matrix, value_key)
 
 
 class TestDirectMeasures:
@@ -203,7 +212,7 @@ class TestDirectMeasures:
         }
         matrix2 = EvaluationMatrix(
             direct, matrix.accuracies, matrix.models)
-        r2_res, mae_res = evaluate_r2_mae(matrix2, "atc_mc")
+        r2_res, mae_res = (aggregate(matrix2, key, "atc_mc") for key in ("r2", "mae_pct"))
         assert r2_res.value == pytest.approx(1.0)
         assert mae_res.value == pytest.approx(0.0, abs=1e-9)
 
@@ -215,7 +224,7 @@ class TestDirectMeasures:
         }
         matrix2 = EvaluationMatrix(
             direct, matrix.accuracies, matrix.models)
-        _, mae_res = evaluate_r2_mae(matrix2, "atc_mc")
+        mae_res = aggregate(matrix2, "mae_pct", "atc_mc")
         # MAE is reported in percentage points
         assert mae_res.value == pytest.approx(5.0, abs=1e-9)
 
@@ -476,7 +485,38 @@ def tied_matrix():
                             matrix.models)
 
 
+@st.composite
+def small_matrices(draw):
+    """1 to 3 archs, 2 to 4 training domains and a far-shift domain no model
+    trains on, cells missing at random, and values from a few levels, so
+    that groups tie and some have fewer than two cells; a smoothness
+    measure next to a direct (atc_) one."""
+    archs = [f"a{i}" for i in range(draw(st.integers(1, 3)))]
+    training = [f"d{i}" for i in range(draw(st.integers(2, 4)))]
+    level = st.sampled_from([0.2, 0.4, 0.6, 0.8])
+    models, measures, accuracies = [], {}, {}
+    for dom in training:
+        for j in range(draw(st.integers(1, 4))):
+            mid = f"{dom}-m{j}"
+            models.append(ModelRecord(mid, draw(st.sampled_from(archs)), dom, {}, True))
+            for d in training + ["far"]:
+                if draw(st.integers(0, 4)) == 0:
+                    continue
+                accuracies[(mid, d)] = draw(st.sampled_from([0.5, 0.6, 0.7, 0.9]))
+                for measure in (MEASURE, "atc_mc"):
+                    if draw(st.integers(0, 5)):
+                        measures[(mid, d, measure)] = draw(level)
+    return EvaluationMatrix(measures, accuracies, tuple(models))
+
+
 class TestEngineOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=small_matrices())
+    def test_any_small_matrix_reports_as_the_hand_written_loops(self, matrix):
+        for tau_variant in ("b", "a"):
+            assert (json.dumps(build_report(matrix, tau_variant), sort_keys=True, indent=2)
+                    == json.dumps(ref_report(matrix, tau_variant), sort_keys=True, indent=2))
+
     @pytest.mark.parametrize("make", [linear_matrix, null_matrix, tied_matrix,
                                       two_arch_matrix, sparse_matrix])
     @pytest.mark.parametrize("tau_variant", ["b", "a"])
