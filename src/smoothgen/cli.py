@@ -70,9 +70,11 @@ def _converged_artifacts(paths, read, models, pattern="*.jsonl"):
     directory giving its files that match ``pattern``, whose artifact,
     ``read(path)``, is of a converged model; an artifact of a model the
     manifest lacks raises a SmoothgenError naming the file. ``models`` maps
-    ids to records. Each command passes its reader from its own body, so the
-    benchmark's tracer sees every read through this module's names."""
-    files = [f for p in paths for f in (list_files(p, pattern) if os.path.isdir(p) else [p])]
+    ids to records; a file named twice is read once. Each command passes its
+    reader from its own body, so the benchmark's tracer sees every read
+    through this module's names."""
+    files = list(dict.fromkeys(
+        f for p in paths for f in (list_files(p, pattern) if os.path.isdir(p) else [p])))
     if not files:
         raise SmoothgenError(f"no input files found in {paths!r}")
     for path in files:
@@ -88,9 +90,10 @@ def _record(seen, model_id, key, path, what):
     """Record file ``path`` as model ``model_id``'s artifact ``key`` in
     ``seen``; a second file of the key raises a SmoothgenError naming both,
     ``what`` the noun of the two."""
-    first = seen.setdefault(model_id, {}).setdefault(key, path)
-    if first != path:  # a copy, or a file whose content names another model
-        raise SmoothgenError(f"model {model_id!r}: two {what}, {first} and {path}")
+    files = seen.setdefault(model_id, {})
+    if key in files:  # a copy, or a file whose content names another model
+        raise SmoothgenError(f"model {model_id!r}: two {what}, {files[key]} and {path}")
+    files[key] = path
 
 
 def _of_file(path, fn, *args):

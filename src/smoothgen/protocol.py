@@ -10,7 +10,7 @@ statistic is undefined are skipped, recorded, and excluded from averages.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -78,14 +78,14 @@ def is_direct_measure(name: str) -> bool:
 # The report's layout, one row per aggregate, in the column order of
 # ``smoothgen report``: its value key in a measure's entry, its group kind in
 # ``_groups``, its breakdown table with that table's key columns, and its list
-# of skipped groups. R^2 and MAE, the two values of each transfer-fit row, come
-# from one pass over the pairs and share one skipped list.
+# of skipped groups. The kind ``fit`` marks the values, R^2 and MAE in their
+# order here, of one transfer-fit pass over the ``pair`` groups; they share its
+# skipped list.
 Aggregate = namedtuple("Aggregate", "value kind table keys skipped")
-FIT_VALUES = ("r2", "mae_pct")
 PAIR_KEYS = ("train_domain", "test_domain")
 REPORT_LAYOUT = (
-    Aggregate("r2", "pair", "r2_pairs", PAIR_KEYS, "r2_mae"),
-    Aggregate("mae_pct", "pair", "mae_pairs", PAIR_KEYS, "r2_mae"),
+    Aggregate("r2", "fit", "r2_pairs", PAIR_KEYS, "r2_mae"),
+    Aggregate("mae_pct", "fit", "mae_pairs", PAIR_KEYS, "r2_mae"),
     Aggregate("macro_tau", "pair", "macro_pairs", PAIR_KEYS, "macro"),
     Aggregate("micro_tau", "micro", "micro_groups", ("arch", "test_domain"), "micro"),
     Aggregate("id_tau", "id", "id_domains", ("domain",), "id"),
@@ -183,18 +183,6 @@ def fit_transfer_model(
         raise SkipPair(f"degenerate pool for ({train_domain}, {test_domain}): {e}")
 
 
-@dataclass
-class AggregateResult:
-    value: Optional[float]
-    breakdown: list  # rows of (group..., value)
-    skipped: list = field(default_factory=list)  # rows of (group..., reason)
-
-    @classmethod
-    def of(cls, rows: list, skipped: list) -> "AggregateResult":
-        """The result whose value is the mean of the rows' last column."""
-        return cls(_mean([r[-1] for r in rows]), rows, skipped)
-
-
 def _mean(values: Sequence[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
@@ -211,6 +199,7 @@ def build_report(matrix: EvaluationMatrix, tau_variant: str = "b") -> dict:
     ``cross_domain_tau_per_arch`` averages them per architecture.
     """
     arch_of = {m.model_id: m.arch for m in matrix.models}
+    fit_rows = [agg for agg in REPORT_LAYOUT if agg.kind == "fit"]
 
     def tau(key, xs, ys):
         # kendall_tau is looked up at call time, so a wrapper set on this module applies
@@ -229,8 +218,8 @@ def build_report(matrix: EvaluationMatrix, tau_variant: str = "b") -> dict:
         fits, fit_skipped = _aggregate(matrix, measure, "pair", r2_and_mae)
         entry = {"breakdown": {}, "skipped": {}}
         for agg in REPORT_LAYOUT:
-            if agg.value in FIT_VALUES:
-                column = FIT_VALUES.index(agg.value)
+            if agg.kind == "fit":
+                column = fit_rows.index(agg)
                 rows, skipped = [(i, o, fit[column]) for i, o, fit in fits], fit_skipped
             elif agg.kind == "arch" and len(matrix.archs) < 2:
                 rows, skipped = [], [("*", "single architecture")]

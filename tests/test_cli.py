@@ -350,6 +350,27 @@ class TestBaselineCommand:
             f"error: model 'rot000-c000': two {what}, {first} and {second}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, twice", [
+        ("baseline", "--scores"), ("baseline", "--weights"), ("score", "--input"),
+    ])
+    def test_a_directory_named_twice_is_read_once(self, pool, tmp_path, command, twice):
+        """A directory given twice names each of its files twice; each is read
+        once, so the output is that of the directory given once."""
+        out_dir, _ = pool
+        dirs = ({"--scores": [out_dir / "scores"], "--weights": [out_dir / "weights"]}
+                if command == "baseline" else {"--input": [out_dir / "predictions"]})
+
+        def run(out):
+            args = [arg for opt, names in dirs.items() for arg in (opt, *map(str, names))]
+            return main([command, *args, "--manifest", str(out_dir / "manifest.jsonl"),
+                         "--out", str(out)])
+
+        once, doubled = tmp_path / "once.csv", tmp_path / "doubled.csv"
+        assert run(once) == 0
+        dirs[twice] *= 2
+        assert run(doubled) == 0
+        assert doubled.read_bytes() == once.read_bytes()
+
     @staticmethod
     def validation_log(result, scores):
         """The validation score log of the first converged model under ``scores``."""

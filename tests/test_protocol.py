@@ -1,16 +1,17 @@
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothgen import protocol
 from smoothgen.errors import DegenerateSampleError, SchemaError
 from smoothgen.ingest import ModelRecord
 from smoothgen.protocol import (
     REPORT_LAYOUT,
-    AggregateResult,
     EvaluationMatrix,
     SkipPair,
     build_report,
@@ -20,6 +21,10 @@ from smoothgen.protocol import (
 from smoothgen.stats import kendall_tau, mae, ols_fit, r_squared
 
 MEASURE = "ms_test"
+
+# One aggregate of a measure's report entry: its value, its breakdown rows of
+# (group..., value) and its skipped rows of (group..., reason).
+AggregateResult = namedtuple("AggregateResult", "value breakdown skipped")
 
 
 def linear_matrix(a=0.4, b=0.5, n_domains=4, per_domain=5, arch="mlp",
@@ -187,13 +192,19 @@ class TestAggregates:
     def test_non_finite_measure_raises_instead_of_skipping(self, value_key):
         matrix = linear_matrix()
         measures = dict(matrix.measures)
-        # An in-domain cell is in a group of id_tau alone; an out-of-domain
-        # one is in a group of each other aggregate.
-        cell = ("d0-m0", "d0" if value_key == "id_tau" else "d1", MEASURE)
-        measures[cell] = math.nan
+        # One in-domain and one out-of-domain NaN: a group of every aggregate
+        # holds one of them.
+        measures[("d0-m0", "d0", MEASURE)] = math.nan
+        measures[("d0-m0", "d1", MEASURE)] = math.nan
         matrix = EvaluationMatrix(measures, matrix.accuracies, matrix.models)
         with pytest.raises(ValueError, match="non-finite"):
             aggregate(matrix, value_key)
+        # build_report raises at the first row that reaches a NaN, so the named
+        # row's groups also go through the engine on their own.
+        (agg,) = (a for a in REPORT_LAYOUT if a.value == value_key)
+        with pytest.raises(ValueError, match="non-finite"):
+            protocol._aggregate(matrix, MEASURE, agg.kind,
+                                lambda key, xs, ys: kendall_tau(xs, ys))
 
 
 class TestDirectMeasures:
