@@ -22,7 +22,7 @@ import stat
 import struct
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -139,12 +139,34 @@ def _range_fault(name, values, lo, hi, suffix=""):
     return None
 
 
-def _duplicate_fault(ids):
-    """(index, message) of the first id equal to an earlier one, or None."""
+class _CheckedIds(tuple):
+    """A tuple of distinct str example ids. Only ``_check_ids``, once both
+    checks pass, and ``kept_ids`` build one."""
+
+    __slots__ = ()
+
+
+def _check_ids(log):
+    """(index, message) of the first of the log's ids equal to an earlier
+    one, or None. Raises unless every id is a str; when both checks pass,
+    the log holds its ids as a ``_CheckedIds``, which is not checked again."""
+    ids = log.example_ids
+    if type(ids) is _CheckedIds:
+        return None
+    if not set(map(type, ids)) <= {str}:
+        raise SchemaError("example ids must be strings")
     if len(set(ids)) == len(ids):
+        object.__setattr__(log, "example_ids", _CheckedIds(ids))
         return None
     seen = set()
     return next(i for i, x in enumerate(ids) if x in seen or seen.add(x)), "duplicate example_id"
+
+
+def kept_ids(ids, keep):
+    """The ids where the mask ``keep`` is true, in order: checked if ``ids``
+    are, as a subsequence of distinct strings is distinct strings."""
+    kept = compress(ids, keep)
+    return _CheckedIds(kept) if type(ids) is _CheckedIds else tuple(kept)
 
 
 def _raise_first(noun, ids, faults):
@@ -181,6 +203,11 @@ class NeighborhoodPredictionLog:
     read-only: ``predictions`` of the narrowest unsigned type that holds
     ``num_classes - 1``, the others int64. Inputs of another type, or
     writeable ones, are copied.
+
+    ``example_ids`` may be any sequence of str; it is held as a tuple. The
+    ids of a built log, or a subsequence of them from ``kept_ids``, skip
+    the type and repeat checks: a constructor made them, or their superset,
+    and a tuple cannot change. Every other check is made for every log.
     """
 
     model_id: str
@@ -199,8 +226,7 @@ class NeighborhoodPredictionLog:
     def __post_init__(self):
         k = self.num_classes
         _check_num_classes(k)
-        if not set(map(type, self.example_ids)) <= {str}:
-            raise SchemaError("example ids must be strings")
+        duplicate = _check_ids(self)
         for name in _LOG_ARRAYS:
             arr = np.asarray(getattr(self, name))
             if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
@@ -218,7 +244,6 @@ class NeighborhoodPredictionLog:
 
         suffix = f" [0, {k})"
         labels = {"true_label": self.true_labels, "base_prediction": self.base_predictions}
-        duplicate = _duplicate_fault(self.example_ids)
         if duplicate or not (self.lengths.all() and _within(self.predictions, 0, k - 1)
                              and all(_within(a, -1, k - 1) for a in labels.values())):
             empty = self.lengths == 0
@@ -271,7 +296,8 @@ class ScoreLog:
     the entry has no true label); no two entries share an id. Scores are
     finite and in range for ``num_classes`` classes, when it is known. The
     arrays are read-only: labels int64, scores float64. Inputs of another
-    type, or writeable ones, are copied.
+    type, or writeable ones, are copied. ``example_ids`` are checked, and
+    held, as those of ``NeighborhoodPredictionLog``.
     """
 
     model_id: str
@@ -292,8 +318,7 @@ class ScoreLog:
             raise SchemaError(f"split must be 'validation' or 'test', got {self.split!r}")
         k = self.num_classes
         _check_num_classes(k)
-        if not set(map(type, self.example_ids)) <= {str}:
-            raise SchemaError("example ids must be strings")
+        duplicate = _check_ids(self)
         m = len(self.example_ids)
         for name, dtype in _SCORE_ARRAYS.items():
             arr = np.asarray(getattr(self, name))
@@ -317,7 +342,6 @@ class ScoreLog:
             ("predicted_label", self.predicted_labels, 0, top, suffix),
             ("true_label", self.true_labels, -1, top, suffix),
         ]
-        duplicate = _duplicate_fault(self.example_ids)
         if duplicate or not all(_within(values, lo, hi) for _, values, lo, hi, _ in columns):
             _raise_first("entry", self.example_ids,
                          [*(_range_fault(*c) for c in columns), duplicate])
@@ -717,16 +741,25 @@ def _predictions(rows):
 
 _ONE_DIGIT_LIST = re.compile(r"[0-9](?:,[0-9])*")
 
+# The id column's bytes and the ids of the last log the fixed-stride read
+# accepted. The logs of one test set have byte-equal id columns, so their ids
+# are decoded and checked once; one pair is kept, so at most one tuple of ids
+# outlives the logs that hold it. The pair is read and replaced whole, so a
+# read in another thread sees the bytes with their own ids.
+_stride_ids = (None, None)
+
 
 def _stride_columns(body, k):
-    """(ids, predictions, lengths, true labels, base labels) of a prediction
-    log body of ``k`` classes whose lines all have its first line's length,
-    when the first line is ASCII, matches ``_PREDICTION_LINE`` and writes
-    each integer in one digit, and every other line equals it at each byte
-    that is not a digit and holds a digit wherever it holds one; else None.
-    The lines are read as one (lines, line length) byte matrix, each value a
-    fixed column of it, and the arrays are read-only, of the log's types.
-    See ``_scan``."""
+    """The bytes of the id column, then (ids, predictions, lengths, true
+    labels, base labels), of a prediction log body of ``k`` classes whose
+    lines all have its first line's length, when the first line is ASCII,
+    matches ``_PREDICTION_LINE`` and writes each integer in one digit, and
+    every other line equals it at each byte that is not a digit and holds a
+    digit wherever it holds one; else None. The lines are read as one
+    (lines, line length) byte matrix, each value a fixed column of it, and
+    the arrays are read-only, of the log's types. Ids whose column equals,
+    byte for byte, that of ``_stride_ids`` are the ids kept there. See
+    ``_scan``."""
     width = body.find(b"\n") + 1
     if not width or len(body) % width or not body[:width].isascii():
         return None
@@ -748,11 +781,14 @@ def _stride_columns(body, k):
 
     # Each id with its closing quote, which no id holds: the quotes cut them.
     start, stop = first.span(2)
-    ids = tuple(lines[:, start:stop + 1].tobytes().decode("ascii").split('"')[:-1])
+    id_bytes = lines[:, start:stop + 1].tobytes()
+    known, ids = _stride_ids
+    if id_bytes != known:
+        ids = tuple(id_bytes.decode("ascii").split('"')[:-1])
     start, stop = first.span(3)
     lengths = read_only(np.full(m, (stop - start + 1) // 2, dtype=np.int64))
     predictions = (lines[:, start:stop:2] - 48).astype(np.min_scalar_type(k - 1), copy=False)
-    return ids, read_only(predictions.ravel()), lengths, label(4), label(1)
+    return id_bytes, (ids, read_only(predictions.ravel()), lengths, label(4), label(1))
 
 
 def _scan_prediction_log(path, data):
@@ -765,7 +801,7 @@ def _scan_prediction_log(path, data):
     if scanned is None:
         return None
     (model_id, test_domain, k, meta), body = scanned
-    columns = _stride_columns(body, k)
+    id_bytes, columns = _stride_columns(body, k) or (None, None)
     if columns is None:
         groups = _scan_lines(body, _PREDICTION_LINE)
         if groups is None:
@@ -777,9 +813,13 @@ def _scan_prediction_log(path, data):
         (predictions, lengths), true, base = decoded
         columns = ids, predictions, lengths, true, base
     try:
-        return NeighborhoodPredictionLog(model_id, test_domain, k, *columns, meta=meta)
+        log = NeighborhoodPredictionLog(model_id, test_domain, k, *columns, meta=meta)
     except SchemaError:
         return None
+    if id_bytes is not None:
+        global _stride_ids
+        _stride_ids = id_bytes, log.example_ids
+    return log
 
 
 def _render_csv_ints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -851,7 +891,7 @@ def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
     buf[ends[log.offsets[1:] - 1] - 1] = ord("]")
     parts = [""] * (4 * len(bases))
     parts[0::4] = map(opening.__getitem__, bases)
-    parts[1::4] = _prediction_prefixes(tuple(log.example_ids))
+    parts[1::4] = _prediction_prefixes(log.example_ids)
     parts[2::4] = buf.tobytes().decode("ascii").split("]")[:-1]
     parts[3::4] = map(closing.__getitem__, trues)
     return _dumps(header) + "\n" + "".join(parts)
@@ -956,7 +996,7 @@ def serialize_score_log(log: ScoreLog) -> str:
     closing = {c: f',"true_label":{c}}}\n' for c in set(trues)}
     closing[-1] = "}\n"
     parts = [',"neg_entropy":'] * (6 * len(predicted))
-    parts[0::6] = _score_prefixes(tuple(log.example_ids))
+    parts[0::6] = _score_prefixes(log.example_ids)
     parts[1::6] = map(repr, log.max_confidence.tolist())
     parts[3::6] = map(repr, log.neg_entropy.tolist())
     parts[4::6] = map(predicted_field.__getitem__, predicted)

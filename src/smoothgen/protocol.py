@@ -184,7 +184,14 @@ def fit_transfer_model(
 
 
 def _mean(values: Sequence[float]) -> Optional[float]:
-    return sum(values) / len(values) if values else None
+    """The mean of the values, added left to right (the builtin sum() of
+    floats is compensated from Python 3.12), or None for none."""
+    if not values:
+        return None
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def build_report(matrix: EvaluationMatrix, tau_variant: str = "b") -> dict:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SchemaError
-from .ingest import NeighborhoodPredictionLog, read_only
+from .ingest import NeighborhoodPredictionLog, kept_ids, read_only
 
 VARIANTS = ("majority", "neg_entropy")
 
@@ -26,18 +25,35 @@ def neg_entropy(counts: Sequence[int]) -> float:
     """Sum of p log p over a per-class histogram of predictions, p = c / n with
     n the histogram's total (natural log, 0 log 0 = 0), summed in class order."""
     n = sum(counts)
-    return sum((c / n) * math.log(c / n) for c in counts if c > 0)
+    total = 0.0
+    # Left to right: the builtin sum() of floats is compensated from Python 3.12.
+    for c in counts:
+        if c > 0:
+            total += (c / n) * math.log(c / n)
+    return total
 
 
-def _distinct_rows(a: np.ndarray):
-    """The distinct rows of a 2-D array and, for each row, its distinct row's index."""
-    order = np.lexsort(a.T)
-    ordered = a[order]
-    starts = np.ones(len(a), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return ordered[starts], inverse
+def _entropy_terms(hist: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``(c / n) * math.log(c / n)`` for each count c of the (m, k) histogram,
+    n its row's length (0.0 where c is 0), looked up in a table of the
+    (count, length) pairs that occur. Each distinct length n has a block of
+    n + 1 cells, one per count, so the table has at most as many cells as
+    the predictions and examples together."""
+    seen = np.zeros(int(lengths.max()) + 1, dtype=bool)
+    seen[lengths] = True
+    distinct = np.flatnonzero(seen)
+    ends = np.cumsum(distinct + 1)
+    block = np.zeros(len(seen), dtype=np.int64)  # each length's first cell
+    block[distinct] = ends - distinct - 1
+    keys = hist + block[lengths][:, None]
+    present = np.zeros(int(ends[-1]), dtype=bool)
+    present[keys] = True
+    cells = np.flatnonzero(present)
+    length = distinct[np.searchsorted(ends, cells, side="right")]
+    table = np.zeros(len(present))
+    table[cells] = [(c / n) * math.log(c / n) if c else 0.0
+                    for c, n in zip((cells - block[length]).tolist(), length.tolist())]
+    return table[keys]
 
 
 def dataset_smoothness(log: NeighborhoodPredictionLog, variant: str = "majority") -> float:
@@ -46,10 +62,16 @@ def dataset_smoothness(log: NeighborhoodPredictionLog, variant: str = "majority"
     One (m, k) histogram counts every example's predictions; when it would be
     large next to the predictions (many classes), only its occupied cells are
     counted, each example's in class order. Each example's score is its
-    dominant class's count over its number of predictions (negative entropy
-    is computed by ``neg_entropy`` once per distinct histogram row), and the
-    scores are summed left to right, so the mean is bit-identical to a loop
-    over the per-example oracle in ``tests/test_smoothness.py``.
+    dominant class's count over its number of predictions, or its negative
+    entropy, and the scores are summed left to right, so the mean is
+    bit-identical to a loop over the per-example oracle in
+    ``tests/test_smoothness.py``.
+
+    On the (m, k) histogram, the dominant count is a running ``np.maximum``
+    over the k columns, and the entropy adds the k columns of
+    ``_entropy_terms`` left to right: the terms ``neg_entropy`` adds, made
+    by the same Python arithmetic, added as IEEE adds, with 0.0 for a zero
+    count, which changes no sum, as no term is -0.0.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -65,10 +87,16 @@ def dataset_smoothness(log: NeighborhoodPredictionLog, variant: str = "majority"
         np.add(cells, log.predictions, out=cells, casting="unsafe")
         hist = np.bincount(cells, minlength=m * k).reshape(m, k)
         if variant == "majority":
-            per_example = hist.max(axis=1) / log.lengths
+            columns = hist.T
+            best = columns[0].copy()
+            for column in columns[1:]:
+                np.maximum(best, column, out=best)
+            per_example = best / log.lengths
         else:
-            rows, inverse = _distinct_rows(hist)
-            per_example = np.array([neg_entropy(r) for r in rows.tolist()])[inverse]
+            columns = _entropy_terms(hist, log.lengths).T
+            per_example = columns[0].copy()
+            for column in columns[1:]:
+                per_example += column
     else:
         # Classes renumbered in order among those that occur, so that no cell
         # index overflows; every example has at least one occupied cell.
@@ -108,7 +136,7 @@ def subsample_examples(
     keep[order[:size]] = True
     return replace(
         log,
-        example_ids=tuple(compress(log.example_ids, keep)),
+        example_ids=kept_ids(log.example_ids, keep),
         predictions=read_only(log.predictions[np.repeat(keep, log.lengths)]),
         lengths=read_only(log.lengths[keep]),
         true_labels=read_only(log.true_labels[keep]),

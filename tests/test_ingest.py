@@ -998,6 +998,125 @@ class TestPredictionLogScan:
             assert parse_prediction_log(path) == log
 
 
+# (old, new, message): an id fault of the fourth line (ex2's) of a log, and
+# its message.
+ID_FAULTS = {
+    "duplicate": ('"ex2"', '"ex0"', "example 'ex0': duplicate example_id"),
+    "not_a_string": ('"example_id":"ex2"', '"example_id":2',
+                     "field 'example_id' has wrong type"),
+}
+# (text, old, new): a valid log of each fast read, and a prediction fault of
+# its fourth line.
+READS = {"stride": (STRIDE_TEXT, "[1,1,0]", "[1,1,3]"),
+         "pattern": (SCAN_TEXT, "[1,1]", "[1,3]")}
+
+
+def renamed_ids(text):
+    """``text`` with the ids ex0..ex3 renamed ey0..ey3, of the same width."""
+    for i in range(4):
+        text = text.replace(f'"ex{i}"', f'"ey{i}"')
+    return text
+
+
+class TestIdsCheckedOnce:
+    """A log's constructor checks a tuple of ids once: the ids of a built log,
+    a subsequence of them, and the ids of a fixed-stride read whose id column
+    is byte-equal to that of the last log that read accepted are taken as
+    they are. Every fault is still named as before."""
+
+    @pytest.mark.parametrize("after_valid", [False, True], ids=["first", "after_valid"])
+    @pytest.mark.parametrize("fault", [*ID_FAULTS, "prediction"])
+    @pytest.mark.parametrize("read, strict", [("stride", False), ("pattern", False),
+                                              ("stride", True)],
+                             ids=["stride", "pattern", "strict"])
+    def test_a_fault_keeps_its_message_and_line(self, tmp_path, read, strict, fault,
+                                                after_valid):
+        text, old, new = READS[read]
+        message = "example 'ex2': prediction 3 out of range [0, 3)"
+        if fault != "prediction":
+            old, new, message = ID_FAULTS[fault]
+        valid, faulty = tmp_path / "valid.jsonl", tmp_path / "faulty.jsonl"
+        valid.write_text(text)
+        faulty.write_text(text.replace(old, new))
+        assert text.replace(old, new).count("\n") == text.count("\n")
+        with strict_path() if strict else nullcontext():
+            if after_valid:
+                # A log of the same id width, or of the very same ids.
+                assert parse_prediction_log(valid) == parse_prediction_log(valid)
+            with pytest.raises(SchemaError) as exc:
+                parse_prediction_log(faulty)
+        assert (str(exc.value), exc.value.line) == (f"{faulty}:4: {message}", 4)
+
+    @pytest.mark.parametrize("cls, fields, noun", [
+        (NeighborhoodPredictionLog,
+         dict(model_id="m", test_domain="d", num_classes=2, predictions=[0, 1, 1],
+              lengths=[2, 1], true_labels=[1, -1], base_predictions=[-1, 0]), "example"),
+        (ScoreLog,
+         dict(model_id="m", domain="d", split="test", predicted_labels=[0, 1],
+              max_confidence=[0.5, 0.75], neg_entropy=[-0.5, -0.25], true_labels=[1, -1],
+              num_classes=2), "entry"),
+    ], ids=["prediction_log", "score_log"])
+    @pytest.mark.parametrize("container", [tuple, list])
+    def test_constructors_check_new_ids(self, cls, fields, noun, container):
+        valid = cls(example_ids=container(["a", "b"]), **fields)
+        assert valid.example_ids == ("a", "b") and type(valid.example_ids) is ingest._CheckedIds
+        for ids, message in [(["b", "b"], f"{noun} 'b': duplicate example_id"),
+                             (["a", 2], "example ids must be strings")]:
+            with pytest.raises(SchemaError, match=message):
+                cls(example_ids=container(ids), **fields)
+        # A built log's ids are taken as they are; every other check stays.
+        again = cls(example_ids=valid.example_ids, **fields)
+        assert again.example_ids is valid.example_ids
+        labels = {"true_labels": [1, 2]}
+        with pytest.raises(SchemaError, match=f"{noun} 'b': true_label 2 out of range"):
+            cls(**{**fields, "example_ids": valid.example_ids, **labels})
+
+    def test_truncation_and_subsample_keep_checked_ids(self):
+        log = STRIDE_LOG
+        assert truncate_neighborhood(log, 2).example_ids is log.example_ids
+        sub = subsample_examples(log, 2, seed=0)
+        assert type(sub.example_ids) is ingest._CheckedIds
+        assert set(sub.example_ids) < set(log.example_ids)
+        # Ids no constructor checked stay unchecked.
+        assert type(ingest.kept_ids(("a", "a"), [True, True])) is tuple
+
+    def test_stride_logs_of_one_id_column_share_their_ids(self, tmp_path):
+        paths = [tmp_path / f"{name}.jsonl" for name in ("a", "b", "c", "d")]
+        other_ids = ("ey0", "ey1", "ey2", "ey3")
+        for path, log in zip(paths, [
+            STRIDE_LOG,
+            dataclasses.replace(STRIDE_LOG, predictions=STRIDE_LOG.predictions[::-1].copy()),
+            dataclasses.replace(STRIDE_LOG, example_ids=other_ids),
+            dataclasses.replace(STRIDE_LOG, example_ids=other_ids, model_id="m2"),
+        ]):
+            write_prediction_log(log, path)
+        with scan_only(), matrix_only():
+            a, b, c, d = map(parse_prediction_log, paths)
+        assert a.example_ids is b.example_ids
+        assert c.example_ids == other_ids and c.example_ids is not a.example_ids
+        assert d.example_ids is c.example_ids
+        assert b.predictions.tolist() == STRIDE_LOG.predictions[::-1].tolist()
+
+    def test_a_rejected_log_leaves_the_kept_ids(self, tmp_path):
+        valid, same_ids, other_ids = (tmp_path / f"{name}.jsonl"
+                                      for name in ("valid", "same", "other"))
+        valid.write_text(STRIDE_TEXT)
+        bad = STRIDE_TEXT.replace("[1,1,0]", "[1,1,3]")
+        same_ids.write_text(bad)
+        other_ids.write_text(renamed_ids(bad))
+        log = parse_prediction_log(valid)
+        kept = ingest._stride_ids
+        assert kept[1] is log.example_ids
+        for path in (same_ids, other_ids):
+            with pytest.raises(SchemaError, match="prediction 3 out of range"):
+                parse_prediction_log(path)
+            assert ingest._stride_ids is kept
+        other_ids.write_text(renamed_ids(STRIDE_TEXT))
+        log = parse_prediction_log(other_ids)
+        assert log.example_ids == ("ey0", "ey1", "ey2", "ey3")
+        assert ingest._stride_ids[1] is log.example_ids
+
+
 SCORE_SCAN_LOG = log_from_rows(
     ScoreLog,
     model_id="m",

@@ -312,7 +312,22 @@ def ref_sample(matrix, measure, domain, models):
 
 
 def ref_mean(values):
-    return sum(values) / len(values) if values else None
+    """The mean, the values added one by one from the first, as sum() did
+    before Python 3.12 (whose sum() of floats is compensated)."""
+    if not values:
+        return None
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def test_mean_adds_left_to_right():
+    # Values whose compensated sum (Python 3.12's sum()) is another float.
+    values = [0.1] * 10
+    assert math.fsum(values) == 1.0
+    assert protocol._mean(values) == 0.9999999999999999 / 10
+    assert protocol._mean([]) is None
 
 
 def ref_fit(matrix, measure, i, o):

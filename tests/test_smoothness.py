@@ -184,6 +184,24 @@ class TestSmoothness:
         assert a.neg_entropy == pytest.approx(b.neg_entropy, abs=1e-12)
 
 
+def left_to_right(values):
+    """The floats added one by one from the first, as sum() did before
+    Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_neg_entropy_adds_left_to_right():
+    # Terms whose compensated sum (Python 3.12's sum()) is another float.
+    counts = [1, 2, 0, 3, 4, 5, 6, 7]
+    n = sum(counts)
+    terms = [(c / n) * math.log(c / n) for c in counts if c]
+    assert left_to_right(terms) != math.fsum(terms)
+    assert neg_entropy(counts) == left_to_right(terms)
+
+
 class TestDatasetSmoothness:
     def test_mean_over_examples(self):
         log = make_log([[0, 0, 0, 0], [0, 0, 1, 2], [1, 2, 1, 2]])
@@ -198,17 +216,25 @@ class TestDatasetSmoothness:
         with pytest.raises(ValueError):
             dataset_smoothness(make_log([[0]]), "median")
 
+    # The run's shapes: up to 12 classes and neighbourhoods of up to 100
+    # predictions (the n_samples log's size).
     @given(
-        st.integers(2, 5).flatmap(lambda k: st.tuples(
+        st.integers(2, 12).flatmap(lambda k: st.tuples(
             st.just(k),
             st.one_of(
                 # uniform: every example has the same number of samples
-                st.integers(1, 12).flatmap(lambda n: st.lists(
+                st.integers(1, 100).flatmap(lambda n: st.lists(
                     st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
                     min_size=1, max_size=30)),
                 # ragged
-                st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=12),
+                st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=100),
                          min_size=1, max_size=30),
+                # one prediction per example
+                st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=1),
+                         min_size=1, max_size=30),
+                # every example unanimous, of any length
+                st.lists(st.tuples(st.integers(0, k - 1), st.integers(1, 100)).map(
+                    lambda cn: [cn[0]] * cn[1]), min_size=1, max_size=30),
             ),
         ))
     )
