@@ -153,7 +153,7 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
     """
     models = _manifest_models(manifest_path)
     logged = {model_id: {} for model_id, rec in models.items() if rec.converged}
-    fitted, waiting, rows, omitted = {}, {}, [], []
+    validated, fitted, waiting, rows, omitted = {}, {}, {}, [], []
 
     def atc_rows(log, rec, path, thresholds):
         rows.extend(ScoreRow(log.model_id, rec.train_domain, log.domain, name,
@@ -165,23 +165,19 @@ def cmd_baseline(score_inputs, weight_inputs, manifest_path, out):
             if log.domain != rec.train_domain:
                 raise SchemaError(f"validation score log of domain {log.domain!r}, but model "
                                   f"{log.model_id!r} trained on {rec.train_domain!r}", path)
-            if log.model_id in fitted:
-                raise SmoothgenError(
-                    f"model {log.model_id!r}: two validation score logs, "
-                    f"{fitted[log.model_id][0]} and {path}"
-                )
+            _record(validated, log.model_id, "validation", path, "validation score logs")
             thresholds = [
                 (name, _of_file(path, atc_fit, log, kind))
                 for kind, name in (("max_confidence", "atc_mc"), ("neg_entropy", "atc_ne"))
             ]
-            fitted[log.model_id] = path, thresholds
+            fitted[log.model_id] = thresholds
             for test in waiting.pop(log.model_id, ()):
                 atc_rows(*test, thresholds)
         else:
             _record(logged, log.model_id, (log.split, log.domain), path,
                     f"test score logs of domain {log.domain!r}")
             if log.model_id in fitted:
-                atc_rows(log, rec, path, fitted[log.model_id][1])
+                atc_rows(log, rec, path, fitted[log.model_id])
             else:
                 waiting.setdefault(log.model_id, []).append((log, rec, path))
     # A converged model that lost some or all of its score logs after the
@@ -430,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="experiment file (.json or .toml); omit for the default experiment")
     p.add_argument("--out", required=True, help="output artifact directory")
     p.add_argument("--seed", type=int, default=None, help="set every seed of the experiment")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="train in up to this many worker processes, one per CPU at most")
 
     p = sub.add_parser("score", help="smoothness scores from prediction logs")
     p.add_argument("--input", nargs="+", required=True, help="prediction logs or directories")
@@ -474,6 +471,8 @@ def main(argv=None) -> int:
         if args.command == "synth":
             from .synthbench.pool import default_experiment, load_experiment, run_pool
 
+            if args.threads < 1:
+                raise SmoothgenError(f"--threads must be >= 1, got {args.threads}")
             if args.config:
                 config = load_experiment(args.config)
                 if args.seed is not None:

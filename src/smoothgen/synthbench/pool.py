@@ -2,10 +2,13 @@
 and emits the manifest, prediction logs, score logs and weight dumps consumed
 by the rest of the pipeline.
 
-Each neighborhood set a model's prediction logs need is sampled once and
-shared across models, and predicted once per model however many logs it
-makes. All outputs are written atomically and deterministically for a fixed
-experiment seed, the manifest last.
+A model's logs are written one evaluation set at a time: the set's score
+log, whose classes are the base predictions of the set's prediction logs,
+then those logs. Every log of one set, of every model, shares one tuple of
+example ids, checked once. Each neighborhood set a model's prediction logs
+need is sampled once and shared across models, and predicted once per model
+however many logs it makes. All outputs are written atomically and
+deterministically for a fixed experiment seed, the manifest last.
 """
 
 from __future__ import annotations
@@ -331,10 +334,6 @@ class PoolResult:
     num_converged: int
 
 
-def _example_ids(m: int) -> tuple:
-    return tuple(f"ex{idx:05d}" for idx in range(m))
-
-
 # A file of a model's run: its path in the run, what follows the model id in its name,
 # and for a log its test set (domain, split), a prediction log's spec and its sweep kind.
 RunFile = namedtuple("RunFile", "path name key spec sweep", defaults=(None,) * 4)
@@ -366,10 +365,17 @@ def run_files(config: ExperimentConfig, model_id: str, train_domain: str,
     return files
 
 
+# Training jobs handed to a worker at a time when ``run_pool`` trains in parallel.
+_CHUNK = 4
+
+
 def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
     """Train the grid on every training domain and emit all pipeline inputs;
     a file in the run's subdirectories that ``run_files`` does not name (a
-    log of another experiment, say) stops it before training."""
+    log of another experiment, say) stops it before training. ``threads``
+    above 1 trains in worker processes, at most one per chunk of jobs and per
+    CPU: each is started at the first submit, and more would have nothing to
+    do."""
     training = config.training_domains()
     if len(training) < 2:
         raise SchemaError("need at least 2 training domains")
@@ -410,11 +416,12 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
     if os.path.exists(manifest_path):
         os.remove(manifest_path)
 
-    if threads > 1:
+    if threads > 1 and jobs:
         from concurrent.futures import ProcessPoolExecutor  # slow; a serial run needs none
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            trained = list(pool.map(_train_job, jobs, chunksize=4))
+        workers = min(threads, -(-len(jobs) // _CHUNK), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            trained = list(pool.map(_train_job, jobs, chunksize=_CHUNK))
     else:
         trained = [_train_job(j) for j in jobs]
 
@@ -437,88 +444,75 @@ def run_pool(config: ExperimentConfig, out_dir, threads: int = 1) -> PoolResult:
         if converged:
             by_id[model_id] = (domain_id, model)
 
-    # Evaluation sets: a validation set per training domain, and test sets by
-    # (domain, split), one per domain plus the ablation's large one.
+    # Evaluation sets by (domain, split): a validation set per training domain, a
+    # test set per domain, and the ablation's large one; each drawn from the seed of
+    # its label, and with one tuple of example ids that every log of it shares.
     domains = {d.domain_id: d for d in config.domains}
-    val_sets = {
-        d.domain_id: generate_domain(d, config.m_val, derive_seed(config.seed, "val", d.domain_id))
-        for d in training
-    }
-    test_sets = {
-        (d.domain_id, "test"): generate_domain(
-            d, config.m_test, derive_seed(config.seed, "test", d.domain_id)
-        )
-        for d in config.domains
-    }
     ab = config.ablation
+    draws = [(d, "validation", "val", config.m_val) for d in training]
+    draws += [(d, "test", "test", config.m_test) for d in config.domains]
     if ab is not None:
-        test_sets[ab.domain_id, "ablation_test"] = generate_domain(
-            domains[ab.domain_id], ab.m_test,
-            derive_seed(config.seed, "ablation_test", ab.domain_id))
+        draws.append((domains[ab.domain_id], "ablation_test", "ablation_test", ab.m_test))
+    sets = {(d.domain_id, split):
+            generate_domain(d, m, derive_seed(config.seed, label, d.domain_id))
+            for d, split, label, m in draws}
+    ids = {key: tuple(f"ex{i:05d}" for i in range(len(s.labels))) for key, s in sets.items()}
 
     @functools.cache
     def points(key, spec):
         """Test set ``key``'s neighborhoods, sampled once for all models."""
         rng = np.random.default_rng(derive_seed(config.seed, "nbr", key[0], spec.tag, spec.seed))
-        return sample_neighborhood(test_sets[key].points, domains[key[0]], spec, rng=rng)
+        return sample_neighborhood(sets[key].points, domains[key[0]], spec, rng=rng)
 
-    # Every log of one size shares one tuple of example ids.
-    example_ids = functools.cache(_example_ids)
     for model_id, (train_domain, model) in sorted(by_id.items()):
-        # The paths of each (test set, spec) of the plan: a score log has no spec, the weight
+        # The plan's paths by test set, then by spec: a score log has no spec, the weight
         # dump neither spec nor test set, and the ablation's base size_r repeats a main log.
-        paths = {}
+        plan = {}
         for f in run_files(config, model_id, train_domain):
-            paths.setdefault((f.key, f.spec), []).append(os.path.join(out_dir, f.path))
-        # Score logs on the model's validation set (threshold fitting) and on
-        # each test set the plan names one of; its classes are its base classes.
-        base_classes = {}
-        for key, dataset in [
-            ((train_domain, "validation"), val_sets[train_domain]), *test_sets.items()
-        ]:
-            if (key, None) not in paths:
-                base_classes[key] = predict_classes(model, dataset.points)
-                continue
-            classes, conf, negent = model_predict(model, dataset.points)
-            base_classes[key] = classes
-            log = ScoreLog(
-                model_id=model_id,
-                domain=key[0],
-                split=key[1],
-                example_ids=example_ids(len(classes)),
-                predicted_labels=classes,
-                max_confidence=conf,
-                # Rounding can leave an entropy a hair above zero. Like min(x, 0.0),
-                # this keeps a -0.0, where np.minimum need not.
-                neg_entropy=np.where(negent > 0.0, 0.0, negent),
-                true_labels=dataset.labels,
-                num_classes=dataset.num_classes,
-                meta=meta_common,
-            )
-            write_score_log(log, *paths[key, None])
+            plan.setdefault(f.key, {}).setdefault(f.spec, []).append(os.path.join(out_dir, f.path))
+        weights = plan.pop(None)[None]
+        for key, logs in plan.items():
+            # A set's base classes are those of its score log, where the plan has one.
+            dataset, scores = sets[key], logs.pop(None, None)
+            if scores is None:
+                classes = predict_classes(model, dataset.points)
+            else:
+                classes, conf, negent = model_predict(model, dataset.points)
+                log = ScoreLog(
+                    model_id=model_id,
+                    domain=key[0],
+                    split=key[1],
+                    example_ids=ids[key],
+                    predicted_labels=classes,
+                    max_confidence=conf,
+                    # Rounding can leave an entropy a hair above zero. Like min(x, 0.0),
+                    # this keeps a -0.0, where np.minimum need not.
+                    neg_entropy=np.where(negent > 0.0, 0.0, negent),
+                    true_labels=dataset.labels,
+                    num_classes=dataset.num_classes,
+                    meta=meta_common,
+                )
+                ids[key] = log.example_ids  # checked, so no later log checks them again
+                write_score_log(log, *scores)
+            for spec, copies in logs.items():
+                samples = points(key, spec)
+                m, n, _ = samples.shape
+                log = NeighborhoodPredictionLog(
+                    model_id=model_id,
+                    test_domain=key[0],
+                    num_classes=dataset.num_classes,
+                    example_ids=ids[key],
+                    predictions=predict_classes(model, samples.reshape(m * n, 2)),
+                    lengths=np.full(m, n),
+                    true_labels=dataset.labels,
+                    base_predictions=classes,
+                    meta={**meta_common, "neighborhood": spec.tag},
+                )
+                ids[key] = log.example_ids
+                write_prediction_log(log, *copies)
 
-        for (key, spec), copies in paths.items():
-            if spec is None:
-                continue
-            dataset, samples = test_sets[key], points(key, spec)
-            m, n, _ = samples.shape
-            log = NeighborhoodPredictionLog(
-                model_id=model_id,
-                test_domain=key[0],
-                num_classes=dataset.num_classes,
-                example_ids=example_ids(m),
-                predictions=predict_classes(model, samples.reshape(m * n, 2)),
-                lengths=np.full(m, n),
-                true_labels=dataset.labels,
-                base_predictions=base_classes[key],
-                meta={**meta_common, "neighborhood": spec.tag},
-            )
-            write_prediction_log(log, *copies)
-
-        write_weight_dump(
-            WeightDump(model_id=model_id, layers=tuple(np.array(w) for w in model.weights)),
-            *paths[None, None],
-        )
+        dump = WeightDump(model_id=model_id, layers=tuple(np.array(w) for w in model.weights))
+        write_weight_dump(dump, *weights)
 
     experiment = {"meta": meta_common, "experiment": experiment_to_dict(config)}
     atomic_write_text(os.path.join(out_dir, "experiment.json"),

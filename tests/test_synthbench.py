@@ -1055,6 +1055,78 @@ class TestRunPool:
         run_pool(tiny_config(), parallel, threads=2)
         assert tree_digest(parallel) == tree_digest(serial)
 
+    @pytest.mark.parametrize("configs, cpus, workers", [
+        (3, 64, [2]),  # 6 jobs: two chunks of at most 4
+        (3, 1, [1]),
+        (3, None, [1]),
+        (0, 64, []),  # no jobs, no pool
+    ])
+    def test_parallel_training_starts_one_worker_per_chunk_and_cpu(self, tmp_path, monkeypatch,
+                                                                   configs, cpus, workers):
+        import concurrent.futures
+
+        started = []
+
+        class InProcessExecutor:
+            """Records its worker count and maps in this process: starts none."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        config = tiny_config()
+        config.grid = (config.grid * 2)[:configs]
+        result = run_pool(config, tmp_path / "out", threads=1_000_000)
+        assert started == workers
+        assert len(result.manifest) == 2 * configs
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_stop_before_training(self, tmp_path, monkeypatch, capsys,
+                                                    threads):
+        from smoothgen.cli import main
+
+        monkeypatch.setattr(pool, "train_model", lambda *a: pytest.fail("trained a model"))
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(experiment_to_dict(tiny_config())))
+        out = tmp_path / "run"
+        rc = main(["synth", "--config", str(path), "--threads", threads, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
+        assert not out.exists()
+
+    def test_each_evaluation_set_checks_its_ids_once(self, tmp_path, monkeypatch):
+        """Every log of one set, of every model, takes the ids the set's first
+        log checked, so the run checks one tuple of ids per set."""
+        from smoothgen import ingest
+
+        fresh = []
+        check_ids = ingest._check_ids
+
+        def counted(log):
+            if type(log.example_ids) is not ingest._CheckedIds:
+                fresh.append((type(log).__name__, len(log.example_ids)))
+            return check_ids(log)
+
+        monkeypatch.setattr(ingest, "_check_ids", counted)
+        config = tiny_config()
+        result = run_pool(config, tmp_path / "out")
+        trained_on = {r.train_domain for r in result.manifest if r.converged}
+        assert len(trained_on) == 2
+        # A validation set per training domain, then a test set per domain, each
+        # checked by its score log, the first log written of it.
+        assert sorted(fresh) == sorted([("ScoreLog", config.m_val)] * 2
+                                       + [("ScoreLog", config.m_test)] * 2)
+
     def test_a_diverging_model_is_written_unconverged(self, tmp_path, capsys):
         config = tiny_config()
         config.grid = [config.grid[0], dataclasses.replace(config.grid[0], learning_rate=1e10)]
