@@ -3,7 +3,7 @@ import json
 import math
 import os
 import stat
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -166,6 +166,9 @@ class TestPredictionLog:
                           model_id="m", test_domain="d", num_classes=1)
 
 
+DROP = object()  # a field value that leaves the field out
+
+
 def dumps_sorted(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -175,10 +178,11 @@ def render_lines(objs):
     return "".join((o if isinstance(o, str) else dumps_sorted(o)) + "\n" for o in objs)
 
 
-def write_log_lines(path, examples, num_classes=3):
+def write_log_lines(path, examples, num_classes=3, **header_fields):
     header = {"type": "prediction_log", "model_id": "m", "test_domain": "d",
-              "num_classes": num_classes}
-    path.write_text(render_lines([header, *examples]))
+              "num_classes": num_classes, **header_fields}
+    path.write_text(render_lines([{k: v for k, v in header.items() if v is not DROP},
+                                  *examples]))
 
 
 GOOD_EXAMPLE = {"example_id": "ex0", "neighborhood_predictions": [0, 1],
@@ -293,6 +297,35 @@ class TestPredictionLogTypes:
         with pytest.raises(SchemaError, match="num_classes") as exc:
             parse_prediction_log(path)
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("change, message", [
+        *(({"type": value}, "header must declare type 'prediction_log'")
+          for value in (DROP, 1, None, "score_log")),
+        *(({field: value}, message)
+          for field in ("model_id", "test_domain", "num_classes")
+          for value, message in ((DROP, f"missing required field '{field}'"),
+                                 ("3" if field == "num_classes" else 5,
+                                  f"field '{field}' has wrong type"),
+                                 (None, f"field '{field}' has wrong type"))),
+        ({"num_classes": 1}, "num_classes must be in [2, 2**63), got 1"),
+        ({"num_classes": 2**64}, f"num_classes must be in [2, 2**63), got {2**64}"),
+        ({"meta": None}, "field 'meta' has wrong type"),
+        ({"meta": [1]}, "field 'meta' has wrong type"),
+        ({"meta": {"neighborhood": 5}}, "meta field 'neighborhood' must be a string"),
+        ({"meta": {"neighborhood": None}}, "meta field 'neighborhood' must be a string"),
+        # The meta object is read before the other fields.
+        ({"meta": {"neighborhood": 5}, "model_id": 5},
+         "meta field 'neighborhood' must be a string"),
+        ({"meta": [1], "num_classes": DROP}, "field 'meta' has wrong type"),
+        ({"model_id": 5, "num_classes": DROP}, "field 'model_id' has wrong type"),
+    ])
+    def test_bad_header_names_line_one(self, tmp_path, change, message):
+        path = tmp_path / "log.jsonl"
+        write_log_lines(path, [GOOD_EXAMPLE], **change)
+        with pytest.raises(SchemaError) as exc:
+            parse_prediction_log(path)
+        assert (str(exc.value), exc.value.path, exc.value.line) == (
+            f"{path}:1: {message}", path, 1)
 
     def test_absent_and_null_labels_are_missing(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -791,6 +824,152 @@ class TestBenchCounters:
             log = parse_score_log(path)
         assert len(log.example_ids) >= 2
         assert len(log.entries) == len(log.example_ids)
+
+
+def oracle_read(path):
+    """The fields of the log at ``path`` as plain values, read one line at a
+    time with ``json.loads``: the header's fields, each column as a list (-1
+    where a label is absent or null) and, for a prediction log, the lists
+    flattened with their lengths."""
+    lines = [raw.decode() for raw in path.read_bytes().split(b"\n")]
+    header, *rows = [json.loads(line) for line in lines if line.strip(" \t\r")]
+
+    def column(key):
+        return [-1 if row.get(key) is None else row[key] for row in rows]
+
+    fields = {k: v for k, v in header.items() if k != "type"}
+    fields.setdefault("meta", {})
+    fields["example_ids"] = column("example_id")
+    fields["true_labels"] = column("true_label")
+    if header["type"] == "prediction_log":
+        lists = column("neighborhood_predictions")
+        fields["predictions"] = [p for ps in lists for p in ps]
+        fields["lengths"] = list(map(len, lists))
+        fields["base_predictions"] = column("base_prediction")
+    else:
+        fields.setdefault("num_classes", None)
+        fields["predicted_labels"] = column("predicted_label")
+        fields["max_confidence"] = [float(v) for v in column("max_confidence")]
+        fields["neg_entropy"] = [float(v) for v in column("neg_entropy")]
+    return fields
+
+
+def check_against_oracle(log, path):
+    """Each field of the parsed ``log`` holds what ``oracle_read`` reads from
+    ``path``, each score bit for bit (so -0.0 and 0.0 differ)."""
+    for name, expected in oracle_read(path).items():
+        got = getattr(log, name)
+        if isinstance(got, np.ndarray) and got.dtype.kind == "f":
+            assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes(), name
+        elif isinstance(got, np.ndarray):
+            assert got.tolist() == expected, name
+        else:
+            assert (list(got) if name == "example_ids" else got) == expected, name
+
+
+def reversed_keys(text):
+    """``text`` with the keys of every line in reverse order."""
+    return "".join(json.dumps(dict(reversed(json.loads(line).items())),
+                              separators=(",", ":")) + "\n" for line in text.splitlines())
+
+
+PLAIN_IDS = tuple(f"ex{i}" for i in range(len(ODD_IDS)))
+
+# (text, the read it takes): logs of each of the three reads.
+ORACLE_LOGS = {
+    "stride_synth_form": (lambda: STRIDE_TEXT, "stride"),
+    "stride_uint16": (lambda: serialize_prediction_log(
+        dataclasses.replace(STRIDE_LOG, num_classes=300)), "stride"),
+    "pattern_ragged": (lambda: SCAN_TEXT, "pattern"),
+    "pattern_12_classes": (lambda: serialize_prediction_log(
+        odd_prediction_log(PLAIN_IDS, seed=0)), "pattern"),
+    "pattern_scores": (lambda: SCORE_SCAN_TEXT, "pattern"),
+    "pattern_scores_12_classes": (lambda: serialize_score_log(
+        odd_score_log(PLAIN_IDS, seed=1)), "pattern"),
+    "strict_spaced": (lambda: SCAN_TEXT.replace(",", ", ").replace(":", ": "), "strict"),
+    "strict_spaced_scores": (lambda: SCORE_SCAN_TEXT.replace(",", ", "), "strict"),
+    "strict_reversed_keys": (lambda: reversed_keys(STRIDE_TEXT), "strict"),
+    "strict_reversed_keys_scores": (lambda: reversed_keys(SCORE_SCAN_TEXT), "strict"),
+    "strict_crlf": (lambda: STRIDE_TEXT.replace("\n", "\r\n"), "strict"),
+    "strict_crlf_scores": (lambda: SCORE_SCAN_TEXT.replace("\n", "\r\n"), "strict"),
+    "strict_escaped_ids": (lambda: serialize_prediction_log(
+        odd_prediction_log(ODD_IDS, seed=0)), "strict"),
+    "strict_escaped_ids_scores": (lambda: serialize_score_log(
+        odd_score_log(ODD_IDS, seed=1)), "strict"),
+    "strict_integer_scores": (lambda: SCORE_SCAN_TEXT.replace(
+        '"max_confidence":1.0,"neg_entropy":-0.0', '"max_confidence":1,"neg_entropy":0'),
+        "strict"),
+    "strict_null_labels": (lambda: SCAN_TEXT.replace(
+        '"ex3","neighborhood_predictions":[0,2,2,2]',
+        '"ex3","neighborhood_predictions":[0,2,2,2],"true_label":null'), "strict"),
+    "strict_null_labels_scores": (lambda: SCORE_SCAN_TEXT.replace(
+        '"predicted_label":2}', '"predicted_label":2,"true_label":null}'), "strict"),
+}
+
+
+def takes_read(read):
+    """A patch under which a log that does not take ``read`` fails the test
+    (for the strict decode, one whose JSON decode of each line is not run)."""
+    if read == "stride":
+        return _both(scan_only(), matrix_only())
+    if read == "pattern":
+        return scan_only()
+    return _strict_decode_runs()
+
+
+@contextmanager
+def _both(first, second):
+    with first, second:
+        yield
+
+
+@contextmanager
+def _strict_decode_runs():
+    with mock.patch.object(ingest, "_read_log", wraps=ingest._read_log) as read_log:
+        yield
+    assert read_log.called
+
+
+@pytest.fixture(scope="module")
+def two_trees(tmp_path_factory):
+    """Pool trees of seeds 0 and 1, written in one process."""
+    trees = [tmp_path_factory.mktemp(f"oracle-seed{seed}") for seed in (0, 1)]
+    for seed, out in enumerate(trees):
+        run_pool(small_experiment(seed), out)
+    return trees
+
+
+class TestValueOracle:
+    """Every read of a log gives the values a ``json.loads`` of each line
+    gives, on each of the three reads, and across two runs read in one
+    process in either order (the id reuse of the fixed-stride read and the
+    writers' cached id text outlive one log)."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_LOGS))
+    def test_each_read_gives_the_oracle_values(self, tmp_path, case):
+        make_text, read = ORACLE_LOGS[case]
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(make_text().encode())
+        parse = parse_score_log if '"score_log"' in path.read_text() else parse_prediction_log
+        with takes_read(read):
+            log = parse(path)
+        check_against_oracle(log, path)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["seed0_first", "seed1_first"])
+    def test_two_runs_in_one_process(self, two_trees, order):
+        seen = 0
+        for tree in (two_trees[i] for i in order):
+            for folder, parse in (("predictions", parse_prediction_log),
+                                  ("ablation", parse_prediction_log),
+                                  ("scores", parse_score_log)):
+                for path in sorted((tree / folder).glob("*.jsonl")):
+                    log = parse(path)
+                    check_against_oracle(log, path)
+                    # The writer's bytes are sorted-key json.dumps of each line.
+                    assert path.read_text() == render_lines(
+                        json.loads(line) for line in path.read_text().splitlines())
+                    seen += 1
+        assert seen > 100
 
 
 def prediction_variants(text):
@@ -1340,7 +1519,8 @@ class TestScoreLog:
 def write_score_lines(path, entries, **header_fields):
     header = {"type": "score_log", "model_id": "m", "domain": "d", "split": "test",
               "num_classes": 3, **header_fields}
-    path.write_text(render_lines([header, *entries]))
+    path.write_text(render_lines([{k: v for k, v in header.items() if v is not DROP},
+                                  *entries]))
 
 
 GOOD_ENTRY = {"example_id": "ex0", "predicted_label": 1, "max_confidence": 0.75,
@@ -1442,6 +1622,15 @@ class TestScoreLogTypes:
         ("split", "train", "split"),
         ("meta", [1], "meta"),
         ("model_id", None, "model_id"),
+        *((field, value, "header must declare type 'score_log'")
+          for field, value in (("type", DROP), ("type", 1), ("type", None))),
+        *((field, value, message)
+          for field in ("model_id", "domain", "split")
+          for value, message in ((DROP, f"missing required field '{field}'"),
+                                 (5, f"field '{field}' has wrong type"),
+                                 (None, f"field '{field}' has wrong type"))),
+        ("meta", None, "field 'meta' has wrong type"),
+        ("meta", "x", "field 'meta' has wrong type"),
     ])
     def test_bad_header_names_line_one(self, tmp_path, field, value, message):
         path = tmp_path / "scores.jsonl"
@@ -1449,6 +1638,12 @@ class TestScoreLogTypes:
         with pytest.raises(SchemaError, match=message) as exc:
             parse_score_log(path)
         assert (exc.value.path, exc.value.line) == (path, 1)
+
+    @pytest.mark.parametrize("value", [DROP, None], ids=["absent", "null"])
+    def test_absent_and_null_num_classes_are_unknown(self, tmp_path, value):
+        path = tmp_path / "scores.jsonl"
+        write_score_lines(path, [GOOD_ENTRY], num_classes=value)
+        assert parse_score_log(path).num_classes is None
 
     def test_boolean_and_float_labels_do_not_count_as_correct(self, tmp_path):
         path = tmp_path / "scores.jsonl"
@@ -1470,7 +1665,6 @@ PREDICTION_ROW = {"base_prediction": 1, "example_id": "ex", "neighborhood_predic
                   "true_label": 0}
 SCORE_ROW = {"example_id": "ex", "max_confidence": 0.75, "neg_entropy": -0.5,
              "predicted_label": 1, "true_label": 1}
-DROP = object()  # a field value that leaves the field out
 
 # (log type, fields changed in the third entry, ex2, the message of its fault).
 # The fourth entry holds a fault as well, so the message is also the first.
@@ -1543,6 +1737,66 @@ STRICT_FAULTS = {
     "confidence_before_label": ("score", {"max_confidence": 1.5, "predicted_label": 3},
                                 "entry 'ex2': max_confidence 1.5 out of range"),
 }
+
+# Each kind's faults of one row, as (name, field, value, message), in the order
+# that picks the one named when a row has two: first the presence and type of
+# each required field, then each value's type and its fit in the array, both
+# in the order of the log's arrays; then the range checks for the log's class
+# count, the scores before the labels; a repeated id last.
+FAULT_ORDER = {
+    "prediction": [
+        ("id_type", "example_id", 5, "field 'example_id' has wrong type"),
+        ("list_type", "neighborhood_predictions", "01",
+         "field 'neighborhood_predictions' has wrong type"),
+        ("prediction_type", "neighborhood_predictions", [0, 1.5],
+         "example 'ex2': prediction 1.5 is not an integer"),
+        ("prediction_negative", "neighborhood_predictions", [0, -1],
+         "example 'ex2': prediction -1 out of range [0, 3)"),
+        ("true_type", "true_label", "x", "example 'ex2': true_label 'x' is not an integer"),
+        ("true_negative", "true_label", -1, "example 'ex2': true_label -1 out of range [0, 3)"),
+        ("base_type", "base_prediction", 0.5,
+         "example 'ex2': base_prediction 0.5 is not an integer"),
+        ("base_negative", "base_prediction", -2,
+         "example 'ex2': base_prediction -2 out of range [0, 3)"),
+        ("empty", "neighborhood_predictions", [], "example 'ex2': empty neighborhood_predictions"),
+        ("prediction_range", "neighborhood_predictions", [0, 7],
+         "example 'ex2': prediction 7 out of range [0, 3)"),
+        ("true_range", "true_label", 3, "example 'ex2': true_label 3 out of range [0, 3)"),
+        ("base_range", "base_prediction", 3,
+         "example 'ex2': base_prediction 3 out of range [0, 3)"),
+        ("duplicate", "example_id", "ex0", "example 'ex0': duplicate example_id"),
+    ],
+    "score": [
+        ("id_type", "example_id", 5, "field 'example_id' has wrong type"),
+        ("label_type", "predicted_label", True, "field 'predicted_label' has wrong type"),
+        ("confidence_type", "max_confidence", "0.5", "field 'max_confidence' has wrong type"),
+        ("entropy_type", "neg_entropy", [0], "field 'neg_entropy' has wrong type"),
+        ("label_negative", "predicted_label", -1,
+         "entry 'ex2': predicted_label -1 out of range [0, 3)"),
+        ("confidence_overflow", "max_confidence", 10**400,
+         f"entry 'ex2': max_confidence {10**400} out of range"),
+        ("entropy_overflow", "neg_entropy", -(10**400),
+         f"entry 'ex2': neg_entropy {-(10**400)} out of range"),
+        ("true_type", "true_label", 1.5, "entry 'ex2': true_label 1.5 is not an integer"),
+        ("true_negative", "true_label", -1, "entry 'ex2': true_label -1 out of range [0, 3)"),
+        ("confidence_range", "max_confidence", 1.5, "entry 'ex2': max_confidence 1.5 out of range"),
+        ("entropy_range", "neg_entropy", 0.5, "entry 'ex2': neg_entropy 0.5 out of range"),
+        ("label_range", "predicted_label", 3, "entry 'ex2': predicted_label 3 out of range [0, 3)"),
+        ("true_range", "true_label", 3, "entry 'ex2': true_label 3 out of range [0, 3)"),
+        ("duplicate", "example_id", "ex0", "entry 'ex0': duplicate example_id"),
+    ],
+}
+# Every pair of faults of two fields in one row: the one listed first is named,
+# by the row's id (ex0 where the other fault is the repeated id).
+STRICT_FAULTS.update({
+    f"{kind}:{first}_before_{second}": (
+        kind, {key: value, other_key: other_value},
+        message.replace("'ex2'", "'ex0'") if second == "duplicate" else message)
+    for kind, order in FAULT_ORDER.items()
+    for i, (first, key, value, message) in enumerate(order)
+    for second, other_key, other_value, _ in order[i + 1:]
+    if other_key != key
+})
 
 
 class TestStrictDecodeMessages:
