@@ -1050,8 +1050,10 @@ def read_weight_dump(path) -> WeightDump:
         raise SchemaError(f"model id is not UTF-8: {e.reason}", path=path) from None
     (n_layers,) = struct.unpack("<Q", take(8))
     layers = []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         rows, cols = struct.unpack("<QQ", take(16))
+        if not rows or not cols:  # before reshape, which rejects a dimension >= 2**63
+            raise SchemaError(f"layer {i}: expected non-empty 2-D matrix", path=path)
         buf = take(rows * cols * 8)
         w = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
         layers.append(w)

@@ -1246,7 +1246,9 @@ def _broken_dump(data, case):
         return data[:layers + 8 + 16 + 8]
     if case == "trailing_bytes":
         return data + b"\0"
-    return data[:layers] + struct.pack("<QQQ", 1, 0, 3)  # one layer of no rows
+    rows, cols = {"empty_layer": (0, 3), "empty_layer_huge_cols": (0, 2**64 - 1),
+                  "empty_layer_huge_rows": (2**63, 0)}[case]
+    return data[:layers] + struct.pack("<QQQ", 1, rows, cols)  # one layer of no entries
 
 
 ARTIFACT_FAULTS = {  # case: the command that reads the artifact, the message
@@ -1254,6 +1256,8 @@ ARTIFACT_FAULTS = {  # case: the command that reads the artifact, the message
     "nan_entry": ("baseline", "layer 0: non-finite entries"),
     "no_layers": ("baseline", "weight dump must contain at least one layer"),
     "empty_layer": ("baseline", "layer 0: expected non-empty 2-D matrix"),
+    "empty_layer_huge_cols": ("baseline", "layer 0: expected non-empty 2-D matrix"),
+    "empty_layer_huge_rows": ("baseline", "layer 0: expected non-empty 2-D matrix"),
     "bad_magic": ("baseline", "bad magic bytes in weight dump"),
     "truncated": ("baseline", "truncated weight dump"),
     "trailing_bytes": ("baseline", "trailing bytes in weight dump"),
