@@ -1,9 +1,11 @@
 """On-disk schemas: model manifests, prediction logs, score logs, weight dumps.
 
 All text formats are JSON Lines (UTF-8, one object per line). Prediction and
-score logs carry a single header line with file-level fields; manifests are
-headerless. Weight dumps use a small self-describing binary layout. Parsed
-values are immutable and safe to share across threads.
+score logs carry a single header line with file-level fields, then one row
+per line. Each log kind declares its header fields and its columns once, in
+tables that its checks, its three reads and its writer all follow.
+Manifests are headerless. Weight dumps use a small self-describing binary
+layout. Parsed values are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -117,28 +119,6 @@ class ModelRecord:
     converged: bool
 
 
-def _check_num_classes(k):
-    """A class count, if given, is at least 2 and fits in an int64 label."""
-    if k is not None and not 2 <= k < 2**63:
-        raise SchemaError(f"num_classes must be in [2, 2**63), got {k}")
-
-
-def _within(values, lo, hi):
-    """Whether every value is in [lo, hi] (finite bounds, so no NaN or
-    infinity is), from the array's minimum and maximum alone."""
-    return not len(values) or bool(lo <= values.min() and values.max() <= hi)
-
-
-def _range_fault(name, values, lo, hi, suffix=""):
-    """(index, message) of the first value outside [lo, hi] (finite bounds,
-    so a NaN or an infinity is outside), or None."""
-    bad = ~((lo <= values) & (values <= hi))
-    if bad.any():
-        i = int(bad.argmax())
-        return i, f"{name} {values[i].item()} out of range{suffix}"
-    return None
-
-
 class _CheckedIds(tuple):
     """A tuple of distinct str example ids. Only ``_check_ids``, once both
     checks pass, and ``kept_ids`` build one."""
@@ -169,31 +149,196 @@ def kept_ids(ids, keep):
     return _CheckedIds(kept) if type(ids) is _CheckedIds else tuple(kept)
 
 
-def _raise_first(noun, ids, faults):
-    """Raise a SchemaError naming the row's id for the lowest row among the
-    (row, message) ``faults`` (None where a check found nothing); of faults in
-    one row, the first listed."""
-    found = [f for f in faults if f is not None]
-    if found:
-        i, message = min(found, key=itemgetter(0))
-        raise SchemaError(f"{noun} {ids[i]!r}: {message}")
+class _Column(NamedTuple):
+    """One column of a log kind: its JSON ``key``; the log's array ``field``
+    that holds it; its values' type (``str`` for ids, ``list`` for lists of
+    classes, else the array's dtype); whether it is ``optional`` (an integer,
+    -1 where absent or null); its values' range for num_classes (by default
+    the classes, or int64's range if unknown); the ``noun`` in its faults."""
+
+    key: str
+    field: str
+    dtype: type = np.int64
+    optional: bool = False
+    bounds: Callable = lambda k: (0, (k or 2**63) - 1)
+    noun: str = ""
 
 
-def _log_eq(self, other):
-    """Field-wise equality of two logs of one type, arrays by value."""
-    if type(other) is not type(self):
-        return NotImplemented
-    return all(
-        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-        for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-    )
+class _HeaderField(NamedTuple):
+    """One field of a log kind's header: its key, its type, whether it is
+    ``optional`` (None where absent or null) and its ``choices``, if any."""
+
+    key: str
+    type: type = str
+    optional: bool = False
+    choices: tuple = ()
 
 
-_LOG_ARRAYS = ("predictions", "lengths", "true_labels", "base_predictions")
+# The text of each type of value on a canonical log line, a capture group
+# named after its column's array. An integer as JSON writes it, of at most 19
+# digits (so it fits in a uint64). A string with no escape and no control
+# character: its JSON value is its text. A number with a fraction or an
+# exponent, which JSON decodes as ``float`` of its text; an integer literal
+# decodes as an int (-0 as 0, so as +0.0 in a float column) and is left to
+# the strict decode. A list of integers, its digits and commas.
+_VALUE = {
+    np.int64: r"(?P<%s>0|[1-9][0-9]{0,18})",
+    str: r'"(?P<%s>[^"\\\x00-\x1f]*)"',
+    np.float64: r"(?P<%s>-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))",
+    list: r"\[(?P<%s>[0-9,]*)\]",
+}
+
+
+def _items(columns):
+    """(column, text before its value, text after it) of each column of a
+    canonical line, in key order: its key and the comma that joins it to the
+    next present value, which an optional column carries itself (after its
+    value while no required column has come, else before its key)."""
+    required = False
+    for c in columns:
+        yield c, ("," if required else "") + f'"{c.key}":', (
+            "," if c.optional and not required else "")
+        required = required or not c.optional
+
+
+def _line_pattern(columns):
+    """The pattern of a line as the writer renders a log of ``columns``:
+    sorted keys, no spaces, each optional column present or not."""
+    parts = [(before + _VALUE[c.dtype] % c.field + after, c.optional)
+             for c, before, after in _items(columns)]
+    return re.compile(
+        r"^\{" + "".join(f"(?:{p})?" if optional else p for p, optional in parts) + r"\}$", re.M)
+
+
+def _render_plan(columns):
+    """The parts of each line as the writer renders a log of ``columns``: a
+    constant text; a column whose values are rendered one by one (a score,
+    or a list's); or [column, text before, text after, text where absent]
+    of a column whose text is looked up for each label or tuple of ids.
+    Constant text joins the looked-up part before it, else the one after
+    it, so a line is as few parts as it can be."""
+    plan, text = [], "{"
+
+    def put(constant):  # constant text after the last part
+        if plan and isinstance(plan[-1], list):
+            plan[-1][2] += constant
+            plan[-1][3] += constant
+        elif constant:
+            plan.append(constant)
+
+    for c, before, after in _items(columns):
+        if c.dtype in (str, np.int64):
+            plan.append([c, text + before, after, text])
+            text = ""
+            continue
+        opening, closing = ("[", "]") if c.dtype is list else ("", "")
+        put(text + before + opening)
+        plan.append(c)
+        text = closing + after
+    put(text + "}\n")
+    return plan
+
+
+def _array(log, name, dtype, m=None):
+    """The log's array ``name`` as given, which must be 1-D, of integers (of
+    numbers, for a float ``dtype``) and of ``m`` entries if given. The log
+    holds it read-only, as ``dtype``: copied unless it is already such."""
+    arr = np.asarray(getattr(log, name))
+    integer = dtype is not np.float64
+    if (arr.ndim != 1 or (arr.size and arr.dtype.kind not in ("iu" if integer else "iuf"))
+            or m is not None and len(arr) != m):
+        raise SchemaError(f"{name} must be a 1-D {'integer ' if integer else ''}array"
+                          + (" with one entry per example id" if m is not None else ""))
+    held = arr if arr.dtype == dtype and not arr.flags.writeable else read_only(arr.astype(dtype))
+    object.__setattr__(log, name, held)
+    return arr
+
+
+class _Log:
+    """What the log kinds share, read from each kind's tables: a file is a
+    header of ``_type`` with the ``_header`` fields and ``meta`` (its
+    ``_meta_strings`` tags strings), then one row of the ``_columns`` per
+    line, which faults name by ``_noun``. Each kind also holds, derived from
+    its columns, the ``_line`` pattern and ``_plan`` of a written line, and
+    its columns in the order of the strict decode's checks (``_by_field``,
+    that of its fields) and of the range checks (``_checked``: the scores,
+    then the labels, each in field order)."""
+
+    def __init_subclass__(cls):
+        names = list(cls.__annotations__)
+        cls._by_field = sorted(cls._columns, key=lambda c: names.index(c.field))
+        cls._checked = sorted((c for c in cls._by_field if c.dtype is not str),
+                              key=lambda c: c.dtype is not np.float64)
+        cls._line, cls._plan = _line_pattern(cls._columns), _render_plan(cls._columns)
+
+    @property
+    def examples(self) -> tuple[str, ...]:
+        """``example_ids``, kept only for ``bench/bench_trace.py``'s counters
+        until it counts ``example_ids`` (ROADMAP item 1b)."""
+        return self.example_ids
+
+    entries = examples
+
+    def __eq__(self, other):
+        """Field-wise equality of two logs of one type, arrays by value."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        )
+
+    def __post_init__(self):
+        """Check each header value among its choices, the class count, the
+        ids, then column by column (``_checked``) its arrays (shape and kind,
+        and a list's lengths) and its values' range for the class count. Of
+        the faults of one row, the first named is an empty list, then a value
+        out of range, in that order, then a repeated id. Each array is held
+        read-only, of its column's type: a list's values in the narrowest
+        unsigned type that holds every class (uint8 for up to 256 classes, a
+        log's largest array by far), its lengths and the other labels int64,
+        the scores float64 (see ``_array``)."""
+        for h in self._header:
+            if h.choices and getattr(self, h.key) not in h.choices:
+                raise SchemaError(f"{h.key} must be {' or '.join(map(repr, h.choices))}, "
+                                  f"got {getattr(self, h.key)!r}")
+        k = self.num_classes
+        if k is not None and not 2 <= k < 2**63:
+            raise SchemaError(f"num_classes must be in [2, 2**63), got {k}")
+        faults, duplicate = [], _check_ids(self)
+        m = len(self.example_ids)
+        for c in self._checked:
+            if c.dtype is list:
+                values = _array(self, c.field, np.min_scalar_type(k - 1))
+                lengths = _array(self, "lengths", np.int64, m)
+                if (lengths < 0).any() or lengths.sum() != len(values):
+                    raise SchemaError(
+                        f"lengths must be non-negative and sum to the number of {c.field}")
+                offsets = np.zeros(m + 1, dtype=np.int64)
+                np.cumsum(lengths, out=offsets[1:])
+                object.__setattr__(self, "offsets", read_only(offsets))
+                if not lengths.all():
+                    faults.insert(0, (int(lengths.argmin()), f"empty {c.key}"))
+            else:
+                values = _array(self, c.field, c.dtype, m)
+            # Finite bounds, so a NaN or an infinity is out of range; a valid
+            # column is told by its minimum and maximum alone.
+            lo, hi = c.bounds(k)
+            lo = -1 if c.optional else lo
+            if len(values) and not (lo <= values.min() and values.max() <= hi):
+                j = int((~((lo <= values) & (values <= hi))).argmax())  # the first bad value
+                row = int(np.searchsorted(offsets, j, side="right")) - 1 if c.dtype is list else j
+                suffix = f" [0, {k})" if k and c.dtype is not np.float64 else ""
+                faults.append((row, f"{c.noun or c.key} {values[j].item()} out of range{suffix}"))
+        if duplicate is not None:
+            faults.append(duplicate)
+        if faults:  # the lowest row; of faults in one row, the first listed
+            i, message = min(faults, key=itemgetter(0))
+            raise SchemaError(f"{self._noun} {self.example_ids[i]!r}: {message}")
 
 
 @dataclass(frozen=True, eq=False)
-class NeighborhoodPredictionLog:
+class NeighborhoodPredictionLog(_Log):
     """A neighborhood prediction log held as arrays.
 
     Example ``i`` is ``example_ids[i]`` with the ``lengths[i]`` predictions
@@ -221,74 +366,23 @@ class NeighborhoodPredictionLog:
     meta: dict = field(default_factory=dict)
     offsets: np.ndarray = field(init=False, repr=False)
 
-    __eq__ = _log_eq
-
-    def __post_init__(self):
-        k = self.num_classes
-        _check_num_classes(k)
-        duplicate = _check_ids(self)
-        for name in _LOG_ARRAYS:
-            arr = np.asarray(getattr(self, name))
-            if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-                raise SchemaError(f"{name} must be a 1-D integer array")
-            object.__setattr__(self, name, arr)
-        m = len(self.example_ids)
-        if not len(self.lengths) == len(self.true_labels) == len(self.base_predictions) == m:
-            raise SchemaError("every per-example array needs one entry per example id")
-        if (self.lengths < 0).any() or self.lengths.sum() != len(self.predictions):
-            raise SchemaError("lengths must be non-negative and sum to the number of predictions")
-        offsets = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(self.lengths, out=offsets[1:])
-        offsets.flags.writeable = False
-        object.__setattr__(self, "offsets", offsets)
-
-        suffix = f" [0, {k})"
-        labels = {"true_label": self.true_labels, "base_prediction": self.base_predictions}
-        if duplicate or not (self.lengths.all() and _within(self.predictions, 0, k - 1)
-                             and all(_within(a, -1, k - 1) for a in labels.values())):
-            empty = self.lengths == 0
-            prediction = _range_fault("prediction", self.predictions, 0, k - 1, suffix)
-            if prediction is not None:  # the example of the first bad prediction
-                j, message = prediction
-                prediction = int(np.searchsorted(offsets, j, side="right")) - 1, message
-            _raise_first("example", self.example_ids, [
-                (int(empty.argmax()), "empty neighborhood_predictions") if empty.any() else None,
-                prediction,
-                *(_range_fault(name, a, -1, k - 1, suffix) for name, a in labels.items()),
-                duplicate,
-            ])
-
-        # Predictions are stored in the narrowest type that holds every class
-        # (uint8 for up to 256 classes), a log's largest array by far.
-        for name in _LOG_ARRAYS:
-            arr = getattr(self, name)
-            dtype = np.min_scalar_type(k - 1) if name == "predictions" else np.int64
-            if arr.dtype != dtype or arr.flags.writeable:
-                arr = arr.astype(dtype)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
-
-    @property
-    def examples(self) -> tuple[str, ...]:
-        """``example_ids``, kept only for ``bench/bench_trace.py``'s counters
-        until it counts ``example_ids`` (ROADMAP item 1b)."""
-        return self.example_ids
+    _type, _noun, _meta_strings = "prediction_log", "example", ("neighborhood",)
+    _header = (_HeaderField("model_id"), _HeaderField("test_domain"),
+               _HeaderField("num_classes", int))
+    _columns = (
+        _Column("base_prediction", "base_predictions", optional=True),
+        _Column("example_id", "example_ids", str),
+        _Column("neighborhood_predictions", "predictions", list, noun="prediction"),
+        _Column("true_label", "true_labels", optional=True),
+    )
 
     def example_index(self) -> np.ndarray:
         """The example each prediction belongs to, aligned with ``predictions``."""
         return np.repeat(np.arange(len(self.lengths)), self.lengths)
 
 
-_SCORE_ARRAYS = {
-    "predicted_labels": np.int64,
-    "max_confidence": np.float64,
-    "neg_entropy": np.float64,
-    "true_labels": np.int64,
-}
-
-
 @dataclass(frozen=True, eq=False)
-class ScoreLog:
+class ScoreLog(_Log):
     """A score log held as arrays.
 
     Entry ``i`` is ``example_ids[i]`` with ``predicted_labels[i]``,
@@ -311,46 +405,21 @@ class ScoreLog:
     num_classes: Optional[int] = None
     meta: dict = field(default_factory=dict)
 
-    __eq__ = _log_eq
-
-    def __post_init__(self):
-        if self.split not in ("validation", "test"):
-            raise SchemaError(f"split must be 'validation' or 'test', got {self.split!r}")
-        k = self.num_classes
-        _check_num_classes(k)
-        duplicate = _check_ids(self)
-        m = len(self.example_ids)
-        for name, dtype in _SCORE_ARRAYS.items():
-            arr = np.asarray(getattr(self, name))
-            kinds = "iu" if dtype is np.int64 else "iuf"
-            if arr.shape != (m,) or (arr.size and arr.dtype.kind not in kinds):
-                raise SchemaError(f"{name} must be a 1-D array with one entry per example id")
-            if arr.dtype != dtype or arr.flags.writeable:
-                arr = arr.astype(dtype)
-                arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-        # With k classes the softmax maximum is at least 1/k and the entropy at
-        # most log k; scores are finite.
-        low_conf, top_entropy = (
-            (1.0 / k - _EPS, math.log(k) + _EPS) if k else (0.0, sys.float_info.max)
-        )
-        top, suffix = (k - 1, f" [0, {k})") if k else (2**63 - 1, "")
-        columns = [
-            ("max_confidence", self.max_confidence, low_conf, 1.0 + _EPS, ""),
-            ("neg_entropy", self.neg_entropy, -top_entropy, _EPS, ""),
-            ("predicted_label", self.predicted_labels, 0, top, suffix),
-            ("true_label", self.true_labels, -1, top, suffix),
-        ]
-        if duplicate or not all(_within(values, lo, hi) for _, values, lo, hi, _ in columns):
-            _raise_first("entry", self.example_ids,
-                         [*(_range_fault(*c) for c in columns), duplicate])
-
-    @property
-    def entries(self) -> tuple[str, ...]:
-        """``example_ids``, kept only for ``bench/bench_trace.py``'s counters
-        until it counts ``example_ids`` (ROADMAP item 1b)."""
-        return self.example_ids
+    # With k classes the softmax maximum is at least 1/k and the entropy at
+    # most log k; scores are finite.
+    _type, _noun, _meta_strings = "score_log", "entry", ()
+    _header = (_HeaderField("model_id"), _HeaderField("domain"),
+               _HeaderField("split", choices=("validation", "test")),
+               _HeaderField("num_classes", int, optional=True))
+    _columns = (
+        _Column("example_id", "example_ids", str),
+        _Column("max_confidence", "max_confidence", np.float64,
+                bounds=lambda k: (1.0 / k - _EPS if k else 0.0, 1.0 + _EPS)),
+        _Column("neg_entropy", "neg_entropy", np.float64,
+                bounds=lambda k: (-(math.log(k) + _EPS) if k else -sys.float_info.max, _EPS)),
+        _Column("predicted_label", "predicted_labels"),
+        _Column("true_label", "true_labels", optional=True),
+    )
 
 
 @dataclass(frozen=True)
@@ -405,85 +474,68 @@ def _require(obj, key, types, path=None, lineno=None):
     return v
 
 
-def _read_log(path, lines=None):
-    """The header of a JSONL log with its line number, then its entries: the
-    entry objects, their line numbers and the error of a malformed line that
-    ends them, or None. ``lines`` are as for ``_iter_jsonl``."""
-    numbered, malformed = [], None
-    try:
-        numbered.extend(_iter_jsonl(path, lines))
-    except SchemaError as e:
-        if not numbered:
-            raise
-        malformed = e
-    if not numbered:
-        raise SchemaError("empty file: missing header line", path=path)
-    linenos, objs = zip(*numbered)
-    return objs[0], linenos[0], (objs[1:], linenos[1:], malformed)
+def _read_header(cls, header, path, line):
+    """The header fields of a ``cls`` log by keyword, checked in this order:
+    its type; its ``meta`` ({} if absent) and the ``_meta_strings`` tags in
+    it; each ``_header`` field, of its type (an integer is not a boolean)
+    or, where optional, absent or null (None)."""
+    if header.get("type") != cls._type:
+        raise SchemaError(f"header must declare type {cls._type!r}", path=path, line=line)
+    meta = _require(header, "meta", dict, path, line) if "meta" in header else {}
+    for key in cls._meta_strings:
+        if not isinstance(meta.get(key, ""), str):
+            raise SchemaError(f"meta field {key!r} must be a string", path=path, line=line)
+    values = {h.key: None if h.optional and header.get(h.key) is None
+              else _require(header, h.key, h.type, path, line) for h in cls._header}
+    return {**values, "meta": meta}
 
 
-def _check_header(header, path, head_line, log_type):
-    """A log's header must declare ``log_type``; its ``meta``, if any, must be
-    an object, which is returned ({} if absent)."""
-    if header.get("type") != log_type:
-        raise SchemaError(f"header must declare type {log_type!r}", path=path, line=head_line)
-    return _require(header, "meta", dict, path, head_line) if "meta" in header else {}
+# The JSON types of a column's values, by the column's type.
+_JSON_TYPES = {str: (str,), list: (list,), np.int64: (int,), np.float64: (int, float)}
 
 
-def _prediction_header(header, path, head_line):
-    """(model_id, test_domain, num_classes, meta) of a prediction log's
-    header: two strings, an integer (not a boolean) and an object, whose
-    ``neighborhood`` tag, when present, is a string."""
-    meta = _check_header(header, path, head_line, "prediction_log")
-    if not isinstance(meta.get("neighborhood", ""), str):
-        raise SchemaError("meta field 'neighborhood' must be a string", path=path,
-                          line=head_line)
-    return (
-        _require(header, "model_id", str, path, head_line),
-        _require(header, "test_domain", str, path, head_line),
-        _require(header, "num_classes", int, path, head_line),
-        meta,
-    )
-
-
-def _field_values(body, types):
-    """The values of each field over the entries (None where absent), one list
-    per field in the order of ``types``, which maps each field to the types its
-    values must have, or to None if it is optional. The first entry that
-    lacks a required field or holds a value of another type raises the error
-    of ``_require``, for the first such field in ``types``."""
-    columns = [list(map(dict.get, body, repeat(key))) for key in types]
-    for (key, kinds), values in zip(types.items(), columns):
-        if kinds is not None and not set(map(type, values)) <= set(kinds):
+def _decode(cls, k, body):
+    """The arrays, by field, of a ``cls`` log of ``k`` classes that holds the
+    entry objects ``body``. Column by column (``_by_field``), every entry
+    must hold each required column, of its JSON type (see ``_require``);
+    then, column by column, each value must be one its array holds."""
+    columns = [list(map(dict.get, body, repeat(c.key))) for c in cls._by_field]
+    for c, values in zip(cls._by_field, columns):
+        types = _JSON_TYPES[c.dtype]
+        if not c.optional and not set(map(type, values)) <= set(types):
             for obj in body:
-                _require(obj, key, kinds)
-    return columns
+                _require(obj, c.key, types)
+    arrays = {}
+    for c, values in zip(cls._by_field, columns):
+        if c.dtype is str:  # the first field: the ids
+            ids = arrays[c.field] = tuple(values)
+            continue
+        lengths = None
+        if c.dtype is list:
+            lengths = arrays["lengths"] = np.array(list(map(len, values)), dtype=np.int64)
+            values = list(chain.from_iterable(values))
+        arrays[c.field] = _column(values, c, cls._noun, ids, k, lengths)
+    return arrays
 
 
-def _column(values, name, dtype, noun, ids, k=None, lengths=None, absent_ok=False):
-    """``values`` of one field as JSON decodes them as a read-only ``dtype``
-    array (None, where ``absent_ok``, as -1). The first value no such array
-    holds raises a SchemaError naming the ``noun`` of id ``ids[i]`` it is in:
-    a value of another type (a boolean is not a number), a negative integer
-    or one too large for ``dtype``. With ``lengths``, ``values`` are the
-    entries' lists flattened."""
-    integer = dtype is np.int64
-    types = {int} if integer else {int, float}
-    if set(map(type, values)) <= (types | {type(None)} if absent_ok else types):
+def _column(values, column, noun, ids, k, lengths=None):
+    """``values`` of ``column`` as JSON decodes them, as a read-only array
+    (float64 for a score, else int64; None, where optional, as -1). The first
+    value no such array holds (of another type, as a boolean is, negative or
+    too large) raises a SchemaError naming the ``noun`` of id ``ids[i]`` it
+    is in. With ``lengths``, ``values`` are the entries' lists flattened."""
+    integer, name = column.dtype is not np.float64, column.noun or column.key
+    dtype, types = (np.int64, {int}) if integer else (np.float64, {int, float})
+    nones = values.count(None) if column.optional else 0
+    if set(map(type, values)) <= (types | {type(None)} if nones else types):
         try:
-            arr = np.array(
-                [-1 if v is None else v for v in values] if absent_ok else values, dtype=dtype
-            )
+            arr = np.array([-1 if v is None else v for v in values] if nones else values, dtype)
+            if not integer or np.count_nonzero(arr < 0) == nones:
+                return read_only(arr)
         except OverflowError:
-            arr = None
-        if arr is not None and (
-            not integer
-            or np.count_nonzero(arr < 0) == (values.count(None) if absent_ok else 0)
-        ):
-            arr.flags.writeable = False
-            return arr
+            pass
     for i, v in enumerate(values):
-        if v is None and absent_ok:
+        if v is None and column.optional:
             continue
         if type(v) not in types:
             fault = f"{name} {v!r} is not {'an integer' if integer else 'a number'}"
@@ -494,41 +546,10 @@ def _column(values, name, dtype, noun, ids, k=None, lengths=None, absent_ok=Fals
                 fits = False
             if fits:
                 continue
-            fault = f"{name} {v} out of range" + (f" [0, {k})" if k else "")
+            fault = f"{name} {v} out of range" + (f" [0, {k})" if k and integer else "")
         if lengths is not None:
             i = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
         raise SchemaError(f"{noun} {ids[i]!r}: {fault}")
-
-
-def _build(path, head_line, entries, decode, make):
-    """The log ``make`` builds from the arrays ``decode`` gives for the
-    entries; an error names path:line of the first faulty line.
-
-    A valid log takes one decode and one build. A faulty one is named by
-    bisection over the prefixes of its entries: every check of ``decode`` and
-    ``make`` belongs to the header or to one entry, so whether a prefix fails
-    to build is monotone in its length, and the shortest prefix that fails
-    ends at the first faulty entry (or is empty, for a faulty header). Its
-    error is raised at that entry's line.
-    """
-    body, lines, malformed = entries
-
-    def error(n):
-        """The SchemaError building the first ``n`` entries raises, or None."""
-        try:
-            make(*decode(body[:n]))
-        except SchemaError as e:
-            return e
-        return None
-
-    try:
-        log = make(*decode(body))
-    except SchemaError:
-        n = bisect.bisect_left(range(len(body) + 1), True, key=lambda n: error(n) is not None)
-        raise SchemaError(str(error(n)), path=path, line=lines[n - 1] if n else head_line) from None
-    if malformed is not None:
-        raise malformed
-    return log
 
 
 def parse_manifest(path) -> list[ModelRecord]:
@@ -560,74 +581,76 @@ def write_manifest(records: Iterable[ModelRecord], path) -> None:
     atomic_write_text(path, serialize_manifest(records))
 
 
-def parse_prediction_log(path) -> NeighborhoodPredictionLog:
-    """Parse a neighborhood prediction log (header line + one example per line)
-    straight into the log's arrays; an error names path:line of the first
-    faulty line. A file in the form ``serialize_prediction_log`` writes is
-    read as one byte matrix when its lines have one length and its values one
-    digit, else by one line pattern (``_scan_prediction_log``); any other
-    file by a JSON decode of each line."""
+def _parse(cls, path):
+    """Parse the ``cls`` log at ``path`` (a header line, then one entry per
+    line) straight into the log's arrays; an error names path:line of the
+    first faulty line. A file in the form the writer writes is read by
+    ``_scan``, any other by a JSON decode of each line (``_decode``).
+
+    A valid log takes one decode and one build. A faulty one is named by
+    bisection over the prefixes of its entries: every check of ``_decode``
+    and of the constructor belongs to the header or to one entry, so whether
+    a prefix fails to build is monotone in its length, and the shortest
+    prefix that fails ends at the first faulty entry (or is empty, for a
+    faulty header). Its error is raised at that entry's line. The error of a
+    malformed line ends the entries, and it is raised if those before it
+    are a valid log.
+    """
     with open(path, "rb") as f:
         data = f.read()
-    log = _scan_prediction_log(path, data)
+    log = _scan(cls, path, data)
     if log is not None:
         return log
-    header, head_line, entries = _read_log(path, io.BytesIO(data))
-    model_id, test_domain, k, meta = _prediction_header(header, path, head_line)
+    numbered, malformed = [], None
+    try:
+        numbered.extend(_iter_jsonl(path, io.BytesIO(data)))
+    except SchemaError as e:
+        if not numbered:
+            raise
+        malformed = e
+    if not numbered:
+        raise SchemaError("empty file: missing header line", path=path)
+    (head_line, *lines), (header, *body) = zip(*numbered)
+    head = _read_header(cls, header, path, head_line)
 
-    def decode(body):
-        ids, rows, true, base = _field_values(body, {
-            "example_id": (str,),
-            "neighborhood_predictions": (list,),
-            "true_label": None,
-            "base_prediction": None,
-        })
-        lengths = np.array(list(map(len, rows)), dtype=np.int64)
-        return (
-            tuple(ids),
-            _column(list(chain.from_iterable(rows)), "prediction", np.int64, "example", ids, k,
-                    lengths),
-            lengths,
-            _column(true, "true_label", np.int64, "example", ids, k, absent_ok=True),
-            _column(base, "base_prediction", np.int64, "example", ids, k, absent_ok=True),
-        )
+    def build(n):
+        """The log of the first ``n`` entries, or the SchemaError building it raises."""
+        try:
+            return cls(**head, **_decode(cls, head["num_classes"], body[:n]))
+        except SchemaError as e:
+            return e
 
-    return _build(path, head_line, entries, decode, lambda *arrays: NeighborhoodPredictionLog(
-        model_id, test_domain, k, *arrays, meta=meta))
-
-
-# The values of a canonical log line, each a capture group. An integer as JSON
-# writes it, of at most 19 digits (so it fits in a uint64). A string with no
-# escape and no control character: its JSON value is its text. A number with
-# a fraction or an exponent, which JSON decodes as ``float`` of its text; an
-# integer literal decodes as an int (-0 as 0, so as +0.0 in a float column)
-# and is left to the strict decode.
-_INT = r"(0|[1-9][0-9]{0,18})"
-_ID = r'"([^"\\\x00-\x1f]*)"'
-_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-
-# A line of each log as its writer renders it: sorted keys, no spaces, the
-# optional labels present or not.
-_PREDICTION_LINE = re.compile(
-    rf'^\{{(?:"base_prediction":{_INT},)?"example_id":{_ID},'
-    rf'"neighborhood_predictions":\[([0-9,]*)\](?:,"true_label":{_INT})?\}}$', re.M)
-_SCORE_LINE = re.compile(
-    rf'^\{{"example_id":{_ID},"max_confidence":{_FLOAT},"neg_entropy":{_FLOAT},'
-    rf'"predicted_label":{_INT}(?:,"true_label":{_INT})?\}}$', re.M)
+    log = build(len(body))
+    if isinstance(log, SchemaError):
+        n = bisect.bisect_left(range(len(body) + 1), True,
+                               key=lambda n: isinstance(build(n), SchemaError))
+        raise SchemaError(str(build(n)), path=path, line=lines[n - 1] if n else head_line)
+    if malformed is not None:
+        raise malformed
+    return log
 
 
-def _scan(path, data, read_header):
-    """What ``read_header`` gives for the header of the log in the file bytes
-    ``data``, with the bytes of its body (the lines after the first); None
-    unless the file ends in a newline and its body holds no raw \\r. A header
-    the strict parse rejects raises its error.
+def parse_prediction_log(path) -> NeighborhoodPredictionLog:
+    """Parse a neighborhood prediction log (a header, then one example per line)."""
+    return _parse(NeighborhoodPredictionLog, path)
 
-    The body is then read by ``_scan_lines`` or, for a prediction log, by
-    ``_stride_columns`` first. Soundness of the line pattern: every line the
-    pattern matches is a JSON object the strict decode accepts, and each
-    group holds the text of one of its values: a string whose text is its
-    value, an integer or a float that JSON decodes exactly as ``int`` or
-    ``float`` of the text. The pattern is anchored at both ends of a line and
+
+def parse_score_log(path) -> ScoreLog:
+    """Parse a score log (a header, then one entry per line)."""
+    return _parse(ScoreLog, path)
+
+
+def _scan(cls, path, data):
+    """The ``cls`` log held in the file bytes ``data`` when the file ends in a
+    newline and each line after the header is in the form the writer writes,
+    else None; a header the strict parse rejects raises its error. The body
+    (the lines after the first) is read by ``_stride_columns`` where it
+    takes a prediction log, else by ``_scan_lines``.
+
+    Soundness of the line pattern that ``_line_pattern`` makes from the
+    kind's columns: every line it matches is a JSON object the strict
+    decode accepts, and each group holds the text of one of its values, as
+    ``_VALUE`` reads it. The pattern is anchored at both ends of a line and
     no group holds a newline, so each line matches at most once, and a match
     count equal to the body's newline count means every line matched (a
     blank line, which the strict decode skips, does not). The header is read
@@ -641,14 +664,15 @@ def _scan(path, data, read_header):
     digit and holds a digit wherever the first holds one. That holds when the
     rows of the byte matrix are equal under the map of each digit to 0 and
     each other byte b to b - 48 (mod 256), which is one-to-one on bytes that
-    are not digits and sends none of them to 0. The pattern's keys and
-    punctuation hold no digit, so every digit of the first line is in its id
-    or in one of its integers, and each integer is one digit. A digit in an
-    id, or a one-digit integer, may be any digit, so every line is ASCII and
-    matches the pattern with its groups at the first line's columns; the
-    newline, a byte that is not a digit, ends each line at the same column
-    and nowhere before it. So the columns hold the values the pattern pass
-    would capture, and the log is the one the pattern pass builds.
+    are not digits and sends none of them to 0. No key or punctuation of the
+    pattern holds a digit (each key is ASCII with no digit, quote or
+    backslash), so every digit of the first line is in its id or in one of
+    its integers, and each integer is one digit. A digit in an id, or a
+    one-digit integer, may be any digit, so every line is ASCII and matches
+    the pattern with its groups at the first line's columns; the newline, a
+    byte that is not a digit, ends each line at the same column and nowhere
+    before it. So the columns hold the values the pattern pass would
+    capture, and the log is the one the pattern pass builds.
     """
     nl = data.find(b"\n")
     if nl < 0 or data[-1:] != b"\n":
@@ -656,31 +680,56 @@ def _scan(path, data, read_header):
     header = list(_iter_jsonl(path, [data[:nl]]))
     if not header:
         return None
-    fields = read_header(header[0][1], path, 1)
-    # No canonical body line holds a raw \r (_ID excludes control
-    # characters), so a body with CRLF endings anywhere is declined before
+    head = _read_header(cls, header[0][1], path, 1)
+    # No canonical body line holds a raw \r (an id holds no control
+    # character), so a body with CRLF endings anywhere is declined before
     # either read; a failed match on such a line would backtrack.
     if data.find(b"\r", nl + 1) >= 0:
         return None
-    return fields, data[nl + 1:]
+    body = data[nl + 1:]
+    id_bytes, arrays = (_stride_columns(body, head["num_classes"])
+                        if cls is NeighborhoodPredictionLog else None) or (None, None)
+    if arrays is None and (arrays := _scan_lines(cls, body)) is None:
+        return None
+    try:
+        log = cls(**head, **arrays)
+    except SchemaError:
+        return None
+    if id_bytes is not None:
+        global _stride_ids
+        _stride_ids = id_bytes, log.example_ids
+    return log
 
 
-def _scan_lines(body, line):
-    """The groups the pattern ``line`` captures from the lines of ``body``,
-    one tuple per group ("" where a group took no part); None unless the body
-    is UTF-8 and every line matches ``line``. See ``_scan``."""
+def _scan_lines(cls, body):
+    """The arrays, by field, of a ``cls`` log body that is UTF-8 and whose
+    every line matches the kind's line pattern, from the texts its groups
+    capture; else None, as when a value is beyond what its array holds (see
+    ``_labels`` and ``_predictions``). See ``_scan``."""
     try:
         text = body.decode("utf-8")
     except UnicodeDecodeError:
         return None
     # A file of another layout throughout (spaces, say) fails on its first
     # line, so it is declined before a pass over its whole body.
-    if text and not line.match(text):
+    if text and not cls._line.match(text):
         return None
-    matches = line.findall(text)
+    matches = cls._line.findall(text)
     if len(matches) != body.count(b"\n"):
         return None
-    return list(zip(*matches)) or [()] * line.groups
+    arrays = {}
+    for c, texts in zip(cls._columns, list(zip(*matches)) or [()] * len(cls._columns)):
+        if c.dtype is str:
+            arrays[c.field] = texts
+        elif c.dtype is np.float64:
+            arrays[c.field] = read_only(np.fromiter(map(float, texts), np.float64, len(texts)))
+        elif c.dtype is list:
+            arrays[c.field], arrays["lengths"] = _predictions(texts) or (None, None)
+        else:
+            arrays[c.field] = _labels(texts)
+        if arrays[c.field] is None:
+            return None
+    return arrays
 
 
 def read_only(arr):
@@ -750,22 +799,21 @@ _stride_ids = (None, None)
 
 
 def _stride_columns(body, k):
-    """The bytes of the id column, then (ids, predictions, lengths, true
-    labels, base labels), of a prediction log body of ``k`` classes whose
-    lines all have its first line's length, when the first line is ASCII,
-    matches ``_PREDICTION_LINE`` and writes each integer in one digit, and
-    every other line equals it at each byte that is not a digit and holds a
-    digit wherever it holds one; else None. The lines are read as one
-    (lines, line length) byte matrix, each value a fixed column of it, and
-    the arrays are read-only, of the log's types. Ids whose column equals,
-    byte for byte, that of ``_stride_ids`` are the ids kept there. See
-    ``_scan``."""
+    """The bytes of the id column, then the arrays by field, of a prediction
+    log body of ``k`` classes whose lines all have its first line's length,
+    when the first line is ASCII, matches the kind's line pattern and writes
+    each integer in one digit, and every other line equals it at each byte
+    that is not a digit and holds a digit wherever it holds one; else None.
+    The lines are read as one (lines, line length) byte matrix, each value a
+    fixed column of it, and the arrays are read-only, of the log's types.
+    Ids whose column equals, byte for byte, that of ``_stride_ids`` are the
+    ids kept there. See ``_scan``."""
     width = body.find(b"\n") + 1
     if not width or len(body) % width or not body[:width].isascii():
         return None
-    first = _PREDICTION_LINE.fullmatch(body[:width - 1].decode("ascii"))
-    if (first is None or not _ONE_DIGIT_LIST.fullmatch(first[3])
-            or any(len(first[g] or "") > 1 for g in (1, 4))):
+    first = NeighborhoodPredictionLog._line.fullmatch(body[:width - 1].decode("ascii"))
+    if (first is None or not _ONE_DIGIT_LIST.fullmatch(first["predictions"])
+            or any(len(first[g] or "") > 1 for g in ("base_predictions", "true_labels"))):
         return None
     m = len(body) // width
     lines = np.frombuffer(body, dtype=np.uint8).reshape(m, width)
@@ -780,46 +828,18 @@ def _stride_columns(body, k):
         return read_only(lines[:, col].astype(np.int64) - 48 if col >= 0 else np.full(m, -1))
 
     # Each id with its closing quote, which no id holds: the quotes cut them.
-    start, stop = first.span(2)
+    start, stop = first.span("example_ids")
     id_bytes = lines[:, start:stop + 1].tobytes()
     known, ids = _stride_ids
     if id_bytes != known:
         ids = tuple(id_bytes.decode("ascii").split('"')[:-1])
-    start, stop = first.span(3)
-    lengths = read_only(np.full(m, (stop - start + 1) // 2, dtype=np.int64))
+    start, stop = first.span("predictions")
     predictions = (lines[:, start:stop:2] - 48).astype(np.min_scalar_type(k - 1), copy=False)
-    return id_bytes, (ids, read_only(predictions.ravel()), lengths, label(4), label(1))
-
-
-def _scan_prediction_log(path, data):
-    """The prediction log held in the file bytes ``data`` when each line after
-    the header is in the form ``serialize_prediction_log`` writes, else None;
-    a header the strict parse rejects raises its error. A body of one line
-    length with one-digit values is read as a byte matrix
-    (``_stride_columns``), any other by the line pattern. See ``_scan``."""
-    scanned = _scan(path, data, _prediction_header)
-    if scanned is None:
-        return None
-    (model_id, test_domain, k, meta), body = scanned
-    id_bytes, columns = _stride_columns(body, k) or (None, None)
-    if columns is None:
-        groups = _scan_lines(body, _PREDICTION_LINE)
-        if groups is None:
-            return None
-        bases, ids, rows, trues = groups
-        decoded = _predictions(rows), _labels(trues), _labels(bases)
-        if any(part is None for part in decoded):
-            return None
-        (predictions, lengths), true, base = decoded
-        columns = ids, predictions, lengths, true, base
-    try:
-        log = NeighborhoodPredictionLog(model_id, test_domain, k, *columns, meta=meta)
-    except SchemaError:
-        return None
-    if id_bytes is not None:
-        global _stride_ids
-        _stride_ids = id_bytes, log.example_ids
-    return log
+    return id_bytes, {
+        "example_ids": ids, "predictions": read_only(predictions.ravel()),
+        "lengths": read_only(np.full(m, (stop - start + 1) // 2, dtype=np.int64)),
+        "true_labels": label("true_labels"), "base_predictions": label("base_predictions"),
+    }
 
 
 def _render_csv_ints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -849,52 +869,51 @@ def _render_csv_ints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return buf, ends
 
 
-# The constant text of each example's line in a log, for one tuple of example
-# ids: the line's text from the id up to its first value. A run shares one
-# tuple of ids among all logs of one test set, so it holds a few of these.
-@functools.lru_cache(maxsize=4)
-def _prediction_prefixes(example_ids: tuple) -> tuple:
-    return tuple(f'"example_id":{_json_string(i)},"neighborhood_predictions":['
-                 for i in example_ids)
+# The text of each example's id in a line of a log with the constant text
+# around it, for one tuple of example ids. A run shares one tuple of ids among
+# all logs of one test set, so it holds a few of these for each log kind.
+@functools.lru_cache(maxsize=8)
+def _id_texts(example_ids: tuple, before: str, after: str) -> tuple:
+    return tuple(f"{before}{_json_string(i)}{after}" for i in example_ids)
 
 
-@functools.lru_cache(maxsize=4)
-def _score_prefixes(example_ids: tuple) -> tuple:
-    return tuple(f'{{"example_id":{_json_string(i)},"max_confidence":' for i in example_ids)
-
-
-def serialize_prediction_log(log: NeighborhoodPredictionLog) -> str:
-    """The log as JSON Lines, the same bytes as sorted-key ``json.dumps``.
-
-    Each example line is four parts: the opening with the base prediction,
-    the constant text up to the predictions (shared by every log of the same
-    example ids), the predictions, and the close with the true label. The
-    labels' parts come from one small dict per log, and the predictions are
-    all rendered into one buffer, cut at the end of each example's list.
-    """
-    header = {
-        "type": "prediction_log",
-        "model_id": log.model_id,
-        "test_domain": log.test_domain,
-        "num_classes": log.num_classes,
-    }
+def _serialize(log) -> str:
+    """The log as JSON Lines, the same bytes as sorted-key ``json.dumps``
+    (``repr`` of a finite float is its JSON form). Each line is the parts of
+    ``_render_plan`` (the kind's ``_plan``), and each part's texts for every line are made at once:
+    a label's from one small dict per log, the ids' by ``_id_texts`` (shared
+    by every log of the same ids), a list's from one buffer of all its
+    values, cut at the end of each line's list."""
+    header = {"type": log._type, **{h.key: getattr(log, h.key) for h in log._header
+                                    if not (h.optional and getattr(log, h.key) is None)}}
     if log.meta:
         header["meta"] = log.meta
-    bases = log.base_predictions.tolist()
-    trues = log.true_labels.tolist()
-    # An absent label (-1) renders as no field.
-    opening = {c: f'{{"base_prediction":{c},' for c in set(bases)}
-    closing = {c: f'],"true_label":{c}}}\n' for c in set(trues)}
-    opening[-1], closing[-1] = "{", "]}\n"
-    buf, ends = _render_csv_ints(log.predictions)
-    # The comma after each example's last prediction becomes the cut.
-    buf[ends[log.offsets[1:] - 1] - 1] = ord("]")
-    parts = [""] * (4 * len(bases))
-    parts[0::4] = map(opening.__getitem__, bases)
-    parts[1::4] = _prediction_prefixes(log.example_ids)
-    parts[2::4] = buf.tobytes().decode("ascii").split("]")[:-1]
-    parts[3::4] = map(closing.__getitem__, trues)
+    m, n = len(log.example_ids), len(log._plan)
+    parts = [""] * (n * m)
+    for i, part in enumerate(log._plan):
+        if isinstance(part, str):
+            parts[i::n] = [part] * m
+        elif isinstance(part, list) and part[0].dtype is str:
+            parts[i::n] = _id_texts(log.example_ids, *part[1:3])
+        elif isinstance(part, list):
+            c, before, after, absent = part
+            values = getattr(log, c.field).tolist()
+            text = {v: f"{before}{v}{after}" for v in set(values)}
+            if c.optional:  # an absent label (-1) renders as no field
+                text[-1] = absent
+            parts[i::n] = map(text.__getitem__, values)
+        elif part.dtype is np.float64:
+            parts[i::n] = map(repr, getattr(log, part.field).tolist())
+        else:
+            buf, ends = _render_csv_ints(getattr(log, part.field))
+            # The comma after each line's last value becomes the cut.
+            buf[ends[log.offsets[1:] - 1] - 1] = ord("]")
+            parts[i::n] = buf.tobytes().decode("ascii").split("]")[:-1]
     return _dumps(header) + "\n" + "".join(parts)
+
+
+# Each log kind's renderer: both read the kind's tables.
+serialize_prediction_log = serialize_score_log = _serialize
 
 
 def write_prediction_log(log: NeighborhoodPredictionLog, path, *copies) -> None:
@@ -902,106 +921,6 @@ def write_prediction_log(log: NeighborhoodPredictionLog, path, *copies) -> None:
     text = serialize_prediction_log(log)
     for target in (path, *copies):
         atomic_write_text(target, text)
-
-
-def _score_header(header, path, head_line):
-    """(model_id, domain, split, num_classes or None, meta) of a score log's
-    header: three strings, an integer (not a boolean) if present, and an
-    object."""
-    meta = _check_header(header, path, head_line, "score_log")
-    fields = [_require(header, key, str, path, head_line)
-              for key in ("model_id", "domain", "split")]
-    k = header.get("num_classes")
-    if k is not None:
-        _require(header, "num_classes", int, path, head_line)
-    return (*fields, k, meta)
-
-
-def parse_score_log(path) -> ScoreLog:
-    """Parse a score log (header line + one entry per line) straight into the
-    log's arrays; an error names path:line of the first faulty line. A file
-    in the form ``serialize_score_log`` writes is read by one line pattern
-    (``_scan_score_log``), any other by a JSON decode of each line."""
-    with open(path, "rb") as f:
-        data = f.read()
-    log = _scan_score_log(path, data)
-    if log is not None:
-        return log
-    header, head_line, entries = _read_log(path, io.BytesIO(data))
-    model_id, domain, split, k, meta = _score_header(header, path, head_line)
-
-    def decode(body):
-        ids, predicted, conf, negent, true = _field_values(body, {
-            "example_id": (str,),
-            "predicted_label": (int,),
-            "max_confidence": (int, float),
-            "neg_entropy": (int, float),
-            "true_label": None,
-        })
-        return (
-            tuple(ids),
-            _column(predicted, "predicted_label", np.int64, "entry", ids, k),
-            _column(conf, "max_confidence", np.float64, "entry", ids),
-            _column(negent, "neg_entropy", np.float64, "entry", ids),
-            _column(true, "true_label", np.int64, "entry", ids, k, absent_ok=True),
-        )
-
-    return _build(path, head_line, entries, decode, lambda *arrays: ScoreLog(
-        model_id, domain, split, *arrays, num_classes=k, meta=meta))
-
-
-def _scan_score_log(path, data):
-    """The score log held in the file bytes ``data`` when each line after the
-    header is in the form ``serialize_score_log`` writes, else None; a header
-    the strict parse rejects raises its error. See ``_scan``."""
-    scanned = _scan(path, data, _score_header)
-    if scanned is None:
-        return None
-    (model_id, domain, split, k, meta), body = scanned
-    groups = _scan_lines(body, _SCORE_LINE)
-    if groups is None:
-        return None
-    ids, conf, negent, predicted, true = groups
-    labels = _labels(predicted), _labels(true)
-    if any(part is None for part in labels):
-        return None
-    scores = [read_only(np.fromiter(map(float, texts), np.float64, len(texts)))
-              for texts in (conf, negent)]
-    try:
-        return ScoreLog(model_id, domain, split, ids, labels[0], *scores, labels[1],
-                        num_classes=k, meta=meta)
-    except SchemaError:
-        return None
-
-
-def serialize_score_log(log: ScoreLog) -> str:
-    """The log as JSON Lines, the same bytes as sorted-key ``json.dumps``
-    (``repr`` of a finite float is its JSON form). Each entry line is six
-    parts, laid out like those of ``serialize_prediction_log``: the constant
-    text up to the confidence, the confidence, the entropy's key, the
-    entropy, the predicted label and the close with the true label."""
-    header = {
-        "type": "score_log",
-        "model_id": log.model_id,
-        "domain": log.domain,
-        "split": log.split,
-    }
-    if log.num_classes is not None:
-        header["num_classes"] = log.num_classes
-    if log.meta:
-        header["meta"] = log.meta
-    predicted = log.predicted_labels.tolist()
-    trues = log.true_labels.tolist()
-    predicted_field = {c: f',"predicted_label":{c}' for c in set(predicted)}
-    closing = {c: f',"true_label":{c}}}\n' for c in set(trues)}
-    closing[-1] = "}\n"
-    parts = [',"neg_entropy":'] * (6 * len(predicted))
-    parts[0::6] = _score_prefixes(log.example_ids)
-    parts[1::6] = map(repr, log.max_confidence.tolist())
-    parts[3::6] = map(repr, log.neg_entropy.tolist())
-    parts[4::6] = map(predicted_field.__getitem__, predicted)
-    parts[5::6] = map(closing.__getitem__, trues)
-    return _dumps(header) + "\n" + "".join(parts)
 
 
 def write_score_log(log: ScoreLog, path) -> None:

@@ -404,7 +404,8 @@ class TestPredictionLogArrays:
             ([0, 1, 1, 0], np.uint8), ([3, 1], np.int64), ([1, -1], np.int64),
             ([-1, 0], np.int64))]
         log = NeighborhoodPredictionLog("m", "d", 2, ("a", "b"), *arrays)
-        assert all(getattr(log, name) is arr for name, arr in zip(ingest._LOG_ARRAYS, arrays))
+        names = ("predictions", "lengths", "true_labels", "base_predictions")
+        assert all(getattr(log, name) is arr for name, arr in zip(names, arrays))
 
     @pytest.mark.parametrize("change, message", [
         ({"predictions": [0.0, 1.0, 1.0]}, "integer array"),
@@ -597,14 +598,12 @@ class TestFramedWriters:
         ids = ODD_IDS[seed:] + ODD_IDS[:seed]
         pred, score = odd_prediction_log(ids, seed), odd_score_log(ids, seed)
         assert (pred.lengths != pred.lengths[0]).any() and pred.predictions.max() > 9
-        ingest._prediction_prefixes.cache_clear()
-        ingest._score_prefixes.cache_clear()
+        ingest._id_texts.cache_clear()
         new = serialize_prediction_log(pred), serialize_score_log(score)
         pred_copy = dataclasses.replace(pred, example_ids=tuple(list(ids)))
         score_copy = dataclasses.replace(score, example_ids=tuple(list(ids)))
         reused = serialize_prediction_log(pred_copy), serialize_score_log(score_copy)
-        assert ingest._prediction_prefixes.cache_info().hits == 1
-        assert ingest._score_prefixes.cache_info().hits == 1
+        assert ingest._id_texts.cache_info().hits == 2  # one for each log kind
         assert new == reused
         assert new[0] == reference_serialize_prediction_log(pred)
         assert new[1] == score_log_oracle(score)
@@ -614,15 +613,14 @@ class TestFramedWriters:
 
 def strict_path():
     """A patch under which every log takes the JSON decode of each line."""
-    return mock.patch.multiple(ingest, _scan_prediction_log=lambda path, data: None,
-                               _scan_score_log=lambda path, data: None)
+    return mock.patch.object(ingest, "_scan", lambda cls, path, data: None)
 
 
 def scan_only():
     """A patch under which a log that the line pattern declines, or any
     render of a log, fails the test."""
     fail = mock.Mock(side_effect=AssertionError("declined or rendered"))
-    return mock.patch.multiple(ingest, _read_log=fail, serialize_prediction_log=fail,
+    return mock.patch.multiple(ingest, _decode=fail, serialize_prediction_log=fail,
                                serialize_score_log=fail)
 
 
@@ -743,7 +741,8 @@ class _NoFindall:
 def matrix_only():
     """A patch under which a prediction log that the fixed-stride read
     declines fails the test."""
-    return mock.patch.object(ingest, "_PREDICTION_LINE", _NoFindall(ingest._PREDICTION_LINE))
+    line = NeighborhoodPredictionLog._line
+    return mock.patch.object(NeighborhoodPredictionLog, "_line", _NoFindall(line))
 
 
 @pytest.fixture(scope="module")
@@ -771,11 +770,12 @@ def test_every_log_of_a_pool_takes_the_fast_read(small_tree, parse, folders):
 def assert_read_only(log):
     """Every array of ``log`` is read-only and of the log's type for it."""
     if isinstance(log, ScoreLog):
-        types = ingest._SCORE_ARRAYS
+        types = {"predicted_labels": np.int64, "max_confidence": np.float64,
+                 "neg_entropy": np.float64, "true_labels": np.int64}
     else:
-        types = {name: np.int64 for name in ingest._LOG_ARRAYS}
+        types = {name: np.int64
+                 for name in ("lengths", "true_labels", "base_predictions", "offsets")}
         types["predictions"] = np.min_scalar_type(log.num_classes - 1)
-        types["offsets"] = np.int64
     for name, dtype in types.items():
         arr = getattr(log, name)
         assert not arr.flags.writeable and arr.dtype == dtype, name
@@ -925,9 +925,9 @@ def _both(first, second):
 
 @contextmanager
 def _strict_decode_runs():
-    with mock.patch.object(ingest, "_read_log", wraps=ingest._read_log) as read_log:
+    with mock.patch.object(ingest, "_decode", wraps=ingest._decode) as decode:
         yield
-    assert read_log.called
+    assert decode.called
 
 
 @pytest.fixture(scope="module")
@@ -956,20 +956,37 @@ class TestValueOracle:
         check_against_oracle(log, path)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["seed0_first", "seed1_first"])
-    def test_two_runs_in_one_process(self, two_trees, order):
+    def test_two_runs_in_one_process(self, tmp_path, two_trees, order):
         seen = 0
         for tree in (two_trees[i] for i in order):
-            for folder, parse in (("predictions", parse_prediction_log),
-                                  ("ablation", parse_prediction_log),
-                                  ("scores", parse_score_log)):
-                for path in sorted((tree / folder).glob("*.jsonl")):
-                    log = parse(path)
-                    check_against_oracle(log, path)
-                    # The writer's bytes are sorted-key json.dumps of each line.
-                    assert path.read_text() == render_lines(
-                        json.loads(line) for line in path.read_text().splitlines())
-                    seen += 1
+            paths = [(parse, path) for folder, parse in (("predictions", parse_prediction_log),
+                                                         ("ablation", parse_prediction_log),
+                                                         ("scores", parse_score_log))
+                     for path in sorted((tree / folder).glob("*.jsonl"))]
+            # Read right after the first log: ids of its width, not its bytes.
+            renamed = tmp_path / f"{tree.name}-renamed.jsonl"
+            text = paths[0][1].read_text()
+            renamed.write_text(text.replace('"example_id":"ex', '"example_id":"ey'))
+            for parse, path in [paths[0], (parse_prediction_log, renamed), *paths]:
+                log = parse(path)
+                check_against_oracle(log, path)
+                # The writer's bytes are sorted-key json.dumps of each line.
+                assert path.read_text() == render_lines(
+                    json.loads(line) for line in path.read_text().splitlines())
+                seen += 1
         assert seen > 100
+
+
+@pytest.mark.parametrize("cls", [NeighborhoodPredictionLog, ScoreLog])
+def test_column_keys_keep_the_fast_reads_sound(cls):
+    """The soundness of the fixed-stride read needs every key of a column
+    table to be ASCII with no digit (so a digit of a canonical line is in a
+    value), and a key is its own JSON text only with no quote or backslash;
+    the pattern and the writer take the table's order as JSON's sorted one."""
+    keys = [c.key for c in cls._columns]
+    assert keys == sorted(keys)
+    for key in keys:
+        assert key.isascii() and not any(ch.isdigit() or ch in '"\\' for ch in key), key
 
 
 def prediction_variants(text):
@@ -1087,7 +1104,7 @@ class TestPredictionLogScan:
     def test_other_layouts_take_the_strict_decode(self, tmp_path, text):
         path = tmp_path / "log.jsonl"
         path.write_text(text, newline="")
-        assert ingest._scan_prediction_log(path, path.read_bytes()) is None
+        assert ingest._scan(NeighborhoodPredictionLog, path, path.read_bytes()) is None
         assert parse_prediction_log(path) == SCAN_LOG
 
     def test_missing_final_newline_gives_the_strict_outcome(self, tmp_path):
@@ -1173,6 +1190,9 @@ class TestPredictionLogScan:
             model_id="m", test_domain="d", num_classes=k, meta=meta)
         path = tmp_path / "log.jsonl"
         write_prediction_log(log, path)
+        # The pattern made from the column table matches every line written.
+        lines = path.read_text().splitlines()[1:]
+        assert all(NeighborhoodPredictionLog._line.fullmatch(line) for line in lines)
         with scan_only():
             assert parse_prediction_log(path) == log
 
@@ -1416,7 +1436,7 @@ class TestScoreLogScan:
     def test_other_layouts_take_the_strict_decode(self, tmp_path, text):
         path = tmp_path / "scores.jsonl"
         path.write_text(text, newline="")
-        assert ingest._scan_score_log(path, path.read_bytes()) is None
+        assert ingest._scan(ScoreLog, path, path.read_bytes()) is None
         assert parse_score_log(path) == SCORE_SCAN_LOG
 
     @settings(max_examples=300, deadline=None,
@@ -1442,6 +1462,8 @@ class TestScoreLogScan:
                             model_id="m", domain="d", split="test")
         path = tmp_path / "scores.jsonl"
         write_score_log(log, path)
+        lines = path.read_text().splitlines()[1:]
+        assert all(ScoreLog._line.fullmatch(line) for line in lines)
         with scan_only():
             got = parse_outcome(path, parse_score_log)
         assert got == (log, [log.max_confidence.tobytes(), log.neg_entropy.tobytes()])
@@ -1891,8 +1913,15 @@ class TestScoreLogArrays:
             ([0, 1], np.int64), ([0.5, 0.75], np.float64), ([-0.5, -0.25], np.float64),
             ([1, -1], np.int64))]
         log = ScoreLog("m", "d", "test", ("a", "b"), *arrays, num_classes=2)
-        assert all(getattr(log, name) is arr
-                   for name, arr in zip(ingest._SCORE_ARRAYS, arrays))
+        names = ("predicted_labels", "max_confidence", "neg_entropy", "true_labels")
+        assert all(getattr(log, name) is arr for name, arr in zip(names, arrays))
+
+    def test_a_label_beyond_int64_is_out_of_range(self):
+        # Checked as given, before the int64 copy, to which 2**64 - 1 is -1 (absent).
+        labels = np.array([1, 2**64 - 1], dtype=np.uint64)
+        with pytest.raises(SchemaError, match=f"entry 'b': true_label {2**64 - 1} out of range"):
+            ScoreLog("m", "d", "test", ("a", "b"), [0, 1], [0.5, 0.75], [-0.5, -0.25], labels,
+                     num_classes=2)
 
     @pytest.mark.parametrize("change, message", [
         ({"predicted_labels": [0.0, 1.0]}, "predicted_labels must be"),
